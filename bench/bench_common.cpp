@@ -1,6 +1,8 @@
 #include "bench_common.hpp"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "core/workload.hpp"
@@ -37,17 +39,37 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+// Bad flags exit 2 (usage error) instead of running with a silent default:
+// best-of-0 timing would report 1e300 s, and a --json without a path would
+// drop the artifact.
+[[noreturn]] void usage_error(const char* prog, const std::string& msg) {
+  std::fprintf(stderr, "%s: %s\nusage: %s [--full] [--reps N>=1] [--json PATH]\n", prog,
+               msg.c_str(), prog);
+  std::exit(2);
+}
+
 }  // namespace
 
 Options Options::parse(int argc, char** argv) {
   Options o;
+  const char* prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) o.full = true;
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      o.reps = static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
+    if (std::strcmp(argv[i], "--reps") == 0) {
+      const char* v = i + 1 < argc ? argv[++i] : "";
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long reps = std::strtoul(v, &end, 10);
+      if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || reps == 0) {
+        usage_error(prog, std::string("--reps needs a positive integer, got '") + v + "'");
+      }
+      o.reps = static_cast<std::size_t>(reps);
     }
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      o.json = argv[i + 1];
+    if (std::strcmp(argv[i], "--json") == 0) {
+      if (i + 1 >= argc || argv[i + 1][0] == '\0' || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        usage_error(prog, "--json needs an output path");
+      }
+      o.json = argv[++i];
     }
   }
   g_json_path = o.json;

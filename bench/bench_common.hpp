@@ -22,6 +22,8 @@ struct Options {
   bool full = false;     // paper-scale sweep (large, slow)
   std::size_t reps = 3;  // timed repetitions (best-of)
   std::string json;      // --json <path>: machine-readable per-variant results
+  /// Exits 2 with a usage message on --reps that is not a positive integer
+  /// or --json without a path.
   static Options parse(int argc, char** argv);
 };
 

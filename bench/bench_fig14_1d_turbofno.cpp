@@ -1,6 +1,8 @@
 // Figure 14: 1D TurboFNO (best of all optimizations) vs PyTorch, rendered
 // as the paper's heatmaps over (K, log2 M) for 128/256-pt FFTs with
-// truncation to 64/128 modes.  Also prints Table 2's method mapping.
+// truncation to 64/128 modes.  Also prints Table 2's method mapping.  Every
+// heatmap's points (all five variants per cell) are recorded in --json as
+// their own figure.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,10 +34,11 @@ void heatmap(const Options& opt, std::size_t n, std::size_t modes) {
   double sum = 0.0;
   double best = -1e9;
   std::size_t count = 0;
+  std::vector<PointResult> points;
   for (std::size_t r = 0; r < log_ms.size(); ++r) {
     for (std::size_t c = 0; c < ks.size(); ++c) {
       const auto prob = make_1d(std::size_t{1} << log_ms[r], ks[c], n, modes);
-      const auto pr = run_point_1d(
+      auto pr = run_point_1d(
           prob, {Variant::PyTorch, Variant::FftOpt, Variant::FusedFftGemm,
                  Variant::FusedGemmIfft, Variant::FullyFused},
           opt.reps);
@@ -51,8 +54,13 @@ void heatmap(const Options& opt, std::size_t n, std::size_t modes) {
       sum += best_pct;
       best = std::max(best, best_pct);
       ++count;
+      pr.label = "M=2^" + std::to_string(log_ms[r]) + ",K=" + std::to_string(ks[c]);
+      points.push_back(std::move(pr));
     }
   }
+  record_json("Figure 14 heatmap: " + std::to_string(n) + "-pt FFT, " + std::to_string(modes) +
+                  " modes, 1D ladder vs PyTorch",
+              points);
   std::printf("Figure 14 heatmap: %zu-pt FFT, N(modes)=%zu — measured speedup vs PyTorch\n",
               n, modes);
   std::printf("(rows: M = batch x modes; cols: hidden dim K)\n%s\n", heat.str().c_str());

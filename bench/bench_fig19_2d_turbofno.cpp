@@ -1,7 +1,8 @@
 // Figure 19: 2D TurboFNO (best-of) vs PyTorch heatmaps over (K, batch) for
 // 256x128 and 256x256 fields with truncation to 64/128 modes, plus a
-// thread-scaling axis for the fused (batch x x-row) parallelization
-// (recorded in --json as its own figure).
+// thread-scaling axis for the fused (batch x x-row) parallelization.  The
+// heatmap points and the thread axis are each recorded in --json as their
+// own figure.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,10 +34,11 @@ void heatmap(const Options& opt, std::size_t nx, std::size_t ny, std::size_t mod
   double sum = 0.0;
   double best = -1e9;
   std::size_t count = 0;
+  std::vector<PointResult> points;
   for (std::size_t r = 0; r < bss.size(); ++r) {
     for (std::size_t c = 0; c < ks.size(); ++c) {
       const auto prob = make_2d(bss[r], ks[c], nx, ny, modes, modes);
-      const auto pr = run_point_2d(
+      auto pr = run_point_2d(
           prob, {Variant::PyTorch, Variant::FftOpt, Variant::FusedFftGemm,
                  Variant::FusedGemmIfft, Variant::FullyFused},
           opt.reps);
@@ -51,8 +53,14 @@ void heatmap(const Options& opt, std::size_t nx, std::size_t ny, std::size_t mod
       sum += best_pct;
       best = std::max(best, best_pct);
       ++count;
+      pr.label = "BS=" + std::to_string(bss[r]) + ",K=" + std::to_string(ks[c]);
+      points.push_back(std::move(pr));
     }
   }
+  record_json("Figure 19 heatmap: " + std::to_string(nx) + "x" + std::to_string(ny) + ", " +
+                  std::to_string(modes) + "x" + std::to_string(modes) +
+                  " modes, 2D ladder vs PyTorch",
+              points);
   std::printf("Figure 19 heatmap: %zux%zu 2D FFT, N(modes)=%zu — measured speedup vs PyTorch\n",
               nx, ny, modes);
   std::printf("%s\n", heat.str().c_str());

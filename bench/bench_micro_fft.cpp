@@ -1,6 +1,7 @@
 // Micro-benchmarks of the custom FFT kernels (the Section 3 claim that the
-// from-scratch kernels are competitive): throughput across sizes, pruned vs
-// full, strided vs contiguous, and the naive-DFT sanity anchor.
+// from-scratch kernels are competitive): throughput across sizes, truncated
+// and zero-padded vs full, strided vs contiguous, and the naive-DFT sanity
+// anchor.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -10,8 +10,6 @@
 //                   32x32x8, Mt = Nt = 4): interleaved scalar kernel vs the
 //                   split-complex vector kernel on identical packed panels.
 //   cgemm-full      the whole blocked CGEMM at the fused FNO shape.
-//   fft-dif-block   the pruned-DIF block butterfly (the fused pipelines'
-//                   FFT inner loop).
 //   fft-radix4-q    one Stockham radix-4 pass at s = 64 (the batched FFT's
 //                   vector sweep).
 //
@@ -143,36 +141,6 @@ KernelResult bench_cgemm_full(std::size_t reps) {
 
 // ------------------------------------------------------------- fft kernels
 
-KernelResult bench_fft_dif_block(std::size_t reps) {
-  // The first pruned-DIF stage of the fused forward FFT at the paper's
-  // 1D shape (n = 128, 50% truncation): full block, dense prefix.
-  const std::size_t n = 128;
-  const std::size_t half = n / 2;
-  const fft::TwiddleTable& tw = fft::twiddles_for(n);
-  const std::span<const c32> w = tw.forward(n);
-
-  AlignedBuffer<c32> buf(n);
-  core::fill_random(buf.span(), 31u);
-
-  constexpr std::size_t kInner = 8192;
-  KernelResult r;
-  r.name = "fft-dif-block-128";
-  // 2 unit butterflies per j, 10 flops each under the Figure-5 convention.
-  r.flops = static_cast<double>(half) * 2.0 * 10.0 * kInner;
-
-  r.scalar_seconds = runtime::time_best_of(reps, [&] {
-    for (std::size_t it = 0; it < kInner; ++it) {
-      scalar_ref::dif_block_butterfly(buf.data(), half, n, true, w);
-    }
-  });
-  r.simd_seconds = runtime::time_best_of(reps, [&] {
-    for (std::size_t it = 0; it < kInner; ++it) {
-      fft::kernels::block_butterfly<simd::Active>(buf.data(), half, n, true, w);
-    }
-  });
-  return r;
-}
-
 KernelResult bench_fft_radix4_pass(std::size_t reps) {
   // One radix-4 Stockham pass with s = 64 contiguous butterflies per group
   // (the q-loop the batched FFT spends its time in at n = 256).
@@ -244,7 +212,6 @@ int main(int argc, char** argv) {
   std::vector<KernelResult> rows;
   rows.push_back(bench_cgemm_micro(reps));
   rows.push_back(bench_cgemm_full(reps));
-  rows.push_back(bench_fft_dif_block(reps));
   rows.push_back(bench_fft_radix4_pass(reps));
 
   std::printf("%-24s %12s %12s %10s %10s %8s\n", "kernel", "scalar(us)", "simd(us)",

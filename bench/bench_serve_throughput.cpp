@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -244,6 +245,42 @@ QosMix run_qos(const ShapeCase& s, const std::vector<std::vector<c32>>& reqs,
   return mix;
 }
 
+/// Pipelines the whole stream through `cli`, keeping a bounded window in
+/// flight so the stream stays busy without tripping the server's
+/// per-connection write backpressure; model_of(i) picks request i's model
+/// id.  Appends each response's server-side total to `totals` and returns
+/// the count of Ok responses.  Throws when the stream ends early or a
+/// response is not Ok, so a req/s figure only ever counts Ok responses.
+template <class ModelOf>
+std::size_t stream_ok(net::Client& cli, const std::vector<std::vector<c32>>& reqs,
+                      const std::vector<std::uint32_t>& dims, ModelOf model_of,
+                      std::vector<double>& totals) {
+  constexpr std::size_t kWindow = 16;
+  totals.clear();
+  std::size_t sent = 0;
+  std::size_t ok = 0;
+  net::Client::Result resp;
+  while (ok < reqs.size()) {
+    while (sent < reqs.size() && sent - ok < kWindow) {
+      cli.send_request(model_of(sent), net::Dtype::C32, dims,
+                       std::as_bytes(std::span<const c32>(reqs[sent])));
+      ++sent;
+    }
+    if (!cli.recv_response(resp)) {
+      throw std::runtime_error("stream ended after " + std::to_string(ok) + " of " +
+                               std::to_string(reqs.size()) + " responses");
+    }
+    if (resp.head.status != net::WireStatus::Ok) {
+      throw std::runtime_error("a response has status " +
+                               std::string(net::wire_status_name(resp.head.status)) + " after " +
+                               std::to_string(ok) + " Ok responses");
+    }
+    totals.push_back(resp.head.total_us * 1e-6);
+    ++ok;
+  }
+  return ok;
+}
+
 SocketResult run_socket(const ShapeCase& s, const std::vector<std::vector<c32>>& reqs,
                         std::size_t reps) {
   net::SocketServer::Options so;
@@ -267,28 +304,15 @@ SocketResult run_socket(const ShapeCase& s, const std::vector<std::vector<c32>>&
   net::Client cli;
   cli.connect(srv.bound_port());  // ephemeral bind: never collides across runs
 
-  // Pipelined client: keep a bounded window in flight so the stream stays
-  // busy without tripping the server's per-connection write backpressure.
-  const std::size_t window = 16;
   std::vector<double> totals;
-  net::Client::Result resp;
+  std::size_t ok = 0;
   const double secs = runtime::time_best_of(reps, [&] {
-    totals.clear();
-    std::size_t sent = 0, received = 0;
-    while (received < reqs.size()) {
-      while (sent < reqs.size() && sent - received < window) {
-        cli.send_request(static_cast<std::uint32_t>(model), net::Dtype::C32, dims,
-                         std::as_bytes(std::span<const c32>(reqs[sent])));
-        ++sent;
-      }
-      if (!cli.recv_response(resp)) break;
-      totals.push_back(resp.head.total_us * 1e-6);
-      ++received;
-    }
+    ok = stream_ok(
+        cli, reqs, dims, [&](std::size_t) { return static_cast<std::uint32_t>(model); }, totals);
   });
 
   SocketResult r;
-  r.rps = static_cast<double>(reqs.size()) / secs;
+  r.rps = static_cast<double>(ok) / secs;
   r.avg_micro_batch = srv.server()->stats().avg_micro_batch();
   std::sort(totals.begin(), totals.end());
   if (!totals.empty()) {
@@ -340,26 +364,15 @@ ShardedResult run_sharded(const ShapeCase& s, const std::vector<std::vector<c32>
   net::Client cli;
   cli.connect(router.bound_port());
 
-  const std::size_t window = 16;
   std::vector<double> totals;
-  net::Client::Result resp;
+  std::size_t ok = 0;
   const double secs = runtime::time_best_of(reps, [&] {
-    totals.clear();
-    std::size_t sent = 0, received = 0;
-    while (received < reqs.size()) {
-      while (sent < reqs.size() && sent - received < window) {
-        cli.send_request(static_cast<std::uint32_t>(sent % 2), net::Dtype::C32, dims,
-                         std::as_bytes(std::span<const c32>(reqs[sent])));
-        ++sent;
-      }
-      if (!cli.recv_response(resp)) break;
-      totals.push_back(resp.head.total_us * 1e-6);
-      ++received;
-    }
+    ok = stream_ok(
+        cli, reqs, dims, [](std::size_t i) { return static_cast<std::uint32_t>(i % 2); }, totals);
   });
 
   ShardedResult r;
-  r.rps = static_cast<double>(reqs.size()) / secs;
+  r.rps = static_cast<double>(ok) / secs;
   std::sort(totals.begin(), totals.end());
   if (!totals.empty()) {
     r.p50_ms = totals[totals.size() / 2] * 1e3;
@@ -450,8 +463,13 @@ int main(int argc, char** argv) {
     modes.push_back(run_serial(s, reqs, opt.reps));
     for (const auto b : batches) modes.push_back(run_served(s, reqs, b, opt.reps));
     qos.push_back(run_qos(s, reqs, opt.reps));
-    socket.push_back(run_socket(s, reqs, opt.reps));
-    sharded.push_back(run_sharded(s, reqs, opt.reps));
+    try {
+      socket.push_back(run_socket(s, reqs, opt.reps));
+      sharded.push_back(run_sharded(s, reqs, opt.reps));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_serve_throughput: %s: %s\n", s.label.c_str(), e.what());
+      return 1;
+    }
 
     trace::TextTable table({"mode", "req/s", "vs serial", "vs serve-1", "avg batch", "p50 ms",
                             "p95 ms"});

@@ -110,42 +110,6 @@ void cgemm_fused_tiles(std::size_t M, std::size_t N, std::size_t K, c32 alpha, c
   }
 }
 
-std::uint64_t dif_block_butterfly(c32* x, std::size_t half, std::size_t z, bool need_odd,
-                                  std::span<const c32> w) {
-  std::uint64_t ops = 0;
-  const std::size_t full_end = z > half ? z - half : 0;
-  const std::size_t copy_end = std::min(z, half);
-
-  if (need_odd) {
-    std::size_t j = 0;
-    if (full_end > 0) {
-      const c32 a = x[0];
-      const c32 b = x[half];
-      x[0] = a + b;
-      x[half] = a - b;
-      ops += 2;
-      j = 1;
-    }
-    for (; j < full_end; ++j) {
-      const c32 a = x[j];
-      const c32 b = x[j + half];
-      x[j] = a + b;
-      x[j + half] = (a - b) * w[j];
-      ops += 2;
-    }
-    for (j = full_end; j < copy_end; ++j) {
-      x[j + half] = x[j] * w[j];
-      ops += 1;
-    }
-  } else {
-    for (std::size_t j = 0; j < full_end; ++j) {
-      x[j] = x[j] + x[j + half];
-      ops += 1;
-    }
-  }
-  return ops;
-}
-
 void radix4_pass(const c32* src, c32* dst, std::size_t l, std::size_t s,
                  std::span<const c32> w) {
   const std::size_t half = 2 * l;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "tensor/complex.hpp"
@@ -30,10 +29,6 @@ void micro_cgemm_pass(c32* acc_tile, const c32* Apack, const c32* Bpack, std::si
 void cgemm_fused_tiles(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
                        std::size_t lda, const c32* B, std::size_t ldb, c32 beta, c32* C,
                        std::size_t ldc);
-
-/// The seed's pruned-DIF block butterfly.
-std::uint64_t dif_block_butterfly(c32* x, std::size_t half, std::size_t z, bool need_odd,
-                                  std::span<const c32> w);
 
 /// The seed's Stockham radix-4 forward pass (p == 0 peeled).
 void radix4_pass(const c32* src, c32* dst, std::size_t l, std::size_t s, std::span<const c32> w);

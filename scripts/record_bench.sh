@@ -6,10 +6,11 @@
 # sharded_router axis — a shard::Router fronting two workers priced
 # against the direct socket), the FFT micro bench (including
 # the 2D schedule A/B pairs), the fig15 2D-FFTopt pipeline bench, and the
-# fig14/fig19 TurboFNO benches (whose trailing figures record the
-# real-vs-complex RFFT-lane A/B with spectral_path-tagged rows), and merges
-# the results into BENCH_PR<N>.json at the repo root, so perf regressions
-# show up in review as a diffable artifact.
+# fig14/fig19 TurboFNO benches (their heatmap points, plus trailing figures
+# that record the real-vs-complex RFFT-lane A/B with spectral_path-tagged
+# rows), and merges the results with a host block into BENCH_PR<N>.json at
+# the repo root, so perf regressions show up in review as a diffable
+# artifact.
 #
 # Usage: scripts/record_bench.sh <pr-number> [build-dir] [extra bench args]
 #   scripts/record_bench.sh 2            # writes BENCH_PR2.json from ./build
@@ -104,8 +105,15 @@ else
   printf 'null\n' >"$TMP_FFT"
 fi
 
+# The host that produced the numbers: a 1-core box and a 4-core one give
+# different figure-bench ratios, so the artifact carries the core count,
+# the OpenMP thread setting and the CPU model.
+CPU=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')
 {
-  printf '{\n"pr": %s,\n"bench_micro_simd":\n' "$PR"
+  printf '{\n"pr": %s,\n' "$PR"
+  printf '"host": {"nproc": %s, "omp_num_threads": "%s", "cpu": "%s"},\n' \
+    "$(nproc 2>/dev/null || echo 0)" "${OMP_NUM_THREADS:-}" "${CPU:-unknown}"
+  printf '"bench_micro_simd":\n'
   cat "$TMP_SIMD"
   printf ',\n"bench_serve_throughput":\n'
   cat "$TMP_SERVE"

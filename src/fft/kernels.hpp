@@ -1,16 +1,15 @@
 // Backend-templated FFT butterfly kernels.
 //
-// The Stockham radix-2/radix-4 passes and the pruned-DIF block butterfly
-// live here, parameterized on a simd backend (tensor/simd.hpp), so:
-//   - stockham.cpp / dif_pruned.cpp instantiate them with simd::Active,
+// The Stockham radix-2/radix-4 passes live here, parameterized on a simd
+// backend (tensor/simd.hpp), so:
+//   - stockham.cpp instantiates them with simd::Active,
 //   - the SIMD micro bench and parity tests can instantiate the scalar and
 //     AVX2 backends side by side in one binary.
 //
 // Vectorization strategy: every kernel's innermost loop runs over a
-// contiguous run of butterflies (the q-loop over `s` adjacent outputs in
-// Stockham, the j-loop over a block prefix in the pruned DIF) using the
-// backend's *packed* complex vectors (B::pvec, AoS order): butterflies are
-// add/sub dominated, which packed lanes do shuffle-free, and the twiddle
+// contiguous run of butterflies (the q-loop over `s` adjacent outputs) using
+// the backend's *packed* complex vectors (B::pvec, AoS order): butterflies
+// are add/sub dominated, which packed lanes do shuffle-free, and the twiddle
 // multiply is a single fmaddsub sequence.  Sub-lane passes (s < B::planes,
 // i.e. the early stages of every transform) are transposed to lane-major
 // form: each vector carries the same butterfly leg of several consecutive p
@@ -21,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "tensor/complex.hpp"
@@ -280,72 +278,6 @@ void pass_radix4(const c32* src, c32* dst, std::size_t l, std::size_t s,
       d3[q] = (t1 - t3) * w3;
     }
   }
-}
-
-/// One pruned-DIF block butterfly with both prunings (see dif_pruned.cpp for
-/// the derivation):
-///
-///   x[0 .. half)        -> even-bin half (sums)
-///   x[half .. 2*half)   -> odd-bin half (diffs * twiddle)
-///
-/// `z` is the nonzero prefix of this block (uniform across blocks of a
-/// stage).  `need_odd == false` skips every diff; the even half is then
-/// written only where the sum differs from a plain copy.  All three loops
-/// run over contiguous j with contiguous twiddles, so each is a straight
-/// packed-vector sweep.  Returns the unit-op count (identical to the scalar
-/// accounting).
-template <class B>
-inline std::uint64_t block_butterfly(c32* x, std::size_t half, std::size_t z, bool need_odd,
-                                     std::span<const c32> w) {
-  using P = typename B::pvec;
-  const std::size_t full_end = z > half ? z - half : 0;  // both inputs nonzero
-  const std::size_t copy_end = z < half ? z : half;      // upper input zero
-
-  if (need_odd) {
-    // j == 0 (twiddle == 1) peeled off the full region.
-    std::size_t j = 0;
-    if (full_end > 0) {
-      const c32 a = x[0];
-      const c32 b = x[half];
-      x[0] = a + b;
-      x[half] = a - b;
-      j = 1;
-    }
-    for (; j + B::planes <= full_end; j += B::planes) {
-      const P a = B::pload(x + j);
-      const P b = B::pload(x + j + half);
-      B::pstore(x + j, B::padd(a, b));
-      B::pstore(x + j + half, B::pcmul(B::psub(a, b), B::pload(w.data() + j)));
-    }
-    for (; j < full_end; ++j) {
-      const c32 a = x[j];
-      const c32 b = x[j + half];
-      x[j] = a + b;
-      x[j + half] = (a - b) * w[j];
-    }
-    // b == 0: even output is already a (in place), odd is a twiddle scale.
-    j = full_end;
-    for (; j + B::planes <= copy_end; j += B::planes) {
-      B::pstore(x + j + half, B::pcmul(B::pload(x + j), B::pload(w.data() + j)));
-    }
-    for (; j < copy_end; ++j) {
-      x[j + half] = x[j] * w[j];
-    }
-    // j in [copy_end, half): both inputs zero; outputs remain zero.
-    return 2 * static_cast<std::uint64_t>(full_end) +
-           static_cast<std::uint64_t>(copy_end - full_end);
-  }
-
-  // Odd subtree pruned: only sums are needed, and only where b != 0.
-  std::size_t j = 0;
-  for (; j + B::planes <= full_end; j += B::planes) {
-    B::pstore(x + j, B::padd(B::pload(x + j), B::pload(x + j + half)));
-  }
-  for (; j < full_end; ++j) {
-    x[j] = x[j] + x[j + half];
-  }
-  // b == 0 region: x[j] already holds the sum.
-  return full_end;
 }
 
 }  // namespace turbofno::fft::kernels

@@ -2,10 +2,19 @@
 
 #include <algorithm>
 
-#include "fft/dif_pruned.hpp"
 #include "fft/twiddle.hpp"
 
 namespace turbofno::fft {
+
+std::size_t block_need(std::size_t block_index, std::size_t depth, std::size_t m) noexcept {
+  // Block `b` of the depth-d stage holds the bins k with
+  // k mod 2^d == bit_reverse(b, d); of those, the ones below m number
+  // ceil((m - r) / 2^d).
+  const std::size_t r = bit_reverse(block_index, depth);
+  const std::size_t stride = std::size_t{1} << depth;
+  if (r >= m) return 0;
+  return (m - r + stride - 1) >> depth;
+}
 
 OpCount count_pruned_ops(std::size_t n, std::size_t m, std::size_t p) noexcept {
   OpCount c{};
@@ -26,7 +35,7 @@ OpCount count_pruned_ops(std::size_t n, std::size_t m, std::size_t p) noexcept {
       if (need == 0) continue;
       if (need >= 2) {
         // Full butterflies; j == 0 is twiddle-free when it falls in the full
-        // region (mirrors the peeled loop in the kernel).
+        // region.
         if (full_end > 0) {
           c.unit_ops += 2;
           c.cadd += 2;

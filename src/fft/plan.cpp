@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "fft/dif_pruned.hpp"
 #include "fft/opcount.hpp"
 #include "fft/stockham.hpp"
 #include "fft/twiddle.hpp"
@@ -41,47 +40,32 @@ void FftPlan::execute_one(const c32* in, std::ptrdiff_t in_elem_stride, c32* out
   const std::size_t n = desc_.n;
   const std::size_t m = desc_.keep_or_n();
   const std::size_t p = desc_.nonzero_or_n();
-  const bool inverse = desc_.dir == Direction::Inverse;
   assert(work.size() >= 2 * n);
 
+  // One path for every plan: gather the stored prefix and zero the tail, run
+  // the dense Stockham transform, store the first m bins.  A filtered plan
+  // therefore returns exactly the dense transform of the explicitly padded
+  // signal, truncated.
   c32* buf = work.data();
-  // Gather the stored prefix; the tail is implicit zeros.
   if (in_elem_stride == 1) {
     std::copy_n(in, p, buf);
   } else {
     for (std::size_t j = 0; j < p; ++j) buf[j] = in[static_cast<std::ptrdiff_t>(j) * in_elem_stride];
   }
-  for (std::size_t j = p; j < n; ++j) buf[j] = c32{};
+  std::fill(buf + p, buf + n, c32{});
 
-  const float scale =
-      (inverse && desc_.scale_inverse) ? 1.0f / static_cast<float>(n) : 1.0f;
-
-  if (!pruned_) {
-    // Dense fast path: Stockham autosort (natural-order output, no gather).
-    std::span<c32> io{buf, n};
-    std::span<c32> scratch{work.data() + n, n};
-    if (inverse) {
-      stockham_inverse(io, scratch, n, desc_.scale_inverse);
-    } else {
-      stockham_forward(io, scratch, n);
-    }
-    if (out_elem_stride == 1) {
-      std::copy_n(buf, n, out);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) out[static_cast<std::ptrdiff_t>(k) * out_elem_stride] = buf[k];
-    }
-    return;
+  const std::span<c32> io{buf, n};
+  const std::span<c32> scratch{work.data() + n, n};
+  if (desc_.dir == Direction::Inverse) {
+    stockham_inverse(io, scratch, n, desc_.scale_inverse);
+  } else {
+    stockham_forward(io, scratch, n);
   }
 
-  dif_pruned_run({buf, n}, n, m, p, inverse);
-  // Gather the m needed natural-order bins out of the bit-reversed buffer.
-  const std::size_t bits = log2u(n);
   if (out_elem_stride == 1) {
-    dif_gather({buf, n}, {out, m}, n, m, scale);
+    std::copy_n(buf, m, out);
   } else {
-    for (std::size_t k = 0; k < m; ++k) {
-      out[static_cast<std::ptrdiff_t>(k) * out_elem_stride] = buf[bit_reverse(k, bits)] * scale;
-    }
+    for (std::size_t k = 0; k < m; ++k) out[static_cast<std::ptrdiff_t>(k) * out_elem_stride] = buf[k];
   }
 }
 

@@ -11,9 +11,14 @@
 //            ("zero padding"; nonzero == n means a dense input)
 //
 // Unlike cuFFT (which has no native filtering; the paper's Section 1
-// limitation #2), truncation and padding here change the kernel's own
-// global load/store loops and prune the butterfly network, so no separate
-// memory-copy pass ever materializes the full-length intermediate.
+// limitation #2), truncation and padding here live in the plan's own load
+// and store loops: execute_one gathers the nonzero prefix into an n-point
+// scratch signal, zeroes the tail, runs the SIMD radix-4 Stockham kernel
+// and stores only the kept bins, so no separate memory-copy pass ever
+// materializes the full-length intermediate in the caller's buffers.  The
+// butterfly network itself runs dense: on a CPU the vectorized autosort
+// kernel beats a pruned bit-reversed network by several times.  The op and
+// flop counters still report the paper's pruned count (fft/opcount.hpp).
 #pragma once
 
 #include <cstddef>
@@ -74,15 +79,16 @@ class FftPlan {
   /// instead of hard-coding 2 * n.
   [[nodiscard]] std::size_t scratch_elems() const noexcept { return 2 * desc_.n; }
 
-  /// Unit butterfly ops per signal under the Figure-5 counting convention.
+  /// Unit butterfly ops per signal of the paper's pruned network under the
+  /// Figure-5 counting convention.
   [[nodiscard]] std::uint64_t unit_ops_per_signal() const noexcept { return unit_ops_; }
-  /// Real FLOPs per signal (pruned).
+  /// Real FLOPs per signal of the paper's pruned network.
   [[nodiscard]] std::uint64_t flops_per_signal() const noexcept { return flops_; }
   /// Bytes read / written from the caller's buffers per signal.
   [[nodiscard]] std::uint64_t bytes_read_per_signal() const noexcept;
   [[nodiscard]] std::uint64_t bytes_written_per_signal() const noexcept;
 
-  /// True when this plan takes the pruned DIF path (any filtering active).
+  /// True when any filtering is active (keep < n or nonzero < n).
   [[nodiscard]] bool pruned() const noexcept { return pruned_; }
 
  private:

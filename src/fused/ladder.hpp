@@ -41,7 +41,7 @@ inline constexpr Variant kAllVariants[] = {Variant::PyTorch, Variant::FftOpt,
 ///     working set of the fused k-loop outgrows the cache budget, the
 ///     streaming unfused kernels (FftOpt) win;
 ///   - the modes ratio: with shallow truncation (modes > n/2) the per-tile
-///     pruned forward FFT saves little over the batched plan execution, so
+///     truncated forward FFT saves little over the batched plan execution, so
 ///     only the pad+iFFT epilogue is worth fusing (FusedGemmIfft);
 ///   - otherwise the fully fused pass wins (FullyFused).
 /// The cache budget defaults to 1 MiB and is overridable via the

@@ -181,7 +181,7 @@ class Pipeline2dBase {
   trace::PipelineCounters counters_;
 };
 
-/// Stage A: every kernel truncated/pruned, nothing fused (5 launches).
+/// Stage A: every kernel truncated/zero-padded, nothing fused (5 launches).
 class FftOptPipeline2d : public Pipeline2dBase {
  public:
   explicit FftOptPipeline2d(baseline::Spectral2dProblem prob);

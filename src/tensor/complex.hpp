@@ -65,7 +65,7 @@ struct c32 {
   friend float abs(c32 a) { return std::hypot(a.re, a.im); }
   friend constexpr float norm2(c32 a) { return a.re * a.re + a.im * a.im; }
 
-  /// Multiplication by -i (quarter-turn), used by pruned radix-4 butterflies.
+  /// Multiplication by -i (quarter-turn), used by the radix-4 butterflies.
   friend constexpr c32 mul_neg_i(c32 a) { return {a.im, -a.re}; }
   friend constexpr c32 mul_pos_i(c32 a) { return {-a.im, a.re}; }
 };

@@ -1,11 +1,13 @@
 // FFT plan correctness against the O(n^2) double-precision reference DFT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fft/plan.hpp"
 #include "fft/reference.hpp"
 #include "fft/twiddle.hpp"
+#include "fused/fft_variant.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::fft {
@@ -126,6 +128,26 @@ INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FullFftSizes,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096));
 
 // ------------------------------------------------------------- trunc/zeropad
+//
+// A filtered plan runs the dense transform on the explicitly zero-padded
+// signal and stores a prefix, so its output must equal the dense plan's
+// element for element — not merely to rounding.
+
+// Elements whose re or im differ (float ==, so +0 and -0 compare equal).
+std::size_t mismatches(std::span<const c32> got, std::span<const c32> want) {
+  EXPECT_EQ(got.size(), want.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got[i].re != want[i].re || got[i].im != want[i].im) ++bad;
+  }
+  return bad;
+}
+
+std::vector<c32> zero_padded(std::span<const c32> stored, std::size_t n) {
+  std::vector<c32> padded(n, c32{});
+  std::copy(stored.begin(), stored.end(), padded.begin());
+  return padded;
+}
 
 struct FilterCase {
   std::size_t n;
@@ -135,53 +157,90 @@ struct FilterCase {
 
 class FilteredFft : public ::testing::TestWithParam<FilterCase> {};
 
-TEST_P(FilteredFft, TruncatedForwardEqualsFullPlusSlice) {
+TEST_P(FilteredFft, TruncatedForwardEqualsFullPrefix) {
   const auto [n, keep, nonzero] = GetParam();
   const auto in = random_signal(n, 41u + static_cast<unsigned>(n + keep));
   std::vector<c32> full(n);
   make_plan(n, Direction::Forward).execute(in, full, 1);
   std::vector<c32> trunc(keep);
   make_plan(n, Direction::Forward, keep).execute(in, trunc, 1);
-  EXPECT_LT(max_err(trunc, std::span<const c32>(full.data(), keep)), fft_tol(n));
+  EXPECT_EQ(mismatches(trunc, std::span<const c32>(full.data(), keep)), 0u);
+  (void)nonzero;
+}
+
+TEST_P(FilteredFft, TruncatedInverseEqualsFullPrefix) {
+  const auto [n, keep, nonzero] = GetParam();
+  const auto in = random_signal(n, 42u + static_cast<unsigned>(n + keep));
+  std::vector<c32> full(n);
+  make_plan(n, Direction::Inverse).execute(in, full, 1);
+  std::vector<c32> trunc(keep);
+  make_plan(n, Direction::Inverse, keep).execute(in, trunc, 1);
+  EXPECT_EQ(mismatches(trunc, std::span<const c32>(full.data(), keep)), 0u);
   (void)nonzero;
 }
 
 TEST_P(FilteredFft, ZeroPaddedForwardEqualsExplicitPad) {
   const auto [n, keep, nonzero] = GetParam();
   const auto stored = random_signal(nonzero, 43u + static_cast<unsigned>(n));
-  std::vector<c32> padded(n, c32{});
-  std::copy(stored.begin(), stored.end(), padded.begin());
   std::vector<c32> expect(n);
-  make_plan(n, Direction::Forward).execute(padded, expect, 1);
+  make_plan(n, Direction::Forward).execute(zero_padded(stored, n), expect, 1);
   std::vector<c32> got(n);
   make_plan(n, Direction::Forward, 0, nonzero).execute(stored, got, 1);
-  EXPECT_LT(max_err(got, expect), fft_tol(n));
+  EXPECT_EQ(mismatches(got, expect), 0u);
   (void)keep;
 }
 
 TEST_P(FilteredFft, ZeroPaddedInverseEqualsExplicitPad) {
   const auto [n, keep, nonzero] = GetParam();
   const auto spectrum = random_signal(nonzero, 47u);
-  std::vector<c32> padded(n, c32{});
-  std::copy(spectrum.begin(), spectrum.end(), padded.begin());
   std::vector<c32> expect(n);
-  make_plan(n, Direction::Inverse).execute(padded, expect, 1);
+  make_plan(n, Direction::Inverse).execute(zero_padded(spectrum, n), expect, 1);
   std::vector<c32> got(n);
   make_plan(n, Direction::Inverse, 0, nonzero).execute(spectrum, got, 1);
-  EXPECT_LT(max_err(got, expect), fft_tol(n));
+  EXPECT_EQ(mismatches(got, expect), 0u);
   (void)keep;
 }
 
 TEST_P(FilteredFft, TruncatedAndPaddedCompose) {
   const auto [n, keep, nonzero] = GetParam();
   const auto stored = random_signal(nonzero, 53u);
-  std::vector<c32> padded(n, c32{});
-  std::copy(stored.begin(), stored.end(), padded.begin());
   std::vector<c32> full(n);
-  make_plan(n, Direction::Forward).execute(padded, full, 1);
+  make_plan(n, Direction::Forward).execute(zero_padded(stored, n), full, 1);
   std::vector<c32> got(keep);
   make_plan(n, Direction::Forward, keep, nonzero).execute(stored, got, 1);
-  EXPECT_LT(max_err(got, std::span<const c32>(full.data(), keep)), fft_tol(n));
+  EXPECT_EQ(mismatches(got, std::span<const c32>(full.data(), keep)), 0u);
+}
+
+TEST_P(FilteredFft, StridedExecuteOneEqualsDense) {
+  // Gather the nonzero prefix at element stride 3 and scatter the kept bins
+  // at element stride 5; every other slot of the output stays untouched.
+  const auto [n, keep, nonzero] = GetParam();
+  constexpr std::size_t kIn = 3;
+  constexpr std::size_t kOut = 5;
+  const auto stored = random_signal(nonzero, 57u + static_cast<unsigned>(n));
+  std::vector<c32> strided(nonzero * kIn, c32{-7.0f, 7.0f});
+  for (std::size_t j = 0; j < nonzero; ++j) strided[j * kIn] = stored[j];
+
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    std::vector<c32> full(n);
+    make_plan(n, dir).execute(zero_padded(stored, n), full, 1);
+
+    const c32 sentinel{-99.0f, 99.0f};
+    std::vector<c32> out(keep * kOut, sentinel);
+    const FftPlan plan = make_plan(n, dir, keep, nonzero);
+    std::vector<c32> work(plan.scratch_elems());
+    plan.execute_one(strided.data(), static_cast<std::ptrdiff_t>(kIn), out.data(),
+                     static_cast<std::ptrdiff_t>(kOut), work);
+    std::vector<c32> got(keep);
+    for (std::size_t k = 0; k < keep; ++k) {
+      got[k] = out[k * kOut];
+      for (std::size_t r = 1; r < kOut; ++r) {
+        ASSERT_EQ(out[k * kOut + r], sentinel) << "stray store at bin " << k;
+      }
+    }
+    EXPECT_EQ(mismatches(got, std::span<const c32>(full.data(), keep)), 0u)
+        << (dir == Direction::Forward ? "forward" : "inverse");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -190,7 +249,45 @@ INSTANTIATE_TEST_SUITE_P(
                       FilterCase{64, 16, 32}, FilterCase{64, 64, 16}, FilterCase{128, 32, 64},
                       FilterCase{128, 64, 128}, FilterCase{256, 64, 64}, FilterCase{256, 128, 32},
                       FilterCase{256, 1, 1}, FilterCase{512, 128, 256}, FilterCase{1024, 64, 512},
-                      FilterCase{128, 127, 127}, FilterCase{128, 3, 5}));
+                      FilterCase{128, 127, 127}, FilterCase{128, 3, 5}, FilterCase{2, 1, 1},
+                      FilterCase{4, 3, 2}));
+
+// The fused pipelines' entry points run the same plans: a k-loop tile row
+// and an epilogue row equal the dense transform's prefix exactly.
+TEST(FilteredFft, KLoopTileAndEpilogueRowEqualDense) {
+  const std::size_t n = 128;
+  const std::size_t modes = 64;
+  const std::size_t channels = 3;
+  const std::size_t elem_stride = 4;  // samples of one channel, y-major staging
+  const std::size_t tile_ld = modes + 8;
+  const auto staged = random_signal(n * elem_stride, 83u);
+
+  const fused::KLoopFft fwd(n, modes);
+  std::vector<c32> work(fwd.plan().scratch_elems());
+  std::vector<c32> tile(channels * tile_ld);
+  fwd.forward_tile(staged.data(), /*channel_stride=*/1, channels, tile.data(), tile_ld, work,
+                   static_cast<std::ptrdiff_t>(elem_stride));
+  for (std::size_t c = 0; c < channels; ++c) {
+    std::vector<c32> signal(n);
+    for (std::size_t j = 0; j < n; ++j) signal[j] = staged[j * elem_stride + c];
+    std::vector<c32> full(n);
+    make_plan(n, Direction::Forward).execute(signal, full, 1);
+    EXPECT_EQ(mismatches(std::span<const c32>(tile.data() + c * tile_ld, modes),
+                         std::span<const c32>(full.data(), modes)),
+              0u)
+        << "channel " << c;
+  }
+
+  const fused::EpilogueIfft inv(n, modes);
+  const auto row = random_signal(modes, 89u);
+  std::vector<c32> scattered(n * elem_stride);
+  inv.inverse_row(row.data(), scattered.data(), work, static_cast<std::ptrdiff_t>(elem_stride));
+  std::vector<c32> got(n);
+  for (std::size_t j = 0; j < n; ++j) got[j] = scattered[j * elem_stride];
+  std::vector<c32> expect(n);
+  make_plan(n, Direction::Inverse).execute(zero_padded(row, n), expect, 1);
+  EXPECT_EQ(mismatches(got, expect), 0u);
+}
 
 // ----------------------------------------------------------- batched/strided
 

@@ -1,10 +1,9 @@
-// Pruned DIF kernel: correctness for every (n, m, p) and the Figure 5
-// operation counts.
+// Truncated and zero-padded plans: correctness for every (n, m, p), and the
+// Figure 5 operation counts of the paper's pruned butterfly network.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "fft/dif_pruned.hpp"
 #include "fft/opcount.hpp"
 #include "fft/plan.hpp"
 #include "fft/reference.hpp"
@@ -57,7 +56,7 @@ TEST(BlockNeed, ChildrenSplitCeilFloor) {
   }
 }
 
-// -------------------------------------------------------- pruned correctness
+// ------------------------------------------------------ filtered correctness
 
 struct PrunedCase {
   std::size_t n;
@@ -65,46 +64,41 @@ struct PrunedCase {
   std::size_t p;
 };
 
-class PrunedDif : public ::testing::TestWithParam<PrunedCase> {};
+FftPlan filtered_plan(std::size_t n, std::size_t m, std::size_t p, Direction dir) {
+  PlanDesc d;
+  d.n = n;
+  d.dir = dir;
+  d.keep = m;
+  d.nonzero = p;
+  return FftPlan(d);
+}
 
-TEST_P(PrunedDif, ForwardMatchesReference) {
+class FilteredPlan : public ::testing::TestWithParam<PrunedCase> {};
+
+TEST_P(FilteredPlan, ForwardMatchesReference) {
   const auto [n, m, p] = GetParam();
   const auto stored = random_signal(p, 101u + static_cast<unsigned>(n * 7 + m * 3 + p));
-  std::vector<c32> buf(n, c32{});
-  std::copy(stored.begin(), stored.end(), buf.begin());
-  dif_pruned_run(buf, n, m, p, /*inverse=*/false);
   std::vector<c32> got(m);
-  dif_gather(buf, got, n, m, 1.0f);
+  filtered_plan(n, m, p, Direction::Forward).execute(stored, got, 1);
 
   std::vector<c32> ref(m);
   reference_dft(stored, ref, n);
   EXPECT_LT(max_err(got, ref), fft_tol(n)) << "n=" << n << " m=" << m << " p=" << p;
 }
 
-TEST_P(PrunedDif, InverseMatchesReference) {
+TEST_P(FilteredPlan, InverseMatchesReference) {
   const auto [n, m, p] = GetParam();
   const auto stored = random_signal(p, 103u + static_cast<unsigned>(n + m + p));
-  std::vector<c32> buf(n, c32{});
-  std::copy(stored.begin(), stored.end(), buf.begin());
-  dif_pruned_run(buf, n, m, p, /*inverse=*/true);
   std::vector<c32> got(m);
-  dif_gather(buf, got, n, m, 1.0f / static_cast<float>(n));
+  filtered_plan(n, m, p, Direction::Inverse).execute(stored, got, 1);
 
   std::vector<c32> ref(m);
   reference_idft(stored, ref, n);
   EXPECT_LT(max_err(got, ref), fft_tol(n));
 }
 
-TEST_P(PrunedDif, MeasuredOpsEqualAnalyticCount) {
-  const auto [n, m, p] = GetParam();
-  std::vector<c32> buf(n, c32{1.0f, -1.0f});
-  for (std::size_t i = p; i < n; ++i) buf[i] = c32{};
-  const std::uint64_t measured = dif_pruned_run(buf, n, m, p, false);
-  EXPECT_EQ(measured, count_pruned_ops(n, m, p).unit_ops);
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Grid, PrunedDif,
+    Grid, FilteredPlan,
     ::testing::Values(PrunedCase{4, 1, 4}, PrunedCase{4, 2, 4}, PrunedCase{4, 4, 4},
                       PrunedCase{8, 1, 8}, PrunedCase{8, 3, 8}, PrunedCase{8, 8, 2},
                       PrunedCase{16, 4, 16}, PrunedCase{16, 16, 4}, PrunedCase{16, 5, 7},
@@ -115,20 +109,16 @@ INSTANTIATE_TEST_SUITE_P(
                       PrunedCase{1024, 256, 1024}, PrunedCase{1024, 1, 1}));
 
 // Exhaustive small sweep: every (m, p) for n up to 32.
-TEST(PrunedDifExhaustive, AllFiltersUpTo32) {
+TEST(FilteredPlanExhaustive, AllFiltersUpTo32) {
   for (std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
     for (std::size_t m = 1; m <= n; ++m) {
       for (std::size_t p = 1; p <= n; ++p) {
         const auto stored = random_signal(p, static_cast<unsigned>(n * 1000 + m * 37 + p));
-        std::vector<c32> buf(n, c32{});
-        std::copy(stored.begin(), stored.end(), buf.begin());
-        const std::uint64_t ops = dif_pruned_run(buf, n, m, p, false);
         std::vector<c32> got(m);
-        dif_gather(buf, got, n, m, 1.0f);
+        filtered_plan(n, m, p, Direction::Forward).execute(stored, got, 1);
         std::vector<c32> ref(m);
         reference_dft(stored, ref, n);
         ASSERT_LT(max_err(got, ref), fft_tol(n)) << "n=" << n << " m=" << m << " p=" << p;
-        ASSERT_EQ(ops, count_pruned_ops(n, m, p).unit_ops) << "n=" << n << " m=" << m << " p=" << p;
       }
     }
   }

@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "fft/reference.hpp"
 #include "fused/ladder.hpp"
 #include "runtime/parallel.hpp"
 #include "test_util.hpp"
@@ -18,38 +17,10 @@ using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
 
-// Direct reference: per-signal DFT (double precision), naive mixing along
-// hidden, zero-pad, inverse DFT.
 std::vector<c32> reference_spectral_conv(const Spectral1dProblem& p, const std::vector<c32>& u,
                                          const std::vector<c32>& w) {
-  const std::size_t B = p.batch;
-  const std::size_t K = p.hidden;
-  const std::size_t O = p.out_dim;
-  const std::size_t N = p.n;
-  const std::size_t M = p.modes;
-  std::vector<c32> freq(B * K * M);
-  for (std::size_t bk = 0; bk < B * K; ++bk) {
-    fft::reference_dft(std::span<const c32>(u.data() + bk * N, N),
-                       std::span<c32>(freq.data() + bk * M, M), N);
-  }
-  std::vector<c32> mixed(B * O * M, c32{});
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t o = 0; o < O; ++o) {
-      for (std::size_t f = 0; f < M; ++f) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, w[o * K + k], freq[(b * K + k) * M + f]);
-        }
-        mixed[(b * O + o) * M + f] = acc;
-      }
-    }
-  }
-  std::vector<c32> v(B * O * N);
-  for (std::size_t bo = 0; bo < B * O; ++bo) {
-    fft::reference_idft(std::span<const c32>(mixed.data() + bo * M, M),
-                        std::span<c32>(v.data() + bo * N, N), N);
-  }
-  return v;
+  return turbofno::testing::reference_spectral_conv(
+      {p.batch, p.hidden, p.out_dim, 1, p.n, 1, p.modes}, u, w);
 }
 
 struct LadderCase {
@@ -84,7 +55,7 @@ TEST_P(Ladder1d, MatchesDirectReference) {
   auto pipe = make_pipeline1d(variant, prob);
   pipe->run(u, w, v);
   const auto ref = reference_spectral_conv(prob, u, w);
-  EXPECT_LT(rel_err(v, ref), 1e-4) << pipe->name();
+  EXPECT_LT(rel_err(v, ref), 1e-6) << pipe->name();
 }
 
 TEST_P(Ladder1d, SecondRunIsIdentical) {
@@ -116,6 +87,22 @@ TEST_P(Ladder1d, ThreadCountDoesNotChangeResult) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, Ladder1d, ::testing::ValuesIn(ladder_cases()));
+
+// Accuracy floor at the paper's Figure 14 shape (K = 128, n = 128, 64 modes,
+// batch 1): every variant within 1e-6 relative L2 error of the
+// double-precision DFT + CGEMM reference.
+TEST(Ladder1dAccuracy, PaperScaleFloor) {
+  const Spectral1dProblem prob{1, 128, 128, 128, 64};
+  const auto u = random_signal(prob.input_elems(), 437u);
+  const auto w = random_signal(prob.weight_elems(), 439u);
+  const auto ref = reference_spectral_conv(prob, u, w);
+  for (const auto variant : kAllVariants) {
+    auto pipe = make_pipeline1d(variant, prob);
+    std::vector<c32> v(prob.output_elems(), c32{});
+    pipe->run(u, w, v);
+    EXPECT_LT(rel_err(v, ref), 1e-6) << pipe->name();
+  }
+}
 
 // ----------------------------------------------------------- cross-variant
 

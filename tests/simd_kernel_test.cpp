@@ -1,7 +1,7 @@
 // Parity tests for the explicit SIMD layer (tensor/simd.hpp) and every
 // kernel built on it: cvec ops against plain c32 arithmetic, the split
 // CGEMM against the naive reference at non-tile-multiple dims, the FFT
-// butterfly kernels across all radix paths and odd prunings, and the fused
+// butterfly kernels across all radix paths and odd filters, and the fused
 // rank updates.  Each test runs the scalar backend and, when the binary was
 // compiled with AVX2 support, the AVX2 backend through identical sweeps.
 #include <gtest/gtest.h>
@@ -321,32 +321,8 @@ TEST(SimdFft, SubLanePassesMatchScalarBackend) {
 }
 #endif
 
-#if TURBOFNO_SIMD_HAVE_AVX2
-TEST(SimdFft, BlockButterflyBackendsAgree) {
-  // The pruned-DIF block butterfly must produce identical pruning decisions
-  // and near-identical arithmetic on both backends, across odd nonzero
-  // prefixes z and both need_odd settings.
-  const std::size_t n = 64;
-  const std::size_t half = n / 2;
-  const fft::TwiddleTable& tw = fft::twiddles_for(n);
-  const auto w = tw.forward(n);
-  for (const std::size_t z : {1u, 3u, 7u, 31u, 32u, 33u, 47u, 63u, 64u}) {
-    for (const bool need_odd : {false, true}) {
-      std::vector<c32> xs = random_signal(n, 400u + static_cast<unsigned>(z));
-      std::vector<c32> xv = xs;
-      const auto ops_s =
-          fft::kernels::block_butterfly<simd::ScalarBackend>(xs.data(), half, z, need_odd, w);
-      const auto ops_v =
-          fft::kernels::block_butterfly<simd::Avx2Backend>(xv.data(), half, z, need_odd, w);
-      EXPECT_EQ(ops_s, ops_v) << "z=" << z << " need_odd=" << need_odd;
-      EXPECT_LT(max_err(xv, xs), 1e-6) << "z=" << z << " need_odd=" << need_odd;
-    }
-  }
-}
-#endif
-
 TEST(SimdFft, PrunedPlansOddFiltering) {
-  // End-to-end pruned plans (the active backend) at keep/nonzero values
+  // End-to-end filtered plans (the active backend) at keep/nonzero values
   // that are not lane multiples, against the double-precision reference.
   const std::size_t n = 128;
   for (const std::size_t keep : {1u, 5u, 13u, 64u, 127u}) {
