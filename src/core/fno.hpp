@@ -23,18 +23,34 @@
 namespace turbofno::core {
 
 /// Pointwise (1x1) complex channel mixing: v[b,o,s] = sum_k W[o,k] u[b,k,s].
+///
+/// One shape rule picks the kernel: when both channel counts are at least
+/// 16 the mix is one strided-batched CGEMM, V[b] = W[out x in] * U[b][in x
+/// spatial], on the packed SIMD kernel.  Narrower shapes (the lift, the
+/// projection, small hidden widths) stream an o,k,s loop instead, because
+/// the GEMM pads the output channels to its row tile.  Both are
+/// deterministic per item: results do not depend on the batch size or the
+/// thread count.
 class PointwiseLinear {
  public:
   PointwiseLinear(std::size_t in_ch, std::size_t out_ch, unsigned seed);
 
-  /// u [batch, in_ch, spatial] -> v [batch, out_ch, spatial].
-  void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch,
-               std::size_t spatial) const;
+  /// u [batch, in_ch, spatial] -> v [batch, out_ch, spatial].  With
+  /// `accumulate` the mix is added onto v (GEMM beta = 1) instead of
+  /// overwriting it, so a model writes its residual straight into the
+  /// spectral output.
+  void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch, std::size_t spatial,
+               bool accumulate = false) const;
   /// Real-field variant: mixes with the real parts of the weights (the real
   /// model keeps every spatial tensor in floats; only the retained spectra
-  /// are complex).
+  /// are complex).  On the GEMM shape with an even `spatial` it views each
+  /// pair of adjacent floats as one c32 and mixes with {w.re, 0} weights
+  /// built per call in the thread's scratch arena; odd `spatial` takes the
+  /// loop.  The pair view is exact for finite inputs.  A non-finite sample
+  /// can also poison its pair partner (0 * inf), but the spectral branch
+  /// already spreads a NaN across the whole item.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch,
-                    std::size_t spatial) const;
+                    std::size_t spatial, bool accumulate = false) const;
 
   /// Mutable weight access [out, in].  Weight-invalidating: writing through
   /// this span changes what subsequent forwards compute, and any derived
@@ -71,9 +87,9 @@ class Fno1d {
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
   /// Real-input forward: u [batch, in_channels, n] and v [batch,
   /// out_channels, n] hold real samples; every hidden field stays in floats
-  /// and each spectral layer runs its RFFT half-spectrum lane (see
-  /// SpectralConv1d::forward_real for the TURBOFNO_REAL_SPECTRAL knob
-  /// semantics).  Requires n >= 4.
+  /// (views of the complex workspaces) and each spectral layer runs its RFFT
+  /// half-spectrum lane (see SpectralConv1d::forward_real for the
+  /// TURBOFNO_REAL_SPECTRAL knob semantics).  Requires n >= 4.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   /// Grows the hidden-state workspaces (and every layer's) so forwards up
@@ -108,13 +124,10 @@ class Fno1d {
   std::vector<SpectralConv1d> spectral_;
   std::vector<PointwiseLinear> residual_;
   PointwiseLinear project_;
+  // Hidden-field ping-pong; the real lane runs on float views of the same
+  // storage (a c32 buffer holds twice the floats it needs).
   AlignedBuffer<c32> h0_;
   AlignedBuffer<c32> h1_;
-  AlignedBuffer<c32> hres_;
-  // Real-lane hidden fields (lazy, grow-only; half the complex footprint).
-  AlignedBuffer<float> r0_;
-  AlignedBuffer<float> r1_;
-  AlignedBuffer<float> rres_;
 };
 
 class Fno2d {
@@ -157,13 +170,10 @@ class Fno2d {
   std::vector<SpectralConv2d> spectral_;
   std::vector<PointwiseLinear> residual_;
   PointwiseLinear project_;
+  // Hidden-field ping-pong; the real lane runs on float views of the same
+  // storage (a c32 buffer holds twice the floats it needs).
   AlignedBuffer<c32> h0_;
   AlignedBuffer<c32> h1_;
-  AlignedBuffer<c32> hres_;
-  // Real-lane hidden fields (lazy, grow-only; half the complex footprint).
-  AlignedBuffer<float> r0_;
-  AlignedBuffer<float> r1_;
-  AlignedBuffer<float> rres_;
 };
 
 }  // namespace turbofno::core

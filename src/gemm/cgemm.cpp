@@ -94,8 +94,10 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
     pack_a_tile_split<Mtb, Ktb>(Apack, A, lda, i0, k0, mi, kc);
     pack_b_tile_split<Ntb, Ktb, B>(Bpack, Bm, ldb, k0, j0, kc, nj);
 
-    for (std::size_t ii = 0; ii < Mtb; ii += Mt) {
-      for (std::size_t jj = 0; jj < Ntb; jj += JW) {
+    // An edge tile skips the register blocks that lie wholly in its zero
+    // padding: they never reach C (e.g. rows 40..63 of a 40-row GEMM).
+    for (std::size_t ii = 0; ii < mi; ii += Mt) {
+      for (std::size_t jj = 0; jj < nj; jj += JW) {
         micro_accumulate_split<B, Mt, JW, Mtb, Ntb>(acc_tile, Apack, Bpack, kc, ii, jj);
       }
     }

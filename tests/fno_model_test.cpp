@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "core/fno.hpp"
 #include "core/workload.hpp"
+#include "runtime/parallel.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::core {
@@ -164,6 +168,149 @@ TEST(PointwiseLinearTest, MatchesNaiveMixing) {
       }
     }
   }
+}
+
+// ------------------------------------------------ PointwiseLinear vs double
+
+using cd = std::complex<double>;
+
+cd to_cd(float x) { return {x, 0.0}; }
+cd to_cd(c32 x) { return {x.re, x.im}; }
+
+struct MixShape {
+  std::size_t in, out, batch, spatial;
+};
+
+/// v0 + W u per item, every sum in double (v0 empty: no accumulation).  The
+/// real lane is the same sum over real parts of the weights.
+template <class T>
+std::vector<cd> reference_mix(const MixShape& m, std::span<const c32> w, std::span<const T> u,
+                              std::span<const T> v0) {
+  std::vector<cd> ref(m.batch * m.out * m.spatial);
+  for (std::size_t b = 0; b < m.batch; ++b) {
+    for (std::size_t o = 0; o < m.out; ++o) {
+      for (std::size_t s = 0; s < m.spatial; ++s) {
+        const std::size_t vi = (b * m.out + o) * m.spatial + s;
+        cd acc = 0.0;
+        if (!v0.empty()) acc = to_cd(v0[vi]);
+        for (std::size_t k = 0; k < m.in; ++k) {
+          const c32 wk = w[o * m.in + k];
+          const cd wd = std::is_same_v<T, float> ? cd(wk.re, 0.0) : to_cd(wk);
+          acc += wd * to_cd(u[(b * m.in + k) * m.spatial + s]);
+        }
+        ref[vi] = acc;
+      }
+    }
+  }
+  return ref;
+}
+
+/// max |got - ref| / max |ref| over every component.
+template <class T>
+double mix_err(std::span<const T> got, const std::vector<cd>& ref) {
+  double num = 0.0;
+  double den = 1e-30;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    num = std::max(num, std::abs(to_cd(got[i]) - ref[i]));
+    den = std::max(den, std::abs(ref[i]));
+  }
+  return num / den;
+}
+
+std::vector<float> random_real(std::size_t n, unsigned seed) {
+  const auto c = random_signal((n + 1) / 2, seed);
+  std::vector<float> r(n);
+  for (std::size_t i = 0; i < n; ++i) r[i] = i % 2 == 0 ? c[i / 2].re : c[i / 2].im;
+  return r;
+}
+
+void check_complex_mix(const MixShape& m, bool accumulate) {
+  SCOPED_TRACE(::testing::Message() << "in=" << m.in << " out=" << m.out << " spatial="
+                                    << m.spatial << " accumulate=" << accumulate);
+  const PointwiseLinear lin(m.in, m.out, 23u);
+  const auto u = random_signal(m.batch * m.in * m.spatial, 301u);
+  auto v = accumulate ? random_signal(m.batch * m.out * m.spatial, 302u)
+                      : std::vector<c32>(m.batch * m.out * m.spatial, c32{9.0f, 9.0f});
+  const auto ref = reference_mix<c32>(m, lin.weights(), u,
+                                      accumulate ? std::span<const c32>(v) : std::span<const c32>());
+  lin.forward(u, v, m.batch, m.spatial, accumulate);
+  EXPECT_LT(mix_err<c32>(v, ref), 2e-6 * std::sqrt(static_cast<double>(m.in)));
+}
+
+void check_real_mix(const MixShape& m, bool accumulate) {
+  SCOPED_TRACE(::testing::Message() << "real in=" << m.in << " out=" << m.out
+                                    << " spatial=" << m.spatial << " accumulate=" << accumulate);
+  const PointwiseLinear lin(m.in, m.out, 29u);
+  const auto u = random_real(m.batch * m.in * m.spatial, 303u);
+  auto v = accumulate ? random_real(m.batch * m.out * m.spatial, 304u)
+                      : std::vector<float>(m.batch * m.out * m.spatial, 9.0f);
+  const auto ref = reference_mix<float>(
+      m, lin.weights(), u, accumulate ? std::span<const float>(v) : std::span<const float>());
+  lin.forward_real(u, v, m.batch, m.spatial, accumulate);
+  EXPECT_LT(mix_err<float>(v, ref), 2e-6 * std::sqrt(static_cast<double>(m.in)));
+}
+
+TEST(PointwiseLinearTest, GemmShapesMatchDoubleReference) {
+  // K = O = 40 at an odd spatial size ends every row in a masked tail.
+  for (const bool acc : {false, true}) {
+    check_complex_mix({40, 40, 3, 37}, acc);
+    check_complex_mix({128, 128, 2, 64}, acc);
+  }
+}
+
+TEST(PointwiseLinearTest, LiftAndProjectionShapesMatchDoubleReference) {
+  for (const bool acc : {false, true}) {
+    check_complex_mix({1, 40, 2, 37}, acc);
+    check_complex_mix({40, 1, 2, 37}, acc);
+  }
+}
+
+TEST(PointwiseLinearTest, RealLaneMatchesDoubleReference) {
+  for (const bool acc : {false, true}) {
+    check_real_mix({40, 40, 3, 64}, acc);  // even spatial: GEMM on the pair view
+    check_real_mix({40, 40, 3, 63}, acc);  // odd spatial: loop
+    check_real_mix({1, 40, 2, 64}, acc);
+    check_real_mix({40, 1, 2, 64}, acc);
+  }
+}
+
+/// Runs `mix(u, v, batch)` over a batch of 4 and item by item, at 1 and 4
+/// threads; every item must be bitwise identical across all four runs.
+template <class T, class Mix>
+void expect_per_item_bitwise(std::size_t in, std::size_t out, std::size_t spatial,
+                             const std::vector<T>& u, Mix mix) {
+  const std::size_t batch = 4;
+  const int saved = runtime::thread_count();
+  std::vector<std::vector<T>> runs;
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    std::vector<T> whole(batch * out * spatial);
+    mix(std::span<const T>(u), std::span<T>(whole), batch);
+    runs.push_back(std::move(whole));
+    std::vector<T> items(batch * out * spatial);
+    for (std::size_t b = 0; b < batch; ++b) {
+      mix(std::span<const T>(u).subspan(b * in * spatial, in * spatial),
+          std::span<T>(items).subspan(b * out * spatial, out * spatial), 1);
+    }
+    runs.push_back(std::move(items));
+  }
+  runtime::set_thread_count(saved);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_EQ(std::memcmp(runs[r].data(), runs[0].data(), runs[0].size() * sizeof(T)), 0)
+        << "run " << r << " differs bitwise from the batch-4, 1-thread run";
+  }
+}
+
+TEST(PointwiseLinearTest, PerItemBitwiseAcrossBatchAndThreads) {
+  const std::size_t in = 40, out = 40, spatial = 70;
+  const PointwiseLinear lin(in, out, 31u);
+  expect_per_item_bitwise<c32>(in, out, spatial, random_signal(4 * in * spatial, 305u),
+                               [&](std::span<const c32> u, std::span<c32> v, std::size_t b) {
+                                 lin.forward(u, v, b, spatial);
+                               });
+  expect_per_item_bitwise<float>(in, out, spatial, random_real(4 * in * spatial, 306u),
+                                 [&](std::span<const float> u, std::span<float> v,
+                                     std::size_t b) { lin.forward_real(u, v, b, spatial); });
 }
 
 TEST(ReluTest, ClampsBothComponents) {

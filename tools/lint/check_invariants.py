@@ -20,8 +20,9 @@ review because each one lives in two places at once:
                    src/ or tools/ (tfno_shardd reads knobs too) is a
                    violation.
   hotpath-alloc    regions bracketed by `// tfno-hot-begin` and
-                   `// tfno-hot-end` in src/fused/ and src/fft/ are
-                   arena-scoped kernel worker bodies; heap allocation
+                   `// tfno-hot-end` in src/core/, src/fused/ and
+                   src/fft/ are arena-scoped kernel worker bodies and
+                   model layer loops; heap allocation
                    there (new/malloc/resize/push_back/...) would
                    serialize the parallel sweep on the allocator lock.
 
@@ -223,7 +224,7 @@ def check_hotpath_allocs(root: Path) -> list[str]:
     for path in source_files(root):
         rel = path.relative_to(root)
         parts = rel.parts
-        if len(parts) < 2 or parts[0] != "src" or parts[1] not in ("fused", "fft"):
+        if len(parts) < 2 or parts[0] != "src" or parts[1] not in ("core", "fused", "fft"):
             continue
         in_hot = False
         begin_line = 0
