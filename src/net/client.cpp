@@ -1,9 +1,6 @@
 #include "net/client.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,18 +9,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
 
+#include "net/framed_conn.hpp"
+
 namespace turbofno::net {
 
 namespace {
-
-[[nodiscard]] std::system_error sys_error(const char* what) {
-  return {errno, std::generic_category(), what};
-}
 
 void write_all(int fd, const std::byte* p, std::size_t n) {
   while (n > 0) {
@@ -37,27 +31,24 @@ void write_all(int fd, const std::byte* p, std::size_t n) {
   }
 }
 
-/// Reads exactly n bytes; returns false on EOF before the first byte,
-/// throws if the stream ends mid-read (a torn frame is never silent).
-[[nodiscard]] bool read_exact(int fd, std::byte* p, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const auto r = ::read(fd, p + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired (set_io_timeout / ConnectOptions::io_timeout_s).
-        throw std::runtime_error("net::Client: read timed out");
-      }
-      throw sys_error("read");
-    }
-    if (r == 0) {
-      if (got == 0) return false;
-      throw std::runtime_error("net::Client: stream ended mid-frame");
-    }
-    got += static_cast<std::size_t>(r);
+/// Blocking read of one frame (the client side of FrameReader): false on
+/// EOF at a frame boundary; throws when the stream ends mid-frame, a read
+/// times out (SO_RCVTIMEO), or the frame fails to decode.
+[[nodiscard]] bool read_frame(int fd, FrameReader& in) {
+  switch (in.read(fd)) {
+    case FrameReader::Result::Frame:
+      return true;
+    case FrameReader::Result::WouldBlock:
+      // SO_RCVTIMEO expired (set_io_timeout / ConnectOptions::io_timeout_s).
+      throw std::runtime_error("net::Client: read timed out");
+    case FrameReader::Result::Closed:
+      if (errno != 0) throw sys_error("read");
+      if (in.mid_frame()) throw std::runtime_error("net::Client: stream ended mid-frame");
+      return false;
+    case FrameReader::Result::Bad:
+      break;
   }
-  return true;
+  throw std::runtime_error("net::Client: malformed frame");
 }
 
 }  // namespace
@@ -66,56 +57,30 @@ Client::~Client() { close(); }
 
 void Client::dial_once(std::uint16_t port, const std::string& host, double timeout_s) {
   close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) throw sys_error("socket");
-  if (rcvbuf_ > 0) {
-    // Before connect(), so the clamp also bounds the advertised window.
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf_, sizeof rcvbuf_);
+  bool connected = false;
+  fd_ = dial_tcp(host, port, connected, rcvbuf_);
+  if (fd_ < 0) {
+    if (errno == EINVAL) throw std::runtime_error("net::Client: bad IPv4 host: " + host);
+    throw sys_error("connect");
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close();
-    throw std::runtime_error("net::Client: bad IPv4 host: " + host);
-  }
-  if (timeout_s <= 0.0) {
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      const auto err = sys_error("connect");
+  if (!connected) {
+    // Wait for the nonblocking connect (bounded unless timeout_s <= 0),
+    // then read the outcome back with SO_ERROR.
+    pollfd pfd{fd_, POLLOUT, 0};
+    const int wait_ms = timeout_s > 0.0 ? static_cast<int>(timeout_s * 1e3) : -1;
+    int ready = 0;
+    while ((ready = ::poll(&pfd, 1, wait_ms)) < 0 && errno == EINTR) {
+    }
+    int err = ready == 0 ? ETIMEDOUT : errno;
+    socklen_t len = sizeof err;
+    if (ready > 0) ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0) {
       close();
-      throw err;
+      errno = err;
+      throw sys_error("connect");
     }
-  } else {
-    // Bounded dial: nonblocking connect, poll for writability, then read
-    // the outcome back with SO_ERROR (the POSIX nonblocking-connect idiom).
-    const int flags = ::fcntl(fd_, F_GETFL, 0);
-    ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      if (errno != EINPROGRESS) {
-        const auto err = sys_error("connect");
-        close();
-        throw err;
-      }
-      pollfd pfd{fd_, POLLOUT, 0};
-      const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_s * 1e3));
-      if (ready <= 0) {
-        close();
-        errno = ready == 0 ? ETIMEDOUT : errno;
-        throw sys_error("connect");
-      }
-      int soerr = 0;
-      socklen_t len = sizeof soerr;
-      ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len);
-      if (soerr != 0) {
-        close();
-        errno = soerr;
-        throw sys_error("connect");
-      }
-    }
-    ::fcntl(fd_, F_SETFL, flags);
   }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) & ~O_NONBLOCK);  // the client blocks
 }
 
 void Client::connect(std::uint16_t port, const std::string& host) {
@@ -155,26 +120,15 @@ bool Client::ping(double timeout_s) noexcept {
   const double saved = io_timeout_s_;
   bool ok = false;
   try {
-    ControlHead hb;
-    hb.kind = ControlKind::Heartbeat;
-    hb.token = next_correlation_++;
-    std::byte frame[kHeaderBytes + kControlBodyBytes];
-    const std::size_t len = encode_control({frame, sizeof frame}, hb);
-    write_all(fd_, frame, len);
+    const std::uint64_t token = next_correlation_++;
+    const auto frame = control_frame(ControlKind::Heartbeat, token);
+    write_all(fd_, frame.data(), frame.size());
     set_io_timeout(timeout_s > 0.0 ? timeout_s : 1.0);
-    std::byte hdr[kHeaderBytes];
-    if (read_exact(fd_, hdr, kHeaderBytes)) {
-      FrameHeader fh;
-      if (decode_header({hdr, kHeaderBytes}, fh, kMaxMaxFrameBytes) == DecodeError::None) {
-        std::vector<std::byte> body(fh.body_len);
-        if (fh.body_len == 0 || read_exact(fd_, body.data(), fh.body_len)) {
-          ControlHead ack;
-          ok = verify_body(fh, body) == DecodeError::None && fh.type == FrameType::Control &&
-               decode_control(body, ack) == DecodeError::None &&
-               ack.kind == ControlKind::HeartbeatAck && ack.token == hb.token;
-        }
-      }
-    }
+    FrameReader in;
+    ControlHead ack;
+    ok = read_frame(fd_, in) && in.header().type == FrameType::Control &&
+         decode_control(in.body(), ack) == DecodeError::None &&
+         ack.kind == ControlKind::HeartbeatAck && ack.token == token;
   } catch (...) {
     ok = false;
   }
@@ -211,23 +165,14 @@ std::uint64_t Client::send_request(std::uint32_t model, Dtype dtype,
 }
 
 bool Client::recv_response(Result& out) {
-  std::byte hdr[kHeaderBytes];
-  if (!read_exact(fd_, hdr, kHeaderBytes)) return false;
-  FrameHeader fh;
   // The client trusts its server on size (it asked for this response).
-  if (decode_header({hdr, kHeaderBytes}, fh, kMaxMaxFrameBytes) != DecodeError::None) {
-    throw std::runtime_error("net::Client: malformed response header");
-  }
-  out.body.resize(fh.body_len);
-  if (fh.body_len > 0 && !read_exact(fd_, out.body.data(), fh.body_len)) {
-    throw std::runtime_error("net::Client: stream ended mid-frame");
-  }
-  if (verify_body(fh, out.body) != DecodeError::None) {
-    throw std::runtime_error("net::Client: response checksum mismatch");
-  }
-  if (fh.type != FrameType::Response) {
+  FrameReader in(kMaxMaxFrameBytes, std::move(out.body));
+  if (!read_frame(fd_, in)) return false;
+  if (in.header().type != FrameType::Response) {
     throw std::runtime_error("net::Client: expected a response frame");
   }
+  out.body = in.take();
+  out.body.erase(out.body.begin(), out.body.begin() + kHeaderBytes);
   std::span<const std::byte> payload;
   if (decode_response(out.body, out.head, payload) != DecodeError::None) {
     throw std::runtime_error("net::Client: malformed response body");
@@ -271,10 +216,7 @@ void Client::send_bytes(std::span<const std::byte> bytes) {
 }
 
 bool Client::recv_closed(double timeout_s) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_s);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_s - std::floor(timeout_s)) * 1e6);
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  set_io_timeout(timeout_s);
   std::byte buf[4096];
   while (true) {
     const auto r = ::read(fd_, buf, sizeof buf);

@@ -1,22 +1,16 @@
 #include "net/socket_server.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <deque>
 #include <stdexcept>
-#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
+
+#include "net/framed_conn.hpp"
 
 namespace turbofno::net {
 
@@ -50,68 +44,54 @@ constexpr std::uint64_t kListenFdTag = 1;
   return static_cast<std::uint32_t>(us);
 }
 
-[[nodiscard]] std::system_error sys_error(const char* what) {
-  return {errno, std::generic_category(), what};
-}
-
 }  // namespace
 
-/// One queued outbound frame (logical length `len`, already written `off`).
-struct OutBuf {
-  std::vector<std::byte> data;
-  std::size_t len = 0;
-  std::size_t off = 0;
-};
-
-/// Everything a single in-flight request owns: the received request body
+/// Everything a single in-flight request owns: the received request frame
 /// (the submitted input span views its payload bytes) and the response
 /// frame the session writes its output payload into.  Held alive by the
 /// completion callback, so a mid-request client disconnect never leaves
 /// the inference server writing into freed memory.
 struct SocketServer::Inflight {
-  std::vector<std::byte> request_body;
-  std::vector<std::byte> frame;          // header + prefix + payload area
+  std::vector<std::byte> request;  // header headroom + body
+  std::vector<std::byte> frame;    // header + prefix + payload area
   std::size_t payload_bytes = 0;
   RequestHead head;
 };
 
 struct SocketServer::Connection {
-  int fd = -1;
+  Connection(int fd, std::size_t max_frame, std::size_t max_buffered)
+      : conn(fd, max_frame, max_buffered) {
+    const runtime::MutexLock lock(ready_mu);
+    ready.reserve(16);
+  }
+
+  FramedConn conn;  // io-thread-owned: reader, writer, close-after-flush
   std::size_t io_index = 0;
-
-  // ---- io-thread-owned read state (frame reassembly state machine)
-  std::array<std::byte, kHeaderBytes> hdr{};
-  std::size_t hdr_got = 0;
-  bool have_header = false;
-  FrameHeader fh;
-  std::vector<std::byte> body;
-  std::size_t body_got = 0;
-
-  // ---- io-thread-owned write state
-  std::deque<OutBuf> out_q;
-  std::size_t out_bytes = 0;
-  bool epollout_armed = false;
-  bool reading_paused = false;  // backpressure parked EPOLLIN
-  bool want_close = false;      // close after the outbound queue flushes
 
   // ---- cross-thread state
   std::atomic<bool> dead{false};
   runtime::Mutex ready_mu;  // serve-callback handoff
-  std::vector<OutBuf> ready TFNO_GUARDED_BY(ready_mu);  // frames awaiting the io thread
-  bool ready_close TFNO_GUARDED_BY(ready_mu) = false;  // close after sending them
+  // Sealed frames awaiting the io thread.  Reserved here and drained in
+  // place, so a completion allocates nothing on the serve thread: a chunk
+  // it allocated and the io thread freed would linger in the io thread's
+  // cache, pinning the serve thread's heap above its scratch arena.
+  std::vector<std::vector<std::byte>> ready TFNO_GUARDED_BY(ready_mu);
 };
 
 struct SocketServer::IoThread {
   int ep = -1;
   int event_fd = -1;
-  std::size_t index = 0;
   std::thread thread;
+  bool reads_acked = false;  // io-thread-private: this thread parked its reads
 
   runtime::Mutex mu;  // producers: acceptor, serve callbacks
   std::vector<std::shared_ptr<Connection>> pending
       TFNO_GUARDED_BY(mu);  // accepted, not yet registered
   std::vector<std::shared_ptr<Connection>> woken
       TFNO_GUARDED_BY(mu);  // have fresh `ready` frames
+  // io-thread-private swap partner of `woken`: the two trade storage, so
+  // a completion does not allocate (see Connection::ready).
+  std::vector<std::shared_ptr<Connection>> woken_batch;
 
   // io-thread-private registry of live connections (keeps them alive).
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
@@ -139,41 +119,21 @@ void SocketServer::start() {
   const runtime::MutexLock lock(lifecycle_mu_);
   if (started_) throw std::logic_error("SocketServer::start called twice");
 
-  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (lfd < 0) throw sys_error("socket");
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  const int port = opts_.port >= 0 ? opts_.port : default_port();
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const auto err = sys_error("bind");
-    ::close(lfd);
-    throw err;
-  }
-  if (::listen(lfd, opts_.backlog) != 0) {
-    const auto err = sys_error("listen");
-    ::close(lfd);
-    throw err;
-  }
-  socklen_t alen = sizeof addr;
-  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen);
-  bound_port_.store(ntohs(addr.sin_port), std::memory_order_release);
+  std::uint16_t bound = 0;
+  const int lfd = listen_tcp(opts_.port >= 0 ? opts_.port : default_port(), opts_.backlog, bound);
+  bound_port_.store(bound, std::memory_order_release);
 
   io_.clear();
   for (std::size_t i = 0; i < opts_.io_threads; ++i) {
     auto t = std::make_unique<IoThread>();
-    t->index = i;
-    t->ep = ::epoll_create1(EPOLL_CLOEXEC);
-    t->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (t->ep < 0 || t->event_fd < 0) throw sys_error("epoll/eventfd");
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kEventFdTag;
-    ::epoll_ctl(t->ep, EPOLL_CTL_ADD, t->event_fd, &ev);
+    {
+      // Completions then wake this thread without allocating (see
+      // Connection::ready).
+      const runtime::MutexLock lock(t->mu);
+      t->woken.reserve(64);
+    }
+    t->woken_batch.reserve(64);
+    open_epoll(t->ep, t->event_fd, epoll_data_t{.u64 = kEventFdTag});
     io_.push_back(std::move(t));
   }
   // The listen socket lives on io thread 0; accepted connections are dealt
@@ -185,6 +145,7 @@ void SocketServer::start() {
     ::epoll_ctl(io_[0]->ep, EPOLL_CTL_ADD, lfd, &ev);
   }
   reads_off_ = false;
+  reads_acked_ = 0;
   flush_exit_ = false;
   listen_fd_.store(lfd, std::memory_order_release);
   for (auto& t : io_) {
@@ -211,31 +172,30 @@ void SocketServer::stop() {
     ::shutdown(lfd, SHUT_RDWR);
   }
   reads_off_ = true;
-  for (auto& t : io_) wake(*t);
+  for (auto& t : io_) wake(t->event_fd);
+  // Wait until every io thread has parked its reads: a frame decoded
+  // before that point has also been submitted, so drain() covers it.
+  for (std::size_t n = reads_acked_.load(); n < io_.size(); n = reads_acked_.load()) {
+    reads_acked_.wait(n);
+  }
 
   // 2. Complete every request already accepted; their response frames are
   //    enqueued by the completion callbacks and written by the (still
   //    running) io threads.
   server_->drain();
 
-  // 3. Tell the io threads to exit once their write queues are empty (or
-  //    the flush deadline passes — a client that never reads cannot hold
-  //    shutdown hostage), then join and tear down.
+  // 3. Tell the io threads to exit once their wake queues and write queues
+  //    are empty (or the flush deadline passes — a client that never reads
+  //    cannot hold shutdown hostage); each closes its connections on the
+  //    way out.  Then join and tear down.
   flush_exit_ = true;
-  for (auto& t : io_) wake(*t);
+  for (auto& t : io_) wake(t->event_fd);
   for (auto& t : io_) {
     if (t->thread.joinable()) t->thread.join();
   }
   for (auto& t : io_) {
-    for (auto& [fd, c] : t->conns) {
-      c->dead = true;
-      ::close(c->fd);
-      const runtime::MutexLock stats_lock(stats_mu_);
-      ++stats_.connections_closed;
-    }
-    t->conns.clear();
-    if (t->ep >= 0) ::close(t->ep);
-    if (t->event_fd >= 0) ::close(t->event_fd);
+    ::close(t->ep);
+    ::close(t->event_fd);
   }
   io_.clear();
   if (lfd >= 0) ::close(lfd);  // deferred: the io threads are gone now
@@ -246,37 +206,26 @@ SocketServer::Stats SocketServer::stats() const {
   return stats_;
 }
 
-void SocketServer::wake(IoThread& t) {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const auto n = ::write(t.event_fd, &one, sizeof one);
-}
-
-void SocketServer::update_read_interest(IoThread& t, const std::shared_ptr<Connection>& c) {
+void SocketServer::update_interest(IoThread& t, const std::shared_ptr<Connection>& c) {
   if (c->dead) return;
-  epoll_event ev{};
-  ev.data.ptr = c.get();
-  const bool read_on = !c->reading_paused && !c->want_close && !reads_off_;
-  ev.events = (read_on ? EPOLLIN : 0u) | (c->epollout_armed ? EPOLLOUT : 0u) | EPOLLRDHUP;
-  ::epoll_ctl(t.ep, EPOLL_CTL_MOD, c->fd, &ev);
+  c->conn.watch(t.ep, EPOLL_CTL_MOD, epoll_data_t{.ptr = c.get()},
+                c->conn.events(!reads_off_) | EPOLLRDHUP);
 }
 
-void SocketServer::accept_ready(IoThread& /*t*/) {
+void SocketServer::accept_ready() {
   while (true) {
     // Snapshot the fd: stop() retires listen_fd_ concurrently (it defers
     // the close until this thread has joined, so the snapshot stays valid;
     // shutdown() makes the accept below fail fast instead of blocking).
     const int lfd = listen_fd_.load(std::memory_order_acquire);
     if (lfd < 0) return;
-    const int fd = ::accept4(lfd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = accept_tcp(lfd);
     if (fd < 0) return;  // EAGAIN, or the listen fd is gone (shutdown race)
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     if (opts_.socket_sndbuf_bytes > 0) {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.socket_sndbuf_bytes,
                    sizeof opts_.socket_sndbuf_bytes);
     }
-    auto c = std::make_shared<Connection>();
-    c->fd = fd;
+    auto c = std::make_shared<Connection>(fd, max_frame_, opts_.max_buffered_bytes);
     c->io_index = next_io_.fetch_add(1) % io_.size();
     {
       const runtime::MutexLock lock(stats_mu_);
@@ -287,225 +236,79 @@ void SocketServer::accept_ready(IoThread& /*t*/) {
       const runtime::MutexLock lock(owner.mu);
       owner.pending.push_back(std::move(c));
     }
-    wake(owner);
+    wake(owner.event_fd);
   }
 }
 
 void SocketServer::close_conn(IoThread& t, const std::shared_ptr<Connection>& c) {
   if (c->dead.exchange(true)) return;
-  ::epoll_ctl(t.ep, EPOLL_CTL_DEL, c->fd, nullptr);
-  // Best-effort bounded drain of unread input before closing: leftover
-  // received bytes (e.g. the body of a frame whose header already failed)
-  // would otherwise turn the close into a TCP RST, which can destroy the
-  // typed error response still in flight.  Bounded so an abusive peer
-  // cannot stall the io thread.
-  {
-    std::array<std::byte, 4096> sink;
-    for (int i = 0; i < 64; ++i) {
-      if (::read(c->fd, sink.data(), sink.size()) <= 0) break;
-    }
-  }
-  ::close(c->fd);
-  t.conns.erase(c->fd);
+  ::epoll_ctl(t.ep, EPOLL_CTL_DEL, c->conn.fd, nullptr);
+  close_drained(c->conn.fd);
+  t.conns.erase(c->conn.fd);
   t.dying.push_back(c);
   const runtime::MutexLock lock(stats_mu_);
   ++stats_.connections_closed;
 }
 
-void SocketServer::enqueue_out(IoThread& t, const std::shared_ptr<Connection>& c,
-                               std::vector<std::byte>&& frame, std::size_t len,
-                               bool close_after) {
-  OutBuf b;
-  b.data = std::move(frame);
-  b.len = len;
-  c->out_q.push_back(std::move(b));
-  c->out_bytes += len;
-  if (close_after) c->want_close = true;
-  handle_write(t, c);  // opportunistic immediate write
-  if (c->dead) return;
-  // Backpressure: a slow reader's queue grows past the cap — park its
-  // reads until the queue drains below half (hysteresis, handled in
-  // handle_write), bounding per-connection server memory.
-  if (!c->reading_paused && c->out_bytes > opts_.max_buffered_bytes) {
-    c->reading_paused = true;
-    {
-      const runtime::MutexLock lock(stats_mu_);
-      ++stats_.backpressure_pauses;
-    }
-  }
-  update_read_interest(t, c);
-}
-
-void SocketServer::handle_write(IoThread& t, const std::shared_ptr<Connection>& c) {
-  while (!c->out_q.empty()) {
-    OutBuf& b = c->out_q.front();
-    const auto n = ::send(c->fd, b.data.data() + b.off, b.len - b.off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_conn(t, c);
-      return;
-    }
-    b.off += static_cast<std::size_t>(n);
-    c->out_bytes -= static_cast<std::size_t>(n);
-    if (b.off < b.len) break;  // kernel buffer full mid-frame
-    c->out_q.pop_front();
+void SocketServer::flush(IoThread& t, const std::shared_ptr<Connection>& c) {
+  const FrameWriter::Sent s = c->conn.out.flush(c->conn.fd);
+  if (s.frames != 0 || s.paused) {
     const runtime::MutexLock lock(stats_mu_);
-    ++stats_.responses_sent;
+    stats_.responses_sent += s.frames;
+    if (s.paused) ++stats_.backpressure_pauses;
   }
-  if (c->out_q.empty() && c->want_close) {
+  if (s.error || (c->conn.want_close && c->conn.out.empty())) {
     close_conn(t, c);
     return;
   }
-  const bool want_out = !c->out_q.empty();
-  if (c->reading_paused && c->out_bytes < opts_.max_buffered_bytes / 2) {
-    c->reading_paused = false;
-  }
-  if (want_out != c->epollout_armed) c->epollout_armed = want_out;
-  update_read_interest(t, c);
-}
-
-void SocketServer::queue_error_response(IoThread& t, const std::shared_ptr<Connection>& c,
-                                        std::uint64_t correlation, std::uint8_t dtype,
-                                        WireStatus status, bool close_after) {
-  ResponseHead rh;
-  rh.correlation = correlation;
-  rh.status = status;
-  rh.dtype = static_cast<Dtype>(dtype);
-  std::vector<std::byte> frame(encoded_response_bytes(0));
-  const std::size_t len = encode_response(frame, rh);
-  {
-    const runtime::MutexLock lock(stats_mu_);
-    ++stats_.protocol_errors;
-  }
-  enqueue_out(t, c, std::move(frame), len, close_after);
+  update_interest(t, c);
 }
 
 void SocketServer::handle_read(IoThread& t, const std::shared_ptr<Connection>& c) {
-  while (!c->dead && !c->want_close && !c->reading_paused && !reads_off_) {
-    if (!c->have_header) {
-      const auto n =
-          ::read(c->fd, c->hdr.data() + c->hdr_got, kHeaderBytes - c->hdr_got);
-      if (n == 0) {
-        close_conn(t, c);  // peer closed (possibly mid-request: clean teardown)
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        close_conn(t, c);
-        return;
-      }
-      c->hdr_got += static_cast<std::size_t>(n);
-      if (c->hdr_got < kHeaderBytes) continue;
-      const DecodeError e = decode_header({c->hdr.data(), kHeaderBytes}, c->fh, max_frame_);
-      if (e != DecodeError::None) {
-        // Framing is untrustworthy from here on: typed error, then close.
-        queue_error_response(t, c, 0, 0, decode_error_status(e), /*close_after=*/true);
-        return;
-      }
-      c->have_header = true;
-      c->body.resize(c->fh.body_len);
-      c->body_got = 0;
-      if (c->fh.body_len == 0) process_frame(t, c);
-      continue;
-    }
-    const auto n = ::read(c->fd, c->body.data() + c->body_got, c->fh.body_len - c->body_got);
-    if (n == 0) {
-      close_conn(t, c);  // disconnected mid-body; in-flight work is unaffected
+  while (!c->dead && c->conn.reading() && !reads_off_) {
+    const FrameReader::Result r = c->conn.in.read(c->conn.fd);
+    if (r == FrameReader::Result::WouldBlock) return;
+    if (r == FrameReader::Result::Closed) {
+      close_conn(t, c);  // peer closed (possibly mid-request: clean teardown)
       return;
     }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      close_conn(t, c);
-      return;
-    }
-    c->body_got += static_cast<std::size_t>(n);
-    if (c->body_got == c->fh.body_len) process_frame(t, c);
+    process_frame(t, c);
   }
 }
 
 void SocketServer::process_frame(IoThread& t, const std::shared_ptr<Connection>& c) {
-  // Reset the reassembly state first: process may queue a response and the
-  // next frame starts with a fresh header either way.
-  std::vector<std::byte> body = std::move(c->body);
-  const FrameHeader fh = c->fh;
-  c->have_header = false;
-  c->hdr_got = 0;
-  c->body = {};
-  c->body_got = 0;
-
-  if (const DecodeError e = verify_body(fh, body); e != DecodeError::None) {
-    queue_error_response(t, c, 0, 0, decode_error_status(e), /*close_after=*/true);
-    return;
-  }
-  if (fh.type == FrameType::Control) {
-    // Handshake/liveness traffic from a router or supervisor probe.  Hello
-    // is answered with the registered model count (the prober checks it
-    // against the topology); Heartbeat echoes the token.  An ack sent *at*
-    // a server is a confused peer — well-formed stream, typed error, keep.
-    ControlHead ch;
-    if (decode_control(body, ch) != DecodeError::None ||
-        (ch.kind != ControlKind::Hello && ch.kind != ControlKind::Heartbeat)) {
-      queue_error_response(t, c, 0, 0, WireStatus::BadFrame, /*close_after=*/false);
-      return;
-    }
-    ControlHead ack;
-    ack.kind = ch.kind == ControlKind::Hello ? ControlKind::HelloAck : ControlKind::HeartbeatAck;
-    ack.token = ch.kind == ControlKind::Hello ? server_->model_count() : ch.token;
-    std::vector<std::byte> frame(encoded_control_bytes());
-    const std::size_t len = encode_control(frame, ack);
+  FrontFrame f = answer_front_frame(c->conn.in, server_->model_count());
+  if (!f.reply.empty()) {
     {
       const runtime::MutexLock lock(stats_mu_);
-      ++stats_.control_frames;
+      ++(f.control ? stats_.control_frames : stats_.protocol_errors);
     }
-    enqueue_out(t, c, std::move(frame), len, /*close_after=*/false);
-    return;
-  }
-  if (fh.type != FrameType::Request) {
-    // A response frame sent at a server is a confused peer; the stream is
-    // well-formed, so answer typed and keep the connection.
-    queue_error_response(t, c, 0, 0, WireStatus::BadFrame, /*close_after=*/false);
+    c->conn.want_close = f.close;
+    c->conn.out.push(std::move(f.reply));
+    flush(t, c);
     return;
   }
   auto inf = std::make_shared<Inflight>();
-  std::span<const std::byte> payload;
-  const DecodeError e = decode_request(body, inf->head, payload);
-  if (e != DecodeError::None) {
-    queue_error_response(t, c, e == DecodeError::ShapeMismatch ? inf->head.correlation : 0, 0,
-                         decode_error_status(e), decode_error_closes(e));
-    return;
-  }
-  std::size_t out_elems = 0;
-  try {
-    out_elems = server_->output_elems(inf->head.model);
-  } catch (const std::out_of_range&) {
-    queue_error_response(t, c, inf->head.correlation,
-                         static_cast<std::uint8_t>(inf->head.dtype), WireStatus::UnknownModel,
-                         /*close_after=*/false);
-    return;
-  }
-  inf->request_body = std::move(body);
-  inf->payload_bytes = out_elems * dtype_bytes(inf->head.dtype);
+  inf->head = f.head;
+  inf->payload_bytes = server_->output_elems(f.head.model) * dtype_bytes(f.head.dtype);
+  inf->request = c->conn.in.take();  // f.payload still views it
   inf->frame.resize(encoded_response_bytes(inf->payload_bytes));
-  {
-    const runtime::MutexLock lock(stats_mu_);
-    ++stats_.frames_decoded;
-  }
-  submit_request(t, c, std::move(inf));
+  submit_request(c, std::move(inf), f.payload.data());
+  const runtime::MutexLock lock(stats_mu_);
+  ++stats_.frames_decoded;
 }
 
-void SocketServer::submit_request(IoThread& t, const std::shared_ptr<Connection>& c,
-                                  std::shared_ptr<Inflight> inf) {
-  (void)t;
+void SocketServer::submit_request(const std::shared_ptr<Connection>& c,
+                                  std::shared_ptr<Inflight> inf, const std::byte* in_bytes) {
   serve::SubmitOptions so;
   so.priority = inf->head.qos == Qos::High ? serve::Priority::High : serve::Priority::Normal;
   so.deadline_s = static_cast<double>(inf->head.deadline_us) * 1e-6;
 
   // Zero-copy hand-off: the input span views the request payload inside
-  // the received body; the output span views the response frame's payload
+  // the received frame; the output span views the response frame's payload
   // area, so a single-request micro-batch writes its result straight into
   // the bytes that go out on the wire.  Both prefixes keep the payloads
   // 4-byte aligned (see protocol.hpp), which satisfies f32/c32 alignment.
-  std::byte* const in_bytes = inf->request_body.data() + request_prefix_bytes(inf->head.ndim);
   std::byte* const out_bytes = inf->frame.data() + kHeaderBytes + kResponsePrefixBytes;
   const auto elems = static_cast<std::size_t>(inf->head.elems());
   const auto model = static_cast<serve::ModelId>(inf->head.model);
@@ -541,7 +344,7 @@ void SocketServer::on_inference_done(const std::shared_ptr<Connection>& c,
   rh.micro_batch = static_cast<std::uint32_t>(r.timing.micro_batch);
   const std::size_t payload = rh.status == WireStatus::Ok ? f->payload_bytes : 0;
   encode_response_prefix(f->frame, rh, payload);
-  const std::size_t len = seal_response(f->frame);
+  seal_response(f->frame);
 
   if (c->dead) {
     const runtime::MutexLock lock(stats_mu_);
@@ -551,25 +354,41 @@ void SocketServer::on_inference_done(const std::shared_ptr<Connection>& c,
   IoThread& owner = *io_[c->io_index];
   {
     const runtime::MutexLock lock(c->ready_mu);
-    OutBuf b;
-    b.data = std::move(f->frame);
-    b.len = len;
-    c->ready.push_back(std::move(b));
+    c->ready.push_back(std::move(f->frame));
   }
   {
     const runtime::MutexLock lock(owner.mu);
     owner.woken.push_back(c);
   }
-  wake(owner);
+  wake(owner.event_fd);
+}
+
+void SocketServer::drain_wake_queue(IoThread& t) {
+  std::vector<std::shared_ptr<Connection>> pending;
+  {
+    const runtime::MutexLock lock(t.mu);
+    pending.swap(t.pending);
+    t.woken_batch.swap(t.woken);
+  }
+  for (auto& c : pending) {
+    t.conns.emplace(c->conn.fd, c);
+    c->conn.watch(t.ep, EPOLL_CTL_ADD, epoll_data_t{.ptr = c.get()},
+                  (reads_off_ ? 0u : EPOLLIN) | EPOLLRDHUP);
+  }
+  for (auto& c : t.woken_batch) {
+    if (c->dead) continue;
+    {
+      const runtime::MutexLock lock(c->ready_mu);
+      for (auto& frame : c->ready) c->conn.out.push(std::move(frame));
+      c->ready.clear();
+    }
+    flush(t, c);
+  }
+  t.woken_batch.clear();
 }
 
 void SocketServer::io_loop(IoThread& t) {
   std::array<epoll_event, 64> evs;
-  const auto flush_deadline_at = [&] {
-    return std::chrono::steady_clock::now() +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(opts_.stop_flush_s));
-  };
   std::chrono::steady_clock::time_point flush_deadline{};
   bool flushing = false;
 
@@ -585,78 +404,61 @@ void SocketServer::io_loop(IoThread& t) {
       const epoll_event& ev = evs[static_cast<std::size_t>(i)];
       if (ev.data.u64 == kEventFdTag) {
         std::uint64_t drain = 0;
-        while (::read(t.event_fd, &drain, sizeof drain) > 0) {
-        }
-        std::vector<std::shared_ptr<Connection>> pending;
-        std::vector<std::shared_ptr<Connection>> woken;
-        {
-          const runtime::MutexLock lock(t.mu);
-          pending.swap(t.pending);
-          woken.swap(t.woken);
-        }
-        for (auto& c : pending) {
-          epoll_event add{};
-          add.data.ptr = c.get();
-          add.events = (reads_off_ ? 0u : EPOLLIN) | EPOLLRDHUP;
-          t.conns.emplace(c->fd, c);
-          ::epoll_ctl(t.ep, EPOLL_CTL_ADD, c->fd, &add);
-        }
-        for (auto& c : woken) {
-          if (c->dead) continue;
-          std::vector<OutBuf> ready;
-          {
-            const runtime::MutexLock lock(c->ready_mu);
-            ready.swap(c->ready);
-          }
-          for (auto& b : ready) {
-            const std::size_t len = b.len;
-            enqueue_out(t, c, std::move(b.data), len, /*close_after=*/false);
-            if (c->dead) break;
-          }
-        }
+        [[maybe_unused]] const auto got = ::read(t.event_fd, &drain, sizeof drain);
+        drain_wake_queue(t);
         continue;
       }
       if (ev.data.u64 == kListenFdTag) {
-        if (listen_fd_.load(std::memory_order_acquire) >= 0) accept_ready(t);
+        accept_ready();
         continue;
       }
       auto* cp = static_cast<Connection*>(ev.data.ptr);
-      const auto it = t.conns.find(cp->fd);
+      const auto it = t.conns.find(cp->conn.fd);
       if (it == t.conns.end() || it->second.get() != cp || cp->dead) continue;
       const std::shared_ptr<Connection> c = it->second;
-      if ((ev.events & (EPOLLERR | EPOLLHUP)) != 0) {
-        // Flush what we can on HUP (half-close peers still read), then
-        // fall through to read/write which will observe the real state.
-        if ((ev.events & EPOLLERR) != 0) {
-          close_conn(t, c);
-          continue;
-        }
+      // On HUP, flush what we can (half-close peers still read); the
+      // read/write paths observe the real state.
+      if ((ev.events & EPOLLERR) != 0) {
+        close_conn(t, c);
+        continue;
       }
-      if ((ev.events & EPOLLOUT) != 0) handle_write(t, c);
+      if ((ev.events & EPOLLOUT) != 0) flush(t, c);
       if (c->dead) continue;
       if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) handle_read(t, c);
     }
     t.dying.clear();
 
-    if (reads_off_ && !flushing) {
-      // Quiesce: stop consuming frames on every connection.
-      for (auto& [fd, c] : t.conns) update_read_interest(t, c);
+    if (reads_off_ && !t.reads_acked) {
+      // Quiesce: stop consuming frames on every connection, then tell
+      // stop() that no frame of this thread is still short of submit.
+      for (auto& [fd, c] : t.conns) update_interest(t, c);
+      t.reads_acked = true;
+      reads_acked_.fetch_add(1);
+      reads_acked_.notify_all();
     }
     if (flush_exit_) {
       if (!flushing) {
         flushing = true;
-        flush_deadline = flush_deadline_at();
+        flush_deadline = std::chrono::steady_clock::now() +
+                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                             std::chrono::duration<double>(opts_.stop_flush_s));
       }
+      // Completions can still sit in the wake queue or a ready list (the
+      // eventfd edge may come after this check): hand them to the writers
+      // before judging the queues empty.
+      drain_wake_queue(t);
       bool empty = true;
-      for (auto& [fd, c] : t.conns) {
-        if (!c->out_q.empty()) {
-          empty = false;
-          break;
-        }
-      }
-      if (empty || std::chrono::steady_clock::now() >= flush_deadline) return;
+      for (auto& [fd, c] : t.conns) empty = empty && c->conn.out.empty();
+      if (empty || std::chrono::steady_clock::now() >= flush_deadline) break;
     }
   }
+  // Close what is left on the owning thread, so each connection's buffers
+  // go back to the allocator arena they came from.
+  while (!t.conns.empty()) {
+    const std::shared_ptr<Connection> c = t.conns.begin()->second;
+    close_conn(t, c);
+  }
+  t.dying.clear();
 }
 
 }  // namespace turbofno::net

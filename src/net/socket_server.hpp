@@ -147,22 +147,17 @@ class SocketServer {
   struct Inflight;
 
   void io_loop(IoThread& t);
-  void accept_ready(IoThread& t);
+  void drain_wake_queue(IoThread& t);
+  void accept_ready();
   void handle_read(IoThread& t, const std::shared_ptr<Connection>& c);
-  void handle_write(IoThread& t, const std::shared_ptr<Connection>& c);
   void process_frame(IoThread& t, const std::shared_ptr<Connection>& c);
-  void submit_request(IoThread& t, const std::shared_ptr<Connection>& c,
-                      std::shared_ptr<Inflight> inf);
-  void queue_error_response(IoThread& t, const std::shared_ptr<Connection>& c,
-                            std::uint64_t correlation, std::uint8_t dtype, WireStatus status,
-                            bool close_after);
+  void submit_request(const std::shared_ptr<Connection>& c, std::shared_ptr<Inflight> inf,
+                      const std::byte* in_bytes);
   void on_inference_done(const std::shared_ptr<Connection>& c, const std::shared_ptr<Inflight>& f,
                          serve::InferResponse&& r);
-  void enqueue_out(IoThread& t, const std::shared_ptr<Connection>& c,
-                   std::vector<std::byte>&& frame, std::size_t len, bool close_after);
+  void flush(IoThread& t, const std::shared_ptr<Connection>& c);
   void close_conn(IoThread& t, const std::shared_ptr<Connection>& c);
-  void update_read_interest(IoThread& t, const std::shared_ptr<Connection>& c);
-  void wake(IoThread& t);
+  void update_interest(IoThread& t, const std::shared_ptr<Connection>& c);
 
   Options opts_;
   std::shared_ptr<serve::InferenceServer> server_;
@@ -180,6 +175,7 @@ class SocketServer {
   bool started_ TFNO_GUARDED_BY(lifecycle_mu_) = false;
   std::atomic<bool> running_{false};     // lock-free running() snapshot
   std::atomic<bool> reads_off_{false};   // quiesce: stop consuming frames
+  std::atomic<std::size_t> reads_acked_{0};  // io threads that parked their reads
   std::atomic<bool> flush_exit_{false};  // io threads exit once flushed
   std::atomic<std::size_t> next_io_{0};  // round-robin connection placement
 

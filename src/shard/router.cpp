@@ -1,64 +1,42 @@
 #include "shard/router.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cstring>
 #include <deque>
-#include <limits>
 #include <stdexcept>
-#include <system_error>
 #include <unordered_map>
 #include <vector>
 
+#include "net/framed_conn.hpp"
 #include "runtime/timer.hpp"
 
 namespace turbofno::shard {
 
 namespace {
 
-[[nodiscard]] std::system_error sys_error(const char* what) {
-  return {errno, std::generic_category(), what};
-}
+// epoll data.fd of the wake eventfd (no real descriptor is negative).
+constexpr int kWakeFd = -1;
 
-/// One queued outbound buffer (a fully-encoded frame).
-struct OutBuf {
-  std::vector<std::byte> data;
-  std::size_t len = 0;
-  std::size_t off = 0;
-};
+[[nodiscard]] epoll_data_t fd_data(int fd) noexcept {
+  epoll_data_t d{};
+  d.fd = fd;
+  return d;
+}
 
 }  // namespace
 
-// Frames are reassembled into a buffer with kHeaderBytes of headroom: the
-// body starts at offset kHeaderBytes, so a forwarded/relayed frame is the
-// reassembly buffer itself — rewrite two fields, reseal, write the header
-// in place, move the vector into the out queue.  The payload is never
-// copied inside the router.
-struct Router::ClientConn {
-  int fd = -1;
-  // Read reassembly.
-  std::array<std::byte, net::kHeaderBytes> hdr{};
-  std::size_t hdr_got = 0;
-  bool have_header = false;
-  net::FrameHeader fh;
-  std::vector<std::byte> buf;  // kHeaderBytes + fh.body_len
-  std::size_t body_got = 0;
-  // Write side.
-  std::deque<OutBuf> out_q;
-  std::size_t out_bytes = 0;
-  bool reading_paused = false;
-  bool want_close = false;
-  bool dead = false;
+// A client connection.  Its reader reassembles frames with kHeaderBytes
+// of headroom, so a forwarded request is the reader's buffer itself —
+// rewrite two body fields, reseal, write the header in place, move the
+// vector to the worker link.  The payload is never copied in the router.
+// A closed client keeps fd == -1 (responses for it are dropped).
+struct Router::ClientConn : net::FramedConn {
+  using net::FramedConn::FramedConn;
 };
 
 struct Router::WorkerLink {
@@ -69,18 +47,7 @@ struct Router::WorkerLink {
 
   enum class State { Down, Connecting, Handshaking, Up };
   State state = State::Down;
-  int fd = -1;
-
-  // Read reassembly (same headroom trick as ClientConn).
-  std::array<std::byte, net::kHeaderBytes> hdr{};
-  std::size_t hdr_got = 0;
-  bool have_header = false;
-  net::FrameHeader fh;
-  std::vector<std::byte> buf;
-  std::size_t body_got = 0;
-  // Write side.
-  std::deque<OutBuf> out_q;
-  std::size_t out_bytes = 0;
+  net::FramedConn conn;  // same headroom relay as ClientConn; fd -1 while Down
 
   /// A forwarded request waiting for its worker response.
   struct Pending {
@@ -149,29 +116,18 @@ struct Router::Impl {
     r->stats_.*f += n;
   }
 
-  void wake() {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const auto w = ::write(event_fd, &one, sizeof one);
-  }
-
   // Client side.
   void accept_clients();
-  void update_client_interest(const std::shared_ptr<ClientConn>& c);
-  void enqueue_client(const std::shared_ptr<ClientConn>& c, std::vector<std::byte>&& frame,
-                      std::size_t len, bool close_after);
-  void queue_client_error(const std::shared_ptr<ClientConn>& c, std::uint64_t corr,
-                          net::Dtype dtype, net::WireStatus status, bool close_after);
-  void queue_client_status(const std::shared_ptr<ClientConn>& c, std::uint64_t corr,
-                           net::Dtype dtype, net::WireStatus status);
+  void send_client(const std::shared_ptr<ClientConn>& c, std::vector<std::byte>&& frame);
   void flush_client(const std::shared_ptr<ClientConn>& c);
   void handle_client_read(const std::shared_ptr<ClientConn>& c);
   void process_client_frame(const std::shared_ptr<ClientConn>& c);
   void close_client(const std::shared_ptr<ClientConn>& c);
 
   // Worker side.
-  void update_link_interest(WorkerLink& w);
-  void enqueue_link(WorkerLink& w, std::vector<std::byte>&& frame, std::size_t len);
+  void send_link(WorkerLink& w, std::vector<std::byte>&& frame);
   void flush_link(WorkerLink& w);
+  void schedule_redial(WorkerLink& w);
   void dial(WorkerLink& w);
   void start_handshake(WorkerLink& w);
   void go_up(WorkerLink& w);
@@ -196,16 +152,10 @@ struct Router::Impl {
 
 void Router::Impl::accept_clients() {
   while (true) {
-    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = net::accept_tcp(listen_fd);
     if (fd < 0) return;  // EAGAIN or a transient accept error: try next wake
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto c = std::make_shared<ClientConn>();
-    c->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(ep, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    auto c = std::make_shared<ClientConn>(fd, max_frame, r->opts_.max_buffered_bytes);
+    if (!c->watch(ep, EPOLL_CTL_ADD, fd_data(fd), EPOLLIN)) {
       ::close(fd);
       continue;
     }
@@ -214,301 +164,119 @@ void Router::Impl::accept_clients() {
   }
 }
 
-void Router::Impl::update_client_interest(const std::shared_ptr<ClientConn>& c) {
-  if (c->dead) return;
-  epoll_event ev{};
-  ev.events = 0;
-  if (!c->reading_paused && !c->want_close && !stopping) ev.events |= EPOLLIN;
-  if (!c->out_q.empty()) ev.events |= EPOLLOUT;
-  ev.data.fd = c->fd;
-  ::epoll_ctl(ep, EPOLL_CTL_MOD, c->fd, &ev);
-}
-
 void Router::Impl::close_client(const std::shared_ptr<ClientConn>& c) {
-  if (c->dead) return;
-  c->dead = true;
+  if (c->fd < 0) return;
   ::epoll_ctl(ep, EPOLL_CTL_DEL, c->fd, nullptr);
-  ::close(c->fd);
+  net::close_drained(c->fd);
   clients.erase(c->fd);
   c->fd = -1;
   bump(&Stats::clients_closed);
 }
 
 void Router::Impl::flush_client(const std::shared_ptr<ClientConn>& c) {
-  while (!c->out_q.empty()) {
-    OutBuf& o = c->out_q.front();
-    const auto w = ::send(c->fd, o.data.data() + o.off, o.len - o.off, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_client(c);
-      return;
-    }
-    o.off += static_cast<std::size_t>(w);
-    if (o.off < o.len) break;
-    c->out_bytes -= o.len;
-    c->out_q.pop_front();
-  }
-  if (c->out_q.empty() && c->want_close) {
+  if (c->out.flush(c->fd).error || (c->want_close && c->out.empty())) {
     close_client(c);
     return;
   }
-  // Backpressure hysteresis: resume reads once the queue drained past half.
-  if (c->reading_paused && c->out_bytes <= r->opts_.max_buffered_bytes / 2) {
-    c->reading_paused = false;
-  }
-  update_client_interest(c);
+  c->watch(ep, EPOLL_CTL_MOD, fd_data(c->fd), c->events(!stopping));
 }
 
-void Router::Impl::enqueue_client(const std::shared_ptr<ClientConn>& c,
-                                  std::vector<std::byte>&& frame, std::size_t len,
-                                  bool close_after) {
-  if (c->dead) {
+void Router::Impl::send_client(const std::shared_ptr<ClientConn>& c,
+                               std::vector<std::byte>&& frame) {
+  if (c->fd < 0) {
     bump(&Stats::dropped_responses);
     return;
   }
-  OutBuf o;
-  o.data = std::move(frame);
-  o.len = len;
-  c->out_q.push_back(std::move(o));
-  c->out_bytes += len;
-  if (close_after) c->want_close = true;
-  flush_client(c);  // opportunistic immediate write
-  if (c->dead) return;
-  if (!c->reading_paused && c->out_bytes > r->opts_.max_buffered_bytes) {
-    c->reading_paused = true;
-    update_client_interest(c);
-  }
-}
-
-void Router::Impl::queue_client_error(const std::shared_ptr<ClientConn>& c, std::uint64_t corr,
-                                      net::Dtype dtype, net::WireStatus status,
-                                      bool close_after) {
-  net::ResponseHead rh;
-  rh.correlation = corr;
-  rh.status = status;
-  rh.dtype = dtype;
-  std::vector<std::byte> frame(net::encoded_response_bytes(0));
-  const std::size_t len = net::encode_response(frame, rh);
-  bump(&Stats::protocol_errors);
-  enqueue_client(c, std::move(frame), len, close_after);
-}
-
-/// A router-originated non-error verdict (Shed / ShutDown) for a request
-/// the router accepted but could not get executed.
-void Router::Impl::queue_client_status(const std::shared_ptr<ClientConn>& c, std::uint64_t corr,
-                                       net::Dtype dtype, net::WireStatus status) {
-  net::ResponseHead rh;
-  rh.correlation = corr;
-  rh.status = status;
-  rh.dtype = dtype;
-  std::vector<std::byte> frame(net::encoded_response_bytes(0));
-  const std::size_t len = net::encode_response(frame, rh);
-  enqueue_client(c, std::move(frame), len, /*close_after=*/false);
+  c->out.push(std::move(frame));
+  flush_client(c);
 }
 
 void Router::Impl::handle_client_read(const std::shared_ptr<ClientConn>& c) {
-  while (!c->dead && !c->want_close && !c->reading_paused && !stopping) {
-    if (!c->have_header) {
-      const auto n =
-          ::read(c->fd, c->hdr.data() + c->hdr_got, net::kHeaderBytes - c->hdr_got);
-      if (n == 0) {
-        close_client(c);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        close_client(c);
-        return;
-      }
-      c->hdr_got += static_cast<std::size_t>(n);
-      if (c->hdr_got < net::kHeaderBytes) continue;
-      const net::DecodeError e = net::decode_header(c->hdr, c->fh, max_frame);
-      if (e != net::DecodeError::None) {
-        queue_client_error(c, 0, net::Dtype::C32, net::decode_error_status(e),
-                           /*close_after=*/true);
-        return;
-      }
-      c->have_header = true;
-      c->buf.resize(net::kHeaderBytes + c->fh.body_len);
-      c->body_got = 0;
-      if (c->fh.body_len == 0) process_client_frame(c);
-      continue;
-    }
-    const auto n = ::read(c->fd, c->buf.data() + net::kHeaderBytes + c->body_got,
-                          c->fh.body_len - c->body_got);
-    if (n == 0) {
+  while (c->fd >= 0 && c->reading() && !stopping) {
+    const net::FrameReader::Result res = c->in.read(c->fd);
+    if (res == net::FrameReader::Result::WouldBlock) return;
+    if (res == net::FrameReader::Result::Closed) {
       close_client(c);
       return;
     }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      close_client(c);
-      return;
-    }
-    c->body_got += static_cast<std::size_t>(n);
-    if (c->body_got == c->fh.body_len) process_client_frame(c);
+    process_client_frame(c);
   }
 }
 
 void Router::Impl::process_client_frame(const std::shared_ptr<ClientConn>& c) {
-  std::vector<std::byte> buf = std::move(c->buf);
-  const net::FrameHeader fh = c->fh;
-  c->have_header = false;
-  c->hdr_got = 0;
-  c->buf = {};
-  c->body_got = 0;
-  const std::span<const std::byte> body{buf.data() + net::kHeaderBytes, fh.body_len};
-
-  if (const net::DecodeError e = net::verify_body(fh, body); e != net::DecodeError::None) {
-    queue_client_error(c, 0, net::Dtype::C32, net::decode_error_status(e),
-                       /*close_after=*/true);
+  // The router answers control traffic and malformed frames itself,
+  // exactly like a single-process server (worker liveness is its own
+  // business, over the links).
+  net::FrontFrame f = net::answer_front_frame(c->in, r->topo_.model_count());
+  if (!f.reply.empty()) {
+    if (!f.control) bump(&Stats::protocol_errors);
+    c->want_close = f.close;
+    send_client(c, std::move(f.reply));
     return;
   }
-  if (fh.type == net::FrameType::Control) {
-    // The router answers client-side control traffic itself, exactly like
-    // a single-process server would: Hello -> model count, Heartbeat ->
-    // token echo.  (Worker liveness is the router's own business.)
-    net::ControlHead ch;
-    if (net::decode_control(body, ch) != net::DecodeError::None ||
-        (ch.kind != net::ControlKind::Hello && ch.kind != net::ControlKind::Heartbeat)) {
-      queue_client_error(c, 0, net::Dtype::C32, net::WireStatus::BadFrame,
-                         /*close_after=*/false);
-      return;
-    }
-    net::ControlHead ack;
-    ack.kind = ch.kind == net::ControlKind::Hello ? net::ControlKind::HelloAck
-                                                  : net::ControlKind::HeartbeatAck;
-    ack.token = ch.kind == net::ControlKind::Hello ? r->topo_.model_count() : ch.token;
-    std::vector<std::byte> frame(net::encoded_control_bytes());
-    const std::size_t len = net::encode_control(frame, ack);
-    enqueue_client(c, std::move(frame), len, /*close_after=*/false);
-    return;
-  }
-  if (fh.type != net::FrameType::Request) {
-    queue_client_error(c, 0, net::Dtype::C32, net::WireStatus::BadFrame,
-                       /*close_after=*/false);
-    return;
-  }
-  net::RequestHead head;
-  std::span<const std::byte> payload;
-  const net::DecodeError e = net::decode_request(body, head, payload);
-  if (e != net::DecodeError::None) {
-    queue_client_error(c, e == net::DecodeError::ShapeMismatch ? head.correlation : 0,
-                       net::Dtype::C32, net::decode_error_status(e),
-                       net::decode_error_closes(e));
-    return;
-  }
-  if (head.model >= r->topo_.model_count()) {
-    queue_client_error(c, head.correlation, head.dtype, net::WireStatus::UnknownModel,
-                       /*close_after=*/false);
-    return;
-  }
-  const Route route = r->topo_.route(head.model);
+  const Route route = r->topo_.route(f.head.model);
+  WorkerLink::Parked p;
+  p.frame = c->in.take();
   // Rewrite the model field to the worker-local id now; the correlation is
   // assigned (and the CRC resealed) at forward time, which may be after a
   // stay in the gap queue.
-  net::store_u32le(buf.data() + net::kHeaderBytes + 8, route.local);
-  WorkerLink::Parked p;
-  p.frame = std::move(buf);
+  net::store_u32le(p.frame.data() + net::kHeaderBytes + 8, route.local);
   p.client = c;
-  p.client_corr = head.correlation;
-  p.dtype = head.dtype;
+  p.client_corr = f.head.correlation;
+  p.dtype = f.head.dtype;
   dispatch_or_park(*links[route.worker], std::move(p));
 }
 
 // --------------------------------------------------------------- worker side
 
-void Router::Impl::update_link_interest(WorkerLink& w) {
-  if (w.fd < 0) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (!w.out_q.empty() || w.state == WorkerLink::State::Connecting) ev.events |= EPOLLOUT;
-  ev.data.fd = w.fd;
-  ::epoll_ctl(ep, EPOLL_CTL_MOD, w.fd, &ev);
-}
-
-void Router::Impl::enqueue_link(WorkerLink& w, std::vector<std::byte>&& frame,
-                                std::size_t len) {
-  OutBuf o;
-  o.data = std::move(frame);
-  o.len = len;
-  w.out_q.push_back(std::move(o));
-  w.out_bytes += len;
+void Router::Impl::send_link(WorkerLink& w, std::vector<std::byte>&& frame) {
+  w.conn.out.push(std::move(frame));
   flush_link(w);
 }
 
 void Router::Impl::flush_link(WorkerLink& w) {
-  while (!w.out_q.empty()) {
-    OutBuf& o = w.out_q.front();
-    const auto s = ::send(w.fd, o.data.data() + o.off, o.len - o.off, MSG_NOSIGNAL);
-    if (s < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      fail_link(w);
-      return;
-    }
-    o.off += static_cast<std::size_t>(s);
-    if (o.off < o.len) break;
-    w.out_bytes -= o.len;
-    w.out_q.pop_front();
+  if (w.conn.out.flush(w.conn.fd).error) {
+    fail_link(w);
+    return;
   }
-  update_link_interest(w);
+  const bool connecting = w.state == WorkerLink::State::Connecting;
+  w.conn.watch(ep, EPOLL_CTL_MOD, fd_data(w.conn.fd),
+               w.conn.events(true) | (connecting ? EPOLLOUT : 0u));
+}
+
+void Router::Impl::schedule_redial(WorkerLink& w) {
+  w.next_dial_s = clock.seconds() + w.backoff_s;
+  w.backoff_s = std::min(std::max(w.backoff_s, redial_min) * 2.0, redial_max);
 }
 
 void Router::Impl::dial(WorkerLink& w) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  bool connected = false;
+  const int fd = net::dial_tcp(w.host, w.port, connected);
   if (fd < 0) {
-    w.next_dial_s = clock.seconds() + w.backoff_s;
-    w.backoff_s = std::min(w.backoff_s * 2.0, redial_max);
+    if (errno == EINVAL) {
+      w.have_endpoint = false;  // unroutable host: wait for a new endpoint
+    } else {
+      schedule_redial(w);
+    }
     return;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(w.port);
-  if (::inet_pton(AF_INET, w.host.c_str(), &addr.sin_addr) != 1) {
+  w.conn.reset(fd);
+  if (!w.conn.watch(ep, EPOLL_CTL_ADD, fd_data(fd), EPOLLIN | EPOLLOUT)) {
     ::close(fd);
-    w.have_endpoint = false;  // unroutable host: wait for a new endpoint
+    w.conn.reset(-1);
+    schedule_redial(w);
     return;
   }
-  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    w.next_dial_s = clock.seconds() + w.backoff_s;
-    w.backoff_s = std::min(w.backoff_s * 2.0, redial_max);
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  w.fd = fd;
   w.state = WorkerLink::State::Connecting;
   w.dial_start_s = clock.seconds();
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;
-  ev.data.fd = fd;
-  if (::epoll_ctl(ep, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    ::close(fd);
-    w.fd = -1;
-    w.state = WorkerLink::State::Down;
-    w.next_dial_s = clock.seconds() + w.backoff_s;
-    w.backoff_s = std::min(w.backoff_s * 2.0, redial_max);
-    return;
-  }
   link_by_fd[fd] = &w;
-  if (rc == 0) start_handshake(w);
+  if (connected) start_handshake(w);
 }
 
 void Router::Impl::start_handshake(WorkerLink& w) {
   w.state = WorkerLink::State::Handshaking;
   w.dial_start_s = clock.seconds();
-  net::ControlHead hello;
-  hello.kind = net::ControlKind::Hello;
-  hello.token = r->topo_.owned_count(w.index);
-  std::vector<std::byte> frame(net::encoded_control_bytes());
-  const std::size_t len = net::encode_control(frame, hello);
-  enqueue_link(w, std::move(frame), len);
+  send_link(w, net::control_frame(net::ControlKind::Hello, r->topo_.owned_count(w.index)));
 }
 
 void Router::Impl::go_up(WorkerLink& w) {
@@ -522,30 +290,23 @@ void Router::Impl::go_up(WorkerLink& w) {
 }
 
 void Router::Impl::fail_link(WorkerLink& w, net::WireStatus shed_status) {
-  if (w.fd >= 0) {
-    link_by_fd.erase(w.fd);
-    ::epoll_ctl(ep, EPOLL_CTL_DEL, w.fd, nullptr);
-    ::close(w.fd);
-    w.fd = -1;
+  if (w.conn.fd >= 0) {
+    link_by_fd.erase(w.conn.fd);
+    ::epoll_ctl(ep, EPOLL_CTL_DEL, w.conn.fd, nullptr);
+    net::close_drained(w.conn.fd);
     bump(&Stats::worker_disconnects);
   }
+  w.conn.reset(-1);  // drops the partial frame and the unsent queue
   w.state = WorkerLink::State::Down;
-  w.have_header = false;
-  w.hdr_got = 0;
-  w.buf = {};
-  w.body_got = 0;
-  w.out_q.clear();
-  w.out_bytes = 0;
   // Never silently drop accepted work: everything in flight at the dead
   // worker is answered Shed (the client may retry; the gap queue keeps
   // holding not-yet-forwarded requests for the reconnect).
   for (auto& [corr, pend] : w.outstanding) {
     bump(&Stats::shed_by_router);
-    queue_client_status(pend.client, pend.client_corr, pend.dtype, shed_status);
+    send_client(pend.client, net::status_frame(pend.client_corr, shed_status, pend.dtype));
   }
   w.outstanding.clear();
-  w.next_dial_s = clock.seconds() + w.backoff_s;
-  w.backoff_s = std::min(std::max(w.backoff_s, redial_min) * 2.0, redial_max);
+  schedule_redial(w);
 }
 
 void Router::Impl::dispatch_or_park(WorkerLink& w, WorkerLink::Parked&& p) {
@@ -560,7 +321,7 @@ void Router::Impl::dispatch_or_park(WorkerLink& w, WorkerLink::Parked&& p) {
   }
   // Gap queue full: per-worker backpressure's last resort.
   bump(&Stats::shed_by_router);
-  queue_client_status(p.client, p.client_corr, p.dtype, net::WireStatus::Shed);
+  send_client(p.client, net::status_frame(p.client_corr, net::WireStatus::Shed, p.dtype));
 }
 
 void Router::Impl::send_to_worker(WorkerLink& w, WorkerLink::Parked&& p) {
@@ -578,8 +339,7 @@ void Router::Impl::send_to_worker(WorkerLink& w, WorkerLink::Parked&& p) {
   pend.client_corr = p.client_corr;
   pend.dtype = p.dtype;
   w.outstanding.emplace(corr, std::move(pend));
-  const std::size_t len = p.frame.size();
-  enqueue_link(w, std::move(p.frame), len);
+  send_link(w, std::move(p.frame));
   bump(&Stats::frames_routed);
 }
 
@@ -601,7 +361,7 @@ void Router::Impl::handle_link_event(WorkerLink& w, std::uint32_t events) {
     if (w.state == WorkerLink::State::Connecting) {
       int soerr = 0;
       socklen_t len = sizeof soerr;
-      ::getsockopt(w.fd, SOL_SOCKET, SO_ERROR, &soerr, &len);
+      ::getsockopt(w.conn.fd, SOL_SOCKET, SO_ERROR, &soerr, &len);
       if (soerr != 0) {
         fail_link(w);
         return;
@@ -610,67 +370,26 @@ void Router::Impl::handle_link_event(WorkerLink& w, std::uint32_t events) {
     } else {
       flush_link(w);
     }
-    if (w.fd < 0) return;
+    if (w.conn.fd < 0) return;
   }
   if ((events & EPOLLIN) != 0) handle_link_read(w);
 }
 
 void Router::Impl::handle_link_read(WorkerLink& w) {
-  while (w.fd >= 0) {
-    if (!w.have_header) {
-      const auto n = ::read(w.fd, w.hdr.data() + w.hdr_got, net::kHeaderBytes - w.hdr_got);
-      if (n == 0) {
-        fail_link(w);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        fail_link(w);
-        return;
-      }
-      w.hdr_got += static_cast<std::size_t>(n);
-      if (w.hdr_got < net::kHeaderBytes) continue;
-      if (net::decode_header(w.hdr, w.fh, max_frame) != net::DecodeError::None) {
-        fail_link(w);  // a worker speaking garbage is treated as dead
-        return;
-      }
-      w.have_header = true;
-      w.buf.resize(net::kHeaderBytes + w.fh.body_len);
-      w.body_got = 0;
-      if (w.fh.body_len == 0) process_link_frame(w);
-      continue;
-    }
-    const auto n = ::read(w.fd, w.buf.data() + net::kHeaderBytes + w.body_got,
-                          w.fh.body_len - w.body_got);
-    if (n == 0) {
-      fail_link(w);
+  while (w.conn.fd >= 0) {
+    const net::FrameReader::Result res = w.conn.in.read(w.conn.fd);
+    if (res == net::FrameReader::Result::WouldBlock) return;
+    if (res != net::FrameReader::Result::Frame) {
+      fail_link(w);  // EOF, or a worker speaking garbage: treated as dead
       return;
     }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      fail_link(w);
-      return;
-    }
-    w.body_got += static_cast<std::size_t>(n);
-    if (w.body_got == w.fh.body_len) process_link_frame(w);
+    process_link_frame(w);
   }
 }
 
 void Router::Impl::process_link_frame(WorkerLink& w) {
-  std::vector<std::byte> buf = std::move(w.buf);
-  const net::FrameHeader fh = w.fh;
-  w.have_header = false;
-  w.hdr_got = 0;
-  w.buf = {};
-  w.body_got = 0;
-  const std::span<const std::byte> body{buf.data() + net::kHeaderBytes, fh.body_len};
-
-  if (net::verify_body(fh, body) != net::DecodeError::None) {
-    fail_link(w);
-    return;
-  }
+  const net::FrameHeader fh = w.conn.in.header();
+  const std::span<const std::byte> body = w.conn.in.body();
   if (fh.type == net::FrameType::Control) {
     net::ControlHead ch;
     if (net::decode_control(body, ch) != net::DecodeError::None) {
@@ -693,13 +412,10 @@ void Router::Impl::process_link_frame(WorkerLink& w) {
     }
     return;
   }
-  if (fh.type != net::FrameType::Response) {
-    bump(&Stats::protocol_errors);
-    return;
-  }
   net::ResponseHead rh;
   std::span<const std::byte> payload;
-  if (net::decode_response(body, rh, payload) != net::DecodeError::None) {
+  if (fh.type != net::FrameType::Response ||
+      net::decode_response(body, rh, payload) != net::DecodeError::None) {
     bump(&Stats::protocol_errors);
     return;
   }
@@ -717,15 +433,15 @@ void Router::Impl::process_link_frame(WorkerLink& w) {
   // Restore the client's correlation, reseal, and write the relay header
   // in place — the payload bytes the worker produced are never touched,
   // which is what makes the response bitwise-identical to a direct serve.
+  std::vector<std::byte> buf = w.conn.in.take();
   net::store_u64le(buf.data() + net::kHeaderBytes, pend.client_corr);
   net::FrameHeader out;
   out.type = net::FrameType::Response;
   out.body_len = fh.body_len;
   out.body_crc = net::crc32({buf.data() + net::kHeaderBytes, fh.body_len});
   net::encode_header(buf, out);
-  const std::size_t len = buf.size();
   bump(&Stats::responses_relayed);
-  enqueue_client(pend.client, std::move(buf), len, /*close_after=*/false);
+  send_client(pend.client, std::move(buf));
   flush_gap(w);
 }
 
@@ -776,12 +492,8 @@ void Router::Impl::process_timers(double now) {
           break;
         }
         if (now >= w.next_hb_s) {
-          net::ControlHead hb;
-          hb.kind = net::ControlKind::Heartbeat;
-          hb.token = next_corr++;  // any unique nonce
-          std::vector<std::byte> frame(net::encoded_control_bytes());
-          const std::size_t len = net::encode_control(frame, hb);
-          enqueue_link(w, std::move(frame), len);
+          // The token is any unique nonce.
+          send_link(w, net::control_frame(net::ControlKind::Heartbeat, next_corr++));
           bump(&Stats::heartbeats_sent);
           w.next_hb_s = now + hb_s;
         }
@@ -825,20 +537,17 @@ void Router::Impl::begin_stop() {
     listen_fd = -1;
   }
   r->bound_port_.store(0, std::memory_order_release);
-  for (auto& [fd, c] : clients) {
-    c->reading_paused = true;  // reads off; writes keep flushing
-  }
   // Gap-queued requests were accepted but can no longer be executed before
   // shutdown: answer ShutDown, exactly like serve's StopMode::Abort.
   for (auto& lp : links) {
     while (!lp->gap.empty()) {
       WorkerLink::Parked p = std::move(lp->gap.front());
       lp->gap.pop_front();
-      queue_client_status(p.client, p.client_corr, p.dtype, net::WireStatus::ShutDown);
+      send_client(p.client, net::status_frame(p.client_corr, net::WireStatus::ShutDown, p.dtype));
     }
   }
-  // Re-register client interests with reads off.
-  for (auto& [fd, c] : clients) update_client_interest(c);
+  // Reads off; writes keep flushing.
+  for (auto& [fd, c] : clients) c->watch(ep, EPOLL_CTL_MOD, fd_data(fd), c->events(false));
 }
 
 bool Router::Impl::stop_complete() const {
@@ -846,7 +555,7 @@ bool Router::Impl::stop_complete() const {
     if (!lp->outstanding.empty()) return false;
   }
   for (const auto& [fd, c] : clients) {
-    if (!c->out_q.empty()) return false;
+    if (!c->out.empty()) return false;
   }
   return true;
 }
@@ -857,14 +566,11 @@ void Router::Impl::final_cleanup() {
   for (auto& lp : links) {
     fail_link(*lp, net::WireStatus::ShutDown);
   }
-  std::vector<std::shared_ptr<ClientConn>> cs;
-  cs.reserve(clients.size());
-  for (auto& [fd, c] : clients) cs.push_back(c);
-  for (auto& c : cs) {
+  while (!clients.empty()) {
+    const std::shared_ptr<ClientConn> c = clients.begin()->second;
     flush_client(c);
-    if (!c->dead) close_client(c);
+    close_client(c);  // erases it (a no-op if the flush already closed it)
   }
-  clients.clear();
 }
 
 void Router::io_loop() {
@@ -882,7 +588,7 @@ void Router::io_loop() {
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const std::uint32_t ev = events[i].events;
-      if (fd == im.event_fd) {
+      if (fd == kWakeFd) {
         std::uint64_t drain = 0;
         [[maybe_unused]] const auto got = ::read(im.event_fd, &drain, sizeof drain);
         continue;
@@ -903,7 +609,7 @@ void Router::io_loop() {
         continue;
       }
       if ((ev & EPOLLOUT) != 0) im.flush_client(c);
-      if (!c->dead && (ev & EPOLLIN) != 0) im.handle_client_read(c);
+      if ((ev & EPOLLIN) != 0) im.handle_client_read(c);
     }
   }
   im.final_cleanup();
@@ -925,6 +631,7 @@ Router::Router(Topology topo, Options opts)
     auto link = std::make_unique<WorkerLink>();
     link->index = i;
     link->backoff_s = impl_->redial_min;
+    link->conn = net::FramedConn(-1, impl_->max_frame);
     impl_->links.push_back(std::move(link));
   }
 }
@@ -937,7 +644,7 @@ void Router::set_worker_endpoint(std::size_t index, std::uint16_t port,
     const runtime::MutexLock lock(impl_->cmd_mu);
     impl_->pending_endpoints.push_back({index, host, port});
   }
-  if (running()) impl_->wake();
+  if (running()) net::wake(impl_->event_fd);
 }
 
 void Router::start() {
@@ -945,44 +652,21 @@ void Router::start() {
   if (started_) throw std::logic_error("shard::Router::start called twice");
 
   Impl& im = *impl_;
-  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (lfd < 0) throw sys_error("socket");
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  const int port = opts_.port >= 0 ? opts_.port : default_shard_port();
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(lfd, opts_.backlog) != 0) {
-    const auto err = sys_error("bind/listen");
+  std::uint16_t bound = 0;
+  const int lfd =
+      net::listen_tcp(opts_.port >= 0 ? opts_.port : default_shard_port(), opts_.backlog, bound);
+  try {
+    net::open_epoll(im.ep, im.event_fd, fd_data(kWakeFd));
+  } catch (...) {
     ::close(lfd);
-    throw err;
+    throw;
   }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof bound;
-  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&bound), &blen);
   im.listen_fd = lfd;
-  im.event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  im.ep = ::epoll_create1(EPOLL_CLOEXEC);
-  if (im.event_fd < 0 || im.ep < 0) {
-    const auto err = sys_error("eventfd/epoll_create1");
-    ::close(lfd);
-    im.listen_fd = -1;
-    if (im.event_fd >= 0) ::close(im.event_fd);
-    if (im.ep >= 0) ::close(im.ep);
-    im.event_fd = im.ep = -1;
-    throw err;
-  }
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = im.event_fd;
-  ::epoll_ctl(im.ep, EPOLL_CTL_ADD, im.event_fd, &ev);
-  ev.data.fd = im.listen_fd;
-  ::epoll_ctl(im.ep, EPOLL_CTL_ADD, im.listen_fd, &ev);
-
-  bound_port_.store(ntohs(bound.sin_port), std::memory_order_release);
+  ev.data.fd = lfd;
+  ::epoll_ctl(im.ep, EPOLL_CTL_ADD, lfd, &ev);
+  bound_port_.store(bound, std::memory_order_release);
   started_ = true;
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { io_loop(); });
@@ -995,13 +679,12 @@ void Router::stop() {
     const runtime::MutexLock cmd(impl_->cmd_mu);
     impl_->stop_requested = true;
   }
-  impl_->wake();
+  net::wake(impl_->event_fd);
   if (io_thread_.joinable()) io_thread_.join();
   running_.store(false, std::memory_order_release);
-  Impl& im = *impl_;
-  if (im.event_fd >= 0) ::close(im.event_fd);
-  if (im.ep >= 0) ::close(im.ep);
-  im.event_fd = im.ep = -1;
+  ::close(impl_->event_fd);
+  ::close(impl_->ep);
+  impl_->event_fd = impl_->ep = -1;
 }
 
 Router::Stats Router::stats() const {

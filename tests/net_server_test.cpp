@@ -7,19 +7,24 @@
 // direct core::Session on the same engine.  On top of that, this suite
 // attacks the server: malformed frames, client disconnects mid-request,
 // slow readers that trip write backpressure, shutdown with in-flight
-// frames, and a multi-threaded mixed-model soak.
+// frames, and a multi-threaded mixed-model soak.  The malformed-frame
+// corpus also runs against a shard::Router, which must answer exactly
+// like a single-process server.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "net/client.hpp"
 #include "net/socket_server.hpp"
+#include "shard/router.hpp"
+#include "shard/worker.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::net {
@@ -184,19 +189,69 @@ TEST(NetServer, LoopbackBitwiseEqualToSession) {
   EXPECT_EQ(s.protocol_errors, 0u);
 }
 
-// --------------------------------------------------------- malformed frames
+// ------------------------------------------- malformed frames, both front-ends
 
-TEST(NetServer, MalformedFramesGetTypedErrorsAndIntegrityErrorsClose) {
-  SocketServer::Options o;
-  o.port = 0;
-  SocketServer srv(o);
-  const auto m = static_cast<std::uint32_t>(srv.load_model(small_1d()));
+/// A front-end under test serving small_1d() as model 0: a SocketServer,
+/// or a shard::Router in front of two in-process workers.  Clients cannot
+/// tell the two apart, so one malformed-frame corpus runs against both.
+class FrontEnd {
+ public:
+  enum class Kind { SocketServer, Router };
+
+  FrontEnd(Kind kind, std::size_t max_frame_bytes) {
+    if (kind == Kind::SocketServer) {
+      SocketServer::Options o;
+      o.port = 0;
+      o.max_frame_bytes = max_frame_bytes;
+      server_ = std::make_unique<SocketServer>(o);
+      (void)server_->load_model(small_1d());
+      server_->start();
+      return;
+    }
+    shard::Topology topo;
+    topo.add(small_1d(), 0);
+    topo.add(small_2d(), 1);
+    for (std::size_t w = 0; w < 2; ++w) {
+      workers_.push_back(std::make_unique<shard::Worker>(topo, w));
+      workers_.back()->start();
+    }
+    shard::Router::Options ro;
+    ro.max_frame_bytes = max_frame_bytes;
+    router_ = std::make_unique<shard::Router>(topo, ro);
+    for (std::size_t w = 0; w < 2; ++w) router_->set_worker_endpoint(w, workers_[w]->port());
+    router_->start();
+  }
+  ~FrontEnd() {
+    if (router_) router_->stop();
+    for (auto& w : workers_) w->stop();
+    if (server_) server_->stop();
+  }
+
+  [[nodiscard]] std::uint16_t port() const {
+    return server_ ? server_->port() : router_->port();
+  }
+  [[nodiscard]] std::uint64_t protocol_errors() const {
+    return server_ ? server_->stats().protocol_errors : router_->stats().protocol_errors;
+  }
+
+ private:
+  std::unique_ptr<SocketServer> server_;
+  std::vector<std::unique_ptr<shard::Worker>> workers_;
+  std::unique_ptr<shard::Router> router_;
+};
+
+class NetFrontEnd : public ::testing::TestWithParam<FrontEnd::Kind> {};
+
+TEST_P(NetFrontEnd, MalformedFramesGetTypedErrorsAndIntegrityErrorsClose) {
+  const FrontEnd fe(GetParam(), 0);
+  const std::uint32_t m = 0;
   const std::size_t elems = 2 * 64;
-  srv.start();
 
+  // Every send below is a whole frame, header plus body.
   const auto expect_error_then_close = [&](std::vector<std::byte> bytes, WireStatus want) {
     Client cli;
-    cli.connect(srv.port());
+    cli.connect(fe.port());
+    cli.set_io_timeout(20.0);
     cli.send_bytes(bytes);
     Client::Result r;
     ASSERT_TRUE(cli.recv_response(r)) << "no error response for " << wire_status_name(want);
@@ -205,7 +260,7 @@ TEST(NetServer, MalformedFramesGetTypedErrorsAndIntegrityErrorsClose) {
     EXPECT_TRUE(cli.recv_closed()) << "connection not closed after " << wire_status_name(want);
   };
 
-  // Integrity errors: typed response, then the server closes the stream.
+  // Integrity errors: typed response, then the front-end closes the stream.
   {
     auto f = valid_request_frame(m, elems);
     f[0] = static_cast<std::byte>('X');
@@ -226,7 +281,8 @@ TEST(NetServer, MalformedFramesGetTypedErrorsAndIntegrityErrorsClose) {
   // following good request.
   const auto expect_error_then_ok = [&](std::vector<std::byte> bytes, WireStatus want) {
     Client cli;
-    cli.connect(srv.port());
+    cli.connect(fe.port());
+    cli.set_io_timeout(20.0);
     cli.send_bytes(bytes);
     Client::Result r;
     ASSERT_TRUE(cli.recv_response(r));
@@ -263,30 +319,30 @@ TEST(NetServer, MalformedFramesGetTypedErrorsAndIntegrityErrorsClose) {
     expect_error_then_ok(std::move(f), WireStatus::InvalidInput);
   }
 
-  srv.stop();
-  EXPECT_GE(srv.stats().protocol_errors, 6u);
+  EXPECT_GE(fe.protocol_errors(), 6u);
 }
 
-TEST(NetServer, OverLimitDeclaredLengthCloses) {
-  SocketServer::Options o;
-  o.port = 0;
-  o.max_frame_bytes = 4096;
-  SocketServer srv(o);
-  const auto m = static_cast<std::uint32_t>(srv.load_model(small_1d()));
-  srv.start();
-
+TEST_P(NetFrontEnd, OverLimitDeclaredLengthCloses) {
+  const FrontEnd fe(GetParam(), 4096);
   Client cli;
-  cli.connect(srv.port());
-  // 8192 payload bytes declared and sent; the server rejects on the
+  cli.connect(fe.port());
+  cli.set_io_timeout(20.0);
+  // 8192 payload bytes declared and sent; the front-end rejects on the
   // *declared* length right after the header, never buffering the body.
-  const auto f = valid_request_frame(m, 2048);
+  const auto f = valid_request_frame(0, 2048);
   cli.send_bytes(f);
   Client::Result r;
   ASSERT_TRUE(cli.recv_response(r));
   EXPECT_EQ(r.head.status, WireStatus::TooLarge);
   EXPECT_TRUE(cli.recv_closed());
-  srv.stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(BothFrontEnds, NetFrontEnd,
+                         ::testing::Values(FrontEnd::Kind::SocketServer, FrontEnd::Kind::Router),
+                         [](const ::testing::TestParamInfo<FrontEnd::Kind>& info) {
+                           return info.param == FrontEnd::Kind::SocketServer ? "SocketServer"
+                                                                             : "Router";
+                         });
 
 // ------------------------------------------------------ client disconnects
 
@@ -413,6 +469,77 @@ TEST(NetServer, StopDeliversEveryDecodedFrameThenCloses) {
   }
   EXPECT_EQ(responses, kRequests);  // ... and then EOF, which ends the loop
   EXPECT_FALSE(srv.running());
+}
+
+TEST(NetServer, StopFromAnotherThreadWhilePipeliningAnswersEveryDecodedFrame) {
+  // stop() races frames that are still being decoded: a frame decoded
+  // before the io threads park their reads must be submitted before the
+  // drain, and its completion must reach the wire before the io thread
+  // exits.  Every decoded frame gets exactly one Ok response, then EOF.
+  const std::size_t elems = 2 * 64;
+  const auto in = random_real(elems, 13);
+  const std::vector<std::uint32_t> dims = {2, 64};
+  const std::span<const std::byte> payload{reinterpret_cast<const std::byte*>(in.data()),
+                                           elems * 4};
+  std::vector<std::byte> burst;  // 64 pipelined requests in one write
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const auto f = valid_request_frame(0, elems, 1000 + i);
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  for (int round = 0; round < 20; ++round) {
+    SocketServer::Options o;
+    o.port = 0;
+    o.io_threads = 2;
+    SocketServer srv(o);
+    const auto m = static_cast<std::uint32_t>(srv.load_model(small_1d()));
+    srv.start();
+    Client cli;
+    cli.connect(srv.port());
+    cli.set_io_timeout(20.0);
+
+    std::atomic<std::size_t> sent{0};
+    std::atomic<std::size_t> received{0};
+    std::atomic<bool> stop_sending{false};
+    std::atomic<bool> sender_done{false};
+    std::thread sender([&] {
+      // Keeps up to 16 requests in flight; when told to stop it fires a
+      // last burst, so stop() begins with frames still on the wire.
+      while (!stop_sending.load()) {
+        if (sent.load() - received.load() >= 16) {
+          std::this_thread::yield();
+          continue;
+        }
+        cli.send_request(m, Dtype::F32, dims, payload);
+        ++sent;
+      }
+      cli.send_bytes(burst);
+      sender_done = true;
+    });
+    std::size_t ok = 0;
+    std::size_t not_ok = 0;
+    bool eof = false;
+    std::thread reader([&] {
+      Client::Result r;
+      while (cli.recv_response(r)) {
+        ++(r.head.status == WireStatus::Ok ? ok : not_ok);
+        ++received;
+      }
+      eof = true;
+    });
+    ASSERT_TRUE(eventually([&] { return srv.stats().frames_decoded >= 8; }));
+    std::thread stopper([&] {
+      stop_sending = true;
+      while (!sender_done.load()) std::this_thread::yield();
+      srv.stop();
+    });
+    stopper.join();
+    sender.join();
+    reader.join();
+    EXPECT_TRUE(eof) << "round " << round;
+    EXPECT_EQ(not_ok, 0u) << "round " << round;
+    EXPECT_EQ(ok, srv.stats().frames_decoded) << "round " << round;
+    EXPECT_EQ(srv.stats().responses_sent, srv.stats().frames_decoded) << "round " << round;
+  }
 }
 
 // -------------------------------------------------- admission over the wire
