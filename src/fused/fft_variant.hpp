@@ -7,9 +7,9 @@
 // operand — the CPU analogue of writing the FFT output into the shared-
 // memory A block.
 //
-// Both classes take contiguous signals only.  The 2D pipelines' middle
-// kernels first transpose a block of x-rows out of their y-major staging
-// tiles (Pipeline2dBase::gather_xblock / scatter_xblock), so the transforms
+// Both classes take contiguous signals only.  The 2D driver's fused k-loop
+// first transposes a block of x-rows out of its y-major staging tiles
+// (LadderPipeline2d::gather_xblock / scatter_xblock), so the transforms
 // here never see a strided signal.
 #pragma once
 

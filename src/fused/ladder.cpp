@@ -1,5 +1,8 @@
 #include "fused/ladder.hpp"
 
+#include <type_traits>
+#include <utility>
+
 #include "baseline/pipeline1d.hpp"
 #include "baseline/pipeline2d.hpp"
 #include "fused/pipeline1d.hpp"
@@ -115,12 +118,13 @@ Variant resolve_variant(Variant v, const baseline::Spectral2dProblem& prob,
 
 namespace {
 
-// Adapters giving every concrete pipeline the common virtual interface.
-template <class Impl>
-class Adapter1d final : public SpectralPipeline1d {
+// Gives the PyTorch-style baseline pipeline (Impl) the common virtual
+// interface (Base); the fused rows implement it directly.
+template <class Base, class Impl>
+class BaselineRow final : public Base {
  public:
-  explicit Adapter1d(const baseline::Spectral1dProblem& prob, std::string_view nm)
-      : impl_(prob), name_(nm) {}
+  using Problem = std::remove_cvref_t<decltype(std::declval<const Impl&>().problem())>;
+  explicit BaselineRow(const Problem& prob) : impl_(prob) {}
   void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override {
     impl_.run(u, w, v);
   }
@@ -136,44 +140,13 @@ class Adapter1d final : public SpectralPipeline1d {
   [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
     return impl_.counters();
   }
-  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept override {
-    return impl_.problem();
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return variant_name(Variant::PyTorch);
   }
+  [[nodiscard]] const Problem& problem() const noexcept override { return impl_.problem(); }
 
  private:
   Impl impl_;
-  std::string_view name_;
-};
-
-template <class Impl>
-class Adapter2d final : public SpectralPipeline2d {
- public:
-  explicit Adapter2d(const baseline::Spectral2dProblem& prob, std::string_view nm)
-      : impl_(prob), name_(nm) {}
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override {
-    impl_.run(u, w, v);
-  }
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch) override {
-    impl_.run_batched(u, w, v, batch);
-  }
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch) override {
-    impl_.run_batched_real(u, w, v, batch);
-  }
-  void reserve(std::size_t batch) override { impl_.reserve(batch); }
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
-    return impl_.counters();
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-  [[nodiscard]] const baseline::Spectral2dProblem& problem() const noexcept override {
-    return impl_.problem();
-  }
-
- private:
-  Impl impl_;
-  std::string_view name_;
 };
 
 }  // namespace
@@ -182,42 +155,20 @@ std::unique_ptr<SpectralPipeline1d> make_pipeline1d(Variant v,
                                                     const baseline::Spectral1dProblem& prob,
                                                     bool real_input) {
   v = resolve_variant(v, prob, real_input);
-  switch (v) {
-    case Variant::PyTorch:
-      return std::make_unique<Adapter1d<baseline::BaselinePipeline1d>>(prob, variant_name(v));
-    case Variant::FftOpt:
-      return std::make_unique<Adapter1d<FftOptPipeline1d>>(prob, variant_name(v));
-    case Variant::FusedFftGemm:
-      return std::make_unique<Adapter1d<FusedFftGemmPipeline1d>>(prob, variant_name(v));
-    case Variant::FusedGemmIfft:
-      return std::make_unique<Adapter1d<FusedGemmIfftPipeline1d>>(prob, variant_name(v));
-    case Variant::FullyFused:
-      return std::make_unique<Adapter1d<FullyFusedPipeline1d>>(prob, variant_name(v));
-    case Variant::Auto:
-      break;  // unreachable: resolve_variant returned a concrete row
+  if (v == Variant::PyTorch) {
+    return std::make_unique<BaselineRow<SpectralPipeline1d, baseline::BaselinePipeline1d>>(prob);
   }
-  return nullptr;
+  return std::make_unique<LadderPipeline1d>(v, prob);
 }
 
 std::unique_ptr<SpectralPipeline2d> make_pipeline2d(Variant v,
                                                     const baseline::Spectral2dProblem& prob,
                                                     bool real_input) {
   v = resolve_variant(v, prob, real_input);
-  switch (v) {
-    case Variant::PyTorch:
-      return std::make_unique<Adapter2d<baseline::BaselinePipeline2d>>(prob, variant_name(v));
-    case Variant::FftOpt:
-      return std::make_unique<Adapter2d<FftOptPipeline2d>>(prob, variant_name(v));
-    case Variant::FusedFftGemm:
-      return std::make_unique<Adapter2d<FusedFftGemmPipeline2d>>(prob, variant_name(v));
-    case Variant::FusedGemmIfft:
-      return std::make_unique<Adapter2d<FusedGemmIfftPipeline2d>>(prob, variant_name(v));
-    case Variant::FullyFused:
-      return std::make_unique<Adapter2d<FullyFusedPipeline2d>>(prob, variant_name(v));
-    case Variant::Auto:
-      break;  // unreachable: resolve_variant returned a concrete row
+  if (v == Variant::PyTorch) {
+    return std::make_unique<BaselineRow<SpectralPipeline2d, baseline::BaselinePipeline2d>>(prob);
   }
-  return nullptr;
+  return std::make_unique<LadderPipeline2d>(v, prob);
 }
 
 }  // namespace turbofno::fused

@@ -6,7 +6,11 @@
 //   FusedGemmIfft C separate forward FFT, fused CGEMM + iFFT epilogue
 //   FullyFused   D single fused FFT-CGEMM-iFFT pass
 //
-// Every variant implements the same interface and refreshes its stage
+// Rows A-D run the same truncated FFT, k-loop CGEMM and zero-padded iFFT
+// and differ only in which of the two stage boundaries go through memory,
+// so one staged driver per dimensionality serves all four (its fusion
+// boundaries are the row; see fused/pipeline1d.hpp and pipeline2d.hpp).
+// Every row implements the same interface and refreshes its stage
 // counters on each run, so benches compare wall-clock, traffic, and the
 // A100 model on identical terms.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "fft/plan_cache.hpp"
 #include "gemm/batched.hpp"
@@ -17,203 +18,178 @@ namespace {
 
 constexpr std::size_t kTb = gemm::FusedTiles::Ktb;  // paper Table 1: k_tb = 8
 
-void check_spans(const baseline::Spectral1dProblem& prob, std::span<const c32> u,
-                 std::span<c32> v, std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob.hidden * prob.n, prob.out_dim * prob.n,
-                              batch, "pipeline1d");
-}
-
-void check_spans_real(const baseline::Spectral1dProblem& prob, std::span<const float> u,
-                      std::span<float> v, std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob.hidden * prob.n, prob.out_dim * prob.n,
-                              batch, "pipeline1d(real)");
-}
-
-// The real lane retains the RFFT half-spectrum: modes/2+1 of the modes
-// lowest bins.  Always <= modes, so the complex lane's workspaces cover it.
-std::size_t real_modes(std::size_t modes) noexcept { return modes / 2 + 1; }
-
-// Lazy acquisition keeps complex-only pipelines free of the RFFT's n >= 4
-// requirement.  rfwd is assigned last so it doubles as the "ready" flag
-// even if the inverse acquisition throws.
-void ensure_real_plans(const baseline::Spectral1dProblem& prob,
-                       std::shared_ptr<const fft::RfftPlan>& rfwd,
-                       std::shared_ptr<const fft::IrfftPlan>& rinv) {
-  if (rfwd) return;
-  const std::size_t mr = real_modes(prob.modes);
-  rinv = fft::acquire_irfft_plan(prob.n, mr);
-  rfwd = fft::acquire_rfft_plan(prob.n, mr);
-}
-
 }  // namespace
 
-// ---------------------------------------------------------------- FftOpt (A)
-
-FftOptPipeline1d::FftOptPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
-  freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
-  mixed_.resize(prob_.batch * prob_.out_dim * prob_.modes);
+Fusion fusion_of(Variant v) {
+  switch (v) {
+    case Variant::FftOpt:
+      return {false, false};
+    case Variant::FusedFftGemm:
+      return {true, false};
+    case Variant::FusedGemmIfft:
+      return {false, true};
+    case Variant::FullyFused:
+      return {true, true};
+    case Variant::PyTorch:
+    case Variant::Auto:
+      break;
+  }
+  throw std::invalid_argument("fusion_of: not a fused ladder row");
 }
 
-void FftOptPipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
+const char* kloop_stage(Fusion f) noexcept {
+  if (f.fwd) return f.inv ? "fused-fft-cgemm-ifft" : "fused-fft-cgemm";
+  return f.inv ? "fused-cgemm-ifft" : "cgemm";
+}
+
+std::string counters_name(Fusion f, const char* dims) {
+  const char* row = f.fwd ? (f.inv ? "fully-fused" : "fused-fft-gemm")
+                          : (f.inv ? "fused-gemm-ifft" : "fftopt");
+  return std::string(row) + dims;
+}
+
+void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r) {
+  constexpr std::uint64_t e = sizeof(c32);
+  if (!f.fwd) {
+    auto& s = c.stage(r.fwd_stage);
+    s.bytes_read = r.src_bytes;
+    s.bytes_written = r.in_spectra * e;  // only the kept bins
+    s.flops = r.fwd_flops;
+    s.kernel_launches = 1;
+    s.seconds += r.fwd_seconds;
+  }
+  auto& k = c.stage(kloop_stage(f));
+  k.bytes_read = (f.fwd ? r.src_bytes : r.in_spectra * e) + r.weights * e;
+  k.bytes_written = f.inv ? r.dst_bytes : r.out_spectra * e;
+  k.flops = (f.fwd ? r.fwd_flops : 0) + r.gemm_flops + (f.inv ? r.inv_flops : 0);
+  k.kernel_launches = 1;
+  k.seconds += r.kloop_seconds;
+  if (!f.inv) {
+    auto& s = c.stage(r.inv_stage);
+    s.bytes_read = r.out_spectra * e;  // only the stored prefix
+    s.bytes_written = r.dst_bytes;
+    s.flops = r.inv_flops;
+    s.kernel_launches = 1;
+    s.seconds += r.inv_seconds;
+  }
+}
+
+LadderPipeline1d::LadderPipeline1d(Variant v, baseline::Spectral1dProblem prob)
+    : prob_(prob),
+      fusion_(fusion_of(v)),
+      name_(variant_name(v)),
+      fwd_(prob.n, prob.modes),
+      inv_(prob.n, prob.modes),
+      counters_(counters_name(fusion_, "-1d")) {
+  prob_.validate();
+  if (!fusion_.fwd) freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
+  if (!fusion_.inv) mixed_.resize(prob_.batch * prob_.out_dim * prob_.modes);
+}
+
+void LadderPipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
   run_batched(u, w, v, prob_.batch);
 }
 
-void FftOptPipeline1d::reserve(std::size_t batch) {
+void LadderPipeline1d::reserve(std::size_t batch) {
   if (batch <= prob_.batch) return;
   // Grow before bumping the capacity mark: a bad_alloc mid-reserve must
-  // not leave problem().batch claiming never-grown workspaces.
-  freq_.resize(batch * prob_.hidden * prob_.modes);
-  mixed_.resize(batch * prob_.out_dim * prob_.modes);
+  // not leave problem().batch claiming never-grown workspaces.  Fused
+  // boundaries keep their per-task state in the thread arenas.
+  if (!fusion_.fwd) freq_.resize(batch * prob_.hidden * prob_.modes);
+  if (!fusion_.inv) mixed_.resize(batch * prob_.out_dim * prob_.modes);
   prob_.batch = batch;
 }
 
-void FftOptPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
+void LadderPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                    std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-
-  {
-    runtime::Timer t;
-    fwd_.plan().execute(u, freq_.span(), B * K);
-    auto& sc = counters_.stage("fft-trunc");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(c32);
-    sc.bytes_written = B * K * M * sizeof(c32);  // only the kept bins
-    sc.flops = B * K * fwd_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    gemm::BatchedStrides strides;
-    strides.a = 0;
-    strides.b = static_cast<std::ptrdiff_t>(K * M);
-    strides.c = static_cast<std::ptrdiff_t>(O * M);
-    gemm::cgemm_batched(O, M, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), M,
-                        c32{0.0f, 0.0f}, mixed_.data(), M, B, strides);
-    auto& sc = counters_.stage("cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * M + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * M * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * M, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    inv_.plan().execute(mixed_.span(), v, B * O);
-    auto& sc = counters_.stage("ifft-pad");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * M * sizeof(c32);  // only the stored prefix
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = B * O * inv_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
+  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
+                              prob_.out_dim * prob_.n, batch, "pipeline1d");
+  run_lane(fwd_.plan(), inv_.plan(), prob_.modes, u, w, v, batch);
 }
 
-void FftOptPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+void LadderPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
                                         std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
+  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
+                              prob_.out_dim * prob_.n, batch, "pipeline1d(real)");
+  // Lazy acquisition keeps complex-only pipelines free of the RFFT's n >= 4
+  // requirement.  rfwd_ is assigned last so it doubles as the "ready" flag
+  // even if the inverse acquisition throws.
+  const std::size_t mr = prob_.modes / 2 + 1;  // <= modes: workspaces cover it
+  if (!rfwd_) {
+    rinv_ = fft::acquire_irfft_plan(prob_.n, mr);
+    rfwd_ = fft::acquire_rfft_plan(prob_.n, mr);
+  }
+  run_lane(*rfwd_, *rinv_, mr, u, w, v, batch);
+}
+
+template <class T, class FwdPlan, class InvPlan>
+void LadderPipeline1d::run_lane(const FwdPlan& fwd, const InvPlan& inv, std::size_t m,
+                                std::span<const T> u, std::span<const c32> w, std::span<T> v,
+                                std::size_t batch) {
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
+  const std::uint64_t B = batch;
+  const std::uint64_t K = prob_.hidden;
+  const std::uint64_t O = prob_.out_dim;
+  const std::uint64_t N = prob_.n;
+  ChainRun run{.fwd_stage = "fft-trunc",
+               .inv_stage = "ifft-pad",
+               .src_bytes = B * K * N * sizeof(T),
+               .dst_bytes = B * O * N * sizeof(T),
+               .in_spectra = B * K * m,
+               .out_spectra = B * O * m,
+               .weights = O * K,
+               .fwd_flops = B * K * fwd.flops_per_signal(),
+               .gemm_flops = trace::cgemm_flops(B * m, O, K),
+               .inv_flops = B * O * inv.flops_per_signal()};
+  with_fusion(fusion_, [&](auto fwd_fused, auto inv_fused) {
+    run_chain<decltype(fwd_fused)::value, decltype(inv_fused)::value>(fwd, inv, m, u, w, v,
+                                                                       batch, run);
+  });
+  account_chain(counters_, fusion_, run);
+}
+
+template <bool FwdFused, bool InvFused, class T, class FwdPlan, class InvPlan>
+void LadderPipeline1d::run_chain(const FwdPlan& fwd, const InvPlan& inv, std::size_t m,
+                                 std::span<const T> u, std::span<const c32> w, std::span<T> v,
+                                 std::size_t batch, ChainRun& run) {
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
 
-  {
+  if constexpr (!FwdFused) {
     runtime::Timer t;
-    rfwd_->execute(u.first(B * K * N), freq_.span().first(B * K * MR), B * K);
-    auto& sc = counters_.stage("fft-trunc");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float);
-    sc.bytes_written = B * K * MR * sizeof(c32);  // only the kept half-spectrum
-    sc.flops = B * K * rfwd_->flops_per_signal();
-    sc.kernel_launches = 1;
+    fwd.execute(u.first(B * K * N), freq_.span().first(B * K * m), B * K);
+    run.fwd_seconds = t.seconds();
   }
 
-  {
-    runtime::Timer t;
+  runtime::Timer t;
+  if constexpr (!FwdFused && !InvFused) {
     gemm::BatchedStrides strides;
     strides.a = 0;
-    strides.b = static_cast<std::ptrdiff_t>(K * MR);
-    strides.c = static_cast<std::ptrdiff_t>(O * MR);
-    gemm::cgemm_batched(O, MR, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), MR,
-                        c32{0.0f, 0.0f}, mixed_.data(), MR, B, strides);
-    auto& sc = counters_.stage("cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * MR + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * MR * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * MR, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    rinv_->execute(mixed_.span().first(B * O * MR), v.first(B * O * N), B * O);
-    auto& sc = counters_.stage("ifft-pad");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * MR * sizeof(c32);  // only the stored prefix
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = B * O * rinv_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-// --------------------------------------------------------- FusedFftGemm (B)
-
-FusedFftGemmPipeline1d::FusedFftGemmPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
-  mixed_.resize(prob_.batch * prob_.out_dim * prob_.modes);
-}
-
-void FusedFftGemmPipeline1d::run(std::span<const c32> u, std::span<const c32> w,
-                                 std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FusedFftGemmPipeline1d::reserve(std::size_t batch) {
-  if (batch <= prob_.batch) return;
-  mixed_.resize(batch * prob_.out_dim * prob_.modes);
-  prob_.batch = batch;
-}
-
-void FusedFftGemmPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                                         std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(M);
+    strides.b = static_cast<std::ptrdiff_t>(K * m);
+    strides.c = static_cast<std::ptrdiff_t>(O * m);
+    gemm::cgemm_batched(O, m, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), m,
+                        c32{0.0f, 0.0f}, mixed_.data(), m, B, strides);
+  } else {
+    const std::size_t ld = simd::round_up_lanes(m);
+    const std::size_t work_elems =
+        FwdFused ? (InvFused ? std::max(fwd.scratch_elems(), inv.scratch_elems())
+                             : fwd.scratch_elems())
+                 : inv.scratch_elems();
     runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
       auto& arena = runtime::tls_scratch();
       const auto scope = arena.scope();
       // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // split tile planes
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // split accumulator planes
-      const std::span<c32> work = arena.alloc<c32>(fwd_.plan().scratch_elems());
+      // The forward's output tile is the GEMM A block (the paper's shared-
+      // memory tile); the accumulator planes stay cache-resident.
+      const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * ld) : std::span<c32>{};
+      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // split A planes
+      const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // split C planes
+      const std::span<c32> row = InvFused ? arena.alloc<c32>(ld) : std::span<c32>{};
+      const std::span<c32> work = arena.alloc<c32>(work_elems);
       std::fill(tsplit.begin(), tsplit.end(), 0.0f);  // lane padding must stay zero
       float* tre = tsplit.data();
       float* tim = tre + kTb * ld;
@@ -223,393 +199,44 @@ void FusedFftGemmPipeline1d::run_batched(std::span<const c32> u, std::span<const
         std::fill(acc.begin(), acc.end(), 0.0f);
         for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
           const std::size_t kc = std::min(kTb, K - k0);
-          // FFT directly into the GEMM operand tile (the shared-memory A
-          // block of the paper), split into SoA planes for the SIMD MAC ...
-          fwd_.forward_tile(u.data() + (b * K + k0) * N, N, kc, tile.data(), ld, work);
+          // A tile source: transform each channel straight into the tile,
+          // or read the stored spectra (already k-major); either way the
+          // split into SoA planes is the only copy the MAC phase pays.
           for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, M);
+            const c32* a;
+            if constexpr (FwdFused) {
+              c32* spectrum = tile.data() + kk * ld;
+              fwd.execute_one(u.data() + (b * K + k0 + kk) * N, 1, spectrum, 1, work);
+              a = spectrum;
+            } else {
+              a = freq_.data() + (b * K + k0 + kk) * m;
+            }
+            simd::split_planes(a, tre + kk * ld, tim + kk * ld, m);
           }
-          // ... and the MAC phase of the k-loop.
           rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
         }
+        // Accumulator sink: the iFFT epilogue straight out of the tile (the
+        // paper's Figure 6(f)), or the stored mixed spectra.
         for (std::size_t o = 0; o < O; ++o) {
-          simd::interleave_planes(are + o * ld, aim + o * ld, mixed_.data() + (b * O + o) * M, M);
+          if constexpr (InvFused) {
+            simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), m);
+            inv.execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
+          } else {
+            simd::interleave_planes(are + o * ld, aim + o * ld, mixed_.data() + (b * O + o) * m,
+                                    m);
+          }
         }
       }
       // tfno-hot-end
     });
-    auto& sc = counters_.stage("fused-fft-cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * N + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * M * sizeof(c32);
-    sc.flops = B * K * fwd_.plan().flops_per_signal() + trace::cgemm_flops(B * M, O, K);
-    sc.kernel_launches = 1;
   }
+  run.kloop_seconds = t.seconds();
 
-  {
-    runtime::Timer t;
-    inv_.plan().execute(mixed_.span(), v, B * O);
-    auto& sc = counters_.stage("ifft-pad");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * M * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = B * O * inv_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
+  if constexpr (!InvFused) {
+    runtime::Timer ti;
+    inv.execute(mixed_.span().first(B * O * m), v.first(B * O * N), B * O);
+    run.inv_seconds = ti.seconds();
   }
-}
-
-void FusedFftGemmPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                              std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
-
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(MR);
-    runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-      const std::span<c32> work = arena.alloc<c32>(rfwd_->scratch_elems());
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);  // lane padding must stay zero
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      float* are = acc.data();
-      float* aim = are + O * ld;
-      for (std::size_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          // RFFT directly into the GEMM operand tile: one packed half-length
-          // transform per channel, untangled to the MR kept bins.
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            rfwd_->execute_one(u.data() + (b * K + k0 + kk) * N, 1, tile.data() + kk * ld, 1,
-                               work);
-            simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MR);
-          }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-        }
-        for (std::size_t o = 0; o < O; ++o) {
-          simd::interleave_planes(are + o * ld, aim + o * ld, mixed_.data() + (b * O + o) * MR,
-                                  MR);
-        }
-      }
-      // tfno-hot-end
-    });
-    auto& sc = counters_.stage("fused-fft-cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float) + O * K * sizeof(c32);
-    sc.bytes_written = B * O * MR * sizeof(c32);
-    sc.flops = B * K * rfwd_->flops_per_signal() + trace::cgemm_flops(B * MR, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    rinv_->execute(mixed_.span().first(B * O * MR), v.first(B * O * N), B * O);
-    auto& sc = counters_.stage("ifft-pad");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * MR * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = B * O * rinv_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-// --------------------------------------------------------- FusedGemmIfft (C)
-
-FusedGemmIfftPipeline1d::FusedGemmIfftPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
-  freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
-}
-
-void FusedGemmIfftPipeline1d::run(std::span<const c32> u, std::span<const c32> w,
-                                  std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FusedGemmIfftPipeline1d::reserve(std::size_t batch) {
-  if (batch <= prob_.batch) return;
-  freq_.resize(batch * prob_.hidden * prob_.modes);
-  prob_.batch = batch;
-}
-
-void FusedGemmIfftPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                                          std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-
-  {
-    runtime::Timer t;
-    fwd_.plan().execute(u, freq_.span(), B * K);
-    auto& sc = counters_.stage("fft-trunc");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(c32);
-    sc.bytes_written = B * K * M * sizeof(c32);
-    sc.flops = B * K * fwd_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(M);
-    runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-      const std::span<c32> row = arena.alloc<c32>(ld);
-      const std::span<c32> work = arena.alloc<c32>(inv_.plan().scratch_elems());
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      float* are = acc.data();
-      float* aim = are + O * ld;
-      for (std::size_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        // The stored spectra already have the k-major tile layout; splitting
-        // them into SoA planes is the only copy the GEMM pays.
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(freq_.data() + (b * K + k0 + kk) * M, tre + kk * ld,
-                               tim + kk * ld, M);
-          }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-        }
-        // iFFT epilogue straight out of the accumulator tile (the paper's
-        // Figure 6(f): iFFT on the result matrix along the output dim).
-        for (std::size_t o = 0; o < O; ++o) {
-          simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), M);
-          inv_.inverse_row(row.data(), v.data() + (b * O + o) * N, work);
-        }
-      }
-      // tfno-hot-end
-    });
-    auto& sc = counters_.stage("fused-cgemm-ifft");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * M + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * M, O, K) + B * O * inv_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-void FusedGemmIfftPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                               std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
-
-  {
-    runtime::Timer t;
-    rfwd_->execute(u.first(B * K * N), freq_.span().first(B * K * MR), B * K);
-    auto& sc = counters_.stage("fft-trunc");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float);
-    sc.bytes_written = B * K * MR * sizeof(c32);
-    sc.flops = B * K * rfwd_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(MR);
-    runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-      const std::span<c32> row = arena.alloc<c32>(ld);
-      const std::span<c32> work = arena.alloc<c32>(rinv_->scratch_elems());
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      float* are = acc.data();
-      float* aim = are + O * ld;
-      for (std::size_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(freq_.data() + (b * K + k0 + kk) * MR, tre + kk * ld,
-                               tim + kk * ld, MR);
-          }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-        }
-        // C2R epilogue straight out of the accumulator tile: Hermitian
-        // extension + half-length inverse, real samples out.
-        for (std::size_t o = 0; o < O; ++o) {
-          simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MR);
-          rinv_->execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
-        }
-      }
-      // tfno-hot-end
-    });
-    auto& sc = counters_.stage("fused-cgemm-ifft");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * MR + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = trace::cgemm_flops(B * MR, O, K) + B * O * rinv_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-// ------------------------------------------------------------ FullyFused (D)
-
-FullyFusedPipeline1d::FullyFusedPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
-}
-
-void FullyFusedPipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FullyFusedPipeline1d::reserve(std::size_t batch) {
-  // No batch-sized workspaces: per-task state lives in the thread arenas.
-  if (batch > prob_.batch) prob_.batch = batch;
-}
-
-void FullyFusedPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                                       std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-
-  runtime::Timer t;
-  const std::size_t ld = simd::round_up_lanes(M);
-  runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = arena.alloc<c32>(kTb * ld);  // FFT out == GEMM A tile
-    const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // its SoA planes
-    const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // C planes, cache-resident
-    const std::span<c32> row = arena.alloc<c32>(ld);
-    const std::span<c32> work = arena.alloc<c32>(fwd_.plan().scratch_elems());
-    std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-    float* tre = tsplit.data();
-    float* tim = tre + kTb * ld;
-    float* are = acc.data();
-    float* aim = are + O * ld;
-    for (std::size_t b = lo; b < hi; ++b) {
-      std::fill(acc.begin(), acc.end(), 0.0f);
-      for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-        const std::size_t kc = std::min(kTb, K - k0);
-        fwd_.forward_tile(u.data() + (b * K + k0) * N, N, kc, tile.data(), ld, work);
-        for (std::size_t kk = 0; kk < kc; ++kk) {
-          simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, M);
-        }
-        rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-      }
-      for (std::size_t o = 0; o < O; ++o) {
-        simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), M);
-        inv_.inverse_row(row.data(), v.data() + (b * O + o) * N, work);
-      }
-    }
-    // tfno-hot-end
-  });
-
-  auto& sc = counters_.stage("fused-fft-cgemm-ifft");
-  sc.seconds = t.seconds();
-  sc.bytes_read = (B * K * N + O * K) * sizeof(c32);
-  sc.bytes_written = B * O * N * sizeof(c32);
-  sc.flops = B * K * fwd_.plan().flops_per_signal() + trace::cgemm_flops(B * M, O, K) +
-             B * O * inv_.plan().flops_per_signal();
-  sc.kernel_launches = 1;
-}
-
-void FullyFusedPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                            std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
-
-  runtime::Timer t;
-  const std::size_t ld = simd::round_up_lanes(MR);
-  const std::size_t work_elems = std::max(rfwd_->scratch_elems(), rinv_->scratch_elems());
-  runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = arena.alloc<c32>(kTb * ld);  // RFFT out == GEMM A tile
-    const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-    const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-    const std::span<c32> row = arena.alloc<c32>(ld);
-    const std::span<c32> work = arena.alloc<c32>(work_elems);
-    std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-    float* tre = tsplit.data();
-    float* tim = tre + kTb * ld;
-    float* are = acc.data();
-    float* aim = are + O * ld;
-    for (std::size_t b = lo; b < hi; ++b) {
-      std::fill(acc.begin(), acc.end(), 0.0f);
-      for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-        const std::size_t kc = std::min(kTb, K - k0);
-        for (std::size_t kk = 0; kk < kc; ++kk) {
-          rfwd_->execute_one(u.data() + (b * K + k0 + kk) * N, 1, tile.data() + kk * ld, 1,
-                             work);
-          simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MR);
-        }
-        rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-      }
-      for (std::size_t o = 0; o < O; ++o) {
-        simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MR);
-        rinv_->execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
-      }
-    }
-    // tfno-hot-end
-  });
-
-  auto& sc = counters_.stage("fused-fft-cgemm-ifft");
-  sc.seconds = t.seconds();
-  sc.bytes_read = B * K * N * sizeof(float) + O * K * sizeof(c32);
-  sc.bytes_written = B * O * N * sizeof(float);
-  sc.flops = B * K * rfwd_->flops_per_signal() + trace::cgemm_flops(B * MR, O, K) +
-             B * O * rinv_->flops_per_signal();
-  sc.kernel_launches = 1;
 }
 
 }  // namespace turbofno::fused

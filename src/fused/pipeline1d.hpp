@@ -1,131 +1,142 @@
-// The four TurboFNO 1D pipeline variants (ladder stages A-D).
+// The staged ladder driver for the four TurboFNO rows (Table 2 A-D), 1D.
 //
-// Shared structure: a "thread block" task owns one batch signal group and
-// iterates the hidden dimension in k_tb-channel tiles, exactly like the
-// GEMM k-loop (Figure 6(c)-(e)).  What differs between variants is which
-// stage boundaries still round-trip through (simulated) global memory.
+// Every row runs the same chain — truncated FFT, k-loop CGEMM over the
+// hidden dim, zero-padded iFFT — and differs only in which of its two stage
+// boundaries still round-trip through (simulated) global memory.  A Fusion
+// names those boundaries; the driver runs
+//
+//   [fft-trunc] -> k-loop stage -> [ifft-pad]
+//
+// where a bracketed stage exists only while its boundary is unfused.  With
+// neither boundary fused (FftOpt) the k-loop stage is the batched CGEMM.
+// Otherwise one task per batch signal iterates the hidden dim in k_tb
+// tiles, exactly like the GEMM k-loop (Figure 6(c)-(e)): its A tile comes
+// from the forward transform itself (fused forward) or from the stored
+// spectra, and its accumulator feeds the per-row inverse (fused inverse)
+// or the stored mixed spectra.
+//
+// Both lanes run the one chain: the complex lane keeps `modes` bins, the
+// real lane keeps the RFFT half-spectrum (modes/2+1 bins) of real samples
+// and inverts with the Hermitian-projecting C2R plan.  The half-spectrum is
+// a capacity subset of the complex workspaces, so the lanes share buffers.
+// This header also holds the stage vocabulary and closed-form accounting
+// the 2D driver reuses for its Y-axis chain.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
+#include <type_traits>
 
 #include "baseline/problem.hpp"
 #include "fft/real.hpp"
 #include "fused/fft_variant.hpp"
+#include "fused/ladder.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
 
 namespace turbofno::fused {
 
-// Every variant carries a second, real-spectral lane (run_batched_real):
-// real samples in/out, modes/2+1 retained RFFT bins instead of modes, and
-// the C2R Hermitian-projecting inverse.  The half-spectrum is a capacity
-// subset of the complex lane's workspaces, so both lanes share buffers; the
-// real plans are acquired lazily on first use (they require n >= 4, which a
-// complex-only pipeline must not be forced to satisfy).
+/// Which boundaries of the FFT -> CGEMM -> iFFT chain a ladder row fuses.
+struct Fusion {
+  bool fwd = false;  // the forward FFT writes the k-loop's A tile directly
+  bool inv = false;  // the iFFT runs as the k-loop's epilogue
+};
 
-/// Stage A: built-in truncation/zero-padding/pruning, kernels unfused.
-/// Three launches: truncated FFT -> batched CGEMM -> zero-padded iFFT; the
-/// separate memcopy passes of the baseline disappear.
-class FftOptPipeline1d {
+/// The boundaries of a concrete fused row (FftOpt .. FullyFused); throws
+/// std::invalid_argument for PyTorch and Auto.
+[[nodiscard]] Fusion fusion_of(Variant v);
+
+/// Calls fn(std::bool_constant<f.fwd>, std::bool_constant<f.inv>) so the
+/// drivers' hot loops compile once per row.
+template <class Fn>
+void with_fusion(Fusion f, Fn&& fn) {
+  if (f.fwd && f.inv) {
+    fn(std::true_type{}, std::true_type{});
+  } else if (f.fwd) {
+    fn(std::true_type{}, std::false_type{});
+  } else if (f.inv) {
+    fn(std::false_type{}, std::true_type{});
+  } else {
+    fn(std::false_type{}, std::false_type{});
+  }
+}
+
+/// Name of the k-loop stage: "cgemm", "fused-fft-cgemm", "fused-cgemm-ifft"
+/// or "fused-fft-cgemm-ifft".
+[[nodiscard]] const char* kloop_stage(Fusion f) noexcept;
+
+/// A row's counters name: "fftopt", "fused-fft-gemm", "fused-gemm-ifft" or
+/// "fully-fused", followed by `dims` ("-1d" / "-2d").
+[[nodiscard]] std::string counters_name(Fusion f, const char* dims);
+
+/// One run through the chain: its closed-form inputs and measured stage
+/// seconds.  Spectra counts are complex elements; the global tensor bytes
+/// are zero when the chain's input/output lives in on-chip staging (the 2D
+/// middle).
+struct ChainRun {
+  const char* fwd_stage;     // name of the unfused forward stage
+  const char* inv_stage;     // name of the unfused inverse stage
+  std::uint64_t src_bytes;   // global bytes the forward transform reads
+  std::uint64_t dst_bytes;   // global bytes the inverse transform writes
+  std::uint64_t in_spectra;  // kept forward spectra, B*K*kept
+  std::uint64_t out_spectra; // kept mixed spectra, B*O*kept
+  std::uint64_t weights;     // O*K
+  std::uint64_t fwd_flops;
+  std::uint64_t gemm_flops;
+  std::uint64_t inv_flops;
+  // Added to the stages' seconds.  The 2D driver accumulates its stage
+  // timings per batch group as it runs and leaves these zero.
+  double fwd_seconds = 0.0;
+  double kloop_seconds = 0.0;
+  double inv_seconds = 0.0;
+};
+
+/// Fills bytes, FLOPs and launches of the chain's stages (one launch each)
+/// for a row with boundaries `f`, and adds the run's stage seconds.  Each
+/// stage is looked up once.
+void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r);
+
+class LadderPipeline1d final : public SpectralPipeline1d {
  public:
-  explicit FftOptPipeline1d(baseline::Spectral1dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
+  LadderPipeline1d(Variant v, baseline::Spectral1dProblem prob);
+
+  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
+                   std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  /// Grows the workspaces so micro-batches up to `batch` run without a
-  /// reallocation; problem().batch becomes the high-water capacity.
-  void reserve(std::size_t batch);
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept { return prob_; }
+                        std::size_t batch) override;
+  void reserve(std::size_t batch) override;
+  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
+    return counters_;
+  }
+  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
+  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept override {
+    return prob_;
+  }
 
  private:
+  // One run on either lane: T is the sample type, m the kept bins.
+  template <class T, class FwdPlan, class InvPlan>
+  void run_lane(const FwdPlan& fwd, const InvPlan& inv, std::size_t m, std::span<const T> u,
+                std::span<const c32> w, std::span<T> v, std::size_t batch);
+  // The chain's stages; records their seconds in `run`.
+  template <bool FwdFused, bool InvFused, class T, class FwdPlan, class InvPlan>
+  void run_chain(const FwdPlan& fwd, const InvPlan& inv, std::size_t m, std::span<const T> u,
+                 std::span<const c32> w, std::span<T> v, std::size_t batch, ChainRun& run);
+
   baseline::Spectral1dProblem prob_;
+  Fusion fusion_;
+  std::string_view name_;
   KLoopFft fwd_;
   EpilogueIfft inv_;
   std::shared_ptr<const fft::RfftPlan> rfwd_;   // lazy: real lane only
   std::shared_ptr<const fft::IrfftPlan> rinv_;  // lazy: real lane only
-  AlignedBuffer<c32> freq_;   // [batch, hidden, modes]
-  AlignedBuffer<c32> mixed_;  // [batch, out_dim, modes]
-  trace::PipelineCounters counters_{"fftopt-1d"};
-};
-
-/// Stage B: forward FFT fused with the CGEMM k-loop; iFFT separate.
-class FusedFftGemmPipeline1d {
- public:
-  explicit FusedFftGemmPipeline1d(baseline::Spectral1dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  /// Grows the workspaces so micro-batches up to `batch` run without a
-  /// reallocation; problem().batch becomes the high-water capacity.
-  void reserve(std::size_t batch);
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept { return prob_; }
-
- private:
-  baseline::Spectral1dProblem prob_;
-  KLoopFft fwd_;
-  EpilogueIfft inv_;
-  std::shared_ptr<const fft::RfftPlan> rfwd_;
-  std::shared_ptr<const fft::IrfftPlan> rinv_;
-  AlignedBuffer<c32> mixed_;  // [batch, out_dim, modes]
-  trace::PipelineCounters counters_{"fused-fft-gemm-1d"};
-};
-
-/// Stage C: forward FFT separate; iFFT fused as the CGEMM epilogue.
-class FusedGemmIfftPipeline1d {
- public:
-  explicit FusedGemmIfftPipeline1d(baseline::Spectral1dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  /// Grows the workspaces so micro-batches up to `batch` run without a
-  /// reallocation; problem().batch becomes the high-water capacity.
-  void reserve(std::size_t batch);
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept { return prob_; }
-
- private:
-  baseline::Spectral1dProblem prob_;
-  KLoopFft fwd_;
-  EpilogueIfft inv_;
-  std::shared_ptr<const fft::RfftPlan> rfwd_;
-  std::shared_ptr<const fft::IrfftPlan> rinv_;
-  AlignedBuffer<c32> freq_;  // [batch, hidden, modes]
-  trace::PipelineCounters counters_{"fused-gemm-ifft-1d"};
-};
-
-/// Stage D: the fully fused FFT-CGEMM-iFFT pass.  One launch; the only
-/// global traffic is the input read, the weight read, and the output write.
-class FullyFusedPipeline1d {
- public:
-  explicit FullyFusedPipeline1d(baseline::Spectral1dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  /// Grows the workspaces so micro-batches up to `batch` run without a
-  /// reallocation; problem().batch becomes the high-water capacity.
-  void reserve(std::size_t batch);
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept { return prob_; }
-
- private:
-  baseline::Spectral1dProblem prob_;
-  KLoopFft fwd_;
-  EpilogueIfft inv_;
-  std::shared_ptr<const fft::RfftPlan> rfwd_;
-  std::shared_ptr<const fft::IrfftPlan> rinv_;
-  trace::PipelineCounters counters_{"fully-fused-1d"};
+  AlignedBuffer<c32> freq_;   // [batch, hidden, modes], unfused forward only
+  AlignedBuffer<c32> mixed_;  // [batch, out_dim, modes], unfused inverse only
+  trace::PipelineCounters counters_;
 };
 
 }  // namespace turbofno::fused

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
+#include <type_traits>
 
 #include "fft/fft2d.hpp"
 #include "fft/plan_cache.hpp"
@@ -65,28 +65,40 @@ std::size_t fused_mid_group_override() noexcept {
   return g_mid_group_override.load(std::memory_order_relaxed);
 }
 
-Pipeline2dBase::Pipeline2dBase(baseline::Spectral2dProblem prob, const char* counters_name)
+LadderPipeline2d::LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob)
     : prob_(prob),
+      fusion_(fusion_of(v)),
+      name_(variant_name(v)),
       fft_x_trunc_(fft::acquire_plan(x_trunc_desc(prob))),
       ifft_x_pad_(fft::acquire_plan(x_pad_desc(prob))),
       fwd_y_(prob.ny, prob.modes_y),
       inv_y_(prob.ny, prob.modes_y),
-      counters_(counters_name) {
+      counters_(counters_name(fusion_, "-2d")) {
   prob_.validate();
-  // The staging tiles are sized lazily by run_groups.
+  // The group-scaled buffers are sized lazily by run_groups.
 }
 
-void Pipeline2dBase::ensure_mid_buffers(std::size_t group) {
+void LadderPipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
+  run_batched(u, w, v, prob_.batch);
+}
+
+void LadderPipeline2d::ensure_mid_buffers(std::size_t group) {
   // Sized for the complex lane's modes_x x-rows, which also covers the real
   // lane's real_modes_x() <= modes_x.
+  const auto ensure = [](AlignedBuffer<c32>& buf, std::size_t elems) {
+    if (buf.size() < elems) buf.resize(elems);
+  };
   const std::size_t tile = prob_.ny * prob_.modes_x;
+  const std::size_t modes = prob_.modes_x * prob_.modes_y;
   ensure(staging_in_, group * prob_.hidden * tile);
   ensure(staging_out_, group * prob_.out_dim * tile);
+  if (!fusion_.fwd) ensure(freq_, group * prob_.hidden * modes);
+  if (!fusion_.inv) ensure(mixed_, group * prob_.out_dim * modes);
 }
 
-void Pipeline2dBase::reserve(std::size_t batch) {
+void LadderPipeline2d::reserve(std::size_t batch) {
   if (batch != 0) {
-    // Pre-size the staging tiles so a batch this large triggers no
+    // Pre-size the group buffers so a batch this large triggers no
     // allocation on the run path (mid_group() caps them at one cache-budget
     // group).  Grow the buffers BEFORE bumping the capacity mark: a
     // bad_alloc here must not leave problem().batch claiming workspaces
@@ -96,21 +108,17 @@ void Pipeline2dBase::reserve(std::size_t batch) {
   if (batch > prob_.batch) prob_.batch = batch;
 }
 
-void Pipeline2dBase::check_spans(std::span<const c32> u, std::span<c32> v,
-                                 std::size_t batch) const {
-  const std::size_t field = prob_.nx * prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "pipeline2d");
+void LadderPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
+                                   std::span<c32> v, std::size_t batch) {
+  run_lane(u, w, v, batch);
 }
 
-void Pipeline2dBase::check_spans_real(std::span<const float> u, std::span<float> v,
-                                      std::size_t batch) const {
-  const std::size_t field = prob_.nx * prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "pipeline2d(real)");
+void LadderPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                        std::span<float> v, std::size_t batch) {
+  run_lane(u, w, v, batch);
 }
 
-std::size_t Pipeline2dBase::mid_group(std::size_t batch) const noexcept {
+std::size_t LadderPipeline2d::mid_group(std::size_t batch) const noexcept {
   if (batch == 0) return 1;
   const std::size_t ov = fused_mid_group_override();
   if (ov > 0) return std::min(ov, batch);
@@ -120,9 +128,9 @@ std::size_t Pipeline2dBase::mid_group(std::size_t batch) const noexcept {
   return std::min(bg, batch);
 }
 
-void Pipeline2dBase::gather_xblock(const MidView& mv, std::size_t bl, std::size_t k0,
-                                   std::size_t kc, std::size_t x0, std::size_t xc,
-                                   std::size_t xb, std::size_t ny, c32* gbuf) noexcept {
+void LadderPipeline2d::gather_xblock(const MidView& mv, std::size_t bl, std::size_t k0,
+                                     std::size_t kc, std::size_t x0, std::size_t xc,
+                                     std::size_t xb, std::size_t ny, c32* gbuf) noexcept {
   // One line-efficient transpose per channel: staging columns [x0, x0+xc)
   // become contiguous rows of gbuf.
   for (std::size_t kk = 0; kk < kc; ++kk) {
@@ -130,17 +138,17 @@ void Pipeline2dBase::gather_xblock(const MidView& mv, std::size_t bl, std::size_
   }
 }
 
-void Pipeline2dBase::scatter_xblock(const MidView& mv, std::size_t bl, std::size_t o,
-                                    std::size_t x0, std::size_t xc, std::size_t ny,
-                                    const c32* sbuf) noexcept {
+void LadderPipeline2d::scatter_xblock(const MidView& mv, std::size_t bl, std::size_t o,
+                                      std::size_t x0, std::size_t xc, std::size_t ny,
+                                      const c32* sbuf) noexcept {
   // Contiguous rows back into staging columns, one transpose per output
   // channel block.
   simd::transpose(sbuf, ny, mv.out_row(bl, o, x0), mv.mx, xc, ny);
 }
 
-void Pipeline2dBase::y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
-                                    std::size_t channels, std::size_t mx, std::size_t my,
-                                    c32* spectra) {
+void LadderPipeline2d::y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
+                                      std::size_t channels, std::size_t mx, std::size_t my,
+                                      c32* spectra) {
   runtime::parallel_for(0, mv.count * channels * mx, 16,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
@@ -158,9 +166,9 @@ void Pipeline2dBase::y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
   });
 }
 
-void Pipeline2dBase::y_inverse_rows(const fft::FftPlan& plan, const MidView& mv,
-                                    std::size_t channels, std::size_t mx, std::size_t my,
-                                    const c32* spectra) {
+void LadderPipeline2d::y_inverse_rows(const fft::FftPlan& plan, const MidView& mv,
+                                      std::size_t channels, std::size_t mx, std::size_t my,
+                                      const c32* spectra) {
   runtime::parallel_for(0, mv.count * channels * mx, 16,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
@@ -178,10 +186,10 @@ void Pipeline2dBase::y_inverse_rows(const fft::FftPlan& plan, const MidView& mv,
   });
 }
 
-void Pipeline2dBase::run_groups(std::size_t batch, std::size_t mx, std::size_t group,
-                                const XForward& x_forward,
-                                const std::function<void(const MidView&)>& middle,
-                                const XInverse& x_inverse) {
+void LadderPipeline2d::run_groups(std::size_t batch, std::size_t mx, std::size_t group,
+                                  const XForward& x_forward,
+                                  const std::function<void(const MidView&)>& middle,
+                                  const XInverse& x_inverse) {
   const std::size_t NY = prob_.ny;
   const std::size_t bg = std::max<std::size_t>(group, 1);
   ensure_mid_buffers(bg);
@@ -221,553 +229,160 @@ void Pipeline2dBase::run_groups(std::size_t batch, std::size_t mx, std::size_t g
   }
 }
 
-void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size_t batch,
-                             std::size_t group,
-                             const std::function<void(const MidView&)>& middle) {
+template <class T>
+void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v,
+                                std::size_t batch) {
+  constexpr bool kReal = std::is_same_v<T, float>;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t NX = prob_.nx;
   const std::size_t NY = prob_.ny;
+  baseline::check_batch_spans(u.size(), v.size(), K * NX * NY, O * NX * NY, B,
+                              kReal ? "pipeline2d(real)" : "pipeline2d");
+  reserve(B);
+  counters_.clear();
+  if (B == 0) return;
+  const std::size_t mx = kReal ? real_modes_x() : prob_.modes_x;
 
-  run_groups(
-      B, prob_.modes_x, group,
-      [&](std::size_t b0, std::size_t g, const fft::XStageTileDst& dst) {
-        fft::fft2d_x_stage_to_tiles(*fft_x_trunc_, u.data() + b0 * K * NX * NY, g * K, NY, dst);
-      },
-      middle,
-      [&](std::size_t b0, std::size_t g, const fft::XStageTileSrc& src) {
-        fft::fft2d_x_stage_from_tiles(*ifft_x_pad_, src, v.data() + b0 * O * NX * NY, g * O,
-                                      NY);
-      });
+  // The real lane's tiles hold its column spectra packed mx = modes_x/2+1
+  // apart; its X stages are the two-for-one R2C / C2R column-pair stages
+  // (fft/real2d.hpp).
+  const XForward x_forward = [&](std::size_t b0, std::size_t g,
+                                 const fft::XStageTileDst& dst) {
+    const T* src = u.data() + b0 * K * NX * NY;
+    if constexpr (kReal) {
+      fft::rfft2d_x_stage_to_tiles(NX, mx, src, g * K, NY, dst);
+    } else {
+      fft::fft2d_x_stage_to_tiles(*fft_x_trunc_, src, g * K, NY, dst);
+    }
+  };
+  const XInverse x_inverse = [&](std::size_t b0, std::size_t g,
+                                 const fft::XStageTileSrc& src) {
+    T* dst = v.data() + b0 * O * NX * NY;
+    if constexpr (kReal) {
+      fft::irfft2d_x_stage_from_tiles(NX, mx, src, dst, g * O, NY);
+    } else {
+      fft::fft2d_x_stage_from_tiles(*ifft_x_pad_, src, dst, g * O, NY);
+    }
+  };
+  with_fusion(fusion_, [&](auto fwd_fused, auto inv_fused) {
+    run_groups(B, mx, mid_group(B), x_forward,
+               [&](const MidView& mv) {
+                 middle_group<decltype(fwd_fused)::value, decltype(inv_fused)::value>(mv, w);
+               },
+               x_inverse);
+  });
 
   // Closed-form per-run accounting.  The staging tiles are the CPU analogue
   // of the paper's shared-memory residency, so — like the fused kernels'
   // on-chip operands — they count zero global-memory traffic: the X stages
-  // touch only the true global tensors u and v.
-  const std::uint64_t e = sizeof(c32);
-  auto& sx = counters_.stage("fft-x-trunc");
-  sx.bytes_read = B * K * NX * NY * e;
-  sx.bytes_written = 0;
-  sx.flops = B * K * NY * fft_x_trunc_->flops_per_signal();
-  sx.kernel_launches = 1;
-  auto& si = counters_.stage("ifft-x-pad");
-  si.bytes_read = 0;
-  si.bytes_written = B * O * NX * NY * e;
-  si.flops = B * O * NY * ifft_x_pad_->flops_per_signal();
-  si.kernel_launches = 1;
-}
-
-void Pipeline2dBase::run_mid_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch, std::size_t group,
-                                  const std::function<void(const MidView&)>& middle) {
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MXR = real_modes_x();
-
-  // The same group staging as run_mid, with the tiles' column spectra
-  // packed MXR apart.
-  run_groups(
-      B, MXR, group,
-      [&](std::size_t b0, std::size_t g, const fft::XStageTileDst& dst) {
-        fft::rfft2d_x_stage_to_tiles(NX, MXR, u.data() + b0 * K * NX * NY, g * K, NY, dst);
-      },
-      middle,
-      [&](std::size_t b0, std::size_t g, const fft::XStageTileSrc& src) {
-        fft::irfft2d_x_stage_from_tiles(NX, MXR, src, v.data() + b0 * O * NX * NY, g * O, NY);
-      });
-
-  // Closed-form per-run accounting.  The real X stages run one full-length
-  // packed C2C transform per column *pair* plus an O(MXR) untangle per
-  // column; field traffic is real floats, and — as in run_mid — the
-  // staging tiles count as on-chip (zero global bytes).
-  const auto fx = fft::acquire_plan({NX, fft::Direction::Forward});
-  const auto ix = fft::acquire_plan({NX, fft::Direction::Inverse});
-  auto& sx = counters_.stage("fft-x-trunc");
-  sx.bytes_read = B * K * NX * NY * sizeof(float);
-  sx.bytes_written = 0;
-  sx.flops = B * K * (NY / 2) * fx->flops_per_signal() + B * K * NY * 8 * MXR;
-  sx.kernel_launches = 1;
-  auto& si = counters_.stage("ifft-x-pad");
-  si.bytes_read = 0;
-  si.bytes_written = B * O * NX * NY * sizeof(float);
-  si.flops = B * O * (NY / 2) * ix->flops_per_signal() + B * O * NY * 8 * MXR;
-  si.kernel_launches = 1;
-}
-
-// ---------------------------------------------------------------- FftOpt (A)
-
-FftOptPipeline2d::FftOptPipeline2d(baseline::Spectral2dProblem prob)
-    : Pipeline2dBase(prob, "fftopt-2d") {}
-
-void FftOptPipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FftOptPipeline2d::ensure_variant_buffers(std::size_t gcap) {
-  const std::size_t modes = prob_.modes_x * prob_.modes_y;
-  ensure(freq_, gcap * prob_.hidden * modes);
-  ensure(mixed_, gcap * prob_.out_dim * modes);
-}
-
-void FftOptPipeline2d::reserve(std::size_t batch) {
-  if (batch != 0) {
-    ensure_variant_buffers(mid_group(batch));
+  // touch only the true global tensors u and v, and the Y chain's input
+  // and output bytes are zero.  The real X stages run one full-length
+  // packed C2C transform per column *pair* plus an O(mx) untangle per
+  // column.
+  std::uint64_t x_fwd_flops = 0;  // per (batch, channel) field
+  std::uint64_t x_inv_flops = 0;
+  if constexpr (kReal) {
+    if (real_x_fwd_flops_ == 0) {
+      real_x_fwd_flops_ = fft::acquire_plan({NX, fft::Direction::Forward})->flops_per_signal();
+      real_x_inv_flops_ = fft::acquire_plan({NX, fft::Direction::Inverse})->flops_per_signal();
+    }
+    x_fwd_flops = (NY / 2) * real_x_fwd_flops_ + NY * 8 * mx;
+    x_inv_flops = (NY / 2) * real_x_inv_flops_ + NY * 8 * mx;
+  } else {
+    x_fwd_flops = NY * fft_x_trunc_->flops_per_signal();
+    x_inv_flops = NY * ifft_x_pad_->flops_per_signal();
   }
-  Pipeline2dBase::reserve(batch);
+  auto& sx = counters_.stage("fft-x-trunc");
+  sx.bytes_read = B * K * NX * NY * sizeof(T);
+  sx.bytes_written = 0;
+  sx.flops = B * K * x_fwd_flops;
+  sx.kernel_launches = 1;
+  const std::uint64_t modes = mx * prob_.modes_y;
+  account_chain(counters_, fusion_,
+                {.fwd_stage = "fft-y-trunc",
+                 .inv_stage = "ifft-y-pad",
+                 .src_bytes = 0,
+                 .dst_bytes = 0,
+                 .in_spectra = B * K * modes,
+                 .out_spectra = B * O * modes,
+                 .weights = O * K,
+                 .fwd_flops = B * K * mx * fwd_y_.plan().flops_per_signal(),
+                 .gemm_flops = trace::cgemm_flops(B * modes, O, K),
+                 .inv_flops = B * O * mx * inv_y_.plan().flops_per_signal()});
+  auto& si = counters_.stage("ifft-x-pad");
+  si.bytes_read = 0;
+  si.bytes_written = B * O * NX * NY * sizeof(T);
+  si.flops = B * O * x_inv_flops;
+  si.kernel_launches = 1;
 }
 
-void FftOptPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
+template <bool FwdFused, bool InvFused>
+void LadderPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
   const std::size_t mx = mv.mx;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t MY = prob_.modes_y;
   const std::size_t modes = mx * MY;
 
-  // Stage 2: truncated FFT along Y (unfused).
-  {
+  if constexpr (!FwdFused) {
     runtime::Timer t;
     y_forward_rows(fwd_y_.plan(), mv, K, mx, MY, freq_.data());
     counters_.stage("fft-y-trunc").seconds += t.seconds();
   }
 
-  // Stage 3: batched CGEMM over the group.
-  {
-    runtime::Timer t;
+  runtime::Timer t;
+  if constexpr (!FwdFused && !InvFused) {
     gemm::BatchedStrides strides;
     strides.a = 0;
     strides.b = static_cast<std::ptrdiff_t>(K * modes);
     strides.c = static_cast<std::ptrdiff_t>(O * modes);
     gemm::cgemm_batched(O, modes, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), modes,
                         c32{0.0f, 0.0f}, mixed_.data(), modes, mv.count, strides);
-    counters_.stage("cgemm").seconds += t.seconds();
+  } else {
+    kloop_group<FwdFused, InvFused>(mv, w);
   }
+  counters_.stage(kloop_stage(fusion_)).seconds += t.seconds();
 
-  // Stage 4: zero-padded iFFT along Y (unfused).
-  {
-    runtime::Timer t;
+  if constexpr (!InvFused) {
+    runtime::Timer ti;
     y_inverse_rows(inv_y_.plan(), mv, O, mx, MY, mixed_.data());
-    counters_.stage("ifft-y-pad").seconds += t.seconds();
+    counters_.stage("ifft-y-pad").seconds += ti.seconds();
   }
 }
 
-void FftOptPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
-  const std::size_t modes = MX * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = 0;
-  sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MX * fwd_y_.plan().flops_per_signal();
-  sy.kernel_launches = 1;
-  auto& sg = counters_.stage("cgemm");
-  sg.bytes_read = (B * K * modes + O * K) * e;
-  sg.bytes_written = B * O * modes * e;
-  sg.flops = trace::cgemm_flops(B * modes, O, K);
-  sg.kernel_launches = 1;
-  auto& sp = counters_.stage("ifft-y-pad");
-  sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = 0;
-  sp.flops = B * O * MX * inv_y_.plan().flops_per_signal();
-  sp.kernel_launches = 1;
-}
-
-void FftOptPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                        std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid_real(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = 0;
-  sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MXR * fwd_y_.plan().flops_per_signal();
-  sy.kernel_launches = 1;
-  auto& sg = counters_.stage("cgemm");
-  sg.bytes_read = (B * K * modes + O * K) * e;
-  sg.bytes_written = B * O * modes * e;
-  sg.flops = trace::cgemm_flops(B * modes, O, K);
-  sg.kernel_launches = 1;
-  auto& sp = counters_.stage("ifft-y-pad");
-  sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = 0;
-  sp.flops = B * O * MXR * inv_y_.plan().flops_per_signal();
-  sp.kernel_launches = 1;
-}
-
-// --------------------------------------------------------- FusedFftGemm (B)
-
-FusedFftGemmPipeline2d::FusedFftGemmPipeline2d(baseline::Spectral2dProblem prob)
-    : Pipeline2dBase(prob, "fused-fft-gemm-2d") {}
-
-void FusedFftGemmPipeline2d::run(std::span<const c32> u, std::span<const c32> w,
-                                 std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FusedFftGemmPipeline2d::ensure_variant_buffers(std::size_t gcap) {
-  ensure(mixed_, gcap * prob_.out_dim * prob_.modes_x * prob_.modes_y);
-}
-
-void FusedFftGemmPipeline2d::reserve(std::size_t batch) {
-  if (batch != 0) {
-    ensure_variant_buffers(mid_group(batch));
-  }
-  Pipeline2dBase::reserve(batch);
-}
-
-void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
+template <bool FwdFused, bool InvFused>
+void LadderPipeline2d::kloop_group(const MidView& mv, std::span<const c32> w) {
   const std::size_t mx = mv.mx;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t NY = prob_.ny;
   const std::size_t MY = prob_.modes_y;
 
-  // Fused FFT-Y + CGEMM: one task per (batch, x-block), iterating the
-  // hidden dim like the GEMM k-loop (Figure 6(c)).  Each k-tile channel
-  // moves through one blocked SIMD transpose so the k-loop streams
-  // contiguous rows (see kXBlock).
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(MY);
-    const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
-    const std::size_t nblk = (mx + xb - 1) / xb;
-    runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
-                          [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
-      const std::span<c32> gbuf = arena.alloc<c32>(kTb * xb * NY);
-      const std::span<c32> work = arena.alloc<c32>(fwd_y_.plan().scratch_elems());
-      // rank_update_split streams whole ld-wide rows, so the tile planes'
-      // lane padding must be zero; the arena hands out raw storage.
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t bl = i / nblk;
-        const std::size_t x0 = (i % nblk) * xb;
-        const std::size_t xc = std::min(xb, mx - x0);
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
-          for (std::size_t xi = 0; xi < xc; ++xi) {
-            float* are = acc.data() + xi * 2 * O * ld;
-            float* aim = are + O * ld;
-            fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
-            for (std::size_t kk = 0; kk < kc; ++kk) {
-              simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MY);
-            }
-            rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-          }
-        }
-        for (std::size_t xi = 0; xi < xc; ++xi) {
-          const float* are = acc.data() + xi * 2 * O * ld;
-          const float* aim = are + O * ld;
-          for (std::size_t o = 0; o < O; ++o) {
-            simd::interleave_planes(are + o * ld, aim + o * ld,
-                                    mixed_.data() + ((bl * O + o) * mx + x0 + xi) * MY,
-                                    MY);
-          }
-        }
-      }
-      // tfno-hot-end
-    });
-    counters_.stage("fused-fft-cgemm").seconds += t.seconds();
-  }
-
-  // Separate zero-padded iFFT along Y.
-  {
-    runtime::Timer t;
-    y_inverse_rows(inv_y_.plan(), mv, O, mx, MY, mixed_.data());
-    counters_.stage("ifft-y-pad").seconds += t.seconds();
-  }
-}
-
-void FusedFftGemmPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
-  const std::size_t modes = MX * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sf = counters_.stage("fused-fft-cgemm");
-  sf.bytes_read = O * K * e;
-  sf.bytes_written = B * O * modes * e;
-  sf.flops = B * K * MX * fwd_y_.plan().flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
-  sf.kernel_launches = 1;
-  auto& sp = counters_.stage("ifft-y-pad");
-  sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = 0;
-  sp.flops = B * O * MX * inv_y_.plan().flops_per_signal();
-  sp.kernel_launches = 1;
-}
-
-void FusedFftGemmPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                              std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid_real(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sf = counters_.stage("fused-fft-cgemm");
-  sf.bytes_read = O * K * e;
-  sf.bytes_written = B * O * modes * e;
-  sf.flops =
-      B * K * MXR * fwd_y_.plan().flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
-  sf.kernel_launches = 1;
-  auto& sp = counters_.stage("ifft-y-pad");
-  sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = 0;
-  sp.flops = B * O * MXR * inv_y_.plan().flops_per_signal();
-  sp.kernel_launches = 1;
-}
-
-// --------------------------------------------------------- FusedGemmIfft (C)
-
-FusedGemmIfftPipeline2d::FusedGemmIfftPipeline2d(baseline::Spectral2dProblem prob)
-    : Pipeline2dBase(prob, "fused-gemm-ifft-2d") {}
-
-void FusedGemmIfftPipeline2d::run(std::span<const c32> u, std::span<const c32> w,
-                                  std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FusedGemmIfftPipeline2d::ensure_variant_buffers(std::size_t gcap) {
-  ensure(freq_, gcap * prob_.hidden * prob_.modes_x * prob_.modes_y);
-}
-
-void FusedGemmIfftPipeline2d::reserve(std::size_t batch) {
-  if (batch != 0) {
-    ensure_variant_buffers(mid_group(batch));
-  }
-  Pipeline2dBase::reserve(batch);
-}
-
-void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
-  const std::size_t mx = mv.mx;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MY = prob_.modes_y;
-
-  // Separate truncated FFT along Y.
-  {
-    runtime::Timer t;
-    y_forward_rows(fwd_y_.plan(), mv, K, mx, MY, freq_.data());
-    counters_.stage("fft-y-trunc").seconds += t.seconds();
-  }
-
-  // Fused CGEMM + iFFT-Y epilogue per (batch, x-block).  The gather side
-  // reads freq_ rows contiguously; only the scatter into the y-major
-  // staging needs the blocked transpose (see kXBlock).
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(MY);
-    const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
-    const std::size_t nblk = (mx + xb - 1) / xb;
-    runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
-                          [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
-      const std::span<c32> row = arena.alloc<c32>(ld);
-      const std::span<c32> sbuf = arena.alloc<c32>(xb * NY);
-      const std::span<c32> work = arena.alloc<c32>(inv_y_.plan().scratch_elems());
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t bl = i / nblk;
-        const std::size_t x0 = (i % nblk) * xb;
-        const std::size_t xc = std::min(xb, mx - x0);
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          for (std::size_t xi = 0; xi < xc; ++xi) {
-            float* are = acc.data() + xi * 2 * O * ld;
-            float* aim = are + O * ld;
-            // Gather the k-major tile straight into SoA planes (rows are
-            // MY apart within a channel, channels mx*MY apart) — the
-            // split is the gather copy the seed already paid.
-            for (std::size_t kk = 0; kk < kc; ++kk) {
-              simd::split_planes(
-                  freq_.data() + ((bl * K + k0 + kk) * mx + x0 + xi) * MY,
-                  tre + kk * ld, tim + kk * ld, MY);
-            }
-            rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-          }
-        }
-        for (std::size_t o = 0; o < O; ++o) {
-          for (std::size_t xi = 0; xi < xc; ++xi) {
-            const float* are = acc.data() + xi * 2 * O * ld;
-            const float* aim = are + O * ld;
-            simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-            inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
-          }
-          scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
-        }
-      }
-      // tfno-hot-end
-    });
-    counters_.stage("fused-cgemm-ifft").seconds += t.seconds();
-  }
-}
-
-void FusedGemmIfftPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
-  const std::size_t modes = MX * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = 0;
-  sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MX * fwd_y_.plan().flops_per_signal();
-  sy.kernel_launches = 1;
-  auto& sf = counters_.stage("fused-cgemm-ifft");
-  sf.bytes_read = (B * K * modes + O * K) * e;
-  sf.bytes_written = 0;
-  sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MX * inv_y_.plan().flops_per_signal();
-  sf.kernel_launches = 1;
-}
-
-void FusedGemmIfftPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                               std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid_real(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = 0;
-  sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MXR * fwd_y_.plan().flops_per_signal();
-  sy.kernel_launches = 1;
-  auto& sf = counters_.stage("fused-cgemm-ifft");
-  sf.bytes_read = (B * K * modes + O * K) * e;
-  sf.bytes_written = 0;
-  sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MXR * inv_y_.plan().flops_per_signal();
-  sf.kernel_launches = 1;
-}
-
-// ------------------------------------------------------------ FullyFused (D)
-
-FullyFusedPipeline2d::FullyFusedPipeline2d(baseline::Spectral2dProblem prob)
-    : Pipeline2dBase(prob, "fully-fused-2d") {}
-
-void FullyFusedPipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
-
-void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
-  const std::size_t mx = mv.mx;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MY = prob_.modes_y;
-
-  // Fused FFT-Y + CGEMM + iFFT-Y per (batch, x-block): the middle of the
-  // pipeline never touches global memory (Figure 9's fused kernel).  A
-  // block of kXBlock x-rows moves through one SIMD transpose per k-tile
-  // channel (and back per output channel) so the k-loop always streams
-  // contiguous rows.
-  runtime::Timer t;
+  // One task per (batch, x-block), iterating the hidden dim like the GEMM
+  // k-loop (Figure 6(c)); with both boundaries fused the middle never
+  // touches global memory (Figure 9's fused kernel).  A fused forward moves
+  // each k-tile channel's x-block through one blocked SIMD transpose, and a
+  // fused inverse moves each output channel's block back the same way (see
+  // kXBlock); the stored spectra are read and written row-contiguously.
   const std::size_t ld = simd::round_up_lanes(MY);
   const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
   const std::size_t nblk = (mx + xb - 1) / xb;
+  const std::size_t work_elems =
+      FwdFused ? fwd_y_.plan().scratch_elems() : inv_y_.plan().scratch_elems();
   runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
+    const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * ld) : std::span<c32>{};
     const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
     const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
-    const std::span<c32> row = arena.alloc<c32>(ld);
-    const std::span<c32> gbuf = arena.alloc<c32>(kTb * xb * NY);
-    const std::span<c32> sbuf = arena.alloc<c32>(xb * NY);
-    const std::span<c32> work = arena.alloc<c32>(fwd_y_.plan().scratch_elems());
+    const std::span<c32> row = InvFused ? arena.alloc<c32>(ld) : std::span<c32>{};
+    const std::span<c32> gbuf = FwdFused ? arena.alloc<c32>(kTb * xb * NY) : std::span<c32>{};
+    const std::span<c32> sbuf = InvFused ? arena.alloc<c32>(xb * NY) : std::span<c32>{};
+    const std::span<c32> work = arena.alloc<c32>(work_elems);
     // rank_update_split streams whole ld-wide rows, so the tile planes'
     // lane padding must be zero; the arena hands out raw storage.
     std::fill(tsplit.begin(), tsplit.end(), 0.0f);
@@ -780,13 +395,22 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
       std::fill(acc.begin(), acc.end(), 0.0f);
       for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
         const std::size_t kc = std::min(kTb, K - k0);
-        gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
+        if constexpr (FwdFused) gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
         for (std::size_t xi = 0; xi < xc; ++xi) {
           float* are = acc.data() + xi * 2 * O * ld;
           float* aim = are + O * ld;
-          fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
+          if constexpr (FwdFused) {
+            fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
+          }
           for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MY);
+            // Stored rows are MY apart within a channel, channels mx*MY apart.
+            const c32* a;
+            if constexpr (FwdFused) {
+              a = tile.data() + kk * ld;
+            } else {
+              a = freq_.data() + ((bl * K + k0 + kk) * mx + x0 + xi) * MY;
+            }
+            simd::split_planes(a, tre + kk * ld, tim + kk * ld, MY);
           }
           rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
         }
@@ -795,65 +419,19 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
         for (std::size_t xi = 0; xi < xc; ++xi) {
           const float* are = acc.data() + xi * 2 * O * ld;
           const float* aim = are + O * ld;
-          simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-          inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
+          if constexpr (InvFused) {
+            simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
+            inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
+          } else {
+            simd::interleave_planes(are + o * ld, aim + o * ld,
+                                    mixed_.data() + ((bl * O + o) * mx + x0 + xi) * MY, MY);
+          }
         }
-        scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
+        if constexpr (InvFused) scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
       }
     }
     // tfno-hot-end
   });
-  counters_.stage("fused-fft-cgemm-ifft").seconds += t.seconds();
-}
-
-void FullyFusedPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
-  const std::size_t modes = MX * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  run_mid(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sf = counters_.stage("fused-fft-cgemm-ifft");
-  sf.bytes_read = O * K * e;
-  sf.bytes_written = 0;
-  sf.flops = B * K * MX * fwd_y_.plan().flops_per_signal() +
-             trace::cgemm_flops(B * modes, O, K) +
-             B * O * MX * inv_y_.plan().flops_per_signal();
-  sf.kernel_launches = 1;
-}
-
-void FullyFusedPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                            std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  run_mid_real(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sf = counters_.stage("fused-fft-cgemm-ifft");
-  sf.bytes_read = O * K * e;
-  sf.bytes_written = 0;
-  sf.flops = B * K * MXR * fwd_y_.plan().flops_per_signal() +
-             trace::cgemm_flops(B * modes, O, K) +
-             B * O * MXR * inv_y_.plan().flops_per_signal();
-  sf.kernel_launches = 1;
 }
 
 }  // namespace turbofno::fused

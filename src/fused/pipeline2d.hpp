@@ -1,21 +1,28 @@
-// The four TurboFNO 2D pipeline variants (ladder stages A-D).
+// The staged ladder driver for the four TurboFNO rows (Table 2 A-D), 2D.
 //
 // 2D structure (Figure 4): the first FFT stage runs along DimX with
-// truncation to modes_x rows; the middle of the pipeline — FFT along DimY,
-// CGEMM over the hidden dim, iFFT along DimY — is where fusion applies; the
-// last stage is the zero-padded inverse FFT along DimX.
+// truncation to modes_x rows; the middle — FFT along DimY, CGEMM over the
+// hidden dim, iFFT along DimY — is the 1D chain of fused/pipeline1d.hpp
+// applied to every kept x-row, and is where the row's Fusion applies; the
+// last stage is the zero-padded inverse FFT along DimX.  A run is
 //
-// Every variant runs the same middle-stage schedule: the X stage streams
-// y-major [slab, modes_x] tiles (fft::fft2d_x_stage_to_tiles) into a
+//   fft-x-trunc -> [fft-y-trunc] -> k-loop stage -> [ifft-y-pad] -> ifft-x-pad
+//
+// with the bracketed stages present only while their boundary is unfused.
+//
+// Every row and both lanes share one schedule: the X stage streams
+// y-major [slab, mx] tiles (fft::fft2d_x_stage_to_tiles, or the real lane's
+// two-for-one column-pair stage keeping modes_x/2+1 x-rows) into a
 // cache-sized staging block covering a small group of batch elements; the
-// Y/CGEMM middle consumes the tiles and writes its output tiles back the
-// same way, and the inverse X stage drains them
-// (fft::fft2d_x_stage_from_tiles).  The full [B*K*mx*ny] intermediate is
-// never written or re-read, and both X-stage transposes next to it
-// disappear.  The variants differ only in which middle stages they fuse.
+// Y middle consumes the tiles and writes its output tiles back the same
+// way, and the inverse X stage drains them.  The full [B*K*mx*ny]
+// intermediate is never written or re-read.  The fused k-loop tasks own a
+// block of x-rows each and move it through one blocked SIMD transpose per
+// channel, so every transform sees a contiguous signal.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -24,6 +31,8 @@
 #include "fft/fft2d.hpp"
 #include "fft/plan.hpp"
 #include "fused/fft_variant.hpp"
+#include "fused/ladder.hpp"
+#include "fused/pipeline1d.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
@@ -39,28 +48,34 @@ void set_fused_mid_group(std::size_t g) noexcept;
 /// The active group-size override (0 = default policy).
 [[nodiscard]] std::size_t fused_mid_group_override() noexcept;
 
-/// Common substrate for the 2D variants: the along-X truncated/padded
-/// stages, the batch-group staging of the middle stages, and the buffers
-/// every variant needs.
-class Pipeline2dBase {
+class LadderPipeline2d final : public SpectralPipeline2d {
  public:
-  explicit Pipeline2dBase(baseline::Spectral2dProblem prob, const char* counters_name);
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const baseline::Spectral2dProblem& problem() const noexcept { return prob_; }
+  LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob);
 
+  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
+  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
+                   std::size_t batch) override;
+  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
+                        std::size_t batch) override;
   /// Elastic capacity: problem().batch is a hint, not a contract.  Bumps
-  /// the high-water capacity and pre-sizes the staging tiles so a batch
-  /// this large runs without reallocating (the run itself still lazily
-  /// grows them, grow-only, if the group override changes afterwards).
-  /// Variants with their own group-scaled buffers shadow this and pre-size
-  /// those too.
-  void reserve(std::size_t batch);
+  /// the high-water capacity and pre-sizes the staging tiles (and the
+  /// unfused boundaries' group spectra) so a batch this large runs without
+  /// reallocating; the run itself still lazily grows them, grow-only, if
+  /// the group override changes afterwards.
+  void reserve(std::size_t batch) override;
+  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
+    return counters_;
+  }
+  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
+  [[nodiscard]] const baseline::Spectral2dProblem& problem() const noexcept override {
+    return prob_;
+  }
 
- protected:
+ private:
   /// View of one batch group's y-major staging tiles.  Rows are addressed
   /// as (bl, channel, x) with bl local to the group; a row's y samples are
-  /// `mx` apart and consecutive x rows are adjacent.  Variant middle stages
-  /// are written once against this view and serve both spectral lanes.
+  /// `mx` apart and consecutive x rows are adjacent.  The middle is written
+  /// once against this view and serves both spectral lanes.
   struct MidView {
     const c32* in = nullptr;  // post-X spectra, group base
     c32* out = nullptr;       // pre-inverse-X spectra, group base
@@ -78,22 +93,19 @@ class Pipeline2dBase {
     }
   };
 
-  /// Runs X stage -> middle -> inverse X stage over `batch` elements, one
-  /// batch group of `group` elements at a time (sampled once by the caller
-  /// from mid_group(), so one run never disagrees with the caller's
-  /// group-sized buffers).  `middle` is invoked once per batch group and
-  /// must only accumulate stage *timings* — byte/FLOP counters are
-  /// closed-form per run and belong to the caller.
-  void run_mid(std::span<const c32> u, std::span<c32> v, std::size_t batch, std::size_t group,
-               const std::function<void(const MidView&)>& middle);
+  // One run on either lane: T is the sample type (c32 or float).
+  template <class T>
+  void run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch);
 
-  /// Real-spectral twin of run_mid: the X stages are the two-for-one R2C /
-  /// C2R column-pair stages (fft/real2d.hpp) keeping real_modes_x() x-rows,
-  /// and the staging tiles are packed for that narrower extent.  The same
-  /// `middle` callables work on both lanes — they read every extent from
-  /// the view.
-  void run_mid_real(std::span<const float> u, std::span<float> v, std::size_t batch,
-                    std::size_t group, const std::function<void(const MidView&)>& middle);
+  /// One group's Y chain: the unfused boundaries as separate passes around
+  /// the k-loop stage.  Accumulates stage timings only; bytes and FLOPs are
+  /// closed-form per run (account_chain).
+  template <bool FwdFused, bool InvFused>
+  void middle_group(const MidView& mv, std::span<const c32> w);
+
+  /// The fused k-loop over one group: one task per (batch, x-block).
+  template <bool FwdFused, bool InvFused>
+  void kloop_group(const MidView& mv, std::span<const c32> w);
 
   /// X-rows the real lane keeps: modes_x/2+1 RFFT bins (<= modes_x, so
   /// every MX-sized workspace covers the real layout).
@@ -104,10 +116,10 @@ class Pipeline2dBase {
   /// budget (always >= 1).
   [[nodiscard]] std::size_t mid_group(std::size_t batch) const noexcept;
 
-  /// Blocked tile I/O of the fused middle loops (single-sourced so the
-  /// staging transposes exist once): gather_xblock moves a k-tile's
-  /// [ny, xc] y-major staging columns into contiguous gbuf rows (channel kk
-  /// at gbuf + kk*xb*ny, row xi at + xi*ny); scatter_xblock moves xc
+  /// Blocked tile I/O of the fused k-loop (single-sourced so the staging
+  /// transposes exist once): gather_xblock moves a k-tile's [ny, xc]
+  /// y-major staging columns into contiguous gbuf rows (channel kk at
+  /// gbuf + kk*xb*ny, row xi at + xi*ny); scatter_xblock moves xc
   /// contiguous sbuf rows back into output channel o's staging columns.
   static void gather_xblock(const MidView& mv, std::size_t bl, std::size_t k0,
                             std::size_t kc, std::size_t x0, std::size_t xc, std::size_t xb,
@@ -116,9 +128,8 @@ class Pipeline2dBase {
                              std::size_t x0, std::size_t xc, std::size_t ny,
                              const c32* sbuf) noexcept;
 
-  /// The separate Y-stage passes over one group, single-sourced for the
-  /// A/B/C variants: one plan.execute_one per (bl, channel, x) row.
-  /// y_forward_rows reads view rows into the dense
+  /// The unfused Y passes over one group: one plan.execute_one per
+  /// (bl, channel, x) row.  y_forward_rows reads view rows into the dense
   /// [group, channels, mx, my] spectra block; y_inverse_rows reads that
   /// block's my-element rows back out into view rows.
   static void y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
@@ -128,24 +139,14 @@ class Pipeline2dBase {
                              std::size_t channels, std::size_t mx, std::size_t my,
                              const c32* spectra);
 
-  /// Throws when the caller's buffers cannot hold `batch` fields (capacity
-  /// itself is elastic; see reserve).
-  void check_spans(std::span<const c32> u, std::span<c32> v, std::size_t batch) const;
-  void check_spans_real(std::span<const float> u, std::span<float> v, std::size_t batch) const;
-
-  /// Grow-only (re)allocation for the lazily sized buffers.
-  static void ensure(AlignedBuffer<c32>& buf, std::size_t elems) {
-    if (buf.size() < elems) buf.resize(elems);
-  }
-
-  /// Single sizing authority for the staging tiles, shared by reserve()
+  /// Grow-only sizing of every group-scaled buffer: the staging tiles and
+  /// the unfused boundaries' spectra.  Single authority shared by reserve()
   /// and run_groups() so the two can never disagree on a formula.
   void ensure_mid_buffers(std::size_t group);
 
-  /// The group loop shared by run_mid and run_mid_real: per group,
-  /// x_forward(b0, g, dst) fills the input staging tiles, `middle` maps
-  /// them to the output tiles, and x_inverse(b0, g, src) drains those.
-  /// `mx` is the tiles' x-extent.
+  /// The group loop: per group, x_forward(b0, g, dst) fills the input
+  /// staging tiles, `middle` maps them to the output tiles, and
+  /// x_inverse(b0, g, src) drains those.  `mx` is the tiles' x-extent.
   using XForward = std::function<void(std::size_t, std::size_t, const fft::XStageTileDst&)>;
   using XInverse = std::function<void(std::size_t, std::size_t, const fft::XStageTileSrc&)>;
   void run_groups(std::size_t batch, std::size_t mx, std::size_t group,
@@ -154,90 +155,25 @@ class Pipeline2dBase {
                   const XInverse& x_inverse);
 
   baseline::Spectral2dProblem prob_;
+  Fusion fusion_;
+  std::string_view name_;
   // X-stage plans come from the process-wide cache so concurrent pipelines
   // (one per serving-layer model) share them.
   std::shared_ptr<const fft::FftPlan> fft_x_trunc_;
   std::shared_ptr<const fft::FftPlan> ifft_x_pad_;
   KLoopFft fwd_y_;      // truncated FFT along Y feeding the GEMM k-loop
   EpilogueIfft inv_y_;  // zero-padded iFFT along Y (CGEMM epilogue)
+  // FLOPs per signal of the real lane's full-length packed X transforms,
+  // looked up on its first run (0 until then).
+  std::uint64_t real_x_fwd_flops_ = 0;
+  std::uint64_t real_x_inv_flops_ = 0;
   // Staging tiles, lazily sized by run_groups: one batch group in y-major
   // order.
   AlignedBuffer<c32> staging_in_;   // [bg, K, ny, mx] after the X stage
   AlignedBuffer<c32> staging_out_;  // [bg, O, ny, mx] before the X inverse
+  AlignedBuffer<c32> freq_;         // [bg, K, mx, my], unfused forward only
+  AlignedBuffer<c32> mixed_;        // [bg, O, mx, my], unfused inverse only
   trace::PipelineCounters counters_;
-};
-
-/// Stage A: every kernel truncated/zero-padded, nothing fused (5 launches).
-class FftOptPipeline2d : public Pipeline2dBase {
- public:
-  explicit FftOptPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  void reserve(std::size_t batch);  // also pre-sizes freq_/mixed_
-
- private:
-  void ensure_variant_buffers(std::size_t gcap);  // single sizing authority
-  // One group's Y-FFT -> CGEMM -> Y-iFFT middle, shared by both spectral
-  // lanes: mv.mx is the x-extent of the group's spectra (modes_x on the
-  // complex lane, real_modes_x() on the real lane).
-  void middle_group(const MidView& mv, std::span<const c32> w);
-
-  AlignedBuffer<c32> freq_;   // [group, K, mx, my]
-  AlignedBuffer<c32> mixed_;  // [group, O, mx, my]
-};
-
-/// Stage B: FFT-Y fused with CGEMM; iFFT-Y separate (4 launches).
-class FusedFftGemmPipeline2d : public Pipeline2dBase {
- public:
-  explicit FusedFftGemmPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  void reserve(std::size_t batch);  // also pre-sizes mixed_
-
- private:
-  void ensure_variant_buffers(std::size_t gcap);
-  void middle_group(const MidView& mv, std::span<const c32> w);
-
-  AlignedBuffer<c32> mixed_;  // [group, O, mx, my]
-};
-
-/// Stage C: FFT-Y separate; CGEMM fused with the iFFT-Y epilogue.
-class FusedGemmIfftPipeline2d : public Pipeline2dBase {
- public:
-  explicit FusedGemmIfftPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  void reserve(std::size_t batch);  // also pre-sizes freq_
-
- private:
-  void ensure_variant_buffers(std::size_t gcap);
-  void middle_group(const MidView& mv, std::span<const c32> w);
-
-  AlignedBuffer<c32> freq_;  // [group, K, mx, my]
-};
-
-/// Stage D: fused FFT-Y + CGEMM + iFFT-Y between the two X stages
-/// (3 launches).
-class FullyFusedPipeline2d : public Pipeline2dBase {
- public:
-  explicit FullyFusedPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-
- private:
-  void middle_group(const MidView& mv, std::span<const c32> w);
 };
 
 }  // namespace turbofno::fused

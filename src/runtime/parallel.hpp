@@ -42,11 +42,13 @@ void parallel_for_impl(std::size_t begin, std::size_t end, std::size_t grain,
 
 /// Runs body(lo, hi) over a partition of [begin, end).  Chunks are at least
 /// `grain` iterations; a range smaller than `grain` runs inline on the
-/// calling thread (no fork overhead for tiny problems).
+/// calling thread (no fork overhead for tiny problems).  The call is
+/// synchronous, so the body travels by reference: std::function keeps the
+/// reference inline and no call heap-allocates a copy of the closure.
 template <class Body>
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
   detail::parallel_for_impl(begin, end, grain,
-                            std::function<void(std::size_t, std::size_t)>(std::forward<Body>(body)));
+                            std::function<void(std::size_t, std::size_t)>(std::ref(body)));
 }
 
 /// Element-wise convenience: body(i) for i in [begin, end).

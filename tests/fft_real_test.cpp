@@ -3,7 +3,6 @@
 // cache, and the 2D real X stage.
 #include <gtest/gtest.h>
 
-#include <random>
 #include <vector>
 
 #include "fft/fft2d.hpp"
@@ -19,14 +18,7 @@ namespace {
 
 using turbofno::testing::fft_tol;
 using turbofno::testing::max_err;
-
-std::vector<float> random_reals(std::size_t n, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  std::vector<float> v(n);
-  for (auto& x : v) x = dist(rng);
-  return v;
-}
+using turbofno::testing::random_reals;
 
 std::vector<c32> as_complex(const std::vector<float>& x) {
   std::vector<c32> z(x.size());

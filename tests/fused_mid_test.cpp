@@ -5,8 +5,6 @@
 // an allocation-free steady state.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <random>
 #include <vector>
 
 #include "fft/fft2d.hpp"
@@ -24,25 +22,14 @@ using baseline::Spectral2dProblem;
 using fused::Variant;
 using testing::fft_tol;
 using testing::max_err;
+using testing::random_reals;
 using testing::random_signal;
+using testing::same_bits;
 
 // Restores the default group policy even when a test fails mid-flight.
 struct GroupGuard {
   ~GroupGuard() { fused::set_fused_mid_group(0); }
 };
-
-template <class T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
-
-std::vector<float> random_reals(std::size_t n, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  std::vector<float> v(n);
-  for (auto& x : v) x = dist(rng);
-  return v;
-}
 
 // ------------------------------------------------ pipeline ladder parity
 

@@ -8,9 +8,11 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fft/opcount.hpp"
+#include "fft/plan_cache.hpp"
 #include "fused/ladder.hpp"
 #include "test_util.hpp"
 
@@ -19,6 +21,7 @@ namespace {
 
 using baseline::Spectral1dProblem;
 using baseline::Spectral2dProblem;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 
 class CounterLaws1d : public ::testing::TestWithParam<Spectral1dProblem> {};
@@ -83,6 +86,83 @@ TEST_P(CounterLaws1d, PartialFusionsBracketTheEndpoints) {
   EXPECT_GE(c, d);
 }
 
+// Stage vocabulary of every fused row, in run order.  bench/suite and
+// bench_fig01c read stages by name, so a renamed or reordered stage (on
+// either lane) would silently zero a ledger column.
+struct RowStages {
+  Variant variant;
+  const char* counters;
+  std::vector<std::string> stages;  // one launch each
+};
+
+const std::vector<RowStages>& rows_1d() {
+  static const std::vector<RowStages> rows = {
+      {Variant::FftOpt, "fftopt-1d", {"fft-trunc", "cgemm", "ifft-pad"}},
+      {Variant::FusedFftGemm, "fused-fft-gemm-1d", {"fused-fft-cgemm", "ifft-pad"}},
+      {Variant::FusedGemmIfft, "fused-gemm-ifft-1d", {"fft-trunc", "fused-cgemm-ifft"}},
+      {Variant::FullyFused, "fully-fused-1d", {"fused-fft-cgemm-ifft"}},
+  };
+  return rows;
+}
+
+// One run of `var` on the complex or the real lane; returns its counters.
+trace::PipelineCounters run_lane_1d(Variant var, const Spectral1dProblem& p, bool real) {
+  const auto w = random_signal(p.weight_elems(), 3003u);
+  auto pipe = make_pipeline1d(var, p);
+  if (real) {
+    const auto u = random_reals(p.input_elems(), 3001u);
+    std::vector<float> v(p.output_elems());
+    pipe->run_batched_real(u, w, v, p.batch);
+  } else {
+    const auto u = random_signal(p.input_elems(), 3001u);
+    std::vector<c32> v(p.output_elems());
+    pipe->run_batched(u, w, v, p.batch);
+  }
+  return pipe->counters();
+}
+
+void expect_stages(const trace::PipelineCounters& c, const RowStages& row, bool real) {
+  EXPECT_EQ(c.name(), row.counters) << (real ? "real lane" : "complex lane");
+  std::vector<std::string> names;
+  for (const auto& s : c.stages()) {
+    names.push_back(s.name);
+    EXPECT_EQ(s.kernel_launches, 1u) << row.counters << " " << s.name;
+  }
+  EXPECT_EQ(names, row.stages) << row.counters << (real ? " (real lane)" : " (complex lane)");
+  EXPECT_EQ(c.total().kernel_launches, row.stages.size()) << row.counters;
+}
+
+TEST_P(CounterLaws1d, StageNamesAndLaunchesEveryRowBothLanes) {
+  const auto& p = GetParam();
+  for (const bool real : {false, true}) {
+    for (const auto& row : rows_1d()) expect_stages(run_lane_1d(row.variant, p, real), row, real);
+  }
+}
+
+TEST_P(CounterLaws1d, FullyFusedRealLaneBytesFormula) {
+  // Real samples in and out, complex weights: B*K*n*4 + O*K*8 read,
+  // B*O*n*4 written.
+  const auto& p = GetParam();
+  const auto t = run_lane_1d(Variant::FullyFused, p, true).total();
+  EXPECT_EQ(t.bytes_read, p.input_elems() * sizeof(float) + p.weight_elems() * sizeof(c32));
+  EXPECT_EQ(t.bytes_written, p.output_elems() * sizeof(float));
+  EXPECT_EQ(t.kernel_launches, 1u);
+}
+
+TEST_P(CounterLaws1d, RealLaneFlopsEveryRow) {
+  // Fusion moves data, not arithmetic: every row reports the half-spectrum
+  // chain's FLOPs (modes/2+1 kept bins).
+  const auto& p = GetParam();
+  const std::size_t mr = p.modes / 2 + 1;
+  const std::uint64_t expect =
+      p.batch * p.hidden * fft::acquire_rfft_plan(p.n, mr)->flops_per_signal() +
+      trace::cgemm_flops(p.batch * mr, p.out_dim, p.hidden) +
+      p.batch * p.out_dim * fft::acquire_irfft_plan(p.n, mr)->flops_per_signal();
+  for (const auto& row : rows_1d()) {
+    EXPECT_EQ(run_lane_1d(row.variant, p, true).total().flops, expect) << row.counters;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, CounterLaws1d,
                          ::testing::Values(Spectral1dProblem{1, 8, 8, 32, 8},
                                            Spectral1dProblem{3, 16, 8, 64, 16},
@@ -126,6 +206,80 @@ TEST_P(CounterLaws2d, TruncationShrinksTheMiddle) {
   }
   EXPECT_LT(mid_bytes,
             pipe->counters().stages().front().bytes_total());
+}
+
+const std::vector<RowStages>& rows_2d() {
+  static const std::vector<RowStages> rows = {
+      {Variant::FftOpt,
+       "fftopt-2d",
+       {"fft-x-trunc", "fft-y-trunc", "cgemm", "ifft-y-pad", "ifft-x-pad"}},
+      {Variant::FusedFftGemm,
+       "fused-fft-gemm-2d",
+       {"fft-x-trunc", "fused-fft-cgemm", "ifft-y-pad", "ifft-x-pad"}},
+      {Variant::FusedGemmIfft,
+       "fused-gemm-ifft-2d",
+       {"fft-x-trunc", "fft-y-trunc", "fused-cgemm-ifft", "ifft-x-pad"}},
+      {Variant::FullyFused,
+       "fully-fused-2d",
+       {"fft-x-trunc", "fused-fft-cgemm-ifft", "ifft-x-pad"}},
+  };
+  return rows;
+}
+
+trace::PipelineCounters run_lane_2d(Variant var, const Spectral2dProblem& p, bool real) {
+  const auto w = random_signal(p.weight_elems(), 3013u);
+  auto pipe = make_pipeline2d(var, p);
+  if (real) {
+    const auto u = random_reals(p.input_elems(), 3011u);
+    std::vector<float> v(p.output_elems());
+    pipe->run_batched_real(u, w, v, p.batch);
+  } else {
+    const auto u = random_signal(p.input_elems(), 3011u);
+    std::vector<c32> v(p.output_elems());
+    pipe->run_batched(u, w, v, p.batch);
+  }
+  return pipe->counters();
+}
+
+TEST_P(CounterLaws2d, StageNamesAndLaunchesEveryRowBothLanes) {
+  const auto& p = GetParam();
+  for (const bool real : {false, true}) {
+    for (const auto& row : rows_2d()) expect_stages(run_lane_2d(row.variant, p, real), row, real);
+  }
+}
+
+TEST_P(CounterLaws2d, FullyFusedRealLaneBytesFormula) {
+  const auto& p = GetParam();
+  const auto t = run_lane_2d(Variant::FullyFused, p, true).total();
+  EXPECT_EQ(t.bytes_read, p.input_elems() * sizeof(float) + p.weight_elems() * sizeof(c32));
+  EXPECT_EQ(t.bytes_written, p.output_elems() * sizeof(float));
+  EXPECT_EQ(t.kernel_launches, 3u);
+}
+
+TEST_P(CounterLaws2d, FlopsEveryRowBothLanes) {
+  // X stages, then the Y chain over the kept x-rows.  The real lane's X
+  // stages run one full-length packed transform per column pair plus an
+  // 8-FLOP-per-bin untangle per column, and keep modes_x/2+1 x-rows.
+  const auto& p = GetParam();
+  const std::uint64_t B = p.batch;
+  const std::uint64_t K = p.hidden;
+  const std::uint64_t O = p.out_dim;
+  const std::uint64_t NY = p.ny;
+  for (const bool real : {false, true}) {
+    const std::uint64_t mx = real ? p.modes_x / 2 + 1 : p.modes_x;
+    const std::uint64_t x_fwd = real ? (NY / 2) * fft::count_full_ops(p.nx).flops() + NY * 8 * mx
+                                     : NY * fft::count_pruned_ops(p.nx, mx, p.nx).flops();
+    const std::uint64_t x_inv = real ? x_fwd
+                                     : NY * fft::count_pruned_ops(p.nx, p.nx, mx).flops();
+    const std::uint64_t expect =
+        B * K * x_fwd + B * K * mx * fft::count_pruned_ops(p.ny, p.modes_y, p.ny).flops() +
+        trace::cgemm_flops(B * mx * p.modes_y, O, K) +
+        B * O * mx * fft::count_pruned_ops(p.ny, p.ny, p.modes_y).flops() + B * O * x_inv;
+    for (const auto& row : rows_2d()) {
+      EXPECT_EQ(run_lane_2d(row.variant, p, real).total().flops, expect)
+          << row.counters << (real ? " (real lane)" : " (complex lane)");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, CounterLaws2d,

@@ -3,6 +3,7 @@
 // ladder, and results must be independent of thread count.
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "fused/ladder.hpp"
@@ -14,8 +15,10 @@ namespace {
 
 using baseline::Spectral1dProblem;
 using turbofno::testing::max_err;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
+using turbofno::testing::same_bits;
 
 std::vector<c32> reference_spectral_conv(const Spectral1dProblem& p, const std::vector<c32>& u,
                                          const std::vector<c32>& w) {
@@ -119,6 +122,39 @@ TEST(Ladder1dEquivalence, AllVariantsAgreeWithBaseline) {
     std::vector<c32> vo(prob.output_elems());
     pipe->run(u, w, vo);
     EXPECT_LT(rel_err(vo, vb), 1e-4) << pipe->name();
+  }
+}
+
+// The rows share one arithmetic and differ only in data movement: the
+// three k-loop rows accumulate through rank_update_split and PyTorch/FftOpt
+// through cgemm_batched, so each group is bitwise-identical within itself
+// on every SIMD backend, and the two groups differ only by rounding.
+template <class T>
+void expect_row_groups(const Spectral1dProblem& prob, const std::vector<T>& u,
+                       const std::vector<c32>& w) {
+  std::vector<std::vector<T>> out;  // kAllVariants (ladder) order
+  for (const auto v : kAllVariants) {
+    auto pipe = make_pipeline1d(v, prob);
+    std::vector<T> vo(prob.output_elems());
+    if constexpr (std::is_same_v<T, float>) {
+      pipe->run_batched_real(u, w, vo, prob.batch);
+    } else {
+      pipe->run(u, w, vo);
+    }
+    out.push_back(std::move(vo));
+  }
+  EXPECT_TRUE(same_bits(out[0], out[1])) << "PyTorch vs FftOpt";
+  EXPECT_TRUE(same_bits(out[2], out[3])) << "FusedFftGemm vs FusedGemmIfft";
+  EXPECT_TRUE(same_bits(out[2], out[4])) << "FusedFftGemm vs FullyFused";
+  EXPECT_LT(rel_err(out[4], out[0]), 1e-4) << "k-loop rows vs batched rows";
+}
+
+TEST(Ladder1dEquivalence, RowGroupsAreBitwiseOnBothLanes) {
+  for (const Spectral1dProblem prob : {Spectral1dProblem{3, 24, 16, 128, 32},
+                                       Spectral1dProblem{2, 9, 7, 64, 16}}) {
+    const auto w = random_signal(prob.weight_elems(), 449u);
+    expect_row_groups(prob, random_signal(prob.input_elems(), 443u), w);
+    expect_row_groups(prob, random_reals(prob.input_elems(), 467u), w);
   }
 }
 

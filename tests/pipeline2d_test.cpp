@@ -1,6 +1,7 @@
 // 2D pipeline ladder: reference equivalence, counter ordering, determinism.
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "fused/ladder.hpp"
@@ -12,8 +13,10 @@ namespace {
 
 using baseline::Spectral2dProblem;
 using turbofno::testing::max_err;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
+using turbofno::testing::same_bits;
 
 std::vector<c32> reference_spectral_conv2d(const Spectral2dProblem& p, const std::vector<c32>& u,
                                            const std::vector<c32>& w) {
@@ -100,6 +103,38 @@ TEST(Ladder2dEquivalence, AllVariantsAgreeWithBaseline) {
     std::vector<c32> vo(prob.output_elems());
     pipe->run(u, w, vo);
     EXPECT_LT(rel_err(vo, vb), 1e-4) << pipe->name();
+  }
+}
+
+// The 2D rows group exactly like the 1D rows (see pipeline1d_test): the
+// k-loop rows and the batched rows are each bitwise-identical within their
+// group on both lanes, and the groups agree to rounding.
+template <class T>
+void expect_row_groups(const Spectral2dProblem& prob, const std::vector<T>& u,
+                       const std::vector<c32>& w) {
+  std::vector<std::vector<T>> out;  // kAllVariants (ladder) order
+  for (const auto v : kAllVariants) {
+    auto pipe = make_pipeline2d(v, prob);
+    std::vector<T> vo(prob.output_elems());
+    if constexpr (std::is_same_v<T, float>) {
+      pipe->run_batched_real(u, w, vo, prob.batch);
+    } else {
+      pipe->run(u, w, vo);
+    }
+    out.push_back(std::move(vo));
+  }
+  EXPECT_TRUE(same_bits(out[0], out[1])) << "PyTorch vs FftOpt";
+  EXPECT_TRUE(same_bits(out[2], out[3])) << "FusedFftGemm vs FusedGemmIfft";
+  EXPECT_TRUE(same_bits(out[2], out[4])) << "FusedFftGemm vs FullyFused";
+  EXPECT_LT(rel_err(out[4], out[0]), 1e-4) << "k-loop rows vs batched rows";
+}
+
+TEST(Ladder2dEquivalence, RowGroupsAreBitwiseOnBothLanes) {
+  for (const Spectral2dProblem prob : {Spectral2dProblem{2, 16, 12, 32, 64, 8, 16},
+                                       Spectral2dProblem{1, 12, 6, 32, 16, 8, 4}}) {
+    const auto w = random_signal(prob.weight_elems(), 631u);
+    expect_row_groups(prob, random_signal(prob.input_elems(), 619u), w);
+    expect_row_groups(prob, random_reals(prob.input_elems(), 647u), w);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <vector>
 
 #include "core/api.hpp"
@@ -21,26 +20,9 @@ namespace {
 
 using baseline::Spectral1dProblem;
 using baseline::Spectral2dProblem;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
-
-std::vector<float> random_reals(std::size_t n, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  std::vector<float> v(n);
-  for (auto& x : v) x = dist(rng);
-  return v;
-}
-
-double rel_err_f(std::span<const float> a, std::span<const float> b) {
-  double num = 0.0;
-  double den = 1e-30;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    num += d * d;
-    den += static_cast<double>(b[i]) * b[i];
-  }
-  return std::sqrt(num / den);
-}
+using turbofno::testing::rel_err;
 
 std::vector<c32> pack(std::span<const float> x) {
   std::vector<c32> z(x.size());
@@ -198,7 +180,7 @@ TEST_P(RealLadder1d, MatchesDirectReference) {
   auto pipe = make_pipeline1d(variant, prob, /*real_input=*/true);
   pipe->run_batched_real(u, w, v, prob.batch);
   const auto ref = reference_real_conv_1d(prob, u, w);
-  EXPECT_LT(rel_err_f(v, ref), 1e-4) << pipe->name();
+  EXPECT_LT(rel_err(v, ref), 1e-4) << pipe->name();
 }
 
 TEST_P(RealLadder1d, SecondRunIsIdenticalAndAllocationFree) {
@@ -250,7 +232,7 @@ TEST_P(RealLadder2d, MatchesDirectReference) {
   pipe->run_batched_real(u, w, v, prob.batch);
   set_fused_mid_group(0);
   const auto ref = reference_real_conv_2d(prob, u, w);
-  EXPECT_LT(rel_err_f(v, ref), 1e-4) << pipe->name();
+  EXPECT_LT(rel_err(v, ref), 1e-4) << pipe->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Ladder, RealLadder2d, ::testing::ValuesIn(real_cases_2d()));
@@ -271,7 +253,7 @@ TEST_F(RealSpectralKnob, Conv1dKnobOffMatchesKnobOn) {
   conv.forward_real(u, on, 2);
   fft::set_real_spectral(false);
   conv.forward_real(u, off, 2);
-  EXPECT_LT(rel_err_f(on, off), 1e-4);
+  EXPECT_LT(rel_err(on, off), 1e-4);
 }
 
 TEST_F(RealSpectralKnob, Conv2dKnobOffMatchesKnobOn) {
@@ -283,7 +265,7 @@ TEST_F(RealSpectralKnob, Conv2dKnobOffMatchesKnobOn) {
   conv.forward_real(u, on, 2);
   fft::set_real_spectral(false);
   conv.forward_real(u, off, 2);
-  EXPECT_LT(rel_err_f(on, off), 1e-4);
+  EXPECT_LT(rel_err(on, off), 1e-4);
 }
 
 TEST_F(RealSpectralKnob, Conv1dPerModeRealRuns) {
@@ -312,7 +294,7 @@ TEST_F(RealSpectralKnob, Fno1dModelAgreesAcrossKnob) {
   model.forward_real(u, on, 1);
   fft::set_real_spectral(false);
   model.forward_real(u, off, 1);
-  EXPECT_LT(rel_err_f(on, off), 1e-3);
+  EXPECT_LT(rel_err(on, off), 1e-3);
 }
 
 TEST_F(RealSpectralKnob, SessionRunRealServes2d) {

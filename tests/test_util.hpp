@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <random>
 #include <span>
@@ -21,6 +22,20 @@ inline std::vector<c32> random_signal(std::size_t n, unsigned seed) {
   std::vector<c32> v(n);
   for (auto& x : v) x = {dist(rng), dist(rng)};
   return v;
+}
+
+inline std::vector<float> random_reals(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  std::vector<float> v(n);
+  for (auto& x : v) x = dist(rng);
+  return v;
+}
+
+/// True when the two buffers hold the same bits.
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 inline double max_err(std::span<const c32> a, std::span<const c32> b) {
@@ -41,6 +56,17 @@ inline double rel_err(std::span<const c32> a, std::span<const c32> b) {
     const double di = static_cast<double>(a[i].im) - b[i].im;
     num += dr * dr + di * di;
     den += static_cast<double>(b[i].re) * b[i].re + static_cast<double>(b[i].im) * b[i].im;
+  }
+  return std::sqrt(num / den);
+}
+
+inline double rel_err(std::span<const float> a, std::span<const float> b) {
+  double num = 0.0;
+  double den = 1e-30;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    const double d = static_cast<double>(a[i]) - b[i];
+    num += d * d;
+    den += static_cast<double>(b[i]) * b[i];
   }
   return std::sqrt(num / den);
 }
