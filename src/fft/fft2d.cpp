@@ -4,10 +4,10 @@
 #include <stdexcept>
 
 #include "fft/twiddle.hpp"
+#include "fft/xblock.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "tensor/aligned_buffer.hpp"
-#include "tensor/transpose.hpp"
 
 namespace turbofno::fft {
 
@@ -53,11 +53,6 @@ Plan2dDesc validated_2d(Plan2dDesc d) {
   return d;
 }
 
-// Columns gathered per transpose slab: 16 complexes = two cache lines per
-// field row, so the gather side of the transpose consumes whole lines, and
-// a slab of 16 rows x nx=1024 stays within 128 KiB of scratch.
-constexpr std::size_t kSlabCols = 16;
-
 // FftPlan2d's fused middle pays strided Y-stage gathers against the
 // per-field staging tile; that trade wins only while the tile stays
 // L2-resident.  Dense full-size fields at >= 512^2 (2 MiB tiles) thrash
@@ -65,134 +60,63 @@ constexpr std::size_t kSlabCols = 16;
 // FNO-shaped truncated plans (tile = ny * modes_x) are far below this.
 constexpr std::size_t kFusedFieldBudgetBytes = 1u << 20;
 
-// Shared slab-task geometry of the tile-granular stages: tasks enumerate
-// (field, column slab) pairs so each task touches one contiguous block.
-struct SlabGrid {
-  std::size_t cols = 0;             // columns per slab (<= kSlabCols)
-  std::size_t slabs_per_field = 0;  // ceil(ny / cols)
-  std::size_t grain = 0;            // tasks per parallel chunk
-};
-
-SlabGrid slab_grid(std::size_t ny) noexcept {
-  SlabGrid g;
-  g.cols = std::min<std::size_t>(kSlabCols, ny);
-  g.slabs_per_field = (ny + g.cols - 1) / g.cols;
-  g.grain = std::max<std::size_t>(1, 64 / g.cols);
-  return g;
-}
-
-// The two per-slab transform bodies, single-sourced for every consumer
-// (fft2d_x_stage, the tile-granular stages, and FftPlan2d::execute_fused).
-// `rows_in`/`rows_out` are the plan's nonzero_or_n()/keep_or_n().
-
-// Columns [y0, y0+g) of `field` become y-major rows at dst (row r
-// contiguous, packed rows_out apart).  `slab_in` needs cols*rows_in
-// elements.
-void x_slab_to_rows(const FftPlan& plan, const c32* field, std::size_t ny, std::size_t y0,
-                    std::size_t g, std::size_t rows_in, std::size_t rows_out, c32* dst,
-                    std::span<c32> slab_in, std::span<c32> work) {
-  simd::transpose(field + y0, ny, slab_in.data(), rows_in, rows_in, g);
-  for (std::size_t r = 0; r < g; ++r) {
-    plan.execute_one(slab_in.data() + r * rows_in, 1, dst + r * rows_out, 1, work);
-  }
-}
-
-// Inverse of the above: y-major rows at src (packed rows_in apart) are
-// transformed and scattered into columns [y0, y0+g) of `field`.
-// `slab_out` needs cols*rows_out elements.
-void x_rows_to_slab(const FftPlan& plan, const c32* src, c32* field, std::size_t ny,
-                    std::size_t y0, std::size_t g, std::size_t rows_in, std::size_t rows_out,
-                    std::span<c32> slab_out, std::span<c32> work) {
-  for (std::size_t r = 0; r < g; ++r) {
-    plan.execute_one(src + r * rows_in, 1, slab_out.data() + r * rows_out, 1, work);
-  }
-  simd::transpose(slab_out.data(), rows_out, field + y0, ny, g, rows_out);
+// Every X stage below runs one xblock::run per (field, column slab) task,
+// in parallel over the tasks; `in_l` / `out_l` say whether each side is
+// x-major field rows or the caller's y-major tile blocks.
+template <class InAt, class OutAt>
+void x_stage_tasks(const FftPlan& plan, std::size_t fields, std::size_t ny, const InAt& in_at,
+                   xblock::Layout in_l, const OutAt& out_at, xblock::Layout out_l) {
+  if (fields == 0 || ny == 0) return;
+  const xblock::SlabGrid grid = xblock::slab_grid(ny);
+  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
+                        [&](std::size_t lo, std::size_t hi) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
+    const std::span<c32> buf = arena.alloc<c32>(xblock::scratch_elems(plan.desc().n));
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::size_t f = t / grid.slabs_per_field;
+      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
+      const std::size_t g = std::min(grid.cols, ny - y0);
+      xblock::run(plan, g, in_at(f, y0, g), in_l, out_at(f, y0, g), out_l, buf);
+    }
+    // tfno-hot-end
+  });
 }
 
 }  // namespace
 
 void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fields,
                    std::size_t ny) {
-  if (fields == 0 || ny == 0) return;
+  // Field rows in, field rows out: each block reads its stored rows and
+  // writes its kept rows straight to the output field, with no transpose
+  // on either side.
   const std::size_t rows_in = plan.desc().nonzero_or_n();
   const std::size_t rows_out = plan.desc().keep_or_n();
-
-  // Per task, gather a column slab into row-major scratch, transform
-  // contiguous rows, and transpose back only the rows the plan actually
-  // produces (keep_x on forward; on inverse the input slab is just the
-  // nonzero prefix and the transform scatters the zero-padded columns
-  // itself).
-  const SlabGrid grid = slab_grid(ny);
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> slab_in = arena.alloc<c32>(grid.cols * rows_in);
-    const std::span<c32> slab_out = arena.alloc<c32>(grid.cols * rows_out);
-    const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      x_slab_to_rows(plan, in + f * rows_in * ny, ny, y0, g, rows_in, rows_out,
-                     slab_out.data(), slab_in, work);
-      simd::transpose(slab_out.data(), rows_out, out + f * rows_out * ny + y0, ny, g,
-                      rows_out);
-    }
-    // tfno-hot-end
-  });
+  x_stage_tasks(
+      plan, fields, ny,
+      [&](std::size_t f, std::size_t y0, std::size_t) { return in + f * rows_in * ny + y0; },
+      xblock::field_layout(ny),
+      [&](std::size_t f, std::size_t y0, std::size_t) { return out + f * rows_out * ny + y0; },
+      xblock::field_layout(ny));
 }
 
 void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fields,
                             std::size_t ny, const XStageTileDst& dst) {
-  if (fields == 0 || ny == 0) return;
   const std::size_t rows_in = plan.desc().nonzero_or_n();
-  const std::size_t rows_out = plan.desc().keep_or_n();
-  const SlabGrid grid = slab_grid(ny);
-
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    // No slab_out: transformed rows land straight in the caller's block.
-    const std::span<c32> slab_in = arena.alloc<c32>(grid.cols * rows_in);
-    const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      x_slab_to_rows(plan, in + f * rows_in * ny, ny, y0, g, rows_in, rows_out, dst(f, y0, g),
-                     slab_in, work);
-    }
-    // tfno-hot-end
-  });
+  x_stage_tasks(
+      plan, fields, ny,
+      [&](std::size_t f, std::size_t y0, std::size_t) { return in + f * rows_in * ny + y0; },
+      xblock::field_layout(ny), dst, xblock::tile_layout(plan.desc().keep_or_n()));
 }
 
 void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32* out,
                               std::size_t fields, std::size_t ny) {
-  if (fields == 0 || ny == 0) return;
-  const std::size_t rows_in = plan.desc().nonzero_or_n();
   const std::size_t rows_out = plan.desc().keep_or_n();
-  const SlabGrid grid = slab_grid(ny);
-
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> slab_out = arena.alloc<c32>(grid.cols * rows_out);
-    const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      x_rows_to_slab(plan, src(f, y0, g), out + f * rows_out * ny, ny, y0, g, rows_in,
-                     rows_out, slab_out, work);
-    }
-    // tfno-hot-end
-  });
+  x_stage_tasks(
+      plan, fields, ny, src, xblock::tile_layout(plan.desc().nonzero_or_n()),
+      [&](std::size_t f, std::size_t y0, std::size_t) { return out + f * rows_out * ny + y0; },
+      xblock::field_layout(ny));
 }
 
 FftPlan2d::FftPlan2d(Plan2dDesc desc)
@@ -224,18 +148,15 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
   // Fused middle stage: one task per field keeps that field's X spectra in a
   // y-major arena tile ([ny, kx], row y holds the kx surviving X modes of
   // column y) and runs the Y stage straight out of / into it.  The x-major
-  // [kx, ny] intermediate of the two-pass path never exists, and the second
-  // transpose of the X stage disappears; the Y stage pays strided (stride
-  // kx) gathers instead, against scratch that stays cache-resident.
-  // Bitwise-identical to the two-pass path: every 1D transform still
-  // gathers the same values into the same contiguous work buffer.
+  // [kx, ny] intermediate of the two-pass path never exists; the Y stage
+  // pays strided (stride kx) gathers instead, against scratch that stays
+  // cache-resident.  Bitwise-identical to the two-pass path: both run the
+  // same X-stage column blocks, and every Y transform gathers the same
+  // values into the same contiguous work buffer.
   const std::size_t ny = desc_.ny;
   const std::size_t kx = desc_.keep_x_or_nx();
   const std::size_t in_f = in_field_elems();
   const std::size_t out_f = out_field_elems();
-  const SlabGrid grid = slab_grid(ny);
-  const std::size_t work_elems =
-      std::max(along_x_.scratch_elems(), along_y_.scratch_elems());
   const std::size_t y_in_len = along_y_.desc().nonzero_or_n();
   const std::size_t y_out_len = along_y_.desc().keep_or_n();
 
@@ -244,19 +165,15 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
     const std::span<c32> staging = arena.alloc<c32>(ny * kx);
-    const std::span<c32> slab = arena.alloc<c32>(grid.cols * desc_.nx);
-    const std::span<c32> work = arena.alloc<c32>(work_elems);
+    const std::span<c32> xbuf = arena.alloc<c32>(xblock::scratch_elems(desc_.nx));
+    const std::span<c32> work = arena.alloc<c32>(along_y_.scratch_elems());
 
     for (std::size_t f = lo; f < hi; ++f) {
       if (desc_.dir == Direction::Forward) {
-        // X stage into the y-major tile, slab by slab (serial within the
-        // task; parallelism comes from the field loop).
-        const c32* field = in.data() + f * in_f;
-        for (std::size_t y0 = 0; y0 < ny; y0 += grid.cols) {
-          const std::size_t g = std::min(grid.cols, ny - y0);
-          x_slab_to_rows(along_x_, field, ny, y0, g, desc_.nx, kx, staging.data() + y0 * kx,
-                         slab, work);
-        }
+        // X stage into the y-major tile (serial within the task;
+        // parallelism comes from the field loop).
+        xblock::run(along_x_, ny, in.data() + f * in_f, xblock::field_layout(ny),
+                    staging.data(), xblock::tile_layout(kx), xbuf);
         // Y stage: row x of the output gathers column x of the tile.
         for (std::size_t x = 0; x < kx; ++x) {
           along_y_.execute_one(staging.data() + x, static_cast<std::ptrdiff_t>(kx),
@@ -264,17 +181,13 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
         }
       } else {
         // Inverse: Y stage scatters into the y-major tile, then the X stage
-        // consumes tile rows directly (no gather transpose).
+        // consumes it.
         for (std::size_t x = 0; x < kx; ++x) {
           along_y_.execute_one(in.data() + f * in_f + x * y_in_len, 1,
                                staging.data() + x, static_cast<std::ptrdiff_t>(kx), work);
         }
-        c32* field = out.data() + f * out_f;
-        for (std::size_t y0 = 0; y0 < ny; y0 += grid.cols) {
-          const std::size_t g = std::min(grid.cols, ny - y0);
-          x_rows_to_slab(along_x_, staging.data() + y0 * kx, field, ny, y0, g, kx, desc_.nx,
-                         slab, work);
-        }
+        xblock::run(along_x_, ny, staging.data(), xblock::tile_layout(kx),
+                    out.data() + f * out_f, xblock::field_layout(ny), xbuf);
       }
     }
     // tfno-hot-end
@@ -318,10 +231,12 @@ void FftPlan2d::execute(std::span<const c32> in, std::span<c32> out, std::size_t
     runtime::parallel_for(0, batch * kx, 16, [&](std::size_t lo, std::size_t hi) {
       auto& a = runtime::tls_scratch();
       const auto s = a.scope();
+      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
       const std::span<c32> work = a.alloc<c32>(along_y_.scratch_elems());
       for (std::size_t r = lo; r < hi; ++r) {
         along_y_.execute_one(src + r * in_len, 1, dst + r * out_len, 1, work);
       }
+      // tfno-hot-end
     });
   };
 

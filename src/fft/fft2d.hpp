@@ -11,18 +11,21 @@
 //
 // Inverse runs the stages in the opposite order with zero-padded inputs.
 //
-// The X stage blocks the field into column slabs, transposes each slab
-// with the SIMD 4x4 tile kernel, runs the transforms over contiguous rows,
-// and transposes only the surviving keep_x rows back (forward) / scatters
-// the zero-padded columns (inverse), so no transform reads a column with
-// stride DimY.
+// The X stage never transposes a column into a contiguous signal: it
+// copies blocks of 8 adjacent columns (one cache line per field row) into
+// [nx][8] scratch and runs the Stockham passes across the block, so each
+// SIMD vector carries several columns and every pass runs full-width
+// (fft/xblock.hpp).  Only the kept rows leave the block (forward) and only
+// the stored rows enter it (inverse), so no transform reads a column with
+// stride DimY and no padded row is ever read from memory.
 //
 // On top of the whole-field X stage, this header exposes the tile-granular
 // producer/consumer pair (fft2d_x_stage_to_tiles / _from_tiles) that the
 // fused 2D middle stages are built on: instead of materializing the
 // x-major [keep_x, ny] intermediate, the X stage hands each post-transform
 // column slab to the caller as a contiguous y-major [slab, keep_x] row
-// block (and symmetrically reads such blocks on the inverse side).  The
+// block (and symmetrically reads such blocks on the inverse side); these
+// two transposes of the kept / stored rows are the only ones left.  The
 // fused pipelines point these blocks straight at their cache-resident
 // middle-stage staging, so the full [B*K*mx*ny] intermediate is never
 // written or re-read.  FftPlan2d uses the same idea per field (see
@@ -64,18 +67,18 @@ using XStageTileSrc =
 /// Tile-granular X stage (producer half): transforms every column of the
 /// `fields` x [nonzero_or_n, ny] input, but instead of transposing the
 /// spectra back into an x-major field, writes each column slab's rows
-/// straight into the caller's y-major destination blocks.  This skips the
-/// scatter transpose and — when the destination is cache-resident staging —
-/// the full intermediate write that fft2d_x_stage would do.  The spectra are
-/// bitwise-identical to fft2d_x_stage's.
+/// straight into the caller's y-major destination blocks.  When the
+/// destination is cache-resident staging this skips the full intermediate
+/// write that fft2d_x_stage would do.  The spectra are bitwise-identical to
+/// fft2d_x_stage's.
 void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fields,
                             std::size_t ny, const XStageTileDst& dst);
 
 /// Tile-granular X stage (consumer half): the inverse of _to_tiles.  Reads
 /// each column slab's spectra from the caller's y-major source blocks,
-/// transforms them, and scatters the resulting columns into the x-major
-/// `out` fields ([keep_or_n, ny] each).  Skips the gather transpose that
-/// fft2d_x_stage would need in front of the row transforms.
+/// transforms them, and writes the resulting columns into the x-major
+/// `out` fields ([keep_or_n, ny] each), bitwise-identical to
+/// fft2d_x_stage on the same spectra in x-major order.
 void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32* out,
                               std::size_t fields, std::size_t ny);
 

@@ -17,6 +17,14 @@
 // transpose primitives, so they run packed instead of on the scalar tail.
 // Remaining short runs fall through to the scalar tail, which is
 // bit-identical to the seed's scalar code.
+//
+// The 2D X-stage transforms (stockham_columns) start every transform at
+// s = W = 8 interleaved columns, so they never take the sub-lane passes:
+// every pass is the full-width q-loop.  Per element the sub-lane and the
+// q-loop forms do the same arithmetic with the same twiddles, which is
+// why the column transforms are bitwise equal to one-column transforms
+// (the sub-lane forms also multiply their p == 0 legs by the exact twiddle
+// 1, which can only flip the sign of an exact zero).
 #pragma once
 
 #include <cstddef>

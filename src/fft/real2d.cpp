@@ -1,11 +1,11 @@
 #include "fft/real2d.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "fft/plan_cache.hpp"
 #include "fft/twiddle.hpp"
+#include "fft/xblock.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "tensor/simd.hpp"
@@ -23,219 +23,210 @@ void check_real2d(std::size_t nx, std::size_t ny, std::size_t stored) {
   }
 }
 
-// Column pairs gathered per task: matches fft2d.cpp's 16-column slabs (8
-// pairs), so tile resolvers see the same y0 granularity either way.
-constexpr std::size_t kSlabCols = 16;
-
-struct PairGrid {
-  std::size_t cols = 0;             // columns per slab (even)
-  std::size_t slabs_per_field = 0;  // ceil(ny / cols)
-  std::size_t grain = 0;
-};
-
-PairGrid pair_grid(std::size_t ny) noexcept {
-  PairGrid g;
-  g.cols = std::min<std::size_t>(kSlabCols, ny);  // ny is a power of two => even
-  g.slabs_per_field = (ny + g.cols - 1) / g.cols;
-  g.grain = std::max<std::size_t>(1, 64 / g.cols);
-  return g;
-}
-
-// Untangle the packed-pair spectrum Z (full nx bins) into the first `keep`
-// bins of the even column's spectrum A and the odd column's spectrum B
-// (both rows contiguous).  Same lane pattern as the 1D RfftPlan untangle:
-// the conjugate-mirror operand descends, so it is one contiguous load
-// reversed in-register.
-void untangle_pair(const c32* Z, std::size_t nx, std::size_t keep, c32* A, c32* B) {
-  using B_ = simd::Active;
-  A[0] = c32{Z[0].re, 0.0f};
-  B[0] = c32{Z[0].im, 0.0f};
-  assert(A[0].im == 0.0f && B[0].im == 0.0f);
-  const std::size_t lim = std::min(keep, nx / 2);
-  std::size_t k = 1;
-  constexpr std::size_t P = B_::planes;
-  for (; k + P <= lim; k += P) {
-    const auto zk = B_::pload(Z + k);
-    const auto zm = B_::pconj(B_::preverse(B_::pload(Z + (nx - k - (P - 1)))));
-    B_::pstore(A + k, B_::pscale(B_::padd(zk, zm), 0.5f));
-    B_::pstore(B + k, B_::pmul_neg_i(B_::pscale(B_::psub(zk, zm), 0.5f)));
+// Vertical untangle of gp column pairs: Z holds their packed spectra as
+// [nx][gp] rows; A and B receive the first `keep` bins of the even and the
+// odd columns' spectra as [keep][gp] rows.  Per element this is the 1D
+// RfftPlan untangle; the conjugate mirror is row nx - k of the same pair,
+// so every operand is a plain vertical load.
+void untangle_rows(const c32* Z, std::size_t nx, std::size_t gp, std::size_t keep, c32* A,
+                   c32* B) {
+  using V = simd::Active;
+  for (std::size_t p = 0; p < gp; ++p) {
+    A[p] = c32{Z[p].re, 0.0f};
+    B[p] = c32{Z[p].im, 0.0f};
   }
-  for (; k < lim; ++k) {
-    const c32 zk = Z[k];
-    const c32 zm = conj(Z[nx - k]);
-    A[k] = 0.5f * (zk + zm);
-    B[k] = mul_neg_i(0.5f * (zk - zm));
+  const std::size_t lim = std::min(keep, nx / 2);
+  for (std::size_t k = 1; k < lim; ++k) {
+    const c32* zk = Z + k * gp;
+    const c32* zm = Z + (nx - k) * gp;
+    c32* a = A + k * gp;
+    c32* b = B + k * gp;
+    std::size_t p = 0;
+    for (; p + V::planes <= gp; p += V::planes) {
+      const auto vk = V::pload(zk + p);
+      const auto vm = V::pconj(V::pload(zm + p));
+      V::pstore(a + p, V::pscale(V::padd(vk, vm), 0.5f));
+      V::pstore(b + p, V::pmul_neg_i(V::pscale(V::psub(vk, vm), 0.5f)));
+    }
+    for (; p < gp; ++p) {
+      const c32 m = conj(zm[p]);
+      a[p] = 0.5f * (zk[p] + m);
+      b[p] = mul_neg_i(0.5f * (zk[p] - m));
+    }
   }
   if (keep == nx / 2 + 1) {
     // Nyquist: its own mirror, so the formulas collapse to the lanes of
     // Z[nx/2] — real by construction for real input columns.
-    A[nx / 2] = c32{Z[nx / 2].re, 0.0f};
-    B[nx / 2] = c32{Z[nx / 2].im, 0.0f};
+    const c32* zn = Z + (nx / 2) * gp;
+    for (std::size_t p = 0; p < gp; ++p) {
+      A[(nx / 2) * gp + p] = c32{zn[p].re, 0.0f};
+      B[(nx / 2) * gp + p] = c32{zn[p].im, 0.0f};
+    }
   }
 }
 
-// Rebuild the packed full spectrum Z (nx bins) from the two stored
-// `stored`-bin prefixes: Hermitian-extend each column's half-spectrum
-// (projecting DC — and Nyquist, when stored — real) and recombine as
-// Z = A_ext + i * B_ext.
-void retangle_pair(const c32* A, const c32* B, std::size_t nx, std::size_t stored, c32* Z) {
-  using B_ = simd::Active;
+// Inverse of the above: rebuilds the [nx][gp] packed spectra Z from the
+// stored [stored][gp] rows of A and B.  Each column's half-spectrum is
+// Hermitian-extended (DC, and Nyquist when stored, projected real) and the
+// pair recombined as Z = A_ext + i * B_ext.
+void retangle_rows(const c32* A, const c32* B, std::size_t nx, std::size_t gp,
+                   std::size_t stored, c32* Z) {
+  using V = simd::Active;
   const std::size_t lim = std::min(stored, nx / 2);
   // Bins with no stored source (truncation zero padding).
-  for (std::size_t k = lim; k < nx - lim + 1; ++k) Z[k] = c32{};
-  Z[0] = c32{A[0].re, B[0].re};  // Im projected away
-  std::size_t k = 1;
-  constexpr std::size_t P = B_::planes;
-  for (; k + P <= lim; k += P) {
-    const auto a = B_::pload(A + k);
-    const auto b = B_::pload(B + k);
-    B_::pstore(Z + k, B_::padd(a, B_::pmul_pos_i(b)));
-    const auto m = B_::padd(B_::pconj(a), B_::pmul_pos_i(B_::pconj(b)));
-    B_::pstore(Z + (nx - k - (P - 1)), B_::preverse(m));
-  }
-  for (; k < lim; ++k) {
-    const c32 a = A[k];
-    const c32 b = B[k];
-    Z[k] = a + mul_pos_i(b);
-    Z[nx - k] = conj(a) + mul_pos_i(conj(b));
+  std::fill(Z + lim * gp, Z + (nx - lim + 1) * gp, c32{});
+  for (std::size_t p = 0; p < gp; ++p) Z[p] = c32{A[p].re, B[p].re};  // Im projected away
+  for (std::size_t k = 1; k < lim; ++k) {
+    const c32* a = A + k * gp;
+    const c32* b = B + k * gp;
+    c32* zk = Z + k * gp;
+    c32* zm = Z + (nx - k) * gp;
+    std::size_t p = 0;
+    for (; p + V::planes <= gp; p += V::planes) {
+      const auto va = V::pload(a + p);
+      const auto vb = V::pload(b + p);
+      V::pstore(zk + p, V::padd(va, V::pmul_pos_i(vb)));
+      V::pstore(zm + p, V::padd(V::pconj(va), V::pmul_pos_i(V::pconj(vb))));
+    }
+    for (; p < gp; ++p) {
+      zk[p] = a[p] + mul_pos_i(b[p]);
+      zm[p] = conj(a[p]) + mul_pos_i(conj(b[p]));
+    }
   }
   if (stored == nx / 2 + 1) {
-    Z[nx / 2] = c32{A[nx / 2].re, B[nx / 2].re};  // Im projected away
+    for (std::size_t p = 0; p < gp; ++p) {
+      Z[(nx / 2) * gp + p] = c32{A[(nx / 2) * gp + p].re, B[(nx / 2) * gp + p].re};
+    }
   }
+}
+
+// A float field [nx][ny] read as c32 is [nx][ny/2]: element p of a row is
+// the column pair (2p, 2p+1).  One X-stage task covers one slab of g float
+// columns, i.e. g/2 <= kBlockCols pairs: a single column block.
+static_assert(xblock::kSlabCols / 2 <= xblock::kBlockCols);
+
+// Forward X transform of the gp column pairs starting at float column y0:
+// one packed C2C column-block transform, then the vertical untangle into
+// A/B ([keep][gp] rows each).
+void forward_pairs(const FftPlan& plan, const float* field, std::size_t ny, std::size_t y0,
+                   std::size_t gp, std::size_t keep, std::span<c32> buf, c32* A, c32* B) {
+  const std::size_t nx = plan.desc().n;
+  const c32* rows = reinterpret_cast<const c32*>(field + y0);
+  xblock::gather(rows, xblock::field_layout(ny / 2), nx, gp, buf.data());
+  xblock::prefetch_next(rows, xblock::field_layout(ny / 2), nx);
+  untangle_rows(xblock::transform(plan, gp, buf), nx, gp, keep, A, B);
+}
+
+// Inverse of forward_pairs: retangle the stored A/B rows, run one inverse
+// column-block transform, and write both real columns of every pair at
+// once (output element {re, im} of pair p is the float pair (2p, 2p+1)).
+void inverse_pairs(const FftPlan& plan, const c32* A, const c32* B, std::size_t stored,
+                   std::size_t gp, std::span<c32> buf, float* field, std::size_t ny,
+                   std::size_t y0) {
+  const std::size_t nx = plan.desc().n;
+  c32* rows = reinterpret_cast<c32*>(field + y0);
+  xblock::prefetch_next(rows, xblock::field_layout(ny / 2), nx);
+  retangle_rows(A, B, nx, gp, stored, buf.data());
+  xblock::scatter(xblock::transform(plan, gp, buf), nx, gp, rows, xblock::field_layout(ny / 2));
+}
+
+// Every real X stage runs body(plan, f, y0, gp, buf, A, B) once per
+// (field, slab) task, in parallel over the tasks: float columns
+// [y0, y0 + 2 gp) of field f through the full nx-point `dir` plan, with
+// column-block scratch `buf` and `bins`-row A/B buffers.
+template <class Body>
+void pair_tasks(Direction dir, std::size_t nx, std::size_t bins, std::size_t fields,
+                std::size_t ny, const Body& body) {
+  check_real2d(nx, ny, bins);
+  if (fields == 0 || ny == 0) return;
+  const auto plan = acquire_plan({nx, dir});
+  const xblock::SlabGrid grid = xblock::slab_grid(ny);
+  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
+                        [&](std::size_t lo, std::size_t hi) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
+    const std::span<c32> buf = arena.alloc<c32>(xblock::scratch_elems(nx));
+    const std::span<c32> ab = arena.alloc<c32>(2 * bins * xblock::kBlockCols);
+    c32* A = ab.data();
+    c32* B = ab.data() + bins * xblock::kBlockCols;
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::size_t f = t / grid.slabs_per_field;
+      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
+      const std::size_t g = std::min(grid.cols, ny - y0);
+      body(*plan, f, y0, g / 2, buf, A, B);
+    }
+    // tfno-hot-end
+  });
 }
 
 }  // namespace
 
 void rfft2d_x_stage_to_tiles(std::size_t nx, std::size_t keep_x, const float* in,
                              std::size_t fields, std::size_t ny, const XStageTileDst& dst) {
-  check_real2d(nx, ny, keep_x);
-  if (fields == 0 || ny == 0) return;
-  const auto plan = acquire_plan({nx, Direction::Forward});
-  const PairGrid grid = pair_grid(ny);
-
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<c32> Z = arena.alloc<c32>(nx);
-    const std::span<c32> work = arena.alloc<c32>(plan->scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      const float* field = in + f * nx * ny;
-      c32* block = dst(f, y0, g);
-      for (std::size_t p = 0; p < g / 2; ++p) {
-        // Columns (y0+2p, y0+2p+1) are the re/im lanes of one strided c32
-        // column of the float field (two adjacent floats per row).
-        const c32* col = reinterpret_cast<const c32*>(field + (y0 + 2 * p));
-        plan->execute_one(col, static_cast<std::ptrdiff_t>(ny / 2), Z.data(), 1, work);
-        untangle_pair(Z.data(), nx, keep_x, block + (2 * p) * keep_x,
-                      block + (2 * p + 1) * keep_x);
-      }
-    }
+  pair_tasks(Direction::Forward, nx, keep_x, fields, ny,
+             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
+                 std::span<c32> buf, c32* A, c32* B) {
+    // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
+    forward_pairs(plan, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
+    // Block row 2p (2p+1) is the even (odd) column of pair p: A's and B's
+    // columns land 2 * keep_x apart.
+    c32* block = dst(f, y0, 2 * gp);
+    xblock::scatter(A, keep_x, gp, block, xblock::tile_layout(2 * keep_x));
+    xblock::scatter(B, keep_x, gp, block + keep_x, xblock::tile_layout(2 * keep_x));
+    // tfno-hot-end
   });
 }
 
 void irfft2d_x_stage_from_tiles(std::size_t nx, std::size_t nonzero_x,
                                 const XStageTileSrc& src, float* out, std::size_t fields,
                                 std::size_t ny) {
-  check_real2d(nx, ny, nonzero_x);
-  if (fields == 0 || ny == 0) return;
-  const auto plan = acquire_plan({nx, Direction::Inverse});
-  const PairGrid grid = pair_grid(ny);
-
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<c32> Z = arena.alloc<c32>(nx);
-    const std::span<c32> work = arena.alloc<c32>(plan->scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      float* field = out + f * nx * ny;
-      const c32* block = src(f, y0, g);
-      for (std::size_t p = 0; p < g / 2; ++p) {
-        retangle_pair(block + (2 * p) * nonzero_x, block + (2 * p + 1) * nonzero_x, nx,
-                      nonzero_x, Z.data());
-        // The inverse transform scatters both real columns at once: output
-        // element x is {col_even[x], col_odd[x]} == the adjacent float pair.
-        c32* col = reinterpret_cast<c32*>(field + (y0 + 2 * p));
-        plan->execute_one(Z.data(), 1, col, static_cast<std::ptrdiff_t>(ny / 2), work);
-      }
-    }
+  pair_tasks(Direction::Inverse, nx, nonzero_x, fields, ny,
+             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
+                 std::span<c32> buf, c32* A, c32* B) {
+    // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
+    const c32* block = src(f, y0, 2 * gp);
+    xblock::gather(block, xblock::tile_layout(2 * nonzero_x), nonzero_x, gp, A);
+    xblock::gather(block + nonzero_x, xblock::tile_layout(2 * nonzero_x), nonzero_x, gp, B);
+    inverse_pairs(plan, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
+    // tfno-hot-end
   });
 }
 
 void rfft2d_x_stage(std::size_t nx, std::size_t keep_x, const float* in, c32* out,
                     std::size_t fields, std::size_t ny) {
-  check_real2d(nx, ny, keep_x);
-  if (fields == 0 || ny == 0) return;
-  const auto plan = acquire_plan({nx, Direction::Forward});
-  const PairGrid grid = pair_grid(ny);
-
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<c32> Z = arena.alloc<c32>(nx);
-    const std::span<c32> rows = arena.alloc<c32>(2 * keep_x);
-    const std::span<c32> work = arena.alloc<c32>(plan->scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      const float* field = in + f * nx * ny;
-      c32* spec = out + f * keep_x * ny;
-      for (std::size_t p = 0; p < g / 2; ++p) {
-        const std::size_t y = y0 + 2 * p;
-        const c32* col = reinterpret_cast<const c32*>(field + y);
-        plan->execute_one(col, static_cast<std::ptrdiff_t>(ny / 2), Z.data(), 1, work);
-        untangle_pair(Z.data(), nx, keep_x, rows.data(), rows.data() + keep_x);
-        // Scatter the two columns into the x-major spectrum: adjacent c32
-        // per row, one pair-write per kept bin.
-        for (std::size_t k = 0; k < keep_x; ++k) {
-          spec[k * ny + y] = rows[k];
-          spec[k * ny + y + 1] = rows[keep_x + k];
-        }
+  pair_tasks(Direction::Forward, nx, keep_x, fields, ny,
+             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
+                 std::span<c32> buf, c32* A, c32* B) {
+    // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
+    forward_pairs(plan, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
+    // x-major spectrum rows: the two columns of a pair are adjacent c32.
+    for (std::size_t k = 0; k < keep_x; ++k) {
+      c32* row = out + (f * keep_x + k) * ny + y0;
+      for (std::size_t p = 0; p < gp; ++p) {
+        row[2 * p] = A[k * gp + p];
+        row[2 * p + 1] = B[k * gp + p];
       }
     }
+    // tfno-hot-end
   });
 }
 
 void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float* out,
                      std::size_t fields, std::size_t ny) {
-  check_real2d(nx, ny, nonzero_x);
-  if (fields == 0 || ny == 0) return;
-  const auto plan = acquire_plan({nx, Direction::Inverse});
-  const PairGrid grid = pair_grid(ny);
-
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
-                        [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<c32> Z = arena.alloc<c32>(nx);
-    const std::span<c32> rows = arena.alloc<c32>(2 * nonzero_x);
-    const std::span<c32> work = arena.alloc<c32>(plan->scratch_elems());
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
-      const std::size_t g = std::min(grid.cols, ny - y0);
-      const c32* spec = in + f * nonzero_x * ny;
-      float* field = out + f * nx * ny;
-      for (std::size_t p = 0; p < g / 2; ++p) {
-        const std::size_t y = y0 + 2 * p;
-        for (std::size_t k = 0; k < nonzero_x; ++k) {
-          rows[k] = spec[k * ny + y];
-          rows[nonzero_x + k] = spec[k * ny + y + 1];
-        }
-        retangle_pair(rows.data(), rows.data() + nonzero_x, nx, nonzero_x, Z.data());
-        c32* col = reinterpret_cast<c32*>(field + y);
-        plan->execute_one(Z.data(), 1, col, static_cast<std::ptrdiff_t>(ny / 2), work);
+  pair_tasks(Direction::Inverse, nx, nonzero_x, fields, ny,
+             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
+                 std::span<c32> buf, c32* A, c32* B) {
+    // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
+    for (std::size_t k = 0; k < nonzero_x; ++k) {
+      const c32* row = in + (f * nonzero_x + k) * ny + y0;
+      for (std::size_t p = 0; p < gp; ++p) {
+        A[k * gp + p] = row[2 * p];
+        B[k * gp + p] = row[2 * p + 1];
       }
     }
+    inverse_pairs(plan, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
+    // tfno-hot-end
   });
 }
 

@@ -17,6 +17,11 @@
 // when stored) bins real — and one full inverse transform scatters both
 // columns at once.
 //
+// The transforms run on column blocks (fft/xblock.hpp): the float field
+// read as c32 is [nx][ny/2] column pairs, 8 adjacent pairs (16 float
+// columns) go through one column-vectorized C2C transform, and the
+// untangle / retangle run vertically across the block.
+//
 // Layout contracts mirror fft/fft2d.hpp: the whole-field entry points
 // produce/consume the x-major [keep_x, ny] intermediate, and the tile
 // entry points speak the same XStageTileDst/Src protocol the fused 2D

@@ -23,6 +23,17 @@ void stockham_forward(std::span<c32> io, std::span<c32> work, std::size_t n);
 /// n (matching cuFFT's convention of unscaled inverse is `scale = false`).
 void stockham_inverse(std::span<c32> io, std::span<c32> work, std::size_t n, bool scale);
 
+/// Column-vectorized transform of `cols` n-point signals stored interleaved
+/// as [n][cols] rows (element x of signal c at io[x * cols + c]), the
+/// layout of `cols` adjacent columns of a row-major 2D field.  Every pass
+/// runs across the columns, so with cols >= the SIMD width no pass takes a
+/// sub-lane path.  `work` (n * cols elements) is the ping-pong buffer; the
+/// result lands in io or work, and the returned pointer says which.  Each
+/// signal gets exactly the arithmetic of stockham_forward/_inverse (cols
+/// multiple of the SIMD width; narrower blocks agree to rounding).
+c32* stockham_columns(c32* io, c32* work, std::size_t n, std::size_t cols, bool inverse,
+                      bool scale);
+
 /// Pure radix-2 variants, kept as the verification twin of the mixed-radix
 /// kernel (tests assert both agree to rounding).
 void stockham_forward_radix2(std::span<c32> io, std::span<c32> work, std::size_t n);

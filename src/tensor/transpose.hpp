@@ -1,19 +1,15 @@
 // Cache-blocked complex matrix transpose on the SIMD layer.
 //
-// The 2D FFT's X stage runs one stride-ny transform per column when executed
-// in place; the transpose-based schedule (fft/fft2d.cpp) instead swaps the
-// field into row-major order, runs contiguous transforms, and swaps back.
-// That trade only pays off if the transpose itself moves whole cache lines,
-// so the inner loop is a 4x4 tile held entirely in registers
+// Used by the 2D FFT's X stages (fft/xblock.hpp) at their boundary with
+// the y-major tiles of the fused pipelines: the forward moves the kept rows
+// of each transformed column block into its [W, keep_x] tile block, and the
+// inverse moves the stored rows of a tile block into [keep_x, W] rows.  The
+// X transforms themselves run across adjacent columns and need no
+// transpose.  The inner loop is a 4x4 tile held entirely in registers
 // (B::ptranspose4, 8 shuffles on AVX2) and tiles are walked in TB x TB
 // super-blocks so both the gather side and the scatter side stay resident
 // in L1/L2.  Backends without packed 4-wide vectors (planes != 4) fall back
 // to a scalar 4x4 tile, which keeps the blocked walk and its locality.
-//
-// The fused-middle schedule (fft2d_x_stage_to_tiles/_from_tiles) halves the
-// transpose count: only the side that faces the x-major global tensors (the
-// gather from u on forward, the scatter into v on inverse) remains; the
-// other side is replaced by y-major staging tiles consumed in place.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,19 @@
 // 2D FFT plan: correctness against a reference 2D DFT, per-axis truncation,
-// and the forward/inverse round trip the 2D FNO pipeline relies on.
+// the forward/inverse round trip the 2D FNO pipeline relies on, and the
+// recorded error numbers of the truncated / zero-padded pair on both lanes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <complex>
+#include <numbers>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fft/fft2d.hpp"
+#include "fft/real2d.hpp"
 #include "fft/reference.hpp"
 #include "test_util.hpp"
 
@@ -235,6 +243,153 @@ TEST(Fft2dEdgeShapes, ZeroBatchIsANoOp) {
   std::vector<c32> out(4, c32{1.0f, -1.0f});
   plan.execute(std::span<const c32>{}, out, 0);
   EXPECT_EQ(out[0].re, 1.0f);  // untouched
+}
+
+// ------------------------------------------------------------- error numbers
+
+// The X axis of every 2D transform runs the column-block kernel; these are
+// its error numbers at the FNO shapes, on both lanes, against a separable
+// double-precision DFT.  Each is recorded (RecordProperty, so --gtest_output
+// =xml carries it) and bounded: relative L2 below 1e-6, and the max-abs
+// error relative to the largest reference magnitude.
+using cd = std::complex<double>;
+
+std::vector<cd> unit_roots(std::size_t n, double sign) {
+  std::vector<cd> r(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    r[j] = std::polar(1.0, sign * 2.0 * std::numbers::pi * static_cast<double>(j) /
+                               static_cast<double>(n));
+  }
+  return r;
+}
+
+// First mx x my bins of the 2D DFT of an [nx, ny] field.
+std::vector<cd> dft2d_truncated(const std::vector<cd>& u, std::size_t nx, std::size_t ny,
+                                std::size_t mx, std::size_t my) {
+  const auto ex = unit_roots(nx, -1.0);
+  const auto ey = unit_roots(ny, -1.0);
+  std::vector<cd> a(mx * ny), out(mx * my);
+  for (std::size_t k = 0; k < mx; ++k) {
+    for (std::size_t x = 0; x < nx; ++x) {
+      const cd t = ex[(x * k) % nx];
+      for (std::size_t y = 0; y < ny; ++y) a[k * ny + y] += t * u[x * ny + y];
+    }
+    for (std::size_t c = 0; c < my; ++c) {
+      for (std::size_t y = 0; y < ny; ++y) out[k * my + c] += a[k * ny + y] * ey[(y * c) % ny];
+    }
+  }
+  return out;
+}
+
+// Zero-padded inverse of [mx, my] stored bins to an [nx, ny] field, scaled
+// by 1/(nx ny).  `real`: the X axis is Hermitian-extended (bin 0 projected
+// real; mx < nx/2 + 1, so no Nyquist) and the real part returned.
+std::vector<cd> idft2d_padded(const std::vector<cd>& s, std::size_t nx, std::size_t ny,
+                              std::size_t mx, std::size_t my, bool real) {
+  const auto ex = unit_roots(nx, 1.0);
+  const auto ey = unit_roots(ny, 1.0);
+  std::vector<cd> b(mx * ny), v(nx * ny);
+  for (std::size_t k = 0; k < mx; ++k) {
+    for (std::size_t y = 0; y < ny; ++y) {
+      for (std::size_t c = 0; c < my; ++c) b[k * ny + y] += s[k * my + c] * ey[(y * c) % ny];
+    }
+  }
+  const double scale = 1.0 / static_cast<double>(nx * ny);
+  for (std::size_t x = 0; x < nx; ++x) {
+    for (std::size_t y = 0; y < ny; ++y) {
+      cd acc = real ? cd(b[y].real(), 0.0) : b[y];
+      for (std::size_t k = 1; k < mx; ++k) {
+        const cd t = b[k * ny + y] * ex[(x * k) % nx];
+        acc += real ? cd(2.0 * t.real(), 0.0) : t;
+      }
+      v[x * ny + y] = acc * scale;
+    }
+  }
+  return v;
+}
+
+struct ErrorNumbers {
+  double rel_l2 = 0.0;   // ||got - ref|| / ||ref||
+  double max_rel = 0.0;  // max |got - ref| / max |ref|
+};
+
+ErrorNumbers error_numbers(const std::vector<cd>& got, const std::vector<cd>& ref) {
+  double num = 0.0, den = 0.0, max_abs = 0.0, max_ref = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    num += std::norm(got[i] - ref[i]);
+    den += std::norm(ref[i]);
+    max_abs = std::max(max_abs, std::abs(got[i] - ref[i]));
+    max_ref = std::max(max_ref, std::abs(ref[i]));
+  }
+  return {std::sqrt(num / den), max_abs / max_ref};
+}
+
+template <class T>
+std::vector<cd> widen(const std::vector<T>& v) {
+  std::vector<cd> w(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if constexpr (std::is_same_v<T, float>) {
+      w[i] = cd(v[i], 0.0);
+    } else {
+      w[i] = cd(v[i].re, v[i].im);
+    }
+  }
+  return w;
+}
+
+void record_and_bound(const std::string& key, const ErrorNumbers& e) {
+  ::testing::Test::RecordProperty(key + "_rel_l2", ::testing::PrintToString(e.rel_l2));
+  ::testing::Test::RecordProperty(key + "_max_rel", ::testing::PrintToString(e.max_rel));
+  EXPECT_LT(e.rel_l2, 1e-6) << key;
+  EXPECT_LT(e.max_rel, 1e-6) << key;
+}
+
+TEST(Fft2dErrorNumbers, TruncatedForwardAndPaddedInverseBothLanes) {
+  struct Shape {
+    const char* name;
+    std::size_t nx, ny, modes_x, modes_y;
+  };
+  for (const auto& [name, nx, ny, modes_x, modes_y] :
+       {Shape{"fig19", 256, 128, 64, 64}, Shape{"n512", 512, 512, 128, 128}}) {
+    const std::string tag(name);
+    const auto field = random_signal(nx * ny, 271u);
+    const auto reals = turbofno::testing::random_reals(nx * ny, 277u);
+
+    // Complex lane: the FftPlan2d pair.
+    {
+      std::vector<c32> spec(modes_x * modes_y), back(nx * ny);
+      make2d(nx, ny, Direction::Forward, modes_x, modes_y).execute(field, spec, 1);
+      record_and_bound(tag + "_c2c_fwd",
+                       error_numbers(widen(spec), dft2d_truncated(widen(field), nx, ny,
+                                                                  modes_x, modes_y)));
+      const auto stored = random_signal(modes_x * modes_y, 281u);
+      make2d(nx, ny, Direction::Inverse, modes_x, modes_y).execute(stored, back, 1);
+      record_and_bound(tag + "_c2c_inv",
+                       error_numbers(widen(back), idft2d_padded(widen(stored), nx, ny, modes_x,
+                                                                modes_y, false)));
+    }
+
+    // Real lane: the R2C / C2R column-pair X stage with the complex Y stage,
+    // keeping modes_x/2 + 1 half-spectrum rows as the real pipelines do.
+    {
+      const std::size_t mx = modes_x / 2 + 1;
+      const FftPlan y_fwd({ny, Direction::Forward, modes_y, 0, true});
+      const FftPlan y_inv({ny, Direction::Inverse, 0, modes_y, true});
+      std::vector<c32> mid(mx * ny), spec(mx * modes_y);
+      rfft2d_x_stage(nx, mx, reals.data(), mid.data(), 1, ny);
+      y_fwd.execute(mid, spec, mx);
+      record_and_bound(tag + "_real_fwd",
+                       error_numbers(widen(spec), dft2d_truncated(widen(reals), nx, ny, mx,
+                                                                  modes_y)));
+      const auto stored = random_signal(mx * modes_y, 283u);
+      std::vector<float> back(nx * ny);
+      y_inv.execute(stored, mid, mx);
+      irfft2d_x_stage(nx, mx, mid.data(), back.data(), 1, ny);
+      record_and_bound(tag + "_real_inv",
+                       error_numbers(widen(back),
+                                     idft2d_padded(widen(stored), nx, ny, mx, modes_y, true)));
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Real-input FFT plans (R2C / C2R): reference equivalence, conjugate
 // symmetry, truncation, round trips, strided entry points, the shared plan
-// cache, and the 2D real X stage.
+// cache, and the 2D real X stage (one column-block kernel for all its
+// layouts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "fft/fft2d.hpp"
@@ -19,6 +22,9 @@ namespace {
 using turbofno::testing::fft_tol;
 using turbofno::testing::max_err;
 using turbofno::testing::random_reals;
+using turbofno::testing::random_signal;
+using turbofno::testing::same_bits;
+using turbofno::testing::y_major;
 
 std::vector<c32> as_complex(const std::vector<float>& x) {
   std::vector<c32> z(x.size());
@@ -321,6 +327,93 @@ TEST(Irfft2dXStage, FromTilesMatchesWholeField) {
     EXPECT_NEAR(from_tiles[i], whole[i], 1e-5) << "i=" << i;
   }
 }
+
+// One column-block kernel behind every real X-stage entry point: the
+// x-major and the tile layouts agree bit for bit, forward and inverse, and
+// both match the double reference.  ny = 2 and 4 give blocks narrower than
+// the column-block width; keep_x covers the DC-only and the Nyquist ends.
+struct RealXCase {
+  std::size_t nx, ny, keep_x;
+};
+
+// Double-reference C2R of one column's stored half-spectrum prefix:
+// Re(idft(hermitian_extend(s))), DC (and a stored Nyquist) projected real.
+std::vector<c32> reference_c2r_column(const std::vector<c32>& s, std::size_t nx) {
+  std::vector<c32> ext(nx, c32{});
+  const std::size_t lim = std::min(s.size(), nx / 2);
+  ext[0] = {s[0].re, 0.0f};
+  for (std::size_t k = 1; k < lim; ++k) {
+    ext[k] = s[k];
+    ext[nx - k] = conj(s[k]);
+  }
+  if (s.size() == nx / 2 + 1) ext[nx / 2] = {s[nx / 2].re, 0.0f};
+  std::vector<c32> out(nx);
+  reference_idft(ext, out, nx);
+  return out;
+}
+
+class RealOneXKernel : public ::testing::TestWithParam<RealXCase> {};
+
+TEST_P(RealOneXKernel, LayoutsAreBitwiseAndMatchReference) {
+  const auto [nx, ny, keep_x] = GetParam();
+  const std::size_t fields = 3;
+  const unsigned seed = 1201u + static_cast<unsigned>(nx + ny + keep_x);
+
+  const auto in = random_reals(fields * nx * ny, seed);
+  std::vector<c32> rows(fields * keep_x * ny), tiles(fields * ny * keep_x);
+  rfft2d_x_stage(nx, keep_x, in.data(), rows.data(), fields, ny);
+  rfft2d_x_stage_to_tiles(nx, keep_x, in.data(), fields, ny,
+                          [&](std::size_t f, std::size_t y0, std::size_t) {
+                            return tiles.data() + (f * ny + y0) * keep_x;
+                          });
+  EXPECT_TRUE(same_bits(y_major(rows, fields, keep_x, ny), tiles));
+
+  const auto spec = random_signal(fields * keep_x * ny, seed + 1);
+  const auto spec_tiles = y_major(spec, fields, keep_x, ny);
+  std::vector<float> from_rows(fields * nx * ny), from_tiles(fields * nx * ny);
+  irfft2d_x_stage(nx, keep_x, spec.data(), from_rows.data(), fields, ny);
+  irfft2d_x_stage_from_tiles(nx, keep_x,
+                             [&](std::size_t f, std::size_t y0, std::size_t) {
+                               return static_cast<const c32*>(spec_tiles.data() +
+                                                              (f * ny + y0) * keep_x);
+                             },
+                             from_tiles.data(), fields, ny);
+  EXPECT_TRUE(same_bits(from_rows, from_tiles));
+
+  double fwd_err = 0.0;
+  double inv_err = 0.0;
+  std::vector<c32> col(nx), bins(keep_x), stored(keep_x);
+  for (std::size_t f = 0; f < fields; ++f) {
+    for (std::size_t y = 0; y < ny; ++y) {
+      for (std::size_t x = 0; x < nx; ++x) col[x] = {in[(f * nx + x) * ny + y], 0.0f};
+      reference_dft(col, bins, nx);
+      for (std::size_t k = 0; k < keep_x; ++k) {
+        const c32 got = rows[(f * keep_x + k) * ny + y];
+        fwd_err = std::max({fwd_err, static_cast<double>(std::fabs(got.re - bins[k].re)),
+                            static_cast<double>(std::fabs(got.im - bins[k].im))});
+        stored[k] = spec[(f * keep_x + k) * ny + y];
+      }
+      const auto want = reference_c2r_column(stored, nx);
+      for (std::size_t x = 0; x < nx; ++x) {
+        inv_err = std::max(inv_err, static_cast<double>(std::fabs(
+                                        from_rows[(f * nx + x) * ny + y] - want[x].re)));
+      }
+    }
+  }
+  EXPECT_LT(fwd_err, fft_tol(nx));
+  EXPECT_LT(inv_err, fft_tol(nx));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, RealOneXKernel,
+                         ::testing::Values(RealXCase{4, 2, 3},        // one pair, Nyquist
+                                           RealXCase{8, 2, 1},        // DC only
+                                           RealXCase{16, 4, 9},       // two pairs
+                                           RealXCase{32, 8, 1},       // four pairs
+                                           RealXCase{64, 16, 33},     // one full block
+                                           RealXCase{256, 128, 33},   // Figure 19 rows
+                                           RealXCase{256, 128, 129},  // Nyquist
+                                           RealXCase{1024, 16, 1},
+                                           RealXCase{1024, 16, 513}));
 
 }  // namespace
 }  // namespace turbofno::fft

@@ -1,6 +1,7 @@
 // The SIMD 4x4 complex transpose, the cache-blocked transpose built on it,
-// and the transpose-based 2D FFT schedule: parity against the naive
-// transpose / double-precision reference DFT on both backends, and the
+// and the 2D FFT schedules: parity against the naive transpose /
+// double-precision reference DFT on both backends, one column-block X
+// kernel behind every X-stage entry point and FftPlan2d schedule, and the
 // steady-state no-allocation property of the scratch arena they share.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "fft/fft2d.hpp"
 #include "fft/reference.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "tensor/transpose.hpp"
 #include "test_util.hpp"
@@ -19,6 +21,8 @@ namespace {
 using testing::fft_tol;
 using testing::max_err;
 using testing::random_signal;
+using testing::same_bits;
+using testing::y_major;
 
 // ------------------------------------------------------------- transpose ops
 
@@ -227,6 +231,123 @@ TEST(TransposedSchedule, RoundTripWithKeepAndBatch) {
   inv_t.execute(spec, twice, batch);
   EXPECT_LT(max_err(twice, once), 5.0 * fft_tol(nx * ny));
 }
+
+// ------------------------------------------ one X kernel for every consumer
+
+// Every 2D consumer runs its X axis through the same column-block kernel:
+// the x-major whole-field stage, the tile producer/consumer pair, and both
+// FftPlan2d schedules must agree bit for bit, and each against the double
+// reference.
+struct XKernelCase {
+  std::size_t nx, ny, kx, ky;
+  bool scale;
+};
+
+// Double-reference X stages: each column's first `kx` DFT bins (forward),
+// or the zero-padded inverse DFT of its `kx` stored bins.
+std::vector<c32> reference_x_stage(const std::vector<c32>& in, std::size_t fields,
+                                   std::size_t nx, std::size_t ny, std::size_t kx,
+                                   fft::Direction dir, bool scale) {
+  const bool fwd = dir == fft::Direction::Forward;
+  const std::size_t rows_in = fwd ? nx : kx;
+  const std::size_t rows_out = fwd ? kx : nx;
+  std::vector<c32> out(fields * rows_out * ny), col(rows_in), res(rows_out);
+  for (std::size_t f = 0; f < fields; ++f) {
+    for (std::size_t y = 0; y < ny; ++y) {
+      for (std::size_t x = 0; x < rows_in; ++x) col[x] = in[(f * rows_in + x) * ny + y];
+      if (fwd) {
+        fft::reference_dft(col, res, nx);
+      } else {
+        fft::reference_idft(col, res, nx, scale);
+      }
+      for (std::size_t x = 0; x < rows_out; ++x) out[(f * rows_out + x) * ny + y] = res[x];
+    }
+  }
+  return out;
+}
+
+class OneXKernel : public ::testing::TestWithParam<XKernelCase> {};
+
+TEST_P(OneXKernel, XStagesAreBitwiseAcrossLayoutsAndMatchReference) {
+  const auto [nx, ny, kx, ky, scale] = GetParam();
+  const std::size_t fields = 3;
+  // An unscaled inverse is nx times larger; so is its rounding error.
+  const double inv_tol = fft_tol(nx) * (scale ? 1.0 : static_cast<double>(nx));
+
+  const fft::FftPlan fwd({nx, fft::Direction::Forward, kx, 0, scale});
+  const auto in = random_signal(fields * nx * ny, 741u + static_cast<unsigned>(nx + ny));
+  std::vector<c32> rows(fields * kx * ny), tiles(fields * ny * kx);
+  fft::fft2d_x_stage(fwd, in.data(), rows.data(), fields, ny);
+  fft::fft2d_x_stage_to_tiles(fwd, in.data(), fields, ny,
+                              [&](std::size_t f, std::size_t y0, std::size_t) {
+                                return tiles.data() + (f * ny + y0) * kx;
+                              });
+  EXPECT_TRUE(same_bits(y_major(rows, fields, kx, ny), tiles));
+  EXPECT_LT(max_err(rows, reference_x_stage(in, fields, nx, ny, kx, fft::Direction::Forward,
+                                            scale)),
+            fft_tol(nx));
+
+  const fft::FftPlan inv({nx, fft::Direction::Inverse, 0, kx, scale});
+  const auto spec = random_signal(fields * kx * ny, 743u + static_cast<unsigned>(nx + ny));
+  const auto spec_tiles = y_major(spec, fields, kx, ny);
+  std::vector<c32> from_rows(fields * nx * ny), from_tiles(fields * nx * ny);
+  fft::fft2d_x_stage(inv, spec.data(), from_rows.data(), fields, ny);
+  fft::fft2d_x_stage_from_tiles(inv,
+                                [&](std::size_t f, std::size_t y0, std::size_t) {
+                                  return static_cast<const c32*>(spec_tiles.data() +
+                                                                 (f * ny + y0) * kx);
+                                },
+                                from_tiles.data(), fields, ny);
+  EXPECT_TRUE(same_bits(from_rows, from_tiles));
+  EXPECT_LT(max_err(from_rows, reference_x_stage(spec, fields, nx, ny, kx,
+                                                 fft::Direction::Inverse, scale)),
+            inv_tol);
+}
+
+TEST_P(OneXKernel, BothPlan2dSchedulesAreBitwiseAndMatchReference) {
+  const auto [nx, ny, kx, ky, scale] = GetParam();
+  const std::size_t batch = 2;
+  fft::Plan2dDesc d{nx, ny, fft::Direction::Forward, kx, ky, scale};
+  const fft::FftPlan2d fwd(d);
+  d.dir = fft::Direction::Inverse;
+  const fft::FftPlan2d inv(d);
+  const auto field = random_signal(batch * nx * ny, 751u + static_cast<unsigned>(nx + ny));
+  const auto spec = random_signal(batch * kx * ky, 753u + static_cast<unsigned>(nx + ny));
+
+  // One thread takes the fused per-field schedule (every shape here keeps
+  // its staging tile within budget); more threads than fields force the
+  // two-pass schedule.
+  const auto run = [&](const fft::FftPlan2d& plan, const std::vector<c32>& in, int threads) {
+    runtime::set_thread_count(threads);
+    std::vector<c32> out(batch * plan.out_field_elems());
+    plan.execute(in, out, batch);
+    runtime::set_thread_count(0);
+    return out;
+  };
+  const auto fwd_fused = run(fwd, field, 1);
+  const auto inv_fused = run(inv, spec, 1);
+  EXPECT_TRUE(same_bits(fwd_fused, run(fwd, field, 3)));
+  EXPECT_TRUE(same_bits(inv_fused, run(inv, spec, 3)));
+
+  const double n2 = static_cast<double>(nx * ny);
+  EXPECT_LT(max_err(fwd_fused, reference_forward(field, batch, nx, ny, kx, ky)), fft_tol(nx * ny));
+  // The double reference scales its inverse; undo that for unscaled plans.
+  auto want = reference_inverse(spec, batch, nx, ny, kx, ky);
+  if (!scale) {
+    for (auto& v : want) v *= static_cast<float>(n2);
+  }
+  EXPECT_LT(max_err(inv_fused, want), fft_tol(nx * ny) * (scale ? 1.0 : n2));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, OneXKernel,
+    ::testing::Values(XKernelCase{8, 2, 8, 2, true},          // one block narrower than W
+                      XKernelCase{16, 4, 4, 2, false},        // narrow block, unscaled
+                      XKernelCase{64, 8, 16, 8, true},        // exactly one block
+                      XKernelCase{32, 16, 32, 4, false},      // two blocks, one slab
+                      XKernelCase{256, 128, 64, 64, true},    // the Figure 19 shape
+                      XKernelCase{1024, 16, 256, 8, false},   // long X axis
+                      XKernelCase{512, 32, 128, 32, true}));
 
 // --------------------------------------------------------------- scratch use
 

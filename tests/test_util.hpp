@@ -38,6 +38,19 @@ bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
+/// x-major [rows, ny] fields -> y-major [ny, rows] tiles, field by field:
+/// the layout the 2D X-stage tile entry points produce and consume.
+inline std::vector<c32> y_major(const std::vector<c32>& x, std::size_t fields,
+                                std::size_t rows, std::size_t ny) {
+  std::vector<c32> t(x.size());
+  for (std::size_t f = 0; f < fields; ++f) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t y = 0; y < ny; ++y) t[(f * ny + y) * rows + r] = x[(f * rows + r) * ny + y];
+    }
+  }
+  return t;
+}
+
 inline double max_err(std::span<const c32> a, std::span<const c32> b) {
   EXPECT_EQ(a.size(), b.size());
   double m = 0.0;
