@@ -8,7 +8,6 @@
 #include "baseline/problem.hpp"
 #include "gemm/batched.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/scratch.hpp"
 
 namespace turbofno::core {
 
@@ -26,13 +25,15 @@ bool gemm_shape(std::size_t in, std::size_t out) {
   return in >= kGemmMinChannels && out >= kGemmMinChannels;
 }
 
-/// V[b] (+)= W[out x in] * U[b][in x cols] on the tiled CGEMM.
+/// V[b] (+)= W[out x in] * U[b][in x cols] on the tiled CGEMM (Re(W) only
+/// when `w_kind` is RealPart).
 void gemm_mix(const c32* w, const c32* u, c32* v, std::size_t in, std::size_t out,
-              std::size_t batch, std::size_t cols, bool accumulate) {
+              std::size_t batch, std::size_t cols, bool accumulate,
+              gemm::AOperand w_kind = gemm::AOperand::Complex) {
   const gemm::BatchedStrides strides{0, static_cast<std::ptrdiff_t>(in * cols),
                                      static_cast<std::ptrdiff_t>(out * cols)};
   gemm::cgemm_batched(out, cols, in, c32{1.0f, 0.0f}, w, in, u, cols,
-                      c32{accumulate ? 1.0f : 0.0f, 0.0f}, v, cols, batch, strides);
+                      c32{accumulate ? 1.0f : 0.0f, 0.0f}, v, cols, batch, strides, w_kind);
 }
 
 /// The streaming o,k,s loop for narrow shapes; T is c32 or float and
@@ -106,15 +107,8 @@ void PointwiseLinear::forward_real(std::span<const float> u, std::span<float> v,
                                    std::size_t batch, std::size_t spatial,
                                    bool accumulate) const {
   if (gemm_shape(in_, out_) && spatial % 2 == 0) {
-    // tfno-hot-begin: per-call {w.re, 0} weight view (arena only: the
-    // weights() span may rewrite w_ between calls, so nothing is cached)
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<c32> wr = arena.alloc<c32>(w_.size());
-    for (std::size_t i = 0; i < wr.size(); ++i) wr[i] = c32{w_[i].re, 0.0f};
-    gemm_mix(wr.data(), reinterpret_cast<const c32*>(u.data()), reinterpret_cast<c32*>(v.data()),
-             in_, out_, batch, spatial / 2, accumulate);
-    // tfno-hot-end
+    gemm_mix(w_.data(), reinterpret_cast<const c32*>(u.data()), reinterpret_cast<c32*>(v.data()),
+             in_, out_, batch, spatial / 2, accumulate, gemm::AOperand::RealPart);
     return;
   }
   loop_mix(u.data(), v.data(), in_, out_, batch, spatial, accumulate,

@@ -44,11 +44,14 @@ class PointwiseLinear {
   /// Real-field variant: mixes with the real parts of the weights (the real
   /// model keeps every spatial tensor in floats; only the retained spectra
   /// are complex).  On the GEMM shape with an even `spatial` it views each
-  /// pair of adjacent floats as one c32 and mixes with {w.re, 0} weights
-  /// built per call in the thread's scratch arena; odd `spatial` takes the
-  /// loop.  The pair view is exact for finite inputs.  A non-finite sample
-  /// can also poison its pair partner (0 * inf), but the spectral branch
-  /// already spreads a NaN across the whole item.
+  /// pair of adjacent floats as one c32 and runs the CGEMM with a real A
+  /// operand (gemm::AOperand::RealPart): the pack reads only w.re and the
+  /// micro-kernel does 2 FMAs per complex lane, no weight copy is built;
+  /// odd `spatial` takes the loop.  The pair view is exact for finite
+  /// inputs, and bit-identical to a complex GEMM on {w.re, 0} weights.  A
+  /// non-finite sample can still poison its pair partner in the complex
+  /// alpha/beta epilogue (0 * inf), but the spectral branch already
+  /// spreads a NaN across the whole item.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch,
                     std::size_t spatial, bool accumulate = false) const;
 

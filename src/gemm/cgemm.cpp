@@ -1,30 +1,67 @@
 #include "gemm/cgemm.hpp"
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 
+#include "gemm/batched.hpp"
 #include "gemm/micro_kernel.hpp"
 #include "gemm/pack.hpp"
 #include "runtime/parallel.hpp"
-#include "tensor/aligned_buffer.hpp"
+#include "runtime/scratch.hpp"
 #include "tensor/simd.hpp"
 
 namespace turbofno::gemm {
 
 namespace {
 
-// Scalar-backend tile task: interleaved panels, the seed's auto-vectorized
-// kernel.  Kept verbatim as the scalar baseline the SIMD path is benched
-// against.
-template <class Cfg>
+constexpr std::size_t ceil_div(std::size_t a, std::size_t b) noexcept { return (a + b - 1) / b; }
+
+/// Packed-operand element type: interleaved c32 panels on the scalar
+/// backend, split float planes on a SIMD one.
+template <class B>
+using PackT = std::conditional_t<B::lanes == 1, c32, float>;
+
+/// Elements of one packed (row tile, k-tile) A panel and of one B panel.
+template <class Cfg, class B, bool RealA>
+constexpr std::size_t a_panel_elems() noexcept {
+  if constexpr (B::lanes == 1) return Cfg::Mtb * Cfg::Ktb;
+  return kASliceFloats<Cfg::Mtb, RealA> * Cfg::Ktb;
+}
+template <class Cfg, class B>
+constexpr std::size_t b_panel_elems() noexcept {
+  return (B::lanes == 1 ? 1 : 2) * Cfg::Ntb * Cfg::Ktb;
+}
+
+/// Where a C tile finds the A panels of its row tile: k-tile kt's panel
+/// at `panels + kt * stride`.  With `src` set, the tile first packs each
+/// panel there from A (leading dimension `lda`): the first C tile of a row
+/// packs the row for the others, and a stride of 0 reuses one slot when no
+/// other C tile reads the row.
+template <class T>
+struct ARow {
+  T* panels;
+  std::size_t stride;
+  const c32* src = nullptr;
+  std::size_t lda = 0;
+};
+
+// Scalar-backend tile task: interleaved panels and the seed's
+// auto-vectorized kernel, the scalar baseline the SIMD path is benched
+// against.  A real A arrives as {re, 0} panels through the same complex
+// kernel: under FMA contraction a real-only variant would round
+// differently from the complex one.
+template <class Cfg, bool RealA>
 void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-                      c32 alpha, const c32* A, std::size_t lda, const c32* B, std::size_t ldb,
-                      c32 beta, c32* C, std::size_t ldc, c32* Apack, c32* Bpack) {
+                      c32 alpha, ARow<c32> a, const c32* B, std::size_t ldb, c32 beta, c32* C,
+                      std::size_t ldc, c32* Bpack) {
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
   constexpr std::size_t Ktb = Cfg::Ktb;
   constexpr std::size_t Mt = Cfg::Mt;
   constexpr std::size_t Nt = Cfg::Nt;
 
+  // tfno-hot-begin: C-tile body (heap allocation forbidden)
   const std::size_t i0 = ti * Mtb;
   const std::size_t j0 = tj * Ntb;
   const std::size_t mi = std::min(Mtb, M - i0);
@@ -37,7 +74,8 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
 
   for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
     const std::size_t kc = std::min(Ktb, K - k0);
-    pack_a_tile<Mtb, Ktb>(Apack, A, lda, i0, k0, mi, kc);
+    c32* Apack = a.panels + (k0 / Ktb) * a.stride;
+    if (a.src != nullptr) pack_a_tile<Mtb, Ktb, RealA>(Apack, a.src, a.lda, i0, k0, mi, kc);
     pack_b_tile<Ntb, Ktb>(Bpack, B, ldb, k0, j0, kc, nj);
 
     for (std::size_t ii = 0; ii < Mtb; ii += Mt) {
@@ -62,15 +100,16 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
       for (std::size_t j = 0; j < nj; ++j) crow[j] = alpha * arow[j] + beta * crow[j];
     }
   }
+  // tfno-hot-end
 }
 
 // SIMD tile task: split-complex panels and accumulator planes; the register
 // block runs the vector micro-kernel, the epilogue re-interleaves into C
 // with masked tails.
-template <class Cfg, class B>
+template <class Cfg, class B, bool RealA>
 void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-                    c32 alpha, const c32* A, std::size_t lda, const c32* Bm, std::size_t ldb,
-                    c32 beta, c32* C, std::size_t ldc, float* Apack, float* Bpack) {
+                    c32 alpha, ARow<float> a, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
+                    std::size_t ldc, float* Bpack) {
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
   constexpr std::size_t Ktb = Cfg::Ktb;
@@ -79,6 +118,7 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
   static_assert(Ntb % JW == 0, "j-block must divide the tile width");
   using V = typename B::cvec;
 
+  // tfno-hot-begin: C-tile body (heap allocation forbidden)
   const std::size_t i0 = ti * Mtb;
   const std::size_t j0 = tj * Ntb;
   const std::size_t mi = std::min(Mtb, M - i0);
@@ -91,14 +131,15 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
 
   for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
     const std::size_t kc = std::min(Ktb, K - k0);
-    pack_a_tile_split<Mtb, Ktb>(Apack, A, lda, i0, k0, mi, kc);
+    float* Apack = a.panels + (k0 / Ktb) * a.stride;
+    if (a.src != nullptr) pack_a_tile_split<Mtb, Ktb, RealA>(Apack, a.src, a.lda, i0, k0, mi, kc);
     pack_b_tile_split<Ntb, Ktb, B>(Bpack, Bm, ldb, k0, j0, kc, nj);
 
     // An edge tile skips the register blocks that lie wholly in its zero
     // padding: they never reach C (e.g. rows 40..63 of a 40-row GEMM).
     for (std::size_t ii = 0; ii < mi; ii += Mt) {
       for (std::size_t jj = 0; jj < nj; jj += JW) {
-        micro_accumulate_split<B, Mt, JW, Mtb, Ntb>(acc_tile, Apack, Bpack, kc, ii, jj);
+        micro_accumulate_split<B, Mt, JW, Mtb, Ntb, RealA>(acc_tile, Apack, Bpack, kc, ii, jj);
       }
     }
   }
@@ -124,35 +165,146 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
       B::store_partial(crow + j, res, rem);
     }
   }
+  // tfno-hot-end
 }
 
-}  // namespace
+/// C tile (ti, tj) on the backend's tile task.
+template <class Cfg, class B, bool RealA>
+void run_tile(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
+              c32 alpha, ARow<PackT<B>> a, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
+              std::size_t ldc, PackT<B>* Bpack) {
+  if constexpr (B::lanes == 1) {
+    tile_task_scalar<Cfg, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack);
+  } else {
+    tile_task_simd<Cfg, B, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack);
+  }
+}
 
-template <class Cfg, class B>
-void cgemm_tiled_backend(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
-                         std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
-                         std::size_t ldc) {
-  if (M == 0 || N == 0) return;
-  const std::size_t tiles_m = (M + Cfg::Mtb - 1) / Cfg::Mtb;
-  const std::size_t tiles_n = (N + Cfg::Ntb - 1) / Cfg::Ntb;
+/// Elements of every A panel of one row tile, in k order.
+template <class Cfg, class B, bool RealA>
+std::size_t a_row_elems(std::size_t K) noexcept {
+  return ceil_div(K, Cfg::Ktb) * a_panel_elems<Cfg, B, RealA>();
+}
 
-  runtime::parallel_for(0, tiles_m * tiles_n, 1, [&](std::size_t lo, std::size_t hi) {
-    if constexpr (B::lanes == 1) {
-      AlignedBuffer<c32> Apack(Cfg::Mtb * Cfg::Ktb);
-      AlignedBuffer<c32> Bpack(Cfg::Ntb * Cfg::Ktb);
-      for (std::size_t t = lo; t < hi; ++t) {
-        tile_task_scalar<Cfg>(t / tiles_n, t % tiles_n, M, N, K, alpha, A, lda, Bm, ldb, beta, C,
-                              ldc, Apack.data(), Bpack.data());
+/// Packs all of A once, row tile major, into the calling thread's arena;
+/// the caller's scope owns the span.
+template <class Cfg, class B, bool RealA>
+std::span<PackT<B>> packed_a(runtime::ScratchArena& arena, const c32* A, std::size_t lda,
+                             std::size_t M, std::size_t K) {
+  constexpr std::size_t Mtb = Cfg::Mtb;
+  constexpr std::size_t Ktb = Cfg::Ktb;
+  const std::span<PackT<B>> panels =
+      arena.alloc<PackT<B>>(ceil_div(M, Mtb) * a_row_elems<Cfg, B, RealA>(K));
+  PackT<B>* dst = panels.data();
+  for (std::size_t i0 = 0; i0 < M; i0 += Mtb) {
+    for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
+      const std::size_t mi = std::min(Mtb, M - i0);
+      const std::size_t kc = std::min(Ktb, K - k0);
+      if constexpr (B::lanes == 1) {
+        pack_a_tile<Mtb, Ktb, RealA>(dst, A, lda, i0, k0, mi, kc);
+      } else {
+        pack_a_tile_split<Mtb, Ktb, RealA>(dst, A, lda, i0, k0, mi, kc);
       }
-    } else {
-      AlignedBuffer<float> Apack(2 * Cfg::Mtb * Cfg::Ktb);
-      AlignedBuffer<float> Bpack(2 * Cfg::Ntb * Cfg::Ktb);
-      for (std::size_t t = lo; t < hi; ++t) {
-        tile_task_simd<Cfg, B>(t / tiles_n, t % tiles_n, M, N, K, alpha, A, lda, Bm, ldb, beta, C,
-                               ldc, Apack.data(), Bpack.data());
+      dst += a_panel_elems<Cfg, B, RealA>();
+    }
+  }
+  return panels;
+}
+
+/// Every C tile against the panels of packed_a, parallel over C tiles.
+/// Each chunk packs its B panels in its own thread's arena.
+template <class Cfg, class B, bool RealA>
+void run_tiles(std::size_t M, std::size_t N, std::size_t K, c32 alpha, PackT<B>* panels,
+               const c32* Bm, std::size_t ldb, c32 beta, c32* C, std::size_t ldc) {
+  const std::size_t tiles_n = ceil_div(N, Cfg::Ntb);
+  const std::size_t row_elems = a_row_elems<Cfg, B, RealA>(K);
+  runtime::parallel_for(0, ceil_div(M, Cfg::Mtb) * tiles_n, 1, [&](std::size_t lo, std::size_t hi) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    const std::span<PackT<B>> Bpack = arena.alloc<PackT<B>>(b_panel_elems<Cfg, B>());
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::size_t ti = t / tiles_n;
+      const ARow<PackT<B>> a{panels + ti * row_elems, a_panel_elems<Cfg, B, RealA>()};
+      run_tile<Cfg, B, RealA>(ti, t % tiles_n, M, N, K, alpha, a, Bm, ldb, beta, C, ldc,
+                              Bpack.data());
+    }
+  });
+}
+
+/// One GEMM, with each A panel packed once.  Parallel chunks take whole
+/// row tiles, and a row's first C tile packs its A panels into the chunk's
+/// arena, in cache for the row's other C tiles.  When that would leave
+/// threads idle (fewer row tiles than threads, and more than one column
+/// tile), A is packed up front and the chunks split the C tiles.
+template <class Cfg, class B, bool RealA>
+void gemm_once(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
+               std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
+               std::size_t ldc) {
+  if (M == 0 || N == 0) return;
+  const std::size_t tiles_m = ceil_div(M, Cfg::Mtb);
+  const bool reused = N > Cfg::Ntb;  // more than one C tile reads each A panel
+  if (reused && tiles_m < static_cast<std::size_t>(runtime::thread_count())) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    run_tiles<Cfg, B, RealA>(M, N, K, alpha, packed_a<Cfg, B, RealA>(arena, A, lda, M, K).data(),
+                             Bm, ldb, beta, C, ldc);
+    return;
+  }
+  runtime::parallel_for(0, tiles_m, 1, [&](std::size_t lo, std::size_t hi) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    const std::span<PackT<B>> row = arena.alloc<PackT<B>>(
+        reused ? a_row_elems<Cfg, B, RealA>(K) : a_panel_elems<Cfg, B, RealA>());
+    const std::span<PackT<B>> Bpack = arena.alloc<PackT<B>>(b_panel_elems<Cfg, B>());
+    for (std::size_t ti = lo; ti < hi; ++ti) {
+      for (std::size_t tj = 0; tj * Cfg::Ntb < N; ++tj) {
+        const ARow<PackT<B>> a{row.data(), reused ? a_panel_elems<Cfg, B, RealA>() : 0,
+                               tj == 0 ? A : nullptr, lda};
+        run_tile<Cfg, B, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack.data());
       }
     }
   });
+}
+
+/// cgemm_batched on one tile config: a shared A (stride 0) is packed once
+/// for the whole batch, otherwise once per item.
+template <class Cfg, bool RealA>
+void gemm_batched(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
+                  std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
+                  std::size_t ldc, std::size_t batch, const BatchedStrides& strides) {
+  using B = simd::Active;
+  auto& arena = runtime::tls_scratch();
+  const auto scope = arena.scope();
+  const std::span<PackT<B>> shared =
+      strides.a == 0 ? packed_a<Cfg, B, RealA>(arena, A, lda, M, K) : std::span<PackT<B>>();
+  // Parallelism across the batch; each item's tile loop runs inline in its
+  // worker (the runtime's nested-region guard), so no oversubscription.
+  runtime::parallel_for(0, batch, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const c32* Bi = Bm + static_cast<std::ptrdiff_t>(i) * strides.b;
+      c32* Ci = C + static_cast<std::ptrdiff_t>(i) * strides.c;
+      if (strides.a == 0) {
+        run_tiles<Cfg, B, RealA>(M, N, K, alpha, shared.data(), Bi, ldb, beta, Ci, ldc);
+      } else {
+        gemm_once<Cfg, B, RealA>(M, N, K, alpha, A + static_cast<std::ptrdiff_t>(i) * strides.a,
+                                 lda, Bi, ldb, beta, Ci, ldc);
+      }
+    }
+  });
+}
+
+/// The tile config for an N-column C.  The FNO GEMM is tall-and-skinny
+/// (huge M, moderate N/K); the standalone 64x64 tile amortizes packing best
+/// for large M, while the 32x32 fused shape wins when N is small.
+bool standalone_tiles(std::size_t N) noexcept { return N >= 48; }
+
+}  // namespace
+
+template <class Cfg, class B, AOperand Kind>
+void cgemm_tiled_backend(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
+                         std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
+                         std::size_t ldc) {
+  gemm_once<Cfg, B, Kind == AOperand::RealPart>(M, N, K, alpha, A, lda, Bm, ldb, beta, C, ldc);
 }
 
 template <class Cfg>
@@ -162,68 +314,57 @@ void cgemm_tiled(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c
   cgemm_tiled_backend<Cfg, simd::Active>(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
 }
 
+// The parameter list shared by every explicit instantiation below.
+#define TURBOFNO_CGEMM_ARGS                                                                 \
+  std::size_t, std::size_t, std::size_t, c32, const c32*, std::size_t, const c32*,         \
+      std::size_t, c32, c32*, std::size_t
+
 // Instantiations for the public shapes + ablation sweep.
-template void cgemm_tiled<FusedTiles>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                      std::size_t, const c32*, std::size_t, c32, c32*,
-                                      std::size_t);
-template void cgemm_tiled<StandaloneTiles>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                           std::size_t, const c32*, std::size_t, c32, c32*,
-                                           std::size_t);
-template void cgemm_tiled<AblTilesSmall>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                         std::size_t, const c32*, std::size_t, c32, c32*,
-                                         std::size_t);
-template void cgemm_tiled<AblTilesWideN>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                         std::size_t, const c32*, std::size_t, c32, c32*,
-                                         std::size_t);
-template void cgemm_tiled<AblTilesTallM>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                         std::size_t, const c32*, std::size_t, c32, c32*,
-                                         std::size_t);
-template void cgemm_tiled<AblTilesDeepK>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                         std::size_t, const c32*, std::size_t, c32, c32*,
-                                         std::size_t);
-template void cgemm_tiled<AblTilesReg2>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                        std::size_t, const c32*, std::size_t, c32, c32*,
-                                        std::size_t);
-template void cgemm_tiled<AblTilesReg8>(std::size_t, std::size_t, std::size_t, c32, const c32*,
-                                        std::size_t, const c32*, std::size_t, c32, c32*,
-                                        std::size_t);
+template void cgemm_tiled<FusedTiles>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<StandaloneTiles>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<AblTilesSmall>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<AblTilesWideN>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<AblTilesTallM>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<AblTilesDeepK>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<AblTilesReg2>(TURBOFNO_CGEMM_ARGS);
+template void cgemm_tiled<AblTilesReg8>(TURBOFNO_CGEMM_ARGS);
 
 // Explicit-backend instantiations for the parity tests and the SIMD micro
-// bench.  The scalar pair always exists; the Active pair collapses onto it
-// in a scalar-only build.
-template void cgemm_tiled_backend<FusedTiles, simd::ScalarBackend>(std::size_t, std::size_t,
-                                                                   std::size_t, c32, const c32*,
-                                                                   std::size_t, const c32*,
-                                                                   std::size_t, c32, c32*,
-                                                                   std::size_t);
-template void cgemm_tiled_backend<StandaloneTiles, simd::ScalarBackend>(std::size_t, std::size_t,
-                                                                        std::size_t, c32,
-                                                                        const c32*, std::size_t,
-                                                                        const c32*, std::size_t,
-                                                                        c32, c32*, std::size_t);
+// bench, for both A operand kinds.  The scalar set always exists; the
+// Active set collapses onto it in a scalar-only build.
+#define TURBOFNO_CGEMM_BACKEND(Cfg, B)                                                      \
+  template void cgemm_tiled_backend<Cfg, B, AOperand::Complex>(TURBOFNO_CGEMM_ARGS);       \
+  template void cgemm_tiled_backend<Cfg, B, AOperand::RealPart>(TURBOFNO_CGEMM_ARGS)
+TURBOFNO_CGEMM_BACKEND(FusedTiles, simd::ScalarBackend);
+TURBOFNO_CGEMM_BACKEND(StandaloneTiles, simd::ScalarBackend);
 #if TURBOFNO_SIMD_HAVE_AVX2
-template void cgemm_tiled_backend<FusedTiles, simd::Avx2Backend>(std::size_t, std::size_t,
-                                                                 std::size_t, c32, const c32*,
-                                                                 std::size_t, const c32*,
-                                                                 std::size_t, c32, c32*,
-                                                                 std::size_t);
-template void cgemm_tiled_backend<StandaloneTiles, simd::Avx2Backend>(std::size_t, std::size_t,
-                                                                      std::size_t, c32,
-                                                                      const c32*, std::size_t,
-                                                                      const c32*, std::size_t,
-                                                                      c32, c32*, std::size_t);
+TURBOFNO_CGEMM_BACKEND(FusedTiles, simd::Avx2Backend);
+TURBOFNO_CGEMM_BACKEND(StandaloneTiles, simd::Avx2Backend);
 #endif
+#undef TURBOFNO_CGEMM_BACKEND
+#undef TURBOFNO_CGEMM_ARGS
 
 void cgemm(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A, std::size_t lda,
            const c32* B, std::size_t ldb, c32 beta, c32* C, std::size_t ldc) {
-  // The FNO GEMM is tall-and-skinny (huge M, moderate N/K); the standalone
-  // 64x64 tile amortizes packing best for large M, while the 32x32 fused
-  // shape wins when N is small.
-  if (N >= 48) {
+  if (standalone_tiles(N)) {
     cgemm_tiled<StandaloneTiles>(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
   } else {
     cgemm_tiled<FusedTiles>(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
   }
+}
+
+void cgemm_batched(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
+                   std::size_t lda, const c32* B, std::size_t ldb, c32 beta, c32* C,
+                   std::size_t ldc, std::size_t batch, const BatchedStrides& strides,
+                   AOperand a) {
+  if (batch == 0 || M == 0 || N == 0) return;
+  const bool standalone = standalone_tiles(N);
+  const auto run = a == AOperand::RealPart
+                       ? (standalone ? gemm_batched<StandaloneTiles, true>
+                                     : gemm_batched<FusedTiles, true>)
+                       : (standalone ? gemm_batched<StandaloneTiles, false>
+                                     : gemm_batched<FusedTiles, false>);
+  run(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, batch, strides);
 }
 
 std::uint64_t cgemm_bytes(std::size_t M, std::size_t N, std::size_t K, const TileShape& tiles,

@@ -4,6 +4,15 @@
 // shapes are the paper's Table 1 configurations, plus a template header
 // (`cgemm_tiled`) so benches can sweep alternatives (Section 3.1's "fully
 // templated CGEMM kernel").
+//
+// Each call packs every A panel (row tile x k-tile) once and streams it
+// against every C tile of its row (the GotoBLAS layout; the paper's CGEMM
+// stages A in shared memory the same way).  A shared A of cgemm_batched,
+// or an A with fewer row tiles than threads, is packed up front into the
+// calling thread's scratch arena; otherwise each parallel chunk packs its
+// row tiles into its own arena as it reaches them.  Nothing is cached
+// across calls, so a caller may rewrite A between calls.  B is packed per
+// C tile.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +23,12 @@
 #include "tensor/simd.hpp"
 
 namespace turbofno::gemm {
+
+/// What the A operand holds.  `RealPart` reads only A's real parts, as if
+/// every A.im were zero; the micro-kernel then skips the A.im FMAs, with
+/// outputs bit-identical to the complex GEMM on a {re, 0} copy of A for
+/// finite data.
+enum class AOperand { Complex, RealPart };
 
 /// C[MxN] = alpha * A[MxK] * B[KxN] + beta * C   (row-major).
 /// Parallelized over C tiles; deterministic for a fixed tile config.
@@ -29,8 +44,9 @@ void cgemm_tiled(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c
 
 /// Explicit-backend variant so benches and parity tests can pit the scalar
 /// and SIMD code paths against each other inside one binary.  Instantiated
-/// in cgemm.cpp for {FusedTiles, StandaloneTiles} x {ScalarBackend, Active}.
-template <class Cfg, class Backend>
+/// in cgemm.cpp for {FusedTiles, StandaloneTiles} x {ScalarBackend, Active}
+/// x {Complex, RealPart}.
+template <class Cfg, class Backend, AOperand Kind = AOperand::Complex>
 void cgemm_tiled_backend(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
                          std::size_t lda, const c32* B, std::size_t ldb, c32 beta, c32* C,
                          std::size_t ldc);

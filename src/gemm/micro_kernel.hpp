@@ -14,11 +14,18 @@
 //                           float panels (see pack.hpp).  The Mt x JW
 //                           register block holds re/im vector pairs; each k
 //                           step is a B-vector load, Mt broadcasts, and
-//                           Mt * JW/lanes complex FMAs — no shuffles.
+//                           Mt * JW/lanes complex FMAs — no shuffles.  Its
+//                           real-A variant (`RealA`) reads a re-only A
+//                           panel and does 2 FMAs per complex lane (rmadd)
+//                           instead of 4, bit-identical to the complex
+//                           kernel on {re, 0} for finite data.
+//
+// Both read A panels the GEMM packed once per call (cgemm.cpp).
 #pragma once
 
 #include <cstddef>
 
+#include "gemm/pack.hpp"
 #include "tensor/complex.hpp"
 #include "tensor/simd.hpp"
 
@@ -62,8 +69,10 @@ inline constexpr std::size_t kJBlock = Nt >= B::lanes ? Nt : B::lanes;
 ///
 /// `acc` holds the Mtb x Ntb tile as two planes: re at [i * Ntb + j], im at
 /// [Mtb * Ntb + i * Ntb + j].  The (i0, j0) register block of shape
-/// Mt x JW stays in registers for the whole kc loop.
-template <class B, std::size_t Mt, std::size_t JW, std::size_t Mtb, std::size_t Ntb>
+/// Mt x JW stays in registers for the whole kc loop.  With RealA the A
+/// panel is the re plane alone (pack_a_tile_split<..., true>).
+template <class B, std::size_t Mt, std::size_t JW, std::size_t Mtb, std::size_t Ntb,
+          bool RealA = false>
 inline void micro_accumulate_split(float* acc, const float* Apack, const float* Bpack,
                                    std::size_t kc, std::size_t i0, std::size_t j0) {
   static_assert(JW % B::lanes == 0, "j-block must be whole vectors");
@@ -87,12 +96,14 @@ inline void micro_accumulate_split(float* acc, const float* Apack, const float* 
     for (std::size_t v = 0; v < NV; ++v) {
       b[v] = B::load_split(bre + v * B::lanes, bim + v * B::lanes);
     }
-    const float* are = Apack + k * 2 * Mtb + i0;
+    const float* are = Apack + k * kASliceFloats<Mtb, RealA> + i0;
     const float* aim = are + Mtb;
     for (std::size_t i = 0; i < Mt; ++i) {
-      const V a = B::broadcast_split(are[i], aim[i]);
-      for (std::size_t v = 0; v < NV; ++v) {
-        r[i][v] = B::cmadd(r[i][v], a, b[v]);
+      if constexpr (RealA) {
+        for (std::size_t v = 0; v < NV; ++v) r[i][v] = B::rmadd(r[i][v], are[i], b[v]);
+      } else {
+        const V a = B::broadcast_split(are[i], aim[i]);
+        for (std::size_t v = 0; v < NV; ++v) r[i][v] = B::cmadd(r[i][v], a, b[v]);
       }
     }
   }

@@ -10,6 +10,7 @@
 
 #include "core/fno.hpp"
 #include "core/workload.hpp"
+#include "gemm/batched.hpp"
 #include "runtime/parallel.hpp"
 #include "test_util.hpp"
 
@@ -272,6 +273,61 @@ TEST(PointwiseLinearTest, RealLaneMatchesDoubleReference) {
     check_real_mix({1, 40, 2, 64}, acc);
     check_real_mix({40, 1, 2, 64}, acc);
   }
+}
+
+// The fig19 residual: 40 -> 40 channels on a 256 x 128 grid, batch 4.
+constexpr MixShape kFig19Residual{40, 40, 4, 256 * 128};
+
+/// The real lane's GEMM before it took a real A operand: the complex GEMM
+/// over the pair view with a {w.re, 0} weight copy.
+void pair_view_reference(const MixShape& m, std::span<const c32> w, std::span<const float> u,
+                         std::span<float> v, bool accumulate) {
+  std::vector<c32> wr(w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) wr[i] = c32{w[i].re, 0.0f};
+  const std::size_t cols = m.spatial / 2;
+  const gemm::BatchedStrides strides{0, static_cast<std::ptrdiff_t>(m.in * cols),
+                                     static_cast<std::ptrdiff_t>(m.out * cols)};
+  gemm::cgemm_batched(m.out, cols, m.in, c32{1.0f, 0.0f}, wr.data(), m.in,
+                      reinterpret_cast<const c32*>(u.data()), cols,
+                      c32{accumulate ? 1.0f : 0.0f, 0.0f}, reinterpret_cast<c32*>(v.data()), cols,
+                      m.batch, strides);
+}
+
+TEST(PointwiseLinearTest, RealLaneBitwiseEqualsPairViewComplexGemm) {
+  const MixShape m = kFig19Residual;
+  const PointwiseLinear lin(m.in, m.out, 37u);
+  const auto u = random_real(m.batch * m.in * m.spatial, 307u);
+  for (const bool accumulate : {false, true}) {
+    const auto v0 = random_real(m.batch * m.out * m.spatial, 308u);
+    std::vector<float> got(v0);
+    std::vector<float> want(v0);
+    lin.forward_real(u, got, m.batch, m.spatial, accumulate);
+    pair_view_reference(m, lin.weights(), u, want, accumulate);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << "accumulate=" << accumulate;
+  }
+}
+
+TEST(PointwiseLinearTest, RealLaneGemmErrorAtFig19Residual) {
+  // The real-weight GEMM's error against a double-precision mix, recorded
+  // (RecordProperty, so --gtest_output=json carries it) and bounded.
+  const MixShape m = kFig19Residual;
+  const PointwiseLinear lin(m.in, m.out, 41u);
+  const auto u = random_real(m.batch * m.in * m.spatial, 309u);
+  std::vector<float> v(m.batch * m.out * m.spatial);
+  lin.forward_real(u, v, m.batch, m.spatial);
+  const auto ref = reference_mix<float>(m, lin.weights(), u, {});
+  double err2 = 0.0;
+  double ref2 = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    err2 += std::norm(to_cd(v[i]) - ref[i]);
+    ref2 += std::norm(ref[i]);
+  }
+  const double rel_l2 = std::sqrt(err2 / ref2);
+  const double max_rel = mix_err<float>(v, ref);
+  RecordProperty("real_gemm_rel_l2", ::testing::PrintToString(rel_l2));
+  RecordProperty("real_gemm_max_rel", ::testing::PrintToString(max_rel));
+  EXPECT_LT(rel_l2, 1e-6);
 }
 
 /// Runs `mix(u, v, batch)` over a batch of 4 and item by item, at 1 and 4

@@ -1,11 +1,15 @@
 // Blocked CGEMM vs the naive reference over a shape grid, alpha/beta cases,
-// and every instantiated tile configuration.
+// and every instantiated tile configuration; the real-A operand and the
+// strided-batched entry (shared A packed once per call) bitwise against the
+// plain complex GEMM.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "gemm/batched.hpp"
 #include "gemm/cgemm.hpp"
 #include "gemm/reference.hpp"
+#include "runtime/parallel.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::gemm {
@@ -13,6 +17,7 @@ namespace {
 
 using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
+using turbofno::testing::same_bits;
 
 struct GemmCase {
   std::size_t m, n, k;
@@ -46,6 +51,55 @@ TEST_P(CgemmShapes, ComplexAlphaBetaAccumulate) {
   cgemm(M, N, K, alpha, A.data(), K, B.data(), N, beta, C.data(), N);
   cgemm_reference(M, N, K, alpha, A.data(), K, B.data(), N, beta, Cref.data(), N);
   EXPECT_LT(max_err(C, Cref), gemm_tol(K));
+}
+
+/// A with every imaginary part zeroed: what a RealPart GEMM multiplies by.
+std::vector<c32> real_part_copy(const std::vector<c32>& a) {
+  std::vector<c32> r(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) r[i] = c32{a[i].re, 0.0f};
+  return r;
+}
+
+/// The RealPart instantiation on A must equal the complex one on A's
+/// {re, 0} copy, bit for bit.
+template <class Cfg, class B>
+void expect_real_a_bitwise(std::size_t M, std::size_t N, std::size_t K, c32 alpha, c32 beta,
+                           const std::vector<c32>& A, const std::vector<c32>& Bm,
+                           const std::vector<c32>& C0, const char* what) {
+  std::vector<c32> got(C0);
+  std::vector<c32> want(C0);
+  cgemm_tiled_backend<Cfg, B, AOperand::RealPart>(M, N, K, alpha, A.data(), K, Bm.data(), N, beta,
+                                                  got.data(), N);
+  cgemm_tiled_backend<Cfg, B>(M, N, K, alpha, real_part_copy(A).data(), K, Bm.data(), N, beta,
+                              want.data(), N);
+  EXPECT_TRUE(same_bits(got, want)) << what << " " << Cfg::Mtb << "x" << Cfg::Ntb;
+}
+
+TEST_P(CgemmShapes, RealAMatchesComplexOnRealPartCopy) {
+  const auto [M, N, K] = GetParam();
+  const auto A = random_signal(M * K, 391u);
+  const auto Bm = random_signal(K * N, 397u);
+  const auto C0 = random_signal(M * N, 401u);
+  for (const c32 alpha : {c32{1.0f, 0.0f}, c32{0.5f, -1.25f}}) {
+    for (const c32 beta : {c32{0.0f, 0.0f}, c32{1.0f, 0.0f}}) {
+      SCOPED_TRACE(::testing::Message() << "M=" << M << " N=" << N << " K=" << K << " alpha="
+                                        << alpha.re << "," << alpha.im << " beta=" << beta.re);
+      expect_real_a_bitwise<FusedTiles, simd::ScalarBackend>(M, N, K, alpha, beta, A, Bm, C0,
+                                                             "scalar");
+      expect_real_a_bitwise<StandaloneTiles, simd::ScalarBackend>(M, N, K, alpha, beta, A, Bm,
+                                                                  C0, "scalar");
+      expect_real_a_bitwise<FusedTiles, simd::Active>(M, N, K, alpha, beta, A, Bm, C0, "active");
+      expect_real_a_bitwise<StandaloneTiles, simd::Active>(M, N, K, alpha, beta, A, Bm, C0,
+                                                           "active");
+      // The public entry: cgemm_batched's RealPart operand vs cgemm.
+      std::vector<c32> got(C0);
+      std::vector<c32> want(C0);
+      cgemm_batched(M, N, K, alpha, A.data(), K, Bm.data(), N, beta, got.data(), N, 1, {},
+                    AOperand::RealPart);
+      cgemm(M, N, K, alpha, real_part_copy(A).data(), K, Bm.data(), N, beta, want.data(), N);
+      EXPECT_TRUE(same_bits(got, want)) << "cgemm_batched RealPart";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -156,6 +210,115 @@ TEST(Cgemm, LeadingDimensionsLargerThanWidth) {
       EXPECT_EQ(C[i * ldc + j].re, C0[i * ldc + j].re);
     }
   }
+}
+
+TEST(CgemmBatched, IndependentInstancesMatchReference) {
+  const std::size_t M = 9;
+  const std::size_t N = 11;
+  const std::size_t K = 7;
+  const std::size_t batch = 5;
+  const auto A = random_signal(batch * M * K, 2001u);
+  const auto B = random_signal(batch * K * N, 2003u);
+  std::vector<c32> C(batch * M * N, c32{});
+  gemm::BatchedStrides strides;
+  strides.a = static_cast<std::ptrdiff_t>(M * K);
+  strides.b = static_cast<std::ptrdiff_t>(K * N);
+  strides.c = static_cast<std::ptrdiff_t>(M * N);
+  gemm::cgemm_batched(M, N, K, c32{1.0f, 0.0f}, A.data(), K, B.data(), N, c32{0.0f, 0.0f},
+                      C.data(), N, batch, strides);
+  for (std::size_t i = 0; i < batch; ++i) {
+    std::vector<c32> ref(M * N, c32{});
+    gemm::cgemm_reference(M, N, K, c32{1.0f, 0.0f}, A.data() + i * M * K, K,
+                          B.data() + i * K * N, N, c32{0.0f, 0.0f}, ref.data(), N);
+    EXPECT_LT(max_err(std::span<const c32>(C.data() + i * M * N, M * N), ref), 1e-4)
+        << "instance " << i;
+  }
+}
+
+TEST(CgemmBatched, ZeroStrideBroadcastsOperand) {
+  // The FNO case: one weight matrix A shared across the batch.
+  const std::size_t M = 8;
+  const std::size_t N = 16;
+  const std::size_t K = 8;
+  const std::size_t batch = 4;
+  const auto A = random_signal(M * K, 2011u);
+  const auto B = random_signal(batch * K * N, 2017u);
+  std::vector<c32> C(batch * M * N, c32{});
+  gemm::BatchedStrides strides;
+  strides.a = 0;  // broadcast
+  strides.b = static_cast<std::ptrdiff_t>(K * N);
+  strides.c = static_cast<std::ptrdiff_t>(M * N);
+  gemm::cgemm_batched(M, N, K, c32{1.0f, 0.0f}, A.data(), K, B.data(), N, c32{0.0f, 0.0f},
+                      C.data(), N, batch, strides);
+  for (std::size_t i = 0; i < batch; ++i) {
+    std::vector<c32> ref(M * N, c32{});
+    gemm::cgemm_reference(M, N, K, c32{1.0f, 0.0f}, A.data(), K, B.data() + i * K * N, N,
+                          c32{0.0f, 0.0f}, ref.data(), N);
+    EXPECT_LT(max_err(std::span<const c32>(C.data() + i * M * N, M * N), ref), 1e-4);
+  }
+}
+
+TEST(CgemmBatched, EmptyBatchIsANoOp) {
+  std::vector<c32> C(4, c32{3.0f, 3.0f});
+  gemm::cgemm_batched(2, 2, 2, c32{1.0f, 0.0f}, nullptr, 2, nullptr, 2, c32{0.0f, 0.0f},
+                      C.data(), 2, 0, {});
+  EXPECT_EQ(C[0].re, 3.0f);
+}
+
+/// A shared-A batched call (A packed once for the call) against one cgemm
+/// per item, bit for bit; `a` = RealPart compares against cgemm on Re(A).
+void expect_batched_equals_per_item(std::size_t M, std::size_t N, std::size_t K,
+                                    const std::vector<c32>& A, AOperand a) {
+  const std::size_t batch = 4;
+  const auto Bm = random_signal(batch * K * N, 409u);
+  const auto C0 = random_signal(batch * M * N, 419u);
+  const c32 alpha{0.75f, 0.5f};
+  const c32 beta{1.0f, 0.0f};
+  const std::vector<c32> A_eff = a == AOperand::RealPart ? real_part_copy(A) : A;
+  std::vector<c32> want(C0);
+  for (std::size_t i = 0; i < batch; ++i) {
+    cgemm(M, N, K, alpha, A_eff.data(), K, Bm.data() + i * K * N, N, beta,
+          want.data() + i * M * N, N);
+  }
+  const BatchedStrides strides{0, static_cast<std::ptrdiff_t>(K * N),
+                               static_cast<std::ptrdiff_t>(M * N)};
+  std::vector<c32> got(C0);
+  cgemm_batched(M, N, K, alpha, A.data(), K, Bm.data(), N, beta, got.data(), N, batch, strides,
+                a);
+  EXPECT_TRUE(same_bits(got, want)) << "M=" << M << " N=" << N << " K=" << K
+                                    << " real=" << (a == AOperand::RealPart);
+}
+
+TEST(CgemmBatched, SharedAPackedOnceMatchesPerItemCgemm) {
+  const int saved = runtime::thread_count();
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    for (const std::size_t M : {40u, 128u}) {
+      // N = 37 runs the 32-wide tiles, 48 and 70 the 64-wide ones.
+      for (const std::size_t N : {37u, 48u, 70u}) {
+        const std::size_t K = M == 40 ? 40 : 130;
+        const auto A = random_signal(M * K, 421u + static_cast<unsigned>(M));
+        expect_batched_equals_per_item(M, N, K, A, AOperand::Complex);
+        expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart);
+      }
+    }
+  }
+  runtime::set_thread_count(saved);
+}
+
+TEST(CgemmBatched, RewrittenSharedAIsRepackedOnTheNextCall) {
+  // Panels live only for one call: rewriting A between calls must change
+  // the next result to exactly the new A's.
+  const std::size_t M = 40;
+  const std::size_t N = 64;
+  const std::size_t K = 40;
+  auto A = random_signal(M * K, 431u);
+  expect_batched_equals_per_item(M, N, K, A, AOperand::Complex);
+  expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart);
+  for (c32& x : A) x = c32{-2.0f * x.im, x.re + 0.5f};
+  expect_batched_equals_per_item(M, N, K, A, AOperand::Complex);
+  expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart);
 }
 
 TEST(CgemmBytes, TileShapeDrivesTrafficModel) {

@@ -1,19 +1,13 @@
-// FFT plan cache and strided-batched CGEMM.
+// FFT plan cache.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "fft/plan_cache.hpp"
-#include "gemm/batched.hpp"
-#include "gemm/reference.hpp"
-#include "test_util.hpp"
 
 namespace turbofno {
 namespace {
-
-using turbofno::testing::max_err;
-using turbofno::testing::random_signal;
 
 TEST(PlanCache, SameDescriptorSharesOnePlan) {
   fft::PlanDesc d;
@@ -58,59 +52,6 @@ TEST(PlanCache, ConcurrentLookupsAreSafe) {
   for (auto& th : threads) th.join();
   for (int t = 1; t < 8; ++t) EXPECT_EQ(seen[t], seen[0]);
   EXPECT_GE(fft::cached_plan_count(), 1u);
-}
-
-TEST(CgemmBatched, IndependentInstancesMatchReference) {
-  const std::size_t M = 9;
-  const std::size_t N = 11;
-  const std::size_t K = 7;
-  const std::size_t batch = 5;
-  const auto A = random_signal(batch * M * K, 2001u);
-  const auto B = random_signal(batch * K * N, 2003u);
-  std::vector<c32> C(batch * M * N, c32{});
-  gemm::BatchedStrides strides;
-  strides.a = static_cast<std::ptrdiff_t>(M * K);
-  strides.b = static_cast<std::ptrdiff_t>(K * N);
-  strides.c = static_cast<std::ptrdiff_t>(M * N);
-  gemm::cgemm_batched(M, N, K, c32{1.0f, 0.0f}, A.data(), K, B.data(), N, c32{0.0f, 0.0f},
-                      C.data(), N, batch, strides);
-  for (std::size_t i = 0; i < batch; ++i) {
-    std::vector<c32> ref(M * N, c32{});
-    gemm::cgemm_reference(M, N, K, c32{1.0f, 0.0f}, A.data() + i * M * K, K,
-                          B.data() + i * K * N, N, c32{0.0f, 0.0f}, ref.data(), N);
-    EXPECT_LT(max_err(std::span<const c32>(C.data() + i * M * N, M * N), ref), 1e-4)
-        << "instance " << i;
-  }
-}
-
-TEST(CgemmBatched, ZeroStrideBroadcastsOperand) {
-  // The FNO case: one weight matrix A shared across the batch.
-  const std::size_t M = 8;
-  const std::size_t N = 16;
-  const std::size_t K = 8;
-  const std::size_t batch = 4;
-  const auto A = random_signal(M * K, 2011u);
-  const auto B = random_signal(batch * K * N, 2017u);
-  std::vector<c32> C(batch * M * N, c32{});
-  gemm::BatchedStrides strides;
-  strides.a = 0;  // broadcast
-  strides.b = static_cast<std::ptrdiff_t>(K * N);
-  strides.c = static_cast<std::ptrdiff_t>(M * N);
-  gemm::cgemm_batched(M, N, K, c32{1.0f, 0.0f}, A.data(), K, B.data(), N, c32{0.0f, 0.0f},
-                      C.data(), N, batch, strides);
-  for (std::size_t i = 0; i < batch; ++i) {
-    std::vector<c32> ref(M * N, c32{});
-    gemm::cgemm_reference(M, N, K, c32{1.0f, 0.0f}, A.data(), K, B.data() + i * K * N, N,
-                          c32{0.0f, 0.0f}, ref.data(), N);
-    EXPECT_LT(max_err(std::span<const c32>(C.data() + i * M * N, M * N), ref), 1e-4);
-  }
-}
-
-TEST(CgemmBatched, EmptyBatchIsANoOp) {
-  std::vector<c32> C(4, c32{3.0f, 3.0f});
-  gemm::cgemm_batched(2, 2, 2, c32{1.0f, 0.0f}, nullptr, 2, nullptr, 2, c32{0.0f, 0.0f},
-                      C.data(), 2, 0, {});
-  EXPECT_EQ(C[0].re, 3.0f);
 }
 
 }  // namespace

@@ -20,11 +20,12 @@ review because each one lives in two places at once:
                    src/ or tools/ (tfno_shardd reads knobs too) is a
                    violation.
   hotpath-alloc    regions bracketed by `// tfno-hot-begin` and
-                   `// tfno-hot-end` in src/core/, src/fused/ and
-                   src/fft/ are arena-scoped kernel worker bodies and
-                   model layer loops; heap allocation
-                   there (new/malloc/resize/push_back/...) would
-                   serialize the parallel sweep on the allocator lock.
+                   `// tfno-hot-end` in src/core/, src/fused/, src/fft/
+                   and src/gemm/ are arena-scoped kernel worker bodies,
+                   GEMM tile tasks and model layer loops; heap allocation
+                   there (new/malloc/resize/push_back/AlignedBuffer<T>
+                   construction/...) would serialize the parallel sweep
+                   on the allocator lock.
 
 Usage:
   check_invariants.py [--root DIR]   lint the tree rooted at DIR (default:
@@ -33,7 +34,9 @@ Usage:
                                      fixture corpus in tools/lint/fixtures
                                      (one clean tree + one tree per
                                      violation class) and verify it passes
-                                     and fails exactly where it should
+                                     and fails exactly where it should:
+                                     every fixture line marked `BAD` must
+                                     be reported
 
 Exit status: 0 when clean, 1 when any invariant is violated (each
 violation is printed as an `INVARIANT: ...` line with file context).
@@ -216,7 +219,11 @@ ALLOC_RES = [
     (re.compile(r"\bmake_(?:unique|shared)\b"), "make_unique/make_shared"),
     (re.compile(r"\bstd::vector\s*<"), "std::vector construction"),
     (re.compile(r"\bstd::string\b"), "std::string construction"),
+    (re.compile(r"\bAlignedBuffer\s*<[\w:\s,<>]*>\s*(?:\w+\s*)?[({]"),
+     "AlignedBuffer construction"),
 ]
+
+HOT_SUBDIRS = ("core", "fused", "fft", "gemm")
 
 
 def check_hotpath_allocs(root: Path) -> list[str]:
@@ -224,7 +231,7 @@ def check_hotpath_allocs(root: Path) -> list[str]:
     for path in source_files(root):
         rel = path.relative_to(root)
         parts = rel.parts
-        if len(parts) < 2 or parts[0] != "src" or parts[1] not in ("core", "fused", "fft"):
+        if len(parts) < 2 or parts[0] != "src" or parts[1] not in HOT_SUBDIRS:
             continue
         in_hot = False
         begin_line = 0
@@ -277,6 +284,17 @@ def lint(root: Path) -> list[str]:
     return violations
 
 
+def seeded_spots(tree: Path) -> list[str]:
+    """`file:line` of every fixture source line marked `// BAD`: each is a
+    seeded violation the linter must report by that location."""
+    spots = []
+    for path in source_files(tree):
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            if "// BAD" in raw:
+                spots.append(f"{path.relative_to(tree)}:{lineno}")
+    return spots
+
+
 def self_test(fixtures: Path) -> int:
     """The fixture corpus is the linter's own regression suite: the clean
     tree must pass, and each seeded tree must fail with (exactly) the
@@ -296,6 +314,10 @@ def self_test(fixtures: Path) -> int:
             continue
         violations = lint(tree)
         classes = {v.split(":", 1)[0] for v in violations}
+        for spot in seeded_spots(tree):
+            if not any(f" {spot} " in v for v in violations):
+                failures.append(
+                    f"fixture {name}: seeded violation at {spot} not reported")
         if want is None:
             if violations:
                 failures.append(
