@@ -20,9 +20,9 @@ struct BatchedStrides {
 ///   C_i = alpha * A_i * B_i + beta * C_i      (row-major, as cgemm()).
 /// A stride of zero broadcasts that operand across the batch (the FNO case:
 /// one weight matrix A shared by every batch entry); a shared A is packed
-/// once for the whole call.  `a` = RealPart mixes with Re(A) only (the real
+/// once per parallel chunk, not once per item.  `a` = RealPart mixes with Re(A) only (the real
 /// lane's pointwise weights).  Every item is bit-identical to a cgemm()
-/// call on it.  Parallelized over the batch; deterministic.
+/// call on it.  Parallelized over (item, C tile) pairs; deterministic.
 void cgemm_batched(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
                    std::size_t lda, const c32* B, std::size_t ldb, c32 beta, c32* C,
                    std::size_t ldc, std::size_t batch, const BatchedStrides& strides,

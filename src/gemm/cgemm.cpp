@@ -33,17 +33,72 @@ constexpr std::size_t b_panel_elems() noexcept {
   return (B::lanes == 1 ? 1 : 2) * Cfg::Ntb * Cfg::Ktb;
 }
 
-/// Where a C tile finds the A panels of its row tile: k-tile kt's panel
-/// at `panels + kt * stride`.  With `src` set, the tile first packs each
-/// panel there from A (leading dimension `lda`): the first C tile of a row
-/// packs the row for the others, and a stride of 0 reuses one slot when no
-/// other C tile reads the row.
-template <class T>
-struct ARow {
-  T* panels;
-  std::size_t stride;
-  const c32* src = nullptr;
-  std::size_t lda = 0;
+/// One parallel chunk's packed A panels.  A C tile asks for its row
+/// tile's panels in k order (`panel`); a panel the chunk has not packed yet
+/// is packed right then, just before its first use.  Row tile ti's panels
+/// live in row slot ti % row_slots, k-tile kt's in k slot kt % k_slots, so
+/// the storage holds exactly what the chunk reads again: every row when A
+/// is shared by several batch items (the chunk comes back to each row),
+/// every k-tile when a row has several C tiles, otherwise one panel reused
+/// in cache.  Private to its chunk, and it lives in the chunk's arena
+/// scope, so nothing is cached across calls.
+template <class Cfg, class B, bool RealA>
+class APanels {
+ public:
+  APanels(runtime::ScratchArena& arena, std::size_t M, std::size_t K, std::size_t lda,
+          std::size_t row_slots, std::size_t k_slots)
+      : M_(M),
+        K_(K),
+        lda_(lda),
+        k_slots_(k_slots),
+        panels_(arena.alloc<PackT<B>>(row_slots * k_slots * a_panel_elems<Cfg, B, RealA>())),
+        row_(arena.alloc<std::size_t>(row_slots)),
+        packed_(arena.alloc<std::size_t>(row_slots)) {
+    std::fill(row_.begin(), row_.end(), kNone);
+  }
+
+  /// Switches to operand A; a new A drops every packed panel.
+  void use(const c32* A) {
+    if (A == A_) return;
+    A_ = A;
+    std::fill(row_.begin(), row_.end(), kNone);
+  }
+
+  /// Row tile ti's panel at k-tile kt.
+  const PackT<B>* panel(std::size_t ti, std::size_t kt) {
+    const std::size_t s = ti % row_.size();
+    if (row_[s] != ti) {
+      row_[s] = ti;
+      packed_[s] = 0;
+    }
+    PackT<B>* dst =
+        panels_.data() + (s * k_slots_ + kt % k_slots_) * a_panel_elems<Cfg, B, RealA>();
+    if (kt == packed_[s]) {  // k-tiles are asked for in order
+      const std::size_t i0 = ti * Cfg::Mtb;
+      const std::size_t k0 = kt * Cfg::Ktb;
+      const std::size_t mi = std::min(Cfg::Mtb, M_ - i0);
+      const std::size_t kc = std::min(Cfg::Ktb, K_ - k0);
+      if constexpr (B::lanes == 1) {
+        pack_a_tile<Cfg::Mtb, Cfg::Ktb, RealA>(dst, A_, lda_, i0, k0, mi, kc);
+      } else {
+        pack_a_tile_split<Cfg::Mtb, Cfg::Ktb, RealA>(dst, A_, lda_, i0, k0, mi, kc);
+      }
+      ++packed_[s];
+    }
+    return dst;
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  std::size_t M_;
+  std::size_t K_;
+  std::size_t lda_;
+  std::size_t k_slots_;
+  std::span<PackT<B>> panels_;
+  std::span<std::size_t> row_;     // row tile held by each row slot
+  std::span<std::size_t> packed_;  // k-tiles packed so far in each row slot
+  const c32* A_ = nullptr;
 };
 
 // Scalar-backend tile task: interleaved panels and the seed's
@@ -51,10 +106,10 @@ struct ARow {
 // against.  A real A arrives as {re, 0} panels through the same complex
 // kernel: under FMA contraction a real-only variant would round
 // differently from the complex one.
-template <class Cfg, bool RealA>
+template <class Cfg, class Bk, bool RealA>
 void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-                      c32 alpha, ARow<c32> a, const c32* B, std::size_t ldb, c32 beta, c32* C,
-                      std::size_t ldc, c32* Bpack) {
+                      c32 alpha, APanels<Cfg, Bk, RealA>& a, const c32* B, std::size_t ldb,
+                      c32 beta, c32* C, std::size_t ldc, c32* Bpack) {
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
   constexpr std::size_t Ktb = Cfg::Ktb;
@@ -74,8 +129,7 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
 
   for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
     const std::size_t kc = std::min(Ktb, K - k0);
-    c32* Apack = a.panels + (k0 / Ktb) * a.stride;
-    if (a.src != nullptr) pack_a_tile<Mtb, Ktb, RealA>(Apack, a.src, a.lda, i0, k0, mi, kc);
+    const c32* Apack = a.panel(ti, k0 / Ktb);
     pack_b_tile<Ntb, Ktb>(Bpack, B, ldb, k0, j0, kc, nj);
 
     for (std::size_t ii = 0; ii < Mtb; ii += Mt) {
@@ -108,8 +162,8 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
 // with masked tails.
 template <class Cfg, class B, bool RealA>
 void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-                    c32 alpha, ARow<float> a, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
-                    std::size_t ldc, float* Bpack) {
+                    c32 alpha, APanels<Cfg, B, RealA>& a, const c32* Bm, std::size_t ldb,
+                    c32 beta, c32* C, std::size_t ldc, float* Bpack) {
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
   constexpr std::size_t Ktb = Cfg::Ktb;
@@ -131,8 +185,7 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
 
   for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
     const std::size_t kc = std::min(Ktb, K - k0);
-    float* Apack = a.panels + (k0 / Ktb) * a.stride;
-    if (a.src != nullptr) pack_a_tile_split<Mtb, Ktb, RealA>(Apack, a.src, a.lda, i0, k0, mi, kc);
+    const float* Apack = a.panel(ti, k0 / Ktb);
     pack_b_tile_split<Ntb, Ktb, B>(Bpack, Bm, ldb, k0, j0, kc, nj);
 
     // An edge tile skips the register blocks that lie wholly in its zero
@@ -171,125 +224,43 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
 /// C tile (ti, tj) on the backend's tile task.
 template <class Cfg, class B, bool RealA>
 void run_tile(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-              c32 alpha, ARow<PackT<B>> a, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
-              std::size_t ldc, PackT<B>* Bpack) {
+              c32 alpha, APanels<Cfg, B, RealA>& a, const c32* Bm, std::size_t ldb, c32 beta,
+              c32* C, std::size_t ldc, PackT<B>* Bpack) {
   if constexpr (B::lanes == 1) {
-    tile_task_scalar<Cfg, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack);
+    tile_task_scalar<Cfg, B, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack);
   } else {
     tile_task_simd<Cfg, B, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack);
   }
 }
 
-/// Elements of every A panel of one row tile, in k order.
+/// C_i = alpha * A_i * B_i + beta * C_i for every batch item i, parallel
+/// over all (item, C tile) pairs.  Each chunk packs B per C tile and each
+/// A panel once (APanels), in its own thread's arena.
 template <class Cfg, class B, bool RealA>
-std::size_t a_row_elems(std::size_t K) noexcept {
-  return ceil_div(K, Cfg::Ktb) * a_panel_elems<Cfg, B, RealA>();
-}
-
-/// Packs all of A once, row tile major, into the calling thread's arena;
-/// the caller's scope owns the span.
-template <class Cfg, class B, bool RealA>
-std::span<PackT<B>> packed_a(runtime::ScratchArena& arena, const c32* A, std::size_t lda,
-                             std::size_t M, std::size_t K) {
-  constexpr std::size_t Mtb = Cfg::Mtb;
-  constexpr std::size_t Ktb = Cfg::Ktb;
-  const std::span<PackT<B>> panels =
-      arena.alloc<PackT<B>>(ceil_div(M, Mtb) * a_row_elems<Cfg, B, RealA>(K));
-  PackT<B>* dst = panels.data();
-  for (std::size_t i0 = 0; i0 < M; i0 += Mtb) {
-    for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
-      const std::size_t mi = std::min(Mtb, M - i0);
-      const std::size_t kc = std::min(Ktb, K - k0);
-      if constexpr (B::lanes == 1) {
-        pack_a_tile<Mtb, Ktb, RealA>(dst, A, lda, i0, k0, mi, kc);
-      } else {
-        pack_a_tile_split<Mtb, Ktb, RealA>(dst, A, lda, i0, k0, mi, kc);
-      }
-      dst += a_panel_elems<Cfg, B, RealA>();
-    }
-  }
-  return panels;
-}
-
-/// Every C tile against the panels of packed_a, parallel over C tiles.
-/// Each chunk packs its B panels in its own thread's arena.
-template <class Cfg, class B, bool RealA>
-void run_tiles(std::size_t M, std::size_t N, std::size_t K, c32 alpha, PackT<B>* panels,
-               const c32* Bm, std::size_t ldb, c32 beta, c32* C, std::size_t ldc) {
+void gemm(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A, std::size_t lda,
+          const c32* Bm, std::size_t ldb, c32 beta, c32* C, std::size_t ldc, std::size_t batch,
+          const BatchedStrides& strides) {
+  const std::size_t tiles_m = ceil_div(M, Cfg::Mtb);
   const std::size_t tiles_n = ceil_div(N, Cfg::Ntb);
-  const std::size_t row_elems = a_row_elems<Cfg, B, RealA>(K);
-  runtime::parallel_for(0, ceil_div(M, Cfg::Mtb) * tiles_n, 1, [&](std::size_t lo, std::size_t hi) {
+  const std::size_t tiles = tiles_m * tiles_n;
+  // A chunk reads a packed panel again only when A is shared by several
+  // items (it comes back to every row) or a row has several C tiles.
+  const bool revisits = strides.a == 0 && batch > 1;
+  const std::size_t row_slots = revisits ? tiles_m : 1;
+  const std::size_t k_slots = revisits || tiles_n > 1 ? ceil_div(K, Cfg::Ktb) : 1;
+  runtime::parallel_for(0, batch * tiles, 1, [&](std::size_t lo, std::size_t hi) {
+    // tfno-hot-begin: chunk body (heap allocation forbidden)
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
+    APanels<Cfg, B, RealA> a(arena, M, K, lda, row_slots, k_slots);
     const std::span<PackT<B>> Bpack = arena.alloc<PackT<B>>(b_panel_elems<Cfg, B>());
     for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t ti = t / tiles_n;
-      const ARow<PackT<B>> a{panels + ti * row_elems, a_panel_elems<Cfg, B, RealA>()};
-      run_tile<Cfg, B, RealA>(ti, t % tiles_n, M, N, K, alpha, a, Bm, ldb, beta, C, ldc,
-                              Bpack.data());
+      const auto i = static_cast<std::ptrdiff_t>(t / tiles);
+      a.use(A + i * strides.a);
+      run_tile<Cfg, B, RealA>(t % tiles / tiles_n, t % tiles_n, M, N, K, alpha, a,
+                              Bm + i * strides.b, ldb, beta, C + i * strides.c, ldc, Bpack.data());
     }
-  });
-}
-
-/// One GEMM, with each A panel packed once.  Parallel chunks take whole
-/// row tiles, and a row's first C tile packs its A panels into the chunk's
-/// arena, in cache for the row's other C tiles.  When that would leave
-/// threads idle (fewer row tiles than threads, and more than one column
-/// tile), A is packed up front and the chunks split the C tiles.
-template <class Cfg, class B, bool RealA>
-void gemm_once(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
-               std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
-               std::size_t ldc) {
-  if (M == 0 || N == 0) return;
-  const std::size_t tiles_m = ceil_div(M, Cfg::Mtb);
-  const bool reused = N > Cfg::Ntb;  // more than one C tile reads each A panel
-  if (reused && tiles_m < static_cast<std::size_t>(runtime::thread_count())) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    run_tiles<Cfg, B, RealA>(M, N, K, alpha, packed_a<Cfg, B, RealA>(arena, A, lda, M, K).data(),
-                             Bm, ldb, beta, C, ldc);
-    return;
-  }
-  runtime::parallel_for(0, tiles_m, 1, [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<PackT<B>> row = arena.alloc<PackT<B>>(
-        reused ? a_row_elems<Cfg, B, RealA>(K) : a_panel_elems<Cfg, B, RealA>());
-    const std::span<PackT<B>> Bpack = arena.alloc<PackT<B>>(b_panel_elems<Cfg, B>());
-    for (std::size_t ti = lo; ti < hi; ++ti) {
-      for (std::size_t tj = 0; tj * Cfg::Ntb < N; ++tj) {
-        const ARow<PackT<B>> a{row.data(), reused ? a_panel_elems<Cfg, B, RealA>() : 0,
-                               tj == 0 ? A : nullptr, lda};
-        run_tile<Cfg, B, RealA>(ti, tj, M, N, K, alpha, a, Bm, ldb, beta, C, ldc, Bpack.data());
-      }
-    }
-  });
-}
-
-/// cgemm_batched on one tile config: a shared A (stride 0) is packed once
-/// for the whole batch, otherwise once per item.
-template <class Cfg, bool RealA>
-void gemm_batched(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
-                  std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
-                  std::size_t ldc, std::size_t batch, const BatchedStrides& strides) {
-  using B = simd::Active;
-  auto& arena = runtime::tls_scratch();
-  const auto scope = arena.scope();
-  const std::span<PackT<B>> shared =
-      strides.a == 0 ? packed_a<Cfg, B, RealA>(arena, A, lda, M, K) : std::span<PackT<B>>();
-  // Parallelism across the batch; each item's tile loop runs inline in its
-  // worker (the runtime's nested-region guard), so no oversubscription.
-  runtime::parallel_for(0, batch, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const c32* Bi = Bm + static_cast<std::ptrdiff_t>(i) * strides.b;
-      c32* Ci = C + static_cast<std::ptrdiff_t>(i) * strides.c;
-      if (strides.a == 0) {
-        run_tiles<Cfg, B, RealA>(M, N, K, alpha, shared.data(), Bi, ldb, beta, Ci, ldc);
-      } else {
-        gemm_once<Cfg, B, RealA>(M, N, K, alpha, A + static_cast<std::ptrdiff_t>(i) * strides.a,
-                                 lda, Bi, ldb, beta, Ci, ldc);
-      }
-    }
+    // tfno-hot-end
   });
 }
 
@@ -304,7 +275,7 @@ template <class Cfg, class B, AOperand Kind>
 void cgemm_tiled_backend(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
                          std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
                          std::size_t ldc) {
-  gemm_once<Cfg, B, Kind == AOperand::RealPart>(M, N, K, alpha, A, lda, Bm, ldb, beta, C, ldc);
+  gemm<Cfg, B, Kind == AOperand::RealPart>(M, N, K, alpha, A, lda, Bm, ldb, beta, C, ldc, 1, {});
 }
 
 template <class Cfg>
@@ -358,12 +329,12 @@ void cgemm_batched(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const
                    std::size_t ldc, std::size_t batch, const BatchedStrides& strides,
                    AOperand a) {
   if (batch == 0 || M == 0 || N == 0) return;
+  using simd::Active;
   const bool standalone = standalone_tiles(N);
-  const auto run = a == AOperand::RealPart
-                       ? (standalone ? gemm_batched<StandaloneTiles, true>
-                                     : gemm_batched<FusedTiles, true>)
-                       : (standalone ? gemm_batched<StandaloneTiles, false>
-                                     : gemm_batched<FusedTiles, false>);
+  const auto run =
+      a == AOperand::RealPart
+          ? (standalone ? gemm<StandaloneTiles, Active, true> : gemm<FusedTiles, Active, true>)
+          : (standalone ? gemm<StandaloneTiles, Active, false> : gemm<FusedTiles, Active, false>);
   run(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, batch, strides);
 }
 

@@ -5,14 +5,15 @@
 // (`cgemm_tiled`) so benches can sweep alternatives (Section 3.1's "fully
 // templated CGEMM kernel").
 //
-// Each call packs every A panel (row tile x k-tile) once and streams it
-// against every C tile of its row (the GotoBLAS layout; the paper's CGEMM
-// stages A in shared memory the same way).  A shared A of cgemm_batched,
-// or an A with fewer row tiles than threads, is packed up front into the
-// calling thread's scratch arena; otherwise each parallel chunk packs its
-// row tiles into its own arena as it reaches them.  Nothing is cached
-// across calls, so a caller may rewrite A between calls.  B is packed per
-// C tile.
+// A panels (row tile x k-tile) are packed once and streamed against every
+// C tile that reads them (the GotoBLAS layout; the paper's CGEMM stages A
+// in shared memory the same way), never once per C tile.  The work is
+// split into parallel chunks of consecutive C tiles; each chunk packs a
+// panel in its own thread's scratch arena the first time one of its C
+// tiles needs it, and keeps it while a later C tile of the chunk, or a
+// later item of a cgemm_batched call with a shared A, reads it again.  On
+// one thread that is exactly once per call.  Nothing is cached across
+// calls, so a caller may rewrite A between calls.  B is packed per C tile.
 #pragma once
 
 #include <cstddef>

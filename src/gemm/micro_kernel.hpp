@@ -20,7 +20,7 @@
 //                           instead of 4, bit-identical to the complex
 //                           kernel on {re, 0} for finite data.
 //
-// Both read A panels the GEMM packed once per call (cgemm.cpp).
+// Both read A panels the GEMM packed once, not per C tile (cgemm.cpp).
 #pragma once
 
 #include <cstddef>

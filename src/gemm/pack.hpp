@@ -2,7 +2,8 @@
 //
 // Packing zero-fills tile remainders so the micro-kernel never branches on
 // edges; zeros contribute nothing to the accumulation.  The GEMM packs
-// every A panel once per call (cgemm.cpp) and each B panel per C tile.
+// each A panel once for all the C tiles that read it (cgemm.cpp) and each
+// B panel per C tile.
 //
 // Two layouts are produced:
 //   - interleaved (c32) panels for the scalar backend, unchanged from the
@@ -65,46 +66,28 @@ inline constexpr std::size_t kASliceFloats = (RealA ? 1 : 2) * Mtb;
 
 /// Split-complex A panel: Apack[k][{re,im}][i] = A[i0+i, k0+k] (re plane
 /// only when RealA).  Rows beyond `mi` / depth beyond `kc` zeroed.  A is
-/// walked down a column (stride lda): an AVX2 backend gathers whole 8 x 8
-/// blocks as rows and transposes them in registers, the rest is a scalar
-/// gather.
-template <std::size_t Mtb, std::size_t Ktb, bool RealA = false, class B = simd::Active>
+/// walked down a column (stride lda), so this is a scalar gather regardless
+/// of backend.
+template <std::size_t Mtb, std::size_t Ktb, bool RealA = false>
 inline void pack_a_tile_split(float* Apack, const c32* A, std::size_t lda, std::size_t i0,
                               std::size_t k0, std::size_t mi, std::size_t kc) {
   constexpr std::size_t slice = kASliceFloats<Mtb, RealA>;
-  if (mi < Mtb || kc < Ktb) std::memset(Apack, 0, Ktb * slice * sizeof(float));
-  std::size_t i8 = 0;  // rows [0, i8) x depth [0, k8) go through the transpose
-  std::size_t k8 = 0;
-#if TURBOFNO_SIMD_HAVE_AVX2
-  if constexpr (B::lanes == 8) {
-    i8 = mi / 8 * 8;
-    k8 = kc / 8 * 8;
-    for (std::size_t i = 0; i < i8; i += 8) {
-      for (std::size_t k = 0; k < k8; k += 8) {
-        __m256 re[8];
-        __m256 im[8];
-        for (std::size_t r = 0; r < 8; ++r) {
-          const typename B::cvec v = B::load(A + (i0 + i + r) * lda + k0 + k);
-          re[r] = v.re;
-          im[r] = v.im;
-        }
-        B::transpose8(re);
-        for (std::size_t c = 0; c < 8; ++c) _mm256_storeu_ps(Apack + (k + c) * slice + i, re[c]);
-        if constexpr (!RealA) {
-          B::transpose8(im);
-          for (std::size_t c = 0; c < 8; ++c) {
-            _mm256_storeu_ps(Apack + (k + c) * slice + Mtb + i, im[c]);
-          }
-        }
+  for (std::size_t k = 0; k < Ktb; ++k) {
+    float* re = Apack + k * slice;
+    float* im = re + Mtb;
+    if (k < kc) {
+      const c32* src = A + i0 * lda + (k0 + k);
+      std::size_t i = 0;
+      for (; i < mi; ++i) {
+        re[i] = src[i * lda].re;
+        if constexpr (!RealA) im[i] = src[i * lda].im;
       }
-    }
-  }
-#endif
-  for (std::size_t i = 0; i < mi; ++i) {
-    const c32* src = A + (i0 + i) * lda + k0;
-    for (std::size_t k = i < i8 ? k8 : 0; k < kc; ++k) {
-      Apack[k * slice + i] = src[k].re;
-      if constexpr (!RealA) Apack[k * slice + Mtb + i] = src[k].im;
+      for (; i < Mtb; ++i) {
+        re[i] = 0.0f;
+        if constexpr (!RealA) im[i] = 0.0f;
+      }
+    } else {
+      std::memset(re, 0, slice * sizeof(float));
     }
   }
 }

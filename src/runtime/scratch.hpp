@@ -21,13 +21,15 @@
 // Sizing guidance: the arena is grow-only per thread, so only bounded,
 // per-task workspaces belong here — FFT ping-pong buffers (2n), transpose
 // slabs (16 columns x n), per-row accumulator planes, the CGEMM's B panels
-// (2 * Ntb * Ktb floats per worker) and its per-call A panels (bounded by
-// the padded M x K operand: 128 KiB at hidden 128, half that for a real
-// A), and the per-field y-major staging tile of FftPlan2d's fused middle
-// (ny * keep_x, the largest steady resident at ~512 KiB for a 512^2
-// quarter-truncated field).  Whole-batch intermediates must NOT be arena-held: they would be
-// retained per calling thread forever (see fft2d.cpp's unfused mid buffer
-// and the pipelines' lazily sized member buffers).
+// (2 * Ntb * Ktb floats per worker) and its A panels (per worker, at most
+// the padded M x K operand when a shared A serves several batch items:
+// 128 KiB at hidden 128, half that for a real A; otherwise one row tile's
+// panels, Mtb x padded K), and the per-field y-major staging tile of
+// FftPlan2d's fused middle (ny * keep_x, the largest steady resident at
+// ~512 KiB for a 512^2 quarter-truncated field).  Whole-batch
+// intermediates must NOT be arena-held: they would be retained per calling
+// thread forever (see fft2d.cpp's unfused mid buffer and the pipelines'
+// lazily sized member buffers).
 #pragma once
 
 #include <cstddef>

@@ -83,10 +83,6 @@ struct ScalarBackend {
   static cvec cmadd(cvec acc, cvec a, cvec b) noexcept {
     return {acc.re + a.re * b.re - a.im * b.im, acc.im + a.re * b.im + a.im * b.re};
   }
-  /// acc + a * b for a real a: the cmadd of a {a, 0} operand in 2 FMAs.
-  static cvec rmadd(cvec acc, float a, cvec b) noexcept {
-    return {acc.re + a * b.re, acc.im + a * b.im};
-  }
   static cvec scale(cvec a, float s) noexcept { return {a.re * s, a.im * s}; }
   static cvec mul_neg_i(cvec a) noexcept { return {a.im, -a.re}; }
   static cvec mul_pos_i(cvec a) noexcept { return {-a.im, a.re}; }
@@ -282,26 +278,6 @@ struct Avx2Backend {
     r1 = {_mm256_castpd_ps(_mm256_permute2f128_pd(t1, t3, 0x20))};  // a1 b1 c1 d1
     r2 = {_mm256_castpd_ps(_mm256_permute2f128_pd(t0, t2, 0x31))};  // a2 b2 c2 d2
     r3 = {_mm256_castpd_ps(_mm256_permute2f128_pd(t1, t3, 0x31))};  // a3 b3 c3 d3
-  }
-  /// In-register 8x8 float transpose: lane j of r[i] swaps with lane i of
-  /// r[j].  Turns 8 rows of split planes into 8 columns (the A-panel pack).
-  static void transpose8(__m256 (&r)[8]) noexcept {
-    __m256 t[8];
-    for (int i = 0; i < 8; i += 2) {
-      t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
-      t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
-    }
-    __m256 u[8];
-    for (int i = 0; i < 8; i += 4) {
-      u[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
-      u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
-      u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
-      u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
-    }
-    for (int i = 0; i < 4; ++i) {
-      r[i] = _mm256_permute2f128_ps(u[i], u[i + 4], 0x20);
-      r[i + 4] = _mm256_permute2f128_ps(u[i], u[i + 4], 0x31);
-    }
   }
   static pvec pmul_neg_i(pvec a) noexcept {
     // (re, im) -> (im, -re): swap within each pair, negate the new im lane.

@@ -1,7 +1,7 @@
 // Blocked CGEMM vs the naive reference over a shape grid, alpha/beta cases,
 // and every instantiated tile configuration; the real-A operand and the
-// strided-batched entry (shared A packed once per call) bitwise against the
-// plain complex GEMM.
+// strided-batched entry (a shared or per-item A) bitwise against the plain
+// complex GEMM.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -265,11 +265,13 @@ TEST(CgemmBatched, EmptyBatchIsANoOp) {
   EXPECT_EQ(C[0].re, 3.0f);
 }
 
-/// A shared-A batched call (A packed once for the call) against one cgemm
-/// per item, bit for bit; `a` = RealPart compares against cgemm on Re(A).
+/// A batched call against one cgemm per item, bit for bit; `a` = RealPart
+/// compares against cgemm on Re(A).  An A of M * K elements is shared by
+/// every item (stride 0), one of batch * M * K gives each item its own.
 void expect_batched_equals_per_item(std::size_t M, std::size_t N, std::size_t K,
-                                    const std::vector<c32>& A, AOperand a) {
-  const std::size_t batch = 4;
+                                    const std::vector<c32>& A, AOperand a,
+                                    std::size_t batch = 4) {
+  const std::size_t a_stride = A.size() == M * K ? 0 : M * K;
   const auto Bm = random_signal(batch * K * N, 409u);
   const auto C0 = random_signal(batch * M * N, 419u);
   const c32 alpha{0.75f, 0.5f};
@@ -277,15 +279,17 @@ void expect_batched_equals_per_item(std::size_t M, std::size_t N, std::size_t K,
   const std::vector<c32> A_eff = a == AOperand::RealPart ? real_part_copy(A) : A;
   std::vector<c32> want(C0);
   for (std::size_t i = 0; i < batch; ++i) {
-    cgemm(M, N, K, alpha, A_eff.data(), K, Bm.data() + i * K * N, N, beta,
+    cgemm(M, N, K, alpha, A_eff.data() + i * a_stride, K, Bm.data() + i * K * N, N, beta,
           want.data() + i * M * N, N);
   }
-  const BatchedStrides strides{0, static_cast<std::ptrdiff_t>(K * N),
+  const BatchedStrides strides{static_cast<std::ptrdiff_t>(a_stride),
+                               static_cast<std::ptrdiff_t>(K * N),
                                static_cast<std::ptrdiff_t>(M * N)};
   std::vector<c32> got(C0);
   cgemm_batched(M, N, K, alpha, A.data(), K, Bm.data(), N, beta, got.data(), N, batch, strides,
                 a);
-  EXPECT_TRUE(same_bits(got, want)) << "M=" << M << " N=" << N << " K=" << K
+  EXPECT_TRUE(same_bits(got, want)) << "M=" << M << " N=" << N << " K=" << K << " batch=" << batch
+                                    << " shared=" << (a_stride == 0)
                                     << " real=" << (a == AOperand::RealPart);
 }
 
@@ -299,8 +303,30 @@ TEST(CgemmBatched, SharedAPackedOnceMatchesPerItemCgemm) {
       for (const std::size_t N : {37u, 48u, 70u}) {
         const std::size_t K = M == 40 ? 40 : 130;
         const auto A = random_signal(M * K, 421u + static_cast<unsigned>(M));
-        expect_batched_equals_per_item(M, N, K, A, AOperand::Complex);
-        expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart);
+        // A batch of 5 puts chunk boundaries inside items at 4 threads.
+        for (const std::size_t batch : {4u, 5u}) {
+          expect_batched_equals_per_item(M, N, K, A, AOperand::Complex, batch);
+          expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart, batch);
+        }
+      }
+    }
+  }
+  runtime::set_thread_count(saved);
+}
+
+TEST(CgemmBatched, PerItemAMatchesPerItemCgemm) {
+  // A chunk that runs several items must repack when A changes between them.
+  const int saved = runtime::thread_count();
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    for (const std::size_t M : {40u, 128u}) {
+      for (const std::size_t N : {37u, 48u, 70u}) {
+        const std::size_t K = M == 40 ? 40 : 130;
+        const std::size_t batch = 5;
+        const auto A = random_signal(batch * M * K, 433u + static_cast<unsigned>(M));
+        expect_batched_equals_per_item(M, N, K, A, AOperand::Complex, batch);
+        expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart, batch);
       }
     }
   }

@@ -16,7 +16,6 @@
 #include "fft/twiddle.hpp"
 #include "fused/fft_variant.hpp"
 #include "gemm/cgemm.hpp"
-#include "gemm/pack.hpp"
 #include "gemm/reference.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/simd.hpp"
@@ -148,35 +147,6 @@ TEST(SimdCvec, SplitInterleaveRoundTrip) {
 }
 
 // --------------------------------------------------------------- cgemm parity
-
-template <bool RealA, std::size_t Mtb, std::size_t Ktb>
-void check_split_a_pack() {
-  // The Active pack (8 x 8 register transposes plus scalar edges) against
-  // the scalar gather, bit for bit, on full and partial tiles; the buffer
-  // starts as garbage so unwritten padding would show.
-  const std::size_t lda = 37;
-  const std::vector<c32> A = random_signal(80 * lda, 105u);
-  constexpr std::size_t floats = gemm::kASliceFloats<Mtb, RealA> * Ktb;
-  for (const std::size_t mi : {Mtb, Mtb - 1, std::size_t{8}, std::size_t{3}}) {
-    for (const std::size_t kc : {Ktb, Ktb - 1, std::size_t{1}}) {
-      std::vector<float> got(floats, -7.0f);
-      std::vector<float> want(floats, 9.0f);
-      gemm::pack_a_tile_split<Mtb, Ktb, RealA, simd::Active>(got.data(), A.data(), lda, 5, 3, mi,
-                                                             kc);
-      gemm::pack_a_tile_split<Mtb, Ktb, RealA, simd::ScalarBackend>(want.data(), A.data(), lda, 5,
-                                                                    3, mi, kc);
-      EXPECT_TRUE(turbofno::testing::same_bits(got, want))
-          << "Mtb=" << Mtb << " Ktb=" << Ktb << " mi=" << mi << " kc=" << kc << " real=" << RealA;
-    }
-  }
-}
-
-TEST(SimdPack, SplitAPanelMatchesScalarGather) {
-  check_split_a_pack<false, 64, 8>();
-  check_split_a_pack<true, 64, 8>();
-  check_split_a_pack<false, 32, 16>();
-  check_split_a_pack<true, 16, 8>();
-}
 
 template <class Cfg, class B>
 void check_cgemm_backend() {
