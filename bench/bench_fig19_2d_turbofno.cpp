@@ -86,8 +86,7 @@ void thread_scaling(const Options& opt) {
   }
   turbofno::runtime::set_thread_count(0);  // restore the hardware default
   print_figure_table(
-      "Figure 19 thread scaling: fused 2D (BS=4, K=40, 256x128, modes 64x64), grain=" +
-          std::to_string(turbofno::runtime::fused_grain(4 * 64)),
+      "Figure 19 thread scaling: fused 2D (BS=4, K=40, 256x128, modes 64x64)",
       points);
 }
 

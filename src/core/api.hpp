@@ -1,4 +1,4 @@
-// TurboFNO public API v3 — curated, versioned facade.
+// TurboFNO public API v4 — curated, versioned facade.
 //
 //   #include "core/api.hpp"
 //
@@ -14,16 +14,18 @@
 // the sharded multi-process layer (turbofno::shard — Topology, Router,
 // Worker, Supervisor), and the tracing vocabulary.  Deeper
 // layers (fft/, gemm/, fused/ pipelines, gpusim/) remain available through
-// their own headers but are not part of the v3 compatibility surface.
+// their own headers but are not part of the v4 compatibility surface.
 //
 // v3 removed the v1 batch-frozen Fno1d(cfg, batch) / Fno2d(cfg, batch)
 // constructors (deprecated since v2): use Fno1d(cfg) + reserve(batch), or
 // an Engine session.  See README "Public API".
+// v4 removed the fft real-spectral setter/getter pair and its environment
+// knob; the RFFT lane is the only real-input route.
 #pragma once
 
 // Major version of the public surface below.  Bumped when a deprecated
 // entry point is removed or an exported type changes incompatibly.
-#define TURBOFNO_API_VERSION 3
+#define TURBOFNO_API_VERSION 4
 
 #include "core/config.hpp"            // IWYU pragma: export
 #include "core/engine.hpp"            // IWYU pragma: export
@@ -31,7 +33,6 @@
 #include "core/serialize.hpp"         // IWYU pragma: export
 #include "core/spectral_conv.hpp"     // IWYU pragma: export
 #include "core/workload.hpp"          // IWYU pragma: export
-#include "fft/real.hpp"               // IWYU pragma: export
 #include "fused/ladder.hpp"           // IWYU pragma: export
 #include "net/client.hpp"             // IWYU pragma: export
 #include "net/protocol.hpp"           // IWYU pragma: export
@@ -66,12 +67,5 @@ using core::load_bundle_file;
 using core::save_bundle;
 using core::save_bundle_file;
 using core::scatter_weights;
-
-// Real-spectral (RFFT) lane knob: routes SpectralConv*::forward_real /
-// Session::run_real between the half-spectrum RFFT schedule (default) and
-// the complex C2C reference of the same truncation.  Mirrors the
-// TURBOFNO_REAL_SPECTRAL environment variable.
-using fft::real_spectral_enabled;
-using fft::set_real_spectral;
 
 }  // namespace turbofno

@@ -91,8 +91,7 @@ class Fno1d {
   /// Real-input forward: u [batch, in_channels, n] and v [batch,
   /// out_channels, n] hold real samples; every hidden field stays in floats
   /// (views of the complex workspaces) and each spectral layer runs its RFFT
-  /// half-spectrum lane (see SpectralConv1d::forward_real for the
-  /// TURBOFNO_REAL_SPECTRAL knob semantics).  Requires n >= 4.
+  /// half-spectrum lane (SpectralConv1d::forward_real).  Requires n >= 4.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   /// Grows the hidden-state workspaces (and every layer's) so forwards up

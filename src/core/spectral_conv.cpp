@@ -1,13 +1,10 @@
 #include "core/spectral_conv.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "fft/plan_cache.hpp"
 #include "fft/real.hpp"
-#include "gemm/batched.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/scratch.hpp"
 #include "runtime/timer.hpp"
 
 namespace turbofno::core {
@@ -18,30 +15,6 @@ void init_weights(std::span<c32> w, std::size_t fan_in, std::size_t fan_out, uns
   std::uniform_real_distribution<float> dist(-bound, bound);
   for (auto& x : w) x = {dist(rng), dist(rng)};
 }
-
-namespace {
-
-void ensure(AlignedBuffer<c32>& buf, std::size_t elems) {
-  if (buf.size() < elems) buf.resize(elems);
-}
-
-/// Writes the length-n spectrum a Hermitian-symmetric signal implies from its
-/// first `stored` bins: DC (and, when present, Nyquist) projected real, the
-/// upper half mirrored conjugate — exactly what the C2R inverse assumes.
-void hermitian_extend(const c32* bins, std::size_t stored, c32* full, std::size_t n) {
-  std::fill(full, full + n, c32{});
-  full[0] = c32{bins[0].re, 0.0f};
-  for (std::size_t k = 1; k < stored; ++k) {
-    if (k == n - k) {
-      full[k] = c32{bins[k].re, 0.0f};
-    } else {
-      full[k] = bins[k];
-      full[n - k] = c32{bins[k].re, -bins[k].im};
-    }
-  }
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ SpectralConv1d
 
@@ -126,59 +99,7 @@ void SpectralConv1d::forward_real(std::span<const float> u, std::span<float> v,
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
                               prob_.out_dim * prob_.n, batch, "SpectralConv1d(real)");
   reserve(batch);
-  if (fft::real_spectral_enabled()) {
-    real_pipeline().run_batched_real(u, weights_.span(), v, batch);
-  } else {
-    forward_real_reference(u, v, batch);
-  }
-}
-
-void SpectralConv1d::forward_real_reference(std::span<const float> u, std::span<float> v,
-                                            std::size_t batch) {
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = prob_.modes / 2 + 1;
-  ensure(emu_in_, B * K * N);
-  ensure(emu_freq_, B * K * MR);
-  ensure(emu_mixed_, B * O * MR);
-  ensure(emu_full_, B * O * N);
-  ensure(emu_out_, B * O * N);
-
-  runtime::parallel_for(0, B * K * N, 1 << 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) emu_in_[i] = c32{u[i], 0.0f};
-  });
-
-  fft::PlanDesc fd;
-  fd.n = N;
-  fd.keep = MR;
-  const auto fwd = fft::acquire_plan(fd);
-  fwd->execute(emu_in_.span().first(B * K * N), emu_freq_.span().first(B * K * MR), B * K);
-
-  gemm::BatchedStrides strides;
-  strides.a = 0;
-  strides.b = static_cast<std::ptrdiff_t>(K * MR);
-  strides.c = static_cast<std::ptrdiff_t>(O * MR);
-  gemm::cgemm_batched(O, MR, K, c32{1.0f, 0.0f}, weights_.data(), K, emu_freq_.data(), MR,
-                      c32{0.0f, 0.0f}, emu_mixed_.data(), MR, B, strides);
-
-  runtime::parallel_for(0, B * O, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      hermitian_extend(emu_mixed_.data() + r * MR, MR, emu_full_.data() + r * N, N);
-    }
-  });
-
-  fft::PlanDesc id;
-  id.n = N;
-  id.dir = fft::Direction::Inverse;
-  const auto inv = fft::acquire_plan(id);
-  inv->execute(emu_full_.span().first(B * O * N), emu_out_.span().first(B * O * N), B * O);
-
-  runtime::parallel_for(0, B * O * N, 1 << 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) v[i] = emu_out_[i].re;
-  });
+  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
 }
 
 void SpectralConv1d::forward_per_mode_real(std::span<const float> u, std::span<float> v,
@@ -194,8 +115,8 @@ void SpectralConv1d::forward_per_mode_real(std::span<const float> u, std::span<f
   const std::size_t MR = prob_.modes / 2 + 1;  // per-mode matrices f < MR apply
   permode_counters_.clear();
 
-  // One route regardless of the knob: the per-mode path is already the
-  // reference-grade unfused schedule.
+  // The per-mode path is already the reference-grade unfused schedule, so
+  // it drives the RFFT plans directly rather than a ladder pipeline.
   const auto fwd = fft::acquire_rfft_plan(N, MR);
   const auto inv = fft::acquire_irfft_plan(N, MR);
 
@@ -340,94 +261,7 @@ void SpectralConv2d::forward_real(std::span<const float> u, std::span<float> v,
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
                               batch, "SpectralConv2d(real)");
   reserve(batch);
-  if (fft::real_spectral_enabled()) {
-    real_pipeline().run_batched_real(u, weights_.span(), v, batch);
-  } else {
-    forward_real_reference(u, v, batch);
-  }
-}
-
-void SpectralConv2d::forward_real_reference(std::span<const float> u, std::span<float> v,
-                                            std::size_t batch) {
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MY = prob_.modes_y;
-  const std::size_t MXR = prob_.modes_x / 2 + 1;
-  const std::size_t modes = MXR * MY;
-  ensure(emu_in_, B * K * NX * NY);
-  ensure(emu_xf_, B * K * MXR * NY);
-  ensure(emu_freq_, B * K * modes);
-  ensure(emu_mixed_, B * O * modes);
-  ensure(emu_xi_, B * O * MXR * NY);
-
-  runtime::parallel_for(0, B * K * NX * NY, 1 << 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) emu_in_[i] = c32{u[i], 0.0f};
-  });
-
-  // Truncated C2C along X, column by column (reference path; not tuned).
-  fft::PlanDesc xd;
-  xd.n = NX;
-  xd.keep = MXR;
-  const auto xfwd = fft::acquire_plan(xd);
-  fft::ExecLayout xl;
-  xl.in_elem_stride = static_cast<std::ptrdiff_t>(NY);
-  xl.in_batch_stride = 1;
-  xl.out_elem_stride = static_cast<std::ptrdiff_t>(NY);
-  xl.out_batch_stride = 1;
-  for (std::size_t f = 0; f < B * K; ++f) {
-    xfwd->execute_strided(emu_in_.data() + f * NX * NY, emu_xf_.data() + f * MXR * NY, NY, xl);
-  }
-
-  // Truncated C2C along Y (rows are contiguous after the X stage).
-  fft::PlanDesc yd;
-  yd.n = NY;
-  yd.keep = MY;
-  fft::acquire_plan(yd)->execute(emu_xf_.span().first(B * K * MXR * NY),
-                                 emu_freq_.span().first(B * K * modes), B * K * MXR);
-
-  gemm::BatchedStrides strides;
-  strides.a = 0;
-  strides.b = static_cast<std::ptrdiff_t>(K * modes);
-  strides.c = static_cast<std::ptrdiff_t>(O * modes);
-  gemm::cgemm_batched(O, modes, K, c32{1.0f, 0.0f}, weights_.data(), K, emu_freq_.data(), modes,
-                      c32{0.0f, 0.0f}, emu_mixed_.data(), modes, B, strides);
-
-  // Zero-padded C2C inverse along Y.
-  fft::PlanDesc yi;
-  yi.n = NY;
-  yi.dir = fft::Direction::Inverse;
-  yi.nonzero = MY;
-  fft::acquire_plan(yi)->execute(emu_mixed_.span().first(B * O * modes),
-                                 emu_xi_.span().first(B * O * MXR * NY), B * O * MXR);
-
-  // Hermitian X inverse per column: extend the MXR stored bins to the full
-  // conjugate-symmetric spectrum and take the real part of a full inverse.
-  fft::PlanDesc xi;
-  xi.n = NX;
-  xi.dir = fft::Direction::Inverse;
-  const auto xinv = fft::acquire_plan(xi);
-  runtime::parallel_for(0, B * O * NY, 64, [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    const std::span<c32> bins = arena.alloc<c32>(MXR);
-    const std::span<c32> zfull = arena.alloc<c32>(NX);
-    const std::span<c32> zout = arena.alloc<c32>(NX);
-    const std::span<c32> work = arena.alloc<c32>(xinv->scratch_elems());
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t f = i / NY;
-      const std::size_t y = i % NY;
-      const c32* col = emu_xi_.data() + f * MXR * NY + y;
-      for (std::size_t k = 0; k < MXR; ++k) bins[k] = col[k * NY];
-      hermitian_extend(bins.data(), MXR, zfull.data(), NX);
-      xinv->execute_one(zfull.data(), 1, zout.data(), 1, work);
-      float* out = v.data() + f * NX * NY + y;
-      for (std::size_t x = 0; x < NX; ++x) out[x * NY] = zout[x].re;
-    }
-  });
+  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
 }
 
 }  // namespace turbofno::core

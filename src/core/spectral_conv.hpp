@@ -36,11 +36,9 @@ class SpectralConv1d {
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
   /// Real-input forward: u/v hold real samples and the spectral schedule
   /// runs on the RFFT half-spectrum (modes/2+1 retained bins,
-  /// torch.fft.rfft/irfft semantics).  Requires n >= 4.  When the
-  /// real-spectral knob is off (TURBOFNO_REAL_SPECTRAL=0 /
-  /// fft::set_real_spectral(false)), the same truncation executes through
-  /// the complex C2C plans instead (A/B reference); the two routes agree
-  /// within float rounding.
+  /// torch.fft.rfft/irfft semantics).  Requires n >= 4.  This is the only
+  /// real-input route; tests/real_pipeline_test.cpp checks it against a
+  /// direct half-spectrum DFT.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
   /// Grows the layer (pipeline workspaces / per-mode buffers) to serve
   /// micro-batches up to `batch` without reallocation.  Never shrinks.
@@ -61,10 +59,6 @@ class SpectralConv1d {
   /// The pipeline serving the real lane: `pipeline_` when Auto resolves to
   /// the same row for both lanes, else a lazily built real-tuned sibling.
   fused::SpectralPipeline1d& real_pipeline();
-  /// Knob-off A/B reference: the identical half-spectrum truncation routed
-  /// through the complex C2C plans (pack, keep=modes/2+1 forward, CGEMM,
-  /// Hermitian extension, full inverse, take the real part).
-  void forward_real_reference(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   baseline::Spectral1dProblem prob_;
   WeightScheme scheme_;
@@ -76,12 +70,6 @@ class SpectralConv1d {
   // PerMode path state.
   AlignedBuffer<c32> freq_;
   AlignedBuffer<c32> mixed_;
-  // Knob-off reference-lane scratch (lazy, grow-only).
-  AlignedBuffer<c32> emu_in_;
-  AlignedBuffer<c32> emu_freq_;
-  AlignedBuffer<c32> emu_mixed_;
-  AlignedBuffer<c32> emu_full_;
-  AlignedBuffer<c32> emu_out_;
   trace::PipelineCounters permode_counters_{"per-mode-1d"};
 };
 
@@ -101,8 +89,7 @@ class SpectralConv2d {
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
   /// Real-input forward on the RFFT half-spectrum: modes_x/2+1 retained
   /// x-rows (the X axis carries the real transform), modes_y unchanged.
-  /// Requires nx >= 4.  See SpectralConv1d::forward_real for the knob-off
-  /// A/B reference semantics.
+  /// Requires nx >= 4.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
   /// Elastic capacity growth; see SpectralConv1d::reserve.
   void reserve(std::size_t batch);
@@ -115,7 +102,6 @@ class SpectralConv2d {
 
  private:
   fused::SpectralPipeline2d& real_pipeline();
-  void forward_real_reference(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   baseline::Spectral2dProblem prob_;
   WeightScheme scheme_;
@@ -123,12 +109,6 @@ class SpectralConv2d {
   AlignedBuffer<c32> weights_;
   std::unique_ptr<fused::SpectralPipeline2d> pipeline_;
   std::unique_ptr<fused::SpectralPipeline2d> pipeline_real_;  // lazy: real-lane Auto sibling
-  // Knob-off reference-lane scratch (lazy, grow-only).
-  AlignedBuffer<c32> emu_in_;
-  AlignedBuffer<c32> emu_xf_;
-  AlignedBuffer<c32> emu_freq_;
-  AlignedBuffer<c32> emu_mixed_;
-  AlignedBuffer<c32> emu_xi_;
 };
 
 /// Glorot-uniform complex init used by every layer (deterministic).

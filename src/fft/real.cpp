@@ -1,14 +1,12 @@
 #include "fft/real.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 
 #include "fft/stockham.hpp"
 #include "fft/twiddle.hpp"
-#include "runtime/env.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "tensor/simd.hpp"
@@ -23,8 +21,6 @@ void check_real_size(std::size_t n) {
   }
 }
 
-std::atomic<int> g_real_spectral_override{-1};
-
 // Closed-form FLOP estimate for the half-size complex Stockham transform
 // (5 n log2 n, the classic complex-FFT count) — the real plans drive the
 // kernel directly rather than through an FftPlan, so they account the same
@@ -34,17 +30,6 @@ std::uint64_t half_fft_flops(std::size_t m) {
 }
 
 }  // namespace
-
-bool real_spectral_enabled() noexcept {
-  const int ov = g_real_spectral_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  static const bool from_env = runtime::env_long("TURBOFNO_REAL_SPECTRAL", 1) != 0;
-  return from_env;
-}
-
-void set_real_spectral(bool enabled) noexcept {
-  g_real_spectral_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 RfftPlan::RfftPlan(std::size_t n, std::size_t keep) : n_(n), keep_(keep == 0 ? n / 2 + 1 : keep) {
   check_real_size(n);

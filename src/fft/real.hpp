@@ -22,18 +22,6 @@
 
 namespace turbofno::fft {
 
-/// True when the real-input (RFFT-based) spectral schedule is active: model
-/// layers whose input field is real route their spectral convolutions
-/// through the half-spectrum pipelines instead of the full complex ones.
-/// Defaults to the TURBOFNO_REAL_SPECTRAL environment variable (unset means
-/// on); the API override below wins over the environment.  The complex
-/// schedule remains available as the A/B reference — the two agree to FFT
-/// rounding, not bitwise (they evaluate different factorizations).
-[[nodiscard]] bool real_spectral_enabled() noexcept;
-
-/// Forces the real-spectral schedule choice at runtime (A/B, tests).
-void set_real_spectral(bool enabled) noexcept;
-
 /// Forward R2C: n real samples -> the first `keep` of n/2+1 spectrum bins.
 class RfftPlan {
  public:

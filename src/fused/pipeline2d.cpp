@@ -30,6 +30,13 @@ constexpr std::size_t kTb = gemm::FusedTiles::Ktb;
 // movement: every transform still sees the same contiguous input.
 constexpr std::size_t kXBlock = 8;
 
+// Grain of the fused (batch x x-block) middle loop: at least two tasks per
+// chunk.  Each chunk sets up private FFT/GEMM workspaces, so on many-core
+// hosts single-task chunks spend a measurable fraction of their time on
+// setup; two-task chunks halve that without costing parallelism on the
+// shapes that matter.
+constexpr std::size_t kFusedGrain = 2;
+
 // Cache budget for one fused-middle batch group's staging tiles (input plus
 // output planes together).  Groups sized under this stay resident between
 // the X stage that fills them and the middle/inverse stages that drain
@@ -371,7 +378,7 @@ void LadderPipeline2d::kloop_group(const MidView& mv, std::span<const c32> w) {
   const std::size_t nblk = (mx + xb - 1) / xb;
   const std::size_t work_elems =
       FwdFused ? fwd_y_.plan().scratch_elems() : inv_y_.plan().scratch_elems();
-  runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
+  runtime::parallel_for(0, mv.count * nblk, kFusedGrain,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "runtime/env.hpp"
-
 #if TURBOFNO_HAVE_OPENMP
 #include <omp.h>
 #endif
@@ -13,15 +11,6 @@ namespace turbofno::runtime {
 
 namespace {
 std::atomic<int> g_thread_override{0};
-std::atomic<std::size_t> g_fused_grain{0};
-
-std::size_t env_fused_grain() noexcept {
-  // 0 means "no override"; negative or overflowing values clamp to 0 rather
-  // than poisoning the chunk size of every fused loop.
-  static const std::size_t v = static_cast<std::size_t>(
-      env_long_clamped("TURBOFNO_FUSED_GRAIN", 0, 0, 1L << 30));
-  return v;
-}
 }  // namespace
 
 int thread_count() noexcept {
@@ -44,19 +33,6 @@ bool has_openmp() noexcept {
 #else
   return false;
 #endif
-}
-
-void set_fused_grain(std::size_t g) noexcept {
-  g_fused_grain.store(g, std::memory_order_relaxed);
-}
-
-std::size_t fused_grain(std::size_t total) noexcept {
-  const std::size_t ov = g_fused_grain.load(std::memory_order_relaxed);
-  if (ov > 0) return ov;
-  const std::size_t env = env_fused_grain();
-  if (env > 0) return env;
-  // Default: at least 2 rows per chunk, and no more chunks than rows.
-  return std::min<std::size_t>(2, std::max<std::size_t>(total, 1));
 }
 
 Range partition(std::size_t n, std::size_t parts, std::size_t which) noexcept {

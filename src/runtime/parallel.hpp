@@ -22,19 +22,6 @@ void set_thread_count(int n) noexcept;
 /// True when the library was compiled with OpenMP support.
 bool has_openmp() noexcept;
 
-/// Overrides the grain of the fused (batch x row) pipeline loops.  `g == 0`
-/// restores the default policy.  Also settable via the TURBOFNO_FUSED_GRAIN
-/// environment variable (the API override wins).
-void set_fused_grain(std::size_t g) noexcept;
-
-/// Effective grain for a fused row loop of `total` iterations: the override
-/// when one is set, otherwise at least two rows per chunk.  Each chunk of
-/// these loops sets up private FFT/GEMM workspaces, so on many-core hosts
-/// single-row chunks spend a measurable fraction of their time on setup;
-/// two-row chunks halve that without costing parallelism on the shapes
-/// that matter (the ROADMAP's threaded-2D-fusion tuning item).
-std::size_t fused_grain(std::size_t total) noexcept;
-
 namespace detail {
 void parallel_for_impl(std::size_t begin, std::size_t end, std::size_t grain,
                        const std::function<void(std::size_t, std::size_t)>& body);

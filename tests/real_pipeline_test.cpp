@@ -1,14 +1,16 @@
-// Real-spectral (RFFT) lane: every 1D/2D ladder variant's run_batched_real
-// must match a direct double-precision half-spectrum reference, the knob-off
-// C2C emulation must agree with the knob-on RFFT schedule at the layer and
-// model level, and the steady state must stay allocation-free.
+// Real-spectral (RFFT) lane: every 1D/2D ladder variant's run_batched_real,
+// SpectralConv1d/2d::forward_real (shared and per-mode weights) and
+// Fno1d/2d::forward_real must match direct double-precision half-spectrum
+// DFT references, and the steady state must stay allocation-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
-#include "fft/real.hpp"
 #include "fft/reference.hpp"
 #include "fused/ladder.hpp"
 #include "fused/pipeline2d.hpp"
@@ -30,10 +32,11 @@ std::vector<c32> pack(std::span<const float> x) {
   return z;
 }
 
-/// torch.fft.irfft bin completion: first `stored` bins -> full n-bin
+/// torch.fft.irfft: complete the first `stored` bins to the full n-bin
 /// conjugate-symmetric spectrum (DC, and Nyquist when stored, projected
-/// real).
-std::vector<c32> hermitian_full(std::span<const c32> bins, std::size_t n) {
+/// real) and inverse-DFT it.  The completed spectrum's inverse must come
+/// out real; a nonzero imaginary residue means the completion is wrong.
+std::vector<float> hermitian_inverse(std::span<const c32> bins, std::size_t n) {
   std::vector<c32> full(n, c32{});
   full[0] = {bins[0].re, 0.0f};
   for (std::size_t k = 1; k < bins.size(); ++k) {
@@ -44,15 +47,27 @@ std::vector<c32> hermitian_full(std::span<const c32> bins, std::size_t n) {
       full[n - k] = {bins[k].re, -bins[k].im};
     }
   }
-  return full;
+  std::vector<c32> time(n);
+  fft::reference_idft(full, time, n);
+  std::vector<float> re(n);
+  double re_mag = 0.0;
+  double im_mag = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    re[j] = time[j].re;
+    re_mag += std::fabs(time[j].re);
+    im_mag += std::fabs(time[j].im);
+  }
+  EXPECT_LE(im_mag, 1e-5 * re_mag + 1e-30) << "Hermitian completion left an imaginary part";
+  return re;
 }
 
 // Direct reference of the 1D real lane: full DFT of the real signal, keep
-// modes/2+1 bins, mix along hidden, Hermitian-complete, inverse DFT, real
-// part.
-std::vector<float> reference_real_conv_1d(const Spectral1dProblem& p,
-                                          const std::vector<float>& u,
-                                          const std::vector<c32>& w) {
+// modes/2+1 bins, mix along hidden, Hermitian-complete, inverse DFT.  Bin f
+// mixes with w[f * mode_stride + o * hidden + k]: mode_stride 0 is the
+// shared [out, hidden] weight, out * hidden the per-mode [modes, out,
+// hidden] one.
+std::vector<float> reference_real_conv_1d(const Spectral1dProblem& p, std::span<const float> u,
+                                          std::span<const c32> w, std::size_t mode_stride = 0) {
   const std::size_t B = p.batch;
   const std::size_t K = p.hidden;
   const std::size_t O = p.out_dim;
@@ -70,7 +85,7 @@ std::vector<float> reference_real_conv_1d(const Spectral1dProblem& p,
       for (std::size_t f = 0; f < MR; ++f) {
         c32 acc{};
         for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, w[o * K + k], freq[(b * K + k) * MR + f]);
+          cmadd(acc, w[f * mode_stride + o * K + k], freq[(b * K + k) * MR + f]);
         }
         mixed[(b * O + o) * MR + f] = acc;
       }
@@ -78,11 +93,8 @@ std::vector<float> reference_real_conv_1d(const Spectral1dProblem& p,
   }
   std::vector<float> v(B * O * N);
   for (std::size_t bo = 0; bo < B * O; ++bo) {
-    const auto full =
-        hermitian_full(std::span<const c32>(mixed.data() + bo * MR, MR), N);
-    std::vector<c32> time(N);
-    fft::reference_idft(full, time, N);
-    for (std::size_t j = 0; j < N; ++j) v[bo * N + j] = time[j].re;
+    const auto time = hermitian_inverse(std::span<const c32>(mixed.data() + bo * MR, MR), N);
+    std::copy(time.begin(), time.end(), v.begin() + static_cast<std::ptrdiff_t>(bo * N));
   }
   return v;
 }
@@ -90,9 +102,8 @@ std::vector<float> reference_real_conv_1d(const Spectral1dProblem& p,
 // Direct reference of the 2D real lane: truncated X DFT per column
 // (modes_x/2+1 bins), truncated Y DFT per row, mix, padded Y inverse,
 // Hermitian X inverse per column.
-std::vector<float> reference_real_conv_2d(const Spectral2dProblem& p,
-                                          const std::vector<float>& u,
-                                          const std::vector<c32>& w) {
+std::vector<float> reference_real_conv_2d(const Spectral2dProblem& p, std::span<const float> u,
+                                          std::span<const c32> w) {
   const std::size_t B = p.batch;
   const std::size_t K = p.hidden;
   const std::size_t O = p.out_dim;
@@ -138,10 +149,8 @@ std::vector<float> reference_real_conv_2d(const Spectral2dProblem& p,
     for (std::size_t y = 0; y < NY; ++y) {
       std::vector<c32> bins(MXR);
       for (std::size_t k = 0; k < MXR; ++k) bins[k] = xi[(f * MXR + k) * NY + y];
-      const auto full = hermitian_full(bins, NX);
-      std::vector<c32> col(NX);
-      fft::reference_idft(full, col, NX);
-      for (std::size_t x = 0; x < NX; ++x) v[(f * NX + x) * NY + y] = col[x].re;
+      const auto col = hermitian_inverse(bins, NX);
+      for (std::size_t x = 0; x < NX; ++x) v[(f * NX + x) * NY + y] = col[x];
     }
   }
   return v;
@@ -237,49 +246,78 @@ TEST_P(RealLadder2d, MatchesDirectReference) {
 
 INSTANTIATE_TEST_SUITE_P(Ladder, RealLadder2d, ::testing::ValuesIn(real_cases_2d()));
 
-// ------------------------------------------------- layer + model level A/B
+// ------------------------------------------------ layer + model references
 
-class RealSpectralKnob : public ::testing::Test {
- protected:
-  void TearDown() override { fft::set_real_spectral(true); }
-};
+const core::Backend kLayerBackends[] = {core::Backend::Auto, core::Backend::PyTorch,
+                                        core::Backend::FftOpt, core::Backend::FullyFused};
 
-TEST_F(RealSpectralKnob, Conv1dKnobOffMatchesKnobOn) {
-  core::SpectralConv1d conv(2, 8, 8, 64, 16, core::Backend::FullyFused);
+class RealLayer : public ::testing::TestWithParam<core::Backend> {};
+
+TEST_P(RealLayer, Conv1dMatchesReference) {
+  core::SpectralConv1d conv(2, 8, 8, 64, 16, GetParam());
   const auto u = random_reals(2 * 8 * 64, 701u);
-  std::vector<float> on(2 * 8 * 64, 0.0f);
-  std::vector<float> off(on.size(), 0.0f);
-  fft::set_real_spectral(true);
-  conv.forward_real(u, on, 2);
-  fft::set_real_spectral(false);
-  conv.forward_real(u, off, 2);
-  EXPECT_LT(rel_err(on, off), 1e-4);
+  std::vector<float> v(2 * 8 * 64, 0.0f);
+  conv.forward_real(u, v, 2);
+  const auto ref = reference_real_conv_1d(conv.problem(), u, conv.weights());
+  EXPECT_LT(rel_err(v, ref), 1e-4);
 }
 
-TEST_F(RealSpectralKnob, Conv2dKnobOffMatchesKnobOn) {
-  core::SpectralConv2d conv(2, 6, 6, 16, 16, 8, 8, core::Backend::FullyFused);
+TEST_P(RealLayer, Conv2dMatchesReference) {
+  core::SpectralConv2d conv(2, 6, 6, 16, 16, 8, 8, GetParam());
   const auto u = random_reals(2 * 6 * 16 * 16, 709u);
-  std::vector<float> on(u.size(), 0.0f);
-  std::vector<float> off(u.size(), 0.0f);
-  fft::set_real_spectral(true);
-  conv.forward_real(u, on, 2);
-  fft::set_real_spectral(false);
-  conv.forward_real(u, off, 2);
-  EXPECT_LT(rel_err(on, off), 1e-4);
+  std::vector<float> v(u.size(), 0.0f);
+  conv.forward_real(u, v, 2);
+  const auto ref = reference_real_conv_2d(conv.problem(), u, conv.weights());
+  EXPECT_LT(rel_err(v, ref), 1e-4);
 }
 
-TEST_F(RealSpectralKnob, Conv1dPerModeRealRuns) {
+INSTANTIATE_TEST_SUITE_P(Backends, RealLayer, ::testing::ValuesIn(kLayerBackends),
+                         [](const auto& info) {
+                           std::string name(variant_name(info.param));
+                           for (char& c : name) {
+                             if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(RealLayerPerMode, Conv1dMatchesPerModeReference) {
   core::SpectralConv1d conv(1, 6, 6, 32, 8, core::Backend::FftOpt,
                             core::WeightScheme::PerMode);
   const auto u = random_reals(6 * 32, 719u);
   std::vector<float> v(6 * 32, 0.0f);
   conv.forward_real(u, v, 1);
-  double mag = 0.0;
-  for (const float x : v) mag += std::fabs(x);
-  EXPECT_GT(mag, 0.0);
+  const auto& p = conv.problem();
+  const auto ref = reference_real_conv_1d(p, u, conv.weights(), p.out_dim * p.hidden);
+  EXPECT_LT(rel_err(v, ref), 1e-4);
 }
 
-TEST_F(RealSpectralKnob, Fno1dModelAgreesAcrossKnob) {
+/// Fno1d/2d::forward_real composed from the public accessors: the lift, per
+/// layer the reference spectral conv plus the residual mix and a ReLU
+/// (skipped on the last layer), the projection.  `spatial` is the
+/// per-channel field size; `reference_conv(prob, h, w)` is the layer
+/// reference.
+template <class Model, class Reference>
+std::vector<float> reference_real_model(const Model& model, std::span<const float> u,
+                                        std::size_t batch, std::size_t spatial,
+                                        Reference reference_conv) {
+  const auto& cfg = model.config();
+  std::vector<float> h(batch * cfg.hidden * spatial, 0.0f);
+  model.lift().forward_real(u, h, batch, spatial);
+  for (std::size_t l = 0; l < model.spectral_layers().size(); ++l) {
+    const auto& conv = model.spectral_layers()[l];
+    auto prob = conv.problem();
+    prob.batch = batch;
+    auto next = reference_conv(prob, h, conv.weights());
+    model.residual_layers()[l].forward_real(h, next, batch, spatial, /*accumulate=*/true);
+    if (l + 1 < model.spectral_layers().size()) core::relu_inplace(std::span<float>(next));
+    h = std::move(next);
+  }
+  std::vector<float> v(batch * cfg.out_channels * spatial, 0.0f);
+  model.projection().forward_real(h, v, batch, spatial);
+  return v;
+}
+
+TEST(RealModel, Fno1dMatchesComposedReference) {
   core::Fno1dConfig cfg;
   cfg.hidden = 8;
   cfg.n = 64;
@@ -287,17 +325,36 @@ TEST_F(RealSpectralKnob, Fno1dModelAgreesAcrossKnob) {
   cfg.layers = 2;
   cfg.backend = core::Backend::Auto;
   core::Fno1d model(cfg);
-  const auto u = random_reals(cfg.in_channels * cfg.n, 727u);
-  std::vector<float> on(cfg.out_channels * cfg.n, 0.0f);
-  std::vector<float> off(on.size(), 0.0f);
-  fft::set_real_spectral(true);
-  model.forward_real(u, on, 1);
-  fft::set_real_spectral(false);
-  model.forward_real(u, off, 1);
-  EXPECT_LT(rel_err(on, off), 1e-3);
+  const auto u = random_reals(2 * cfg.in_channels * cfg.n, 727u);
+  std::vector<float> v(2 * cfg.out_channels * cfg.n, 0.0f);
+  model.forward_real(u, v, 2);
+  const auto ref = reference_real_model(
+      model, u, 2, cfg.n, [](const Spectral1dProblem& p, std::span<const float> h,
+                              std::span<const c32> w) { return reference_real_conv_1d(p, h, w); });
+  EXPECT_LT(rel_err(v, ref), 1e-3);
 }
 
-TEST_F(RealSpectralKnob, SessionRunRealServes2d) {
+TEST(RealModel, Fno2dMatchesComposedReference) {
+  core::Fno2dConfig cfg;
+  cfg.hidden = 6;
+  cfg.nx = 16;
+  cfg.ny = 16;
+  cfg.modes_x = 8;
+  cfg.modes_y = 8;
+  cfg.layers = 2;
+  cfg.backend = core::Backend::Auto;
+  core::Fno2d model(cfg);
+  const std::size_t spatial = cfg.nx * cfg.ny;
+  const auto u = random_reals(2 * cfg.in_channels * spatial, 731u);
+  std::vector<float> v(2 * cfg.out_channels * spatial, 0.0f);
+  model.forward_real(u, v, 2);
+  const auto ref = reference_real_model(
+      model, u, 2, spatial, [](const Spectral2dProblem& p, std::span<const float> h,
+                               std::span<const c32> w) { return reference_real_conv_2d(p, h, w); });
+  EXPECT_LT(rel_err(v, ref), 1e-3);
+}
+
+TEST(RealModel, SessionRunRealServes2d) {
   core::Engine engine;
   core::Fno2dConfig cfg;
   cfg.hidden = 6;

@@ -133,17 +133,6 @@ TEST(Env, ClampedVariantBoundsSizeKnobs) {
   ::unsetenv("TURBOFNO_TEST_ENV");
 }
 
-TEST(FusedGrain, AlwaysAtLeastOneRowPerChunk) {
-  // Consumers divide by the grain, so every override path must clamp >= 1.
-  set_fused_grain(0);  // default policy
-  for (std::size_t total : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{64}}) {
-    EXPECT_GE(fused_grain(total), 1u) << total;
-  }
-  set_fused_grain(5);
-  EXPECT_EQ(fused_grain(64), 5u);
-  set_fused_grain(0);
-}
-
 TEST(Env, FlagRecognizesTruthyValues) {
   for (const char* v : {"1", "on", "true", "yes"}) {
     ::setenv("TURBOFNO_TEST_FLAG", v, 1);
