@@ -13,13 +13,20 @@
 //   fft-radix4-q    one Stockham radix-4 pass at s = 64 (the batched FFT's
 //                   vector sweep).
 //
+// It also measures the one-core FMA peak of every compiled SIMD backend
+// (12 independent FMA chains on that backend's register width, best of 3)
+// and reports each cgemm arm's SIMD GFLOP/s as a fraction of the active
+// backend's peak: how close the CGEMM kernel runs to what the core can do.
+//
 // The scalar side comes from simd_scalar_ref.cpp, which is compiled with
 // AVX/FMA codegen disabled so it matches what a TURBOFNO_SIMD=scalar build
 // actually executes (x86-64 baseline auto-vectorization), not "the scalar
 // source blessed with this binary's -mavx2 flags".
 //
-// With --json <path>, emits {kernels: [{name, scalar_seconds, simd_seconds,
-// scalar_gflops, simd_gflops, speedup}]} for the perf trajectory.
+// With --json <path>, emits {active_backend, fma_peak: [{backend,
+// gflops}], kernels: [{name, scalar_seconds, simd_seconds, scalar_gflops,
+// simd_gflops, speedup[, simd_peak_fraction]}]} for the perf trajectory.
+// simd_peak_fraction appears on the cgemm arms of a SIMD build.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -50,10 +57,68 @@ struct KernelResult {
   double scalar_seconds = 0.0;
   double simd_seconds = 0.0;
   double flops = 0.0;  // per timed pass
+  bool fma_bound = false;  // reported against the FMA peak
 
   [[nodiscard]] double speedup() const { return scalar_seconds / simd_seconds; }
   [[nodiscard]] double gflops(double seconds) const { return flops / seconds * 1e-9; }
 };
+
+// ------------------------------------------------------------- FMA peak
+
+struct PeakResult {
+  const char* backend;
+  double gflops;
+};
+
+/// One core's single-precision FMA throughput on backend B's register
+/// width: 12 independent accumulator registers (6 split-complex vectors;
+/// more chains than FMA latency x ports on current x86 cores), so the loop
+/// is bound by FMA throughput alone.  Best of 3.
+template <class B>
+PeakResult fma_peak() {
+  using V = typename B::cvec;
+  constexpr std::size_t kVecs = 6;
+  constexpr std::size_t kIters = std::size_t{1} << 22;
+  const V b = B::broadcast_split(0.5f, 0.25f);
+  std::vector<float> sink_re(B::lanes), sink_im(B::lanes);
+  float total = 0.0f;
+  const double seconds = runtime::time_best_of(3, [&] {
+    V acc[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      acc[v] = B::broadcast_split(static_cast<float>(v), 0.0f);
+    }
+    // acc += 1e-7 * b: 2 FMAs per vector per step; stays small and finite.
+    for (std::size_t it = 0; it < kIters; ++it) {
+      for (std::size_t v = 0; v < kVecs; ++v) acc[v] = B::rmadd(acc[v], 1e-7f, b);
+    }
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      B::store_split(sink_re.data(), sink_im.data(), acc[v]);
+      total += sink_re[0] + sink_im[0];
+    }
+  });
+  if (total != total) std::printf("(fma peak: NaN sink)\n");  // keeps the chains live
+  const double flops = 2.0 * 2.0 * B::lanes * kVecs * kIters;
+  return {B::name(), flops / seconds * 1e-9};
+}
+
+std::vector<PeakResult> fma_peaks() {
+  std::vector<PeakResult> peaks;
+#if TURBOFNO_SIMD_HAVE_AVX2
+  peaks.push_back(fma_peak<simd::Avx2Backend>());
+#endif
+#if TURBOFNO_SIMD_HAVE_AVX512
+  peaks.push_back(fma_peak<simd::Avx512Backend>());
+#endif
+  return peaks;
+}
+
+/// The active backend's peak, or 0 in a scalar-only build.
+double active_peak(const std::vector<PeakResult>& peaks) {
+  for (const auto& p : peaks) {
+    if (std::string(p.backend) == simd::active_backend()) return p.gflops;
+  }
+  return 0.0;
+}
 
 // ------------------------------------------------------- cgemm micro-kernel
 
@@ -96,6 +161,7 @@ KernelResult bench_cgemm_micro(std::size_t reps) {
   constexpr std::size_t kInner = 2048;  // tile passes per timed rep
   KernelResult r;
   r.name = "cgemm-micro-32x32x8";
+  r.fma_bound = true;
   r.flops = static_cast<double>(trace::cgemm_flops(Cfg::Mtb, Cfg::Ntb, Cfg::Ktb)) * kInner;
 
   r.scalar_seconds = runtime::time_best_of(reps, [&] {
@@ -127,6 +193,7 @@ KernelResult bench_cgemm_full(std::size_t reps) {
 
   KernelResult r;
   r.name = "cgemm-full-4096x32x64";
+  r.fma_bound = true;
   r.flops = static_cast<double>(trace::cgemm_flops(M, N, K));
   r.scalar_seconds = runtime::time_best_of(reps, [&] {
     scalar_ref::cgemm_fused_tiles(M, N, K, c32{1.0f, 0.0f}, A.data(), K, Bm.data(), N,
@@ -173,21 +240,32 @@ KernelResult bench_fft_radix4_pass(std::size_t reps) {
   return r;
 }
 
-void write_json(const std::string& path, const std::vector<KernelResult>& rows) {
+void write_json(const std::string& path, const std::vector<PeakResult>& peaks,
+                const std::vector<KernelResult>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_micro_simd: cannot open --json path '%s'\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"active_backend\": \"%s\",\n  \"kernels\": [\n",
+  std::fprintf(f, "{\n  \"active_backend\": \"%s\",\n  \"fma_peak\": [",
                simd::active_backend());
+  for (std::size_t i = 0; i < peaks.size(); ++i) {
+    std::fprintf(f, "%s{\"backend\": \"%s\", \"gflops\": %.6g}", i == 0 ? "" : ", ",
+                 peaks[i].backend, peaks[i].gflops);
+  }
+  std::fprintf(f, "],\n  \"kernels\": [\n");
+  const double peak = active_peak(peaks);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"scalar_seconds\": %.9g, \"simd_seconds\": %.9g, "
-                 "\"scalar_gflops\": %.6g, \"simd_gflops\": %.6g, \"speedup\": %.4g}%s\n",
+                 "\"scalar_gflops\": %.6g, \"simd_gflops\": %.6g, \"speedup\": %.4g",
                  r.name.c_str(), r.scalar_seconds, r.simd_seconds, r.gflops(r.scalar_seconds),
-                 r.gflops(r.simd_seconds), r.speedup(), i + 1 < rows.size() ? "," : "");
+                 r.gflops(r.simd_seconds), r.speedup());
+    if (r.fma_bound && peak > 0.0) {
+      std::fprintf(f, ", \"simd_peak_fraction\": %.4g", r.gflops(r.simd_seconds) / peak);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -209,21 +287,34 @@ int main(int argc, char** argv) {
               "      'simd' column below runs the scalar backend too.\n\n");
 #endif
 
+  const std::vector<PeakResult> peaks = fma_peaks();
+  for (const auto& p : peaks) {
+    std::printf("one-core FMA peak (%s): %.2f GFLOP/s\n", p.backend, p.gflops);
+  }
+  if (!peaks.empty()) std::printf("\n");
+  const double peak = active_peak(peaks);
+
   std::vector<KernelResult> rows;
   rows.push_back(bench_cgemm_micro(reps));
   rows.push_back(bench_cgemm_full(reps));
   rows.push_back(bench_fft_radix4_pass(reps));
 
-  std::printf("%-24s %12s %12s %10s %10s %8s\n", "kernel", "scalar(us)", "simd(us)",
-              "sc GF/s", "simd GF/s", "speedup");
+  std::printf("%-24s %12s %12s %10s %10s %8s %7s\n", "kernel", "scalar(us)", "simd(us)",
+              "sc GF/s", "simd GF/s", "speedup", "peak");
   for (const auto& r : rows) {
-    std::printf("%-24s %12.2f %12.2f %10.2f %10.2f %7.2fx\n", r.name.c_str(),
+    std::printf("%-24s %12.2f %12.2f %10.2f %10.2f %7.2fx", r.name.c_str(),
                 r.scalar_seconds * 1e6, r.simd_seconds * 1e6, r.gflops(r.scalar_seconds),
                 r.gflops(r.simd_seconds), r.speedup());
+    if (r.fma_bound && peak > 0.0) {
+      std::printf(" %6.1f%%\n", 100.0 * r.gflops(r.simd_seconds) / peak);
+    } else {
+      std::printf(" %7s\n", "-");
+    }
   }
-  std::printf("\n(speedup = scalar backend / active backend wall-clock, best of %zu)\n",
+  std::printf("\n(speedup = scalar backend / active backend wall-clock, best of %zu;\n"
+              " peak = simd GF/s / the active backend's one-core FMA peak)\n",
               reps);
 
-  if (!opt.json.empty()) write_json(opt.json, rows);
+  if (!opt.json.empty()) write_json(opt.json, peaks, rows);
   return 0;
 }

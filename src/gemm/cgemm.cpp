@@ -312,6 +312,10 @@ TURBOFNO_CGEMM_BACKEND(StandaloneTiles, simd::ScalarBackend);
 TURBOFNO_CGEMM_BACKEND(FusedTiles, simd::Avx2Backend);
 TURBOFNO_CGEMM_BACKEND(StandaloneTiles, simd::Avx2Backend);
 #endif
+#if TURBOFNO_SIMD_HAVE_AVX512
+TURBOFNO_CGEMM_BACKEND(FusedTiles, simd::Avx512Backend);
+TURBOFNO_CGEMM_BACKEND(StandaloneTiles, simd::Avx512Backend);
+#endif
 #undef TURBOFNO_CGEMM_BACKEND
 #undef TURBOFNO_CGEMM_ARGS
 

@@ -2,7 +2,7 @@
 //
 // The hot kernels (Stockham/DIF butterflies, CGEMM micro-kernel, fused
 // rank updates) operate on complex lanes through one `cvec` interface with
-// two backends:
+// three backends:
 //
 //   ScalarBackend  one complex per "vector"; compiles to exactly the scalar
 //                  code the seed shipped.  Always available.
@@ -10,6 +10,10 @@
 //                  one of imaginaries) so a complex multiply is 2 mul + 2 FMA
 //                  with no shuffles.  Compiled only when the TU is built with
 //                  -mavx2 -mfma (CMake option TURBOFNO_SIMD=avx2/auto).
+//   Avx512Backend  16 split-complex lanes (__m512 planes) for the `cvec`
+//                  kernels; the packed `pvec` half is Avx2Backend's.
+//                  Compiled only under TURBOFNO_SIMD=avx512 (or auto on an
+//                  AVX-512 build host); outputs are bit-identical to avx2.
 //
 // Data in memory stays interleaved (AoS, `c32`) at API boundaries;
 // `load`/`store` de/re-interleave in registers.  The packed GEMM tiles and
@@ -20,7 +24,8 @@
 // kernel TU uses; `simd::active_backend()` reports it at runtime so benches
 // and tests can prove which code ran.  Defining TURBOFNO_SIMD_FORCE_SCALAR
 // (CMake -DTURBOFNO_SIMD=scalar) pins `Active` to the scalar backend even on
-// AVX2 hardware.
+// AVX2 hardware; TURBOFNO_SIMD_HAVE_AVX512=1 (CMake resolved avx512)
+// selects the AVX-512 one.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +38,16 @@
 #include <immintrin.h>
 #else
 #define TURBOFNO_SIMD_HAVE_AVX2 0
+#endif
+
+// AVX-512 is opted into only by the build (CMake defines
+// TURBOFNO_SIMD_HAVE_AVX512=1 when it resolved TURBOFNO_SIMD=avx512), never
+// by the compiler's predefined __AVX512F__: a -march=native build on an
+// AVX-512 host with TURBOFNO_SIMD=avx2 must still run the AVX2 backend.
+#if !defined(TURBOFNO_SIMD_HAVE_AVX512)
+#define TURBOFNO_SIMD_HAVE_AVX512 0
+#elif TURBOFNO_SIMD_HAVE_AVX512 && !(TURBOFNO_SIMD_HAVE_AVX2 && defined(__AVX512F__))
+#error "TURBOFNO_SIMD_HAVE_AVX512 needs -mavx2 -mfma -mavx512f"
 #endif
 
 namespace turbofno::simd {
@@ -327,7 +342,130 @@ struct Avx2Backend {
   }
 };
 
+// ------------------------------------------------------------------ avx512
+
+#if TURBOFNO_SIMD_HAVE_AVX512
+
+/// 16 split-complex lanes (one __m512 of reals, one of imaginaries) for the
+/// broadcast-FMA kernels: the CGEMM micro-kernel, its packs and epilogue,
+/// and the fused rank updates.  The packed `pvec` half (4 complexes per
+/// __m256) is inherited from Avx2Backend unchanged, so every FFT butterfly,
+/// sub-lane pass and transpose runs exactly the AVX2 code.  Each lane does
+/// the same fmadd/fnmadd sequence as the AVX2 lane, so results are
+/// bit-identical to the AVX2 backend.
+struct Avx512Backend : Avx2Backend {
+  static constexpr std::size_t lanes = 16;
+  static constexpr const char* name() noexcept { return "avx512"; }
+
+  struct cvec {
+    __m512 re;
+    __m512 im;
+  };
+
+  static cvec zero() noexcept { return {_mm512_setzero_ps(), _mm512_setzero_ps()}; }
+  static cvec broadcast(c32 v) noexcept {
+    return {_mm512_set1_ps(v.re), _mm512_set1_ps(v.im)};
+  }
+  static cvec broadcast_split(float re, float im) noexcept {
+    return {_mm512_set1_ps(re), _mm512_set1_ps(im)};
+  }
+
+  /// Deinterleave 16 consecutive c32 (32 floats) into split registers.
+  static cvec load(const c32* p) noexcept {
+    const float* f = reinterpret_cast<const float*>(p);
+    return deinterleave(_mm512_loadu_ps(f), _mm512_loadu_ps(f + 16));
+  }
+  static void store(c32* p, cvec v) noexcept {
+    __m512 a, b;
+    interleave(v, a, b);
+    float* f = reinterpret_cast<float*>(p);
+    _mm512_storeu_ps(f, a);
+    _mm512_storeu_ps(f + 16, b);
+  }
+
+  static cvec load_partial(const c32* p, std::size_t count) noexcept {
+    const float* f = reinterpret_cast<const float*>(p);
+    const std::size_t floats = 2 * count;  // count <= lanes
+    const __m512 a = _mm512_maskz_loadu_ps(float_mask(floats > 16 ? 16 : floats), f);
+    const __m512 b = _mm512_maskz_loadu_ps(float_mask(floats > 16 ? floats - 16 : 0), f + 16);
+    return deinterleave(a, b);
+  }
+  static void store_partial(c32* p, cvec v, std::size_t count) noexcept {
+    __m512 a, b;
+    interleave(v, a, b);
+    float* f = reinterpret_cast<float*>(p);
+    const std::size_t floats = 2 * count;
+    _mm512_mask_storeu_ps(f, float_mask(floats > 16 ? 16 : floats), a);
+    _mm512_mask_storeu_ps(f + 16, float_mask(floats > 16 ? floats - 16 : 0), b);
+  }
+
+  static cvec load_split(const float* re, const float* im) noexcept {
+    return {_mm512_loadu_ps(re), _mm512_loadu_ps(im)};
+  }
+  static void store_split(float* re, float* im, cvec v) noexcept {
+    _mm512_storeu_ps(re, v.re);
+    _mm512_storeu_ps(im, v.im);
+  }
+
+  static cvec add(cvec a, cvec b) noexcept {
+    return {_mm512_add_ps(a.re, b.re), _mm512_add_ps(a.im, b.im)};
+  }
+  static cvec sub(cvec a, cvec b) noexcept {
+    return {_mm512_sub_ps(a.re, b.re), _mm512_sub_ps(a.im, b.im)};
+  }
+  // cmul/cmadd/rmadd: the Avx2Backend operation order, lane for lane.
+  static cvec cmul(cvec a, cvec b) noexcept {
+    return {_mm512_fmsub_ps(a.re, b.re, _mm512_mul_ps(a.im, b.im)),
+            _mm512_fmadd_ps(a.re, b.im, _mm512_mul_ps(a.im, b.re))};
+  }
+  static cvec cmadd(cvec acc, cvec a, cvec b) noexcept {
+    return {_mm512_fmadd_ps(a.re, b.re, _mm512_fnmadd_ps(a.im, b.im, acc.re)),
+            _mm512_fmadd_ps(a.re, b.im, _mm512_fmadd_ps(a.im, b.re, acc.im))};
+  }
+  static cvec rmadd(cvec acc, float a, cvec b) noexcept {
+    const __m512 va = _mm512_set1_ps(a);
+    return {_mm512_fmadd_ps(va, b.re, acc.re), _mm512_fmadd_ps(va, b.im, acc.im)};
+  }
+  static cvec scale(cvec a, float s) noexcept {
+    const __m512 vs = _mm512_set1_ps(s);
+    return {_mm512_mul_ps(a.re, vs), _mm512_mul_ps(a.im, vs)};
+  }
+  static cvec mul_neg_i(cvec a) noexcept {
+    return {a.im, _mm512_sub_ps(_mm512_setzero_ps(), a.re)};
+  }
+  static cvec mul_pos_i(cvec a) noexcept {
+    return {_mm512_sub_ps(_mm512_setzero_ps(), a.im), a.re};
+  }
+
+ private:
+  static cvec deinterleave(__m512 a, __m512 b) noexcept {
+    // a = r0 i0 .. r7 i7, b = r8 i8 .. r15 i15; indices >= 16 pick from b.
+    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26,
+                                           28, 30);
+    const __m512i odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27,
+                                          29, 31);
+    return {_mm512_permutex2var_ps(a, even, b), _mm512_permutex2var_ps(a, odd, b)};
+  }
+  static void interleave(cvec v, __m512& a, __m512& b) noexcept {
+    const __m512i lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+    const __m512i hi =
+        _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+    a = _mm512_permutex2var_ps(v.re, lo, v.im);
+    b = _mm512_permutex2var_ps(v.re, hi, v.im);
+  }
+  /// Write mask of the first `valid` (0..16) float lanes.
+  static __mmask16 float_mask(std::size_t valid) noexcept {
+    return static_cast<__mmask16>((1u << valid) - 1u);
+  }
+};
+
+using Active = Avx512Backend;
+
+#else
+
 using Active = Avx2Backend;
+
+#endif  // TURBOFNO_SIMD_HAVE_AVX512
 
 #else
 

@@ -1,7 +1,7 @@
 // Blocked CGEMM vs the naive reference over a shape grid, alpha/beta cases,
 // and every instantiated tile configuration; the real-A operand and the
 // strided-batched entry (a shared or per-item A) bitwise against the plain
-// complex GEMM.
+// complex GEMM; in an AVX-512 build, that backend bitwise against AVX2.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,6 +10,7 @@
 #include "gemm/cgemm.hpp"
 #include "gemm/reference.hpp"
 #include "runtime/parallel.hpp"
+#include "tensor/simd.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::gemm {
@@ -346,6 +347,111 @@ TEST(CgemmBatched, RewrittenSharedAIsRepackedOnTheNextCall) {
   expect_batched_equals_per_item(M, N, K, A, AOperand::Complex);
   expect_batched_equals_per_item(M, N, K, A, AOperand::RealPart);
 }
+
+#if TURBOFNO_SIMD_HAVE_AVX512
+// The AVX-512 backend runs every C element through the AVX2 lane's
+// fnmadd/fmadd sequence in k order and the same cmul/cmadd epilogue, so
+// its outputs are the AVX2 backend's bit for bit.
+template <class Cfg, AOperand Kind>
+void expect_avx512_equals_avx2(std::size_t M, std::size_t N, std::size_t K, c32 alpha, c32 beta,
+                               const std::vector<c32>& A, const std::vector<c32>& Bm,
+                               const std::vector<c32>& C0) {
+  std::vector<c32> got(C0);
+  std::vector<c32> want(C0);
+  cgemm_tiled_backend<Cfg, simd::Avx512Backend, Kind>(M, N, K, alpha, A.data(), K, Bm.data(), N,
+                                                      beta, got.data(), N);
+  cgemm_tiled_backend<Cfg, simd::Avx2Backend, Kind>(M, N, K, alpha, A.data(), K, Bm.data(), N,
+                                                    beta, want.data(), N);
+  EXPECT_TRUE(same_bits(got, want)) << Cfg::Mtb << "x" << Cfg::Ntb
+                                    << " real=" << (Kind == AOperand::RealPart);
+}
+
+TEST(CgemmAvx512, BitwiseEqualsAvx2) {
+  // M/N/K off every multiple of 16 (plus whole-tile shapes), so the masked
+  // epilogue tails, padded register blocks and partial k-tiles all run.
+  const GemmCase cases[] = {{1, 1, 1},    {3, 5, 7},     {17, 9, 33},  {33, 31, 13},
+                            {45, 37, 19}, {64, 64, 64},  {65, 33, 17}, {40, 48, 40},
+                            {100, 70, 130}, {129, 17, 24}};
+  unsigned seed = 4001;
+  for (const auto& [M, N, K] : cases) {
+    const auto A = random_signal(M * K, ++seed);
+    const auto Bm = random_signal(K * N, ++seed);
+    const auto C0 = random_signal(M * N, ++seed);
+    for (const c32 alpha : {c32{1.0f, 0.0f}, c32{0.5f, -1.25f}}) {
+      for (const c32 beta : {c32{0.0f, 0.0f}, c32{1.0f, 0.0f}, c32{-0.75f, 0.25f}}) {
+        SCOPED_TRACE(::testing::Message() << "M=" << M << " N=" << N << " K=" << K << " alpha="
+                                          << alpha.re << "," << alpha.im << " beta=" << beta.re
+                                          << "," << beta.im);
+        expect_avx512_equals_avx2<FusedTiles, AOperand::Complex>(M, N, K, alpha, beta, A, Bm, C0);
+        expect_avx512_equals_avx2<FusedTiles, AOperand::RealPart>(M, N, K, alpha, beta, A, Bm,
+                                                                  C0);
+        expect_avx512_equals_avx2<StandaloneTiles, AOperand::Complex>(M, N, K, alpha, beta, A, Bm,
+                                                                      C0);
+        expect_avx512_equals_avx2<StandaloneTiles, AOperand::RealPart>(M, N, K, alpha, beta, A,
+                                                                       Bm, C0);
+      }
+    }
+  }
+}
+
+/// One item through the AVX2 backend, on the tiles cgemm picks for N
+/// (N >= 48 runs the 64-wide ones).
+void avx2_cgemm(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
+                const c32* Bm, c32 beta, c32* C, AOperand a) {
+  const bool wide = N >= 48;
+  if (a == AOperand::RealPart) {
+    (wide ? cgemm_tiled_backend<StandaloneTiles, simd::Avx2Backend, AOperand::RealPart>
+          : cgemm_tiled_backend<FusedTiles, simd::Avx2Backend, AOperand::RealPart>)(
+        M, N, K, alpha, A, K, Bm, N, beta, C, N);
+  } else {
+    (wide ? cgemm_tiled_backend<StandaloneTiles, simd::Avx2Backend, AOperand::Complex>
+          : cgemm_tiled_backend<FusedTiles, simd::Avx2Backend, AOperand::Complex>)(
+        M, N, K, alpha, A, K, Bm, N, beta, C, N);
+  }
+}
+
+TEST(CgemmAvx512, BatchedSharedAndPerItemAEqualAvx2) {
+  // The library's batched entry (the AVX-512 backend in this build) with a
+  // shared and a per-item A, against one AVX2 GEMM per item.
+  const int saved = runtime::thread_count();
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    for (const std::size_t M : {40u, 129u}) {
+      for (const std::size_t N : {37u, 48u, 70u}) {
+        const std::size_t K = M == 40 ? 40 : 130;
+        const std::size_t batch = 5;
+        const auto Bm = random_signal(batch * K * N, 4101u);
+        const auto C0 = random_signal(batch * M * N, 4103u);
+        const c32 alpha{0.75f, 0.5f};
+        for (const bool shared : {true, false}) {
+          const std::size_t a_stride = shared ? 0 : M * K;
+          const auto A = random_signal(shared ? M * K : batch * M * K, 4107u);
+          const BatchedStrides strides{static_cast<std::ptrdiff_t>(a_stride),
+                                       static_cast<std::ptrdiff_t>(K * N),
+                                       static_cast<std::ptrdiff_t>(M * N)};
+          for (const AOperand a : {AOperand::Complex, AOperand::RealPart}) {
+            for (const c32 beta : {c32{0.0f, 0.0f}, c32{1.0f, 0.0f}, c32{-0.75f, 0.25f}}) {
+              std::vector<c32> got(C0);
+              std::vector<c32> want(C0);
+              cgemm_batched(M, N, K, alpha, A.data(), K, Bm.data(), N, beta, got.data(), N,
+                            batch, strides, a);
+              for (std::size_t i = 0; i < batch; ++i) {
+                avx2_cgemm(M, N, K, alpha, A.data() + i * a_stride, Bm.data() + i * K * N, beta,
+                           want.data() + i * M * N, a);
+              }
+              EXPECT_TRUE(same_bits(got, want))
+                  << "threads=" << threads << " M=" << M << " N=" << N << " K=" << K
+                  << " shared=" << shared << " real=" << (a == AOperand::RealPart)
+                  << " beta=" << beta.re << "," << beta.im;
+            }
+          }
+        }
+      }
+    }
+  }
+  runtime::set_thread_count(saved);
+}
+#endif  // TURBOFNO_SIMD_HAVE_AVX512
 
 TEST(CgemmBytes, TileShapeDrivesTrafficModel) {
   const TileShape small{32, 32, 8, 4, 4};

@@ -4,8 +4,9 @@
 // micro-batch it happens to ride in — must produce results bitwise-identical
 // to running the same input through a serial, batch-1 core::Fno model built
 // from the same config.  This holds on every SIMD backend (the comparison is
-// within one build, so the suite is golden under TURBOFNO_SIMD=avx2 and
-// =scalar alike), and makes batching a pure throughput optimization.
+// within one build, so the suite is golden under TURBOFNO_SIMD=avx512,
+// =avx2 and =scalar alike), and makes batching a pure throughput
+// optimization.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -3,11 +3,13 @@
 // CGEMM against the naive reference at non-tile-multiple dims, the FFT
 // butterfly kernels across all radix paths and odd filters, and the fused
 // rank updates.  Each test runs the scalar backend and, when the binary was
-// compiled with AVX2 support, the AVX2 backend through identical sweeps.
+// compiled with AVX2 (AVX-512) support, the AVX2 (and AVX-512) backend
+// through identical sweeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "fft/kernels.hpp"
@@ -121,9 +123,16 @@ TEST(SimdCvec, ScalarPartials) { check_cvec_partials<simd::ScalarBackend>(); }
 TEST(SimdCvec, Avx2Ops) { check_cvec_ops<simd::Avx2Backend>(); }
 TEST(SimdCvec, Avx2Partials) { check_cvec_partials<simd::Avx2Backend>(); }
 #endif
+#if TURBOFNO_SIMD_HAVE_AVX512
+TEST(SimdCvec, Avx512Ops) { check_cvec_ops<simd::Avx512Backend>(); }
+TEST(SimdCvec, Avx512Partials) { check_cvec_partials<simd::Avx512Backend>(); }
+#endif
 
 TEST(SimdCvec, ActiveBackendReport) {
-#if TURBOFNO_SIMD_HAVE_AVX2
+#if TURBOFNO_SIMD_HAVE_AVX512
+  EXPECT_STREQ("avx512", simd::active_backend());
+  EXPECT_EQ(16u, simd::kLanes);
+#elif TURBOFNO_SIMD_HAVE_AVX2
   EXPECT_STREQ("avx2", simd::active_backend());
   EXPECT_EQ(8u, simd::kLanes);
 #else
@@ -135,7 +144,7 @@ TEST(SimdCvec, ActiveBackendReport) {
 }
 
 TEST(SimdCvec, SplitInterleaveRoundTrip) {
-  for (const std::size_t n : {1u, 3u, 7u, 8u, 9u, 31u, 64u}) {
+  for (const std::size_t n : {1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 33u, 64u}) {
     const std::vector<c32> src = random_signal(n, 104u + static_cast<unsigned>(n));
     std::vector<float> re(n);
     std::vector<float> im(n);
@@ -193,6 +202,14 @@ TEST(SimdCgemm, Avx2StandaloneTiles) {
   check_cgemm_backend<gemm::StandaloneTiles, simd::Avx2Backend>();
 }
 #endif
+#if TURBOFNO_SIMD_HAVE_AVX512
+TEST(SimdCgemm, Avx512FusedTiles) {
+  check_cgemm_backend<gemm::FusedTiles, simd::Avx512Backend>();
+}
+TEST(SimdCgemm, Avx512StandaloneTiles) {
+  check_cgemm_backend<gemm::StandaloneTiles, simd::Avx512Backend>();
+}
+#endif
 
 // ----------------------------------------------------------------- fft parity
 
@@ -233,6 +250,13 @@ void check_stockham_passes() {
 TEST(SimdFft, ScalarStockhamPasses) { check_stockham_passes<simd::ScalarBackend>(); }
 #if TURBOFNO_SIMD_HAVE_AVX2
 TEST(SimdFft, Avx2StockhamPasses) { check_stockham_passes<simd::Avx2Backend>(); }
+#endif
+#if TURBOFNO_SIMD_HAVE_AVX512
+// The AVX-512 backend inherits the packed half, so its FFT passes are the
+// AVX2 ones.
+static_assert(std::is_same_v<simd::Avx512Backend::pvec, simd::Avx2Backend::pvec>);
+static_assert(simd::Avx512Backend::planes == simd::Avx2Backend::planes);
+TEST(SimdFft, Avx512StockhamPasses) { check_stockham_passes<simd::Avx512Backend>(); }
 #endif
 
 template <class B>
