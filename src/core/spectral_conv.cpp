@@ -1,6 +1,8 @@
 #include "core/spectral_conv.hpp"
 
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "fft/plan_cache.hpp"
 #include "fft/real.hpp"
@@ -93,7 +95,7 @@ fused::SpectralPipeline1d& SpectralConv1d::real_pipeline() {
 void SpectralConv1d::forward_real(std::span<const float> u, std::span<float> v,
                                   std::size_t batch) {
   if (scheme_ != WeightScheme::Shared) {
-    forward_per_mode_real(u, v, batch);
+    forward_per_mode(u, v, batch);
     return;
   }
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
@@ -102,77 +104,37 @@ void SpectralConv1d::forward_real(std::span<const float> u, std::span<float> v,
   real_pipeline().run_batched_real(u, weights_.span(), v, batch);
 }
 
-void SpectralConv1d::forward_per_mode_real(std::span<const float> u, std::span<float> v,
-                                           std::size_t batch) {
+template <class T>
+void SpectralConv1d::forward_per_mode(std::span<const T> u, std::span<T> v, std::size_t batch) {
+  constexpr bool kReal = std::is_same_v<T, float>;
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                              prob_.out_dim * prob_.n, batch, "SpectralConv1d(real)");
+                              prob_.out_dim * prob_.n, batch,
+                              kReal ? "SpectralConv1d(real)" : "SpectralConv1d");
   reserve(batch);
   if (batch == 0) return;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t MR = prob_.modes / 2 + 1;  // per-mode matrices f < MR apply
+  // Kept bins: the per-mode matrices f < M apply (the RFFT half-spectrum on
+  // the real lane).
+  const std::size_t M = kReal ? prob_.modes / 2 + 1 : prob_.modes;
   permode_counters_.clear();
 
   // The per-mode path is already the reference-grade unfused schedule, so
-  // it drives the RFFT plans directly rather than a ladder pipeline.
-  const auto fwd = fft::acquire_rfft_plan(N, MR);
-  const auto inv = fft::acquire_irfft_plan(N, MR);
-
-  runtime::Timer t;
-  fwd->execute(u.first(B * K * N), freq_.span().first(B * K * MR), B * K);
-  runtime::parallel_for(0, B * MR, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t b = i / MR;
-      const std::size_t f = i % MR;
-      const c32* wf = weights_.data() + f * O * K;
-      for (std::size_t o = 0; o < O; ++o) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, wf[o * K + k], freq_[(b * K + k) * MR + f]);
-        }
-        mixed_[(b * O + o) * MR + f] = acc;
-      }
+  // it drives the lane's truncated / zero-padded plans directly rather than
+  // a ladder pipeline.
+  const auto [fwd, inv] = [&] {
+    if constexpr (kReal) {
+      return std::pair{fft::acquire_rfft_plan(N, M), fft::acquire_irfft_plan(N, M)};
+    } else {
+      return std::pair{fft::acquire_plan({N, fft::Direction::Forward, M}),
+                       fft::acquire_plan({N, fft::Direction::Inverse, 0, M})};
     }
-  });
-  inv->execute(mixed_.span().first(B * O * MR), v.first(B * O * N), B * O);
-
-  auto& sc = permode_counters_.stage("per-mode-spectral-conv");
-  sc.seconds = t.seconds();
-  sc.bytes_read =
-      B * K * N * sizeof(float) + (MR * O * K + B * O * MR) * sizeof(c32);
-  sc.bytes_written = (B * K * MR + B * O * MR) * sizeof(c32) + B * O * N * sizeof(float);
-  sc.flops = B * K * fwd->flops_per_signal() + trace::cgemm_flops(B * MR, O, K) +
-             B * O * inv->flops_per_signal();
-  sc.kernel_launches = 3;
-}
-
-void SpectralConv1d::forward_per_mode(std::span<const c32> u, std::span<c32> v,
-                                      std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                              prob_.out_dim * prob_.n, batch, "SpectralConv1d");
-  reserve(batch);
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-  permode_counters_.clear();
-
-  fft::PlanDesc fd;
-  fd.n = N;
-  fd.keep = M;
-  const auto fwd = fft::acquire_plan(fd);
-  fft::PlanDesc id;
-  id.n = N;
-  id.dir = fft::Direction::Inverse;
-  id.nonzero = M;
-  const auto inv = fft::acquire_plan(id);
+  }();
 
   runtime::Timer t;
-  fwd->execute(u, freq_.span().first(B * K * M), B * K);
+  fwd->execute(u.first(B * K * N), freq_.span().first(B * K * M), B * K);
   // Per-mode mixing: for each frequency f, an independent O x K matrix.
   runtime::parallel_for(0, B * M, 64, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -188,12 +150,12 @@ void SpectralConv1d::forward_per_mode(std::span<const c32> u, std::span<c32> v,
       }
     }
   });
-  inv->execute(mixed_.span().first(B * O * M), v, B * O);
+  inv->execute(mixed_.span().first(B * O * M), v.first(B * O * N), B * O);
 
   auto& sc = permode_counters_.stage("per-mode-spectral-conv");
   sc.seconds = t.seconds();
-  sc.bytes_read = (B * K * N + M * O * K + B * O * M) * sizeof(c32);
-  sc.bytes_written = (B * K * M + B * O * M + B * O * N) * sizeof(c32);
+  sc.bytes_read = B * K * N * sizeof(T) + (M * O * K + B * O * M) * sizeof(c32);
+  sc.bytes_written = (B * K * M + B * O * M) * sizeof(c32) + B * O * N * sizeof(T);
   sc.flops = B * K * fwd->flops_per_signal() + trace::cgemm_flops(B * M, O, K) +
              B * O * inv->flops_per_signal();
   sc.kernel_launches = 3;

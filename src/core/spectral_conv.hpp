@@ -54,8 +54,9 @@ class SpectralConv1d {
   [[nodiscard]] WeightScheme scheme() const noexcept { return scheme_; }
 
  private:
-  void forward_per_mode(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  void forward_per_mode_real(std::span<const float> u, std::span<float> v, std::size_t batch);
+  /// The PerMode scheme on either lane: T is the sample type (c32 or float).
+  template <class T>
+  void forward_per_mode(std::span<const T> u, std::span<T> v, std::size_t batch);
   /// The pipeline serving the real lane: `pipeline_` when Auto resolves to
   /// the same row for both lanes, else a lazily built real-tuned sibling.
   fused::SpectralPipeline1d& real_pipeline();

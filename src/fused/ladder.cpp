@@ -8,7 +8,6 @@
 #include "fused/pipeline1d.hpp"
 #include "fused/pipeline2d.hpp"
 #include "gemm/config.hpp"
-#include "runtime/env.hpp"
 #include "tensor/simd.hpp"
 
 namespace turbofno::fused {
@@ -36,15 +35,11 @@ namespace {
 // Cache budget the Auto heuristic assumes for the fused per-task working
 // set.  Half of a typical 2 MiB per-core L2: the fused loops want their
 // accumulator planes resident *alongside* the streaming input tile.
-std::size_t auto_l2_budget() noexcept {
-  static const std::size_t budget = static_cast<std::size_t>(runtime::env_long_clamped(
-      "TURBOFNO_AUTO_L2", 1 << 20, 1 << 14, 1 << 28));
-  return budget;
-}
+constexpr std::size_t kAutoL2Budget = 1u << 20;
 
-// Bytes one fused 1D task keeps hot per signal: the split accumulator
-// planes (2 float planes of out_dim x ld), the k-tile and its split planes,
-// and the FFT scratch (2n c32).  The real lane retains modes/2+1 bins, so
+// Bytes the Auto model charges one fused 1D task per signal: the split
+// accumulator (2 float planes of out_dim x ld), the k-tile and its split
+// panels, and the FFT scratch (2n c32).  The real lane retains modes/2+1 bins, so
 // its accumulator and tile rows are roughly half as wide; the FFT scratch
 // term stays 2n c32 (the C2R inverse needs the full extended spectrum plus
 // the packed half-length transform's workspace).
@@ -76,7 +71,7 @@ std::size_t fused_task_bytes_2d(const baseline::Spectral2dProblem& p) noexcept {
 }  // namespace
 
 Variant auto_variant_1d(const baseline::Spectral1dProblem& p, bool real_input) noexcept {
-  if (fused_task_bytes_1d(p, real_input) > auto_l2_budget()) {
+  if (fused_task_bytes_1d(p, real_input) > kAutoL2Budget) {
     return Variant::FftOpt;  // fused accumulator would thrash; stream instead
   }
   // Shallow truncation: fuse the epilogue only.  The same 2*modes > n test
@@ -97,7 +92,7 @@ Variant auto_variant_2d(const baseline::Spectral2dProblem& p, bool real_input) n
   // footprint lets shapes that spill in the complex lane stay fused.
   const std::size_t mx = real_input ? p.modes_x / 2 + 1 : p.modes_x;
   const std::size_t staging = (p.hidden + p.out_dim) * mx * p.ny * sizeof(c32);
-  if (staging > auto_l2_budget() || fused_task_bytes_2d(p) > auto_l2_budget()) {
+  if (staging > kAutoL2Budget || fused_task_bytes_2d(p) > kAutoL2Budget) {
     return Variant::FftOpt;
   }
   if (2 * p.modes_y > p.ny) {

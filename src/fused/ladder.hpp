@@ -48,8 +48,7 @@ inline constexpr Variant kAllVariants[] = {Variant::PyTorch, Variant::FftOpt,
 ///     truncated forward FFT saves little over the batched plan execution, so
 ///     only the pad+iFFT epilogue is worth fusing (FusedGemmIfft);
 ///   - otherwise the fully fused pass wins (FullyFused).
-/// The cache budget defaults to 1 MiB and is overridable via the
-/// TURBOFNO_AUTO_L2 environment variable (bytes).
+/// The cache budget is 1 MiB.
 ///
 /// `real_input` sizes the working set for the real-spectral (RFFT) lane:
 /// the retained spectra shrink to modes/2+1 bins (1D) / modes_x/2+1 x-rows

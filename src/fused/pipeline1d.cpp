@@ -6,7 +6,8 @@
 
 #include "fft/plan_cache.hpp"
 #include "gemm/batched.hpp"
-#include "gemm/config.hpp"
+#include "gemm/micro_kernel.hpp"
+#include "gemm/pack.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "runtime/timer.hpp"
@@ -16,9 +17,76 @@ namespace turbofno::fused {
 
 namespace {
 
-constexpr std::size_t kTb = gemm::FusedTiles::Ktb;  // paper Table 1: k_tb = 8
+// Paper Table 1: m_tb = n_tb = 32, k_tb = 8.
+constexpr std::size_t kMtb = KLoopGemm::Tiles::Mtb;
+constexpr std::size_t kNtb = KLoopGemm::Tiles::Ntb;
+constexpr std::size_t kTb = KLoopGemm::Tiles::Ktb;
+constexpr std::size_t kTileFloats = 2 * kMtb * kNtb;    // split accumulator tile
+constexpr std::size_t kAPanelFloats = 2 * kMtb * kTb;  // split W panel
+constexpr std::size_t kBPanelFloats = 2 * kNtb * kTb;  // split spectra panel
+
+constexpr std::size_t ceil_div(std::size_t a, std::size_t b) noexcept { return (a + b - 1) / b; }
 
 }  // namespace
+
+KLoopGemm::KLoopGemm(std::size_t out_dim, std::size_t hidden)
+    : out_dim_(out_dim),
+      hidden_(hidden),
+      k_tiles_(ceil_div(hidden, kTb)),
+      w_panels_(ceil_div(out_dim, kMtb) * k_tiles_ * kAPanelFloats) {}
+
+void KLoopGemm::pack_weights(const c32* w) {
+  float* dst = w_panels_.data();
+  for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb) {
+    for (std::size_t k0 = 0; k0 < hidden_; k0 += kTb, dst += kAPanelFloats) {
+      gemm::pack_a_tile_split<kMtb, kTb>(dst, w, hidden_, i0, k0, std::min(kMtb, out_dim_ - i0),
+                                        std::min(kTb, hidden_ - k0));
+    }
+  }
+}
+
+std::size_t KLoopGemm::acc_floats(std::size_t m) const noexcept {
+  return ceil_div(out_dim_, kMtb) * ceil_div(m, kNtb) * kTileFloats;
+}
+
+std::size_t KLoopGemm::panel_floats(std::size_t m) noexcept {
+  return ceil_div(m, kNtb) * kBPanelFloats;
+}
+
+void KLoopGemm::zero(float* acc, std::size_t m) const noexcept {
+  for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb) {
+    const std::size_t rows = ceil_div(std::min(kMtb, out_dim_ - i0), Tiles::Mt) * Tiles::Mt;
+    for (std::size_t j0 = 0; j0 < m; j0 += kNtb, acc += kTileFloats) {
+      std::fill_n(acc, rows * kNtb, 0.0f);
+      std::fill_n(acc + kMtb * kNtb, rows * kNtb, 0.0f);
+    }
+  }
+}
+
+void KLoopGemm::accumulate(float* acc, float* panels, const c32* spectra, std::size_t ld,
+                           std::size_t k0, std::size_t m) const noexcept {
+  using B = simd::Active;
+  const std::size_t kc = std::min(kTb, hidden_ - k0);
+  for (std::size_t j0 = 0; j0 < m; j0 += kNtb) {
+    gemm::pack_b_tile_split<kNtb, kTb, B>(panels + j0 / kNtb * kBPanelFloats, spectra, ld, 0, j0,
+                                          kc, std::min(kNtb, m - j0));
+  }
+  const float* a = w_panels_.data() + k0 / kTb * kAPanelFloats;
+  for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb, a += k_tiles_ * kAPanelFloats) {
+    const std::size_t mi = std::min(kMtb, out_dim_ - i0);
+    for (std::size_t j0 = 0; j0 < m; j0 += kNtb, acc += kTileFloats) {
+      gemm::accumulate_tile_split<Tiles, B>(acc, a, panels + j0 / kNtb * kBPanelFloats, kc, mi,
+                                            std::min(kNtb, m - j0));
+    }
+  }
+}
+
+void KLoopGemm::read_row(const float* acc, std::size_t o, std::size_t m, c32* dst) const noexcept {
+  const float* re = acc + o / kMtb * ceil_div(m, kNtb) * kTileFloats + o % kMtb * kNtb;
+  for (std::size_t j0 = 0; j0 < m; j0 += kNtb, re += kTileFloats) {
+    simd::interleave_planes(re, re + kMtb * kNtb, dst + j0, std::min(kNtb, m - j0));
+  }
+}
 
 Fusion fusion_of(Variant v) {
   switch (v) {
@@ -78,8 +146,9 @@ LadderPipeline1d::LadderPipeline1d(Variant v, baseline::Spectral1dProblem prob)
     : prob_(prob),
       fusion_(fusion_of(v)),
       name_(variant_name(v)),
-      fwd_(prob.n, prob.modes),
-      inv_(prob.n, prob.modes),
+      fwd_(fft::acquire_plan({prob.n, fft::Direction::Forward, prob.modes})),
+      inv_(fft::acquire_plan({prob.n, fft::Direction::Inverse, 0, prob.modes})),
+      kloop_(prob.out_dim, prob.hidden),
       counters_(counters_name(fusion_, "-1d")) {
   prob_.validate();
   if (!fusion_.fwd) freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
@@ -104,7 +173,7 @@ void LadderPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> 
                                    std::span<c32> v, std::size_t batch) {
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
                               prob_.out_dim * prob_.n, batch, "pipeline1d");
-  run_lane(fwd_.plan(), inv_.plan(), prob_.modes, u, w, v, batch);
+  run_lane(*fwd_, *inv_, prob_.modes, u, w, v, batch);
 }
 
 void LadderPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
@@ -174,7 +243,7 @@ void LadderPipeline1d::run_chain(const FwdPlan& fwd, const InvPlan& inv, std::si
     gemm::cgemm_batched(O, m, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), m,
                         c32{0.0f, 0.0f}, mixed_.data(), m, B, strides);
   } else {
-    const std::size_t ld = simd::round_up_lanes(m);
+    kloop_.pack_weights(w.data());
     const std::size_t work_elems =
         FwdFused ? (InvFused ? std::max(fwd.scratch_elems(), inv.scratch_elems())
                              : fwd.scratch_elems())
@@ -183,47 +252,36 @@ void LadderPipeline1d::run_chain(const FwdPlan& fwd, const InvPlan& inv, std::si
       auto& arena = runtime::tls_scratch();
       const auto scope = arena.scope();
       // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      // The forward's output tile is the GEMM A block (the paper's shared-
-      // memory tile); the accumulator planes stay cache-resident.
-      const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * ld) : std::span<c32>{};
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // split A planes
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // split C planes
-      const std::span<c32> row = InvFused ? arena.alloc<c32>(ld) : std::span<c32>{};
+      // The forward's output tile is the GEMM's B operand (the paper's
+      // shared-memory tile); the accumulator tiles stay cache-resident.
+      const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * m) : std::span<c32>{};
+      const std::span<float> panels = arena.alloc<float>(KLoopGemm::panel_floats(m));
+      const std::span<float> acc = arena.alloc<float>(kloop_.acc_floats(m));
+      const std::span<c32> row = InvFused ? arena.alloc<c32>(m) : std::span<c32>{};
       const std::span<c32> work = arena.alloc<c32>(work_elems);
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);  // lane padding must stay zero
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      float* are = acc.data();
-      float* aim = are + O * ld;
       for (std::size_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
+        kloop_.zero(acc.data(), m);
         for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          // A tile source: transform each channel straight into the tile,
-          // or read the stored spectra (already k-major); either way the
-          // split into SoA planes is the only copy the MAC phase pays.
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            const c32* a;
-            if constexpr (FwdFused) {
-              c32* spectrum = tile.data() + kk * ld;
-              fwd.execute_one(u.data() + (b * K + k0 + kk) * N, 1, spectrum, 1, work);
-              a = spectrum;
-            } else {
-              a = freq_.data() + (b * K + k0 + kk) * m;
+          // B operand source: transform each channel straight into the
+          // tile, or read the stored spectra (already k-major).
+          const c32* spectra = tile.data();
+          if constexpr (FwdFused) {
+            for (std::size_t kk = 0; kk < std::min(kTb, K - k0); ++kk) {
+              fwd.execute_one(u.data() + (b * K + k0 + kk) * N, 1, tile.data() + kk * m, 1, work);
             }
-            simd::split_planes(a, tre + kk * ld, tim + kk * ld, m);
+          } else {
+            spectra = freq_.data() + (b * K + k0) * m;
           }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
+          kloop_.accumulate(acc.data(), panels.data(), spectra, m, k0, m);
         }
         // Accumulator sink: the iFFT epilogue straight out of the tile (the
         // paper's Figure 6(f)), or the stored mixed spectra.
         for (std::size_t o = 0; o < O; ++o) {
           if constexpr (InvFused) {
-            simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), m);
+            kloop_.read_row(acc.data(), o, m, row.data());
             inv.execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
           } else {
-            simd::interleave_planes(are + o * ld, aim + o * ld, mixed_.data() + (b * O + o) * m,
-                                    m);
+            kloop_.read_row(acc.data(), o, m, mixed_.data() + (b * O + o) * m);
           }
         }
       }

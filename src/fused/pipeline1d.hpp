@@ -9,10 +9,16 @@
 //
 // where a bracketed stage exists only while its boundary is unfused.  With
 // neither boundary fused (FftOpt) the k-loop stage is the batched CGEMM.
-// Otherwise one task per batch signal iterates the hidden dim in k_tb
-// tiles, exactly like the GEMM k-loop (Figure 6(c)-(e)): its A tile comes
-// from the forward transform itself (fused forward) or from the stored
-// spectra, and its accumulator feeds the per-row inverse (fused inverse)
+// Otherwise one task per batch signal runs the paper's k-loop-aligned FFT
+// variant (Section 2.3, Figure 6): instead of batching FFT pencils along the
+// spatial axis, it iterates the hidden dim in k_tb tiles, exactly like the
+// GEMM k-loop (Figure 6(c)-(e)), transforming k_tb channels at a time and
+// depositing their truncated spectra straight into the operand tile the
+// CGEMM consumes, the CPU analogue of writing the FFT output into the
+// shared-memory tile.  That tile comes from the forward transform itself
+// (fused forward) or from the stored spectra, and is multiplied on the
+// CGEMM's own micro-kernel (KLoopGemm); the accumulator feeds the per-row
+// zero-padded inverse (fused inverse, the CGEMM epilogue of Figure 6(f))
 // or the stored mixed spectra.
 //
 // Both lanes run the one chain: the complex lane keeps `modes` bins, the
@@ -30,9 +36,10 @@
 #include <type_traits>
 
 #include "baseline/problem.hpp"
+#include "fft/plan.hpp"
 #include "fft/real.hpp"
-#include "fused/fft_variant.hpp"
 #include "fused/ladder.hpp"
+#include "gemm/config.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
@@ -99,6 +106,48 @@ struct ChainRun {
 /// stage is looked up once.
 void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r);
 
+/// The k-loop's CGEMM for one signal, C[out_dim x m] += W * S over the
+/// hidden dim, on the GEMM's split-complex micro-kernel
+/// (gemm::accumulate_tile_split) over gemm::FusedTiles panels.  W is packed
+/// once per forward as A panels; each k-tile's spectra (S rows, one per
+/// channel) become Ntb-wide B panels; the accumulator is the GEMM's
+/// Mtb x Ntb split tiles, row tile by f tile.  Each output keeps its
+/// k-ordered cmadd(acc, W, spectrum) chain.
+class KLoopGemm {
+ public:
+  using Tiles = gemm::FusedTiles;
+
+  /// Sizes the packed panels of an out_dim x hidden W.
+  KLoopGemm(std::size_t out_dim, std::size_t hidden);
+
+  /// Packs W [out_dim, hidden] as A panels.  Once per forward, before the
+  /// k-loop tasks read them.
+  void pack_weights(const c32* w);
+
+  /// Floats of one signal's accumulator tiles, and of one k-tile's B
+  /// panels, for m kept bins.
+  [[nodiscard]] std::size_t acc_floats(std::size_t m) const noexcept;
+  [[nodiscard]] static std::size_t panel_floats(std::size_t m) noexcept;
+
+  /// Zeroes the accumulator rows the register blocks touch.
+  void zero(float* acc, std::size_t m) const noexcept;
+
+  /// Adds the k-tile at channel k0: the spectrum of channel k0 + kk is
+  /// spectra[kk * ld + f], f < m, for kk below the tile's depth.  `panels`
+  /// holds panel_floats(m) floats of B-panel scratch.
+  void accumulate(float* acc, float* panels, const c32* spectra, std::size_t ld, std::size_t k0,
+                  std::size_t m) const noexcept;
+
+  /// Output o's m accumulated bins, interleaved into dst.
+  void read_row(const float* acc, std::size_t o, std::size_t m, c32* dst) const noexcept;
+
+ private:
+  std::size_t out_dim_;
+  std::size_t hidden_;
+  std::size_t k_tiles_;
+  AlignedBuffer<float> w_panels_;  // [row tile][k-tile] A panels
+};
+
 class LadderPipeline1d final : public SpectralPipeline1d {
  public:
   LadderPipeline1d(Variant v, baseline::Spectral1dProblem prob);
@@ -130,12 +179,13 @@ class LadderPipeline1d final : public SpectralPipeline1d {
   baseline::Spectral1dProblem prob_;
   Fusion fusion_;
   std::string_view name_;
-  KLoopFft fwd_;
-  EpilogueIfft inv_;
+  std::shared_ptr<const fft::FftPlan> fwd_;  // truncated FFT feeding the k-loop
+  std::shared_ptr<const fft::FftPlan> inv_;  // zero-padded iFFT (the k-loop epilogue)
   std::shared_ptr<const fft::RfftPlan> rfwd_;   // lazy: real lane only
   std::shared_ptr<const fft::IrfftPlan> rinv_;  // lazy: real lane only
   AlignedBuffer<c32> freq_;   // [batch, hidden, modes], unfused forward only
   AlignedBuffer<c32> mixed_;  // [batch, out_dim, modes], unfused inverse only
+  KLoopGemm kloop_;
   trace::PipelineCounters counters_;
 };
 

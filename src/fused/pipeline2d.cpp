@@ -8,7 +8,6 @@
 #include "fft/plan_cache.hpp"
 #include "fft/real2d.hpp"
 #include "gemm/batched.hpp"
-#include "gemm/config.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "runtime/timer.hpp"
@@ -19,7 +18,7 @@ namespace turbofno::fused {
 
 namespace {
 
-constexpr std::size_t kTb = gemm::FusedTiles::Ktb;
+constexpr std::size_t kTb = KLoopGemm::Tiles::Ktb;
 
 // x-rows handled jointly by one fused middle task on the y-major staging
 // layout: 8 c32 x-columns span one 64-byte cache line of a staging row, so
@@ -46,22 +45,6 @@ constexpr std::size_t kMidStagingBudgetBytes = 8u << 20;
 
 std::atomic<std::size_t> g_mid_group_override{0};
 
-fft::PlanDesc x_trunc_desc(const baseline::Spectral2dProblem& p) {
-  fft::PlanDesc d;
-  d.n = p.nx;
-  d.dir = fft::Direction::Forward;
-  d.keep = p.modes_x;
-  return d;
-}
-
-fft::PlanDesc x_pad_desc(const baseline::Spectral2dProblem& p) {
-  fft::PlanDesc d;
-  d.n = p.nx;
-  d.dir = fft::Direction::Inverse;
-  d.nonzero = p.modes_x;
-  return d;
-}
-
 }  // namespace
 
 void set_fused_mid_group(std::size_t g) noexcept {
@@ -76,10 +59,11 @@ LadderPipeline2d::LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob)
     : prob_(prob),
       fusion_(fusion_of(v)),
       name_(variant_name(v)),
-      fft_x_trunc_(fft::acquire_plan(x_trunc_desc(prob))),
-      ifft_x_pad_(fft::acquire_plan(x_pad_desc(prob))),
-      fwd_y_(prob.ny, prob.modes_y),
-      inv_y_(prob.ny, prob.modes_y),
+      fft_x_trunc_(fft::acquire_plan({prob.nx, fft::Direction::Forward, prob.modes_x})),
+      ifft_x_pad_(fft::acquire_plan({prob.nx, fft::Direction::Inverse, 0, prob.modes_x})),
+      fwd_y_(fft::acquire_plan({prob.ny, fft::Direction::Forward, prob.modes_y})),
+      inv_y_(fft::acquire_plan({prob.ny, fft::Direction::Inverse, 0, prob.modes_y})),
+      kloop_(prob.out_dim, prob.hidden),
       counters_(counters_name(fusion_, "-2d")) {
   prob_.validate();
   // The group-scaled buffers are sized lazily by run_groups.
@@ -273,6 +257,7 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
       fft::fft2d_x_stage_from_tiles(*ifft_x_pad_, src, dst, g * O, NY);
     }
   };
+  if (fusion_.fwd || fusion_.inv) kloop_.pack_weights(w.data());
   with_fusion(fusion_, [&](auto fwd_fused, auto inv_fused) {
     run_groups(B, mx, mid_group(B), x_forward,
                [&](const MidView& mv) {
@@ -315,9 +300,9 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
                  .in_spectra = B * K * modes,
                  .out_spectra = B * O * modes,
                  .weights = O * K,
-                 .fwd_flops = B * K * mx * fwd_y_.plan().flops_per_signal(),
+                 .fwd_flops = B * K * mx * fwd_y_->flops_per_signal(),
                  .gemm_flops = trace::cgemm_flops(B * modes, O, K),
-                 .inv_flops = B * O * mx * inv_y_.plan().flops_per_signal()});
+                 .inv_flops = B * O * mx * inv_y_->flops_per_signal()});
   auto& si = counters_.stage("ifft-x-pad");
   si.bytes_read = 0;
   si.bytes_written = B * O * NX * NY * sizeof(T);
@@ -335,7 +320,7 @@ void LadderPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
 
   if constexpr (!FwdFused) {
     runtime::Timer t;
-    y_forward_rows(fwd_y_.plan(), mv, K, mx, MY, freq_.data());
+    y_forward_rows(*fwd_y_, mv, K, mx, MY, freq_.data());
     counters_.stage("fft-y-trunc").seconds += t.seconds();
   }
 
@@ -348,19 +333,19 @@ void LadderPipeline2d::middle_group(const MidView& mv, std::span<const c32> w) {
     gemm::cgemm_batched(O, modes, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), modes,
                         c32{0.0f, 0.0f}, mixed_.data(), modes, mv.count, strides);
   } else {
-    kloop_group<FwdFused, InvFused>(mv, w);
+    kloop_group<FwdFused, InvFused>(mv);
   }
   counters_.stage(kloop_stage(fusion_)).seconds += t.seconds();
 
   if constexpr (!InvFused) {
     runtime::Timer ti;
-    y_inverse_rows(inv_y_.plan(), mv, O, mx, MY, mixed_.data());
+    y_inverse_rows(*inv_y_, mv, O, mx, MY, mixed_.data());
     counters_.stage("ifft-y-pad").seconds += ti.seconds();
   }
 }
 
 template <bool FwdFused, bool InvFused>
-void LadderPipeline2d::kloop_group(const MidView& mv, std::span<const c32> w) {
+void LadderPipeline2d::kloop_group(const MidView& mv) {
   const std::size_t mx = mv.mx;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
@@ -373,65 +358,54 @@ void LadderPipeline2d::kloop_group(const MidView& mv, std::span<const c32> w) {
   // each k-tile channel's x-block through one blocked SIMD transpose, and a
   // fused inverse moves each output channel's block back the same way (see
   // kXBlock); the stored spectra are read and written row-contiguously.
-  const std::size_t ld = simd::round_up_lanes(MY);
   const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
   const std::size_t nblk = (mx + xb - 1) / xb;
-  const std::size_t work_elems =
-      FwdFused ? fwd_y_.plan().scratch_elems() : inv_y_.plan().scratch_elems();
+  const std::size_t work_elems = FwdFused ? fwd_y_->scratch_elems() : inv_y_->scratch_elems();
+  const std::size_t acc_floats = kloop_.acc_floats(MY);
   runtime::parallel_for(0, mv.count * nblk, kFusedGrain,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * ld) : std::span<c32>{};
-    const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-    const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
-    const std::span<c32> row = InvFused ? arena.alloc<c32>(ld) : std::span<c32>{};
+    const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * MY) : std::span<c32>{};
+    const std::span<float> panels = arena.alloc<float>(KLoopGemm::panel_floats(MY));
+    const std::span<float> acc = arena.alloc<float>(xb * acc_floats);
+    const std::span<c32> row = InvFused ? arena.alloc<c32>(MY) : std::span<c32>{};
     const std::span<c32> gbuf = FwdFused ? arena.alloc<c32>(kTb * xb * NY) : std::span<c32>{};
     const std::span<c32> sbuf = InvFused ? arena.alloc<c32>(xb * NY) : std::span<c32>{};
     const std::span<c32> work = arena.alloc<c32>(work_elems);
-    // rank_update_split streams whole ld-wide rows, so the tile planes'
-    // lane padding must be zero; the arena hands out raw storage.
-    std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-    float* tre = tsplit.data();
-    float* tim = tre + kTb * ld;
     for (std::size_t i = lo; i < hi; ++i) {
       const std::size_t bl = i / nblk;
       const std::size_t x0 = (i % nblk) * xb;
       const std::size_t xc = std::min(xb, mx - x0);
-      std::fill(acc.begin(), acc.end(), 0.0f);
+      for (std::size_t xi = 0; xi < xc; ++xi) kloop_.zero(acc.data() + xi * acc_floats, MY);
       for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
         const std::size_t kc = std::min(kTb, K - k0);
         if constexpr (FwdFused) gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
         for (std::size_t xi = 0; xi < xc; ++xi) {
-          float* are = acc.data() + xi * 2 * O * ld;
-          float* aim = are + O * ld;
+          // Stored rows are MY apart within a channel, channels mx*MY apart.
+          const c32* spectra = tile.data();
+          std::size_t ld = MY;
           if constexpr (FwdFused) {
-            fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
-          }
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            // Stored rows are MY apart within a channel, channels mx*MY apart.
-            const c32* a;
-            if constexpr (FwdFused) {
-              a = tile.data() + kk * ld;
-            } else {
-              a = freq_.data() + ((bl * K + k0 + kk) * mx + x0 + xi) * MY;
+            for (std::size_t kk = 0; kk < kc; ++kk) {
+              fwd_y_->execute_one(gbuf.data() + (kk * xb + xi) * NY, 1, tile.data() + kk * MY, 1,
+                                  work);
             }
-            simd::split_planes(a, tre + kk * ld, tim + kk * ld, MY);
+          } else {
+            spectra = freq_.data() + ((bl * K + k0) * mx + x0 + xi) * MY;
+            ld = mx * MY;
           }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
+          kloop_.accumulate(acc.data() + xi * acc_floats, panels.data(), spectra, ld, k0, MY);
         }
       }
       for (std::size_t o = 0; o < O; ++o) {
         for (std::size_t xi = 0; xi < xc; ++xi) {
-          const float* are = acc.data() + xi * 2 * O * ld;
-          const float* aim = are + O * ld;
+          const float* xacc = acc.data() + xi * acc_floats;
           if constexpr (InvFused) {
-            simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-            inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
+            kloop_.read_row(xacc, o, MY, row.data());
+            inv_y_->execute_one(row.data(), 1, sbuf.data() + xi * NY, 1, work);
           } else {
-            simd::interleave_planes(are + o * ld, aim + o * ld,
-                                    mixed_.data() + ((bl * O + o) * mx + x0 + xi) * MY, MY);
+            kloop_.read_row(xacc, o, MY, mixed_.data() + ((bl * O + o) * mx + x0 + xi) * MY);
           }
         }
         if constexpr (InvFused) scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());

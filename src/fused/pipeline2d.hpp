@@ -30,7 +30,6 @@
 #include "baseline/problem.hpp"
 #include "fft/fft2d.hpp"
 #include "fft/plan.hpp"
-#include "fused/fft_variant.hpp"
 #include "fused/ladder.hpp"
 #include "fused/pipeline1d.hpp"
 #include "tensor/aligned_buffer.hpp"
@@ -103,9 +102,10 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   template <bool FwdFused, bool InvFused>
   void middle_group(const MidView& mv, std::span<const c32> w);
 
-  /// The fused k-loop over one group: one task per (batch, x-block).
+  /// The fused k-loop over one group: one task per (batch, x-block), on
+  /// the W panels run_lane packed.
   template <bool FwdFused, bool InvFused>
-  void kloop_group(const MidView& mv, std::span<const c32> w);
+  void kloop_group(const MidView& mv);
 
   /// X-rows the real lane keeps: modes_x/2+1 RFFT bins (<= modes_x, so
   /// every MX-sized workspace covers the real layout).
@@ -161,8 +161,9 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   // (one per serving-layer model) share them.
   std::shared_ptr<const fft::FftPlan> fft_x_trunc_;
   std::shared_ptr<const fft::FftPlan> ifft_x_pad_;
-  KLoopFft fwd_y_;      // truncated FFT along Y feeding the GEMM k-loop
-  EpilogueIfft inv_y_;  // zero-padded iFFT along Y (CGEMM epilogue)
+  std::shared_ptr<const fft::FftPlan> fwd_y_;  // truncated FFT along Y feeding the k-loop
+  std::shared_ptr<const fft::FftPlan> inv_y_;  // zero-padded iFFT along Y (the k-loop epilogue)
+  KLoopGemm kloop_;
   // FLOPs per signal of the real lane's full-length packed X transforms,
   // looked up on its first run (0 until then).
   std::uint64_t real_x_fwd_flops_ = 0;

@@ -167,9 +167,6 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
   constexpr std::size_t Ktb = Cfg::Ktb;
-  constexpr std::size_t Mt = Cfg::Mt;
-  constexpr std::size_t JW = kJBlock<B, Cfg::Nt>;
-  static_assert(Ntb % JW == 0, "j-block must divide the tile width");
   using V = typename B::cvec;
 
   // tfno-hot-begin: C-tile body (heap allocation forbidden)
@@ -187,14 +184,7 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
     const std::size_t kc = std::min(Ktb, K - k0);
     const float* Apack = a.panel(ti, k0 / Ktb);
     pack_b_tile_split<Ntb, Ktb, B>(Bpack, Bm, ldb, k0, j0, kc, nj);
-
-    // An edge tile skips the register blocks that lie wholly in its zero
-    // padding: they never reach C (e.g. rows 40..63 of a 40-row GEMM).
-    for (std::size_t ii = 0; ii < mi; ii += Mt) {
-      for (std::size_t jj = 0; jj < nj; jj += JW) {
-        micro_accumulate_split<B, Mt, JW, Mtb, Ntb, RealA>(acc_tile, Apack, Bpack, kc, ii, jj);
-      }
-    }
+    accumulate_tile_split<Cfg, B, RealA>(acc_tile, Apack, Bpack, kc, mi, nj);
   }
 
   // Epilogue: C = alpha * acc + beta * C, re-interleaving the split planes.

@@ -19,6 +19,9 @@
 //                           panel and does 2 FMAs per complex lane (rmadd)
 //                           instead of 4, bit-identical to the complex
 //                           kernel on {re, 0} for finite data.
+//   accumulate_tile_split   runs the split kernel over one C tile's register
+//                           blocks; the CGEMM's SIMD tile task and the fused
+//                           ladder's k-loop both call it.
 //
 // Both read A panels the GEMM packed once, not per C tile (cgemm.cpp).
 #pragma once
@@ -111,6 +114,25 @@ inline void micro_accumulate_split(float* acc, const float* Apack, const float* 
   for (std::size_t i = 0; i < Mt; ++i) {
     for (std::size_t v = 0; v < NV; ++v) {
       B::store_split(acc_re + i * Ntb + v * B::lanes, acc_im + i * Ntb + v * B::lanes, r[i][v]);
+    }
+  }
+}
+
+/// The Mtb x Ntb split accumulator tile `acc` += Apack panel x Bpack panel
+/// over kc steps, one Mt x JW register block at a time.  Only the first
+/// `mi` rows and `nj` columns are valid: a block lying wholly in the zero
+/// padding beyond them is skipped, since it never reaches C (e.g. rows
+/// 40..63 of a 40-row GEMM).  The blocks that are run touch the first mi
+/// rows rounded up to Mt, and the first nj columns rounded up to JW.
+template <class Cfg, class B, bool RealA = false>
+inline void accumulate_tile_split(float* acc, const float* Apack, const float* Bpack,
+                                  std::size_t kc, std::size_t mi, std::size_t nj) {
+  constexpr std::size_t JW = kJBlock<B, Cfg::Nt>;
+  static_assert(Cfg::Ntb % JW == 0, "j-block must divide the tile width");
+  for (std::size_t ii = 0; ii < mi; ii += Cfg::Mt) {
+    for (std::size_t jj = 0; jj < nj; jj += JW) {
+      micro_accumulate_split<B, Cfg::Mt, JW, Cfg::Mtb, Cfg::Ntb, RealA>(acc, Apack, Bpack, kc, ii,
+                                                                       jj);
     }
   }
 }

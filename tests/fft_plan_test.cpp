@@ -7,7 +7,6 @@
 #include "fft/plan.hpp"
 #include "fft/reference.hpp"
 #include "fft/twiddle.hpp"
-#include "fused/fft_variant.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::fft {
@@ -252,8 +251,10 @@ INSTANTIATE_TEST_SUITE_P(
                       FilterCase{128, 127, 127}, FilterCase{128, 3, 5}, FilterCase{2, 1, 1},
                       FilterCase{4, 3, 2}));
 
-// The fused pipelines' entry points run the same plans: a k-loop tile row
-// and an epilogue row equal the dense transform's prefix exactly.
+// The fused k-loop and its epilogue call execute_one on one signal at a
+// time: a truncated transform of a padded gather row into a k-loop tile row,
+// and a zero-padded inverse of one accumulator row, each equal to the dense
+// transform's prefix exactly.
 TEST(FilteredFft, KLoopTileAndEpilogueRowEqualDense) {
   const std::size_t n = 128;
   const std::size_t modes = 64;
@@ -262,10 +263,12 @@ TEST(FilteredFft, KLoopTileAndEpilogueRowEqualDense) {
   const std::size_t tile_ld = modes + 8;
   const auto rows = random_signal(channels * channel_stride, 83u);
 
-  const fused::KLoopFft fwd(n, modes);
-  std::vector<c32> work(fwd.plan().scratch_elems());
+  const FftPlan fwd = make_plan(n, Direction::Forward, modes);
+  std::vector<c32> work(fwd.scratch_elems());
   std::vector<c32> tile(channels * tile_ld);
-  fwd.forward_tile(rows.data(), channel_stride, channels, tile.data(), tile_ld, work);
+  for (std::size_t c = 0; c < channels; ++c) {
+    fwd.execute_one(rows.data() + c * channel_stride, 1, tile.data() + c * tile_ld, 1, work);
+  }
   for (std::size_t c = 0; c < channels; ++c) {
     const std::span<const c32> signal(rows.data() + c * channel_stride, n);
     std::vector<c32> full(n);
@@ -276,10 +279,10 @@ TEST(FilteredFft, KLoopTileAndEpilogueRowEqualDense) {
         << "channel " << c;
   }
 
-  const fused::EpilogueIfft inv(n, modes);
+  const FftPlan inv = make_plan(n, Direction::Inverse, 0, modes);
   const auto row = random_signal(modes, 89u);
   std::vector<c32> got(n);
-  inv.inverse_row(row.data(), got.data(), work);
+  inv.execute_one(row.data(), 1, got.data(), 1, work);
   std::vector<c32> expect(n);
   make_plan(n, Direction::Inverse).execute(zero_padded(row, n), expect, 1);
   EXPECT_EQ(mismatches(got, expect), 0u);

@@ -126,9 +126,10 @@ TEST(Ladder1dEquivalence, AllVariantsAgreeWithBaseline) {
 }
 
 // The rows share one arithmetic and differ only in data movement: the
-// three k-loop rows accumulate through rank_update_split and PyTorch/FftOpt
-// through cgemm_batched, so each group is bitwise-identical within itself
-// on every SIMD backend, and the two groups differ only by rounding.
+// three k-loop rows accumulate through KLoopGemm (one signal per GEMM) and
+// PyTorch/FftOpt through cgemm_batched, so each group is bitwise-identical
+// within itself on every SIMD backend, and the two groups differ only by
+// rounding.
 template <class T>
 void expect_row_groups(const Spectral1dProblem& prob, const std::vector<T>& u,
                        const std::vector<c32>& w) {
@@ -150,8 +151,12 @@ void expect_row_groups(const Spectral1dProblem& prob, const std::vector<T>& u,
 }
 
 TEST(Ladder1dEquivalence, RowGroupsAreBitwiseOnBothLanes) {
+  // The last shape has out_dim > 32 and modes > 32, neither a whole tile,
+  // and a short last k-tile: partial row tiles, partial f tiles and kc < 8
+  // run on both lanes (21 kept bins on the real lane).
   for (const Spectral1dProblem prob : {Spectral1dProblem{3, 24, 16, 128, 32},
-                                       Spectral1dProblem{2, 9, 7, 64, 16}}) {
+                                       Spectral1dProblem{2, 9, 7, 64, 16},
+                                       Spectral1dProblem{2, 37, 41, 64, 40}}) {
     const auto w = random_signal(prob.weight_elems(), 449u);
     expect_row_groups(prob, random_signal(prob.input_elems(), 443u), w);
     expect_row_groups(prob, random_reals(prob.input_elems(), 467u), w);

@@ -130,8 +130,12 @@ void expect_row_groups(const Spectral2dProblem& prob, const std::vector<T>& u,
 }
 
 TEST(Ladder2dEquivalence, RowGroupsAreBitwiseOnBothLanes) {
+  // The last shape has out_dim > 32 and modes_y > 32, neither a whole
+  // tile, and a short last k-tile: partial row tiles, partial f tiles and
+  // kc < 8 run on both lanes.
   for (const Spectral2dProblem prob : {Spectral2dProblem{2, 16, 12, 32, 64, 8, 16},
-                                       Spectral2dProblem{1, 12, 6, 32, 16, 8, 4}}) {
+                                       Spectral2dProblem{1, 12, 6, 32, 16, 8, 4},
+                                       Spectral2dProblem{1, 13, 41, 16, 64, 8, 40}}) {
     const auto w = random_signal(prob.weight_elems(), 631u);
     expect_row_groups(prob, random_signal(prob.input_elems(), 619u), w);
     expect_row_groups(prob, random_reals(prob.input_elems(), 647u), w);

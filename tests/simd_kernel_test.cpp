@@ -2,11 +2,12 @@
 // kernel built on it: cvec ops against plain c32 arithmetic, the split
 // CGEMM against the naive reference at non-tile-multiple dims, the FFT
 // butterfly kernels across all radix paths and odd filters, and the fused
-// rank updates.  Each test runs the scalar backend and, when the binary was
+// k-loop's tile accumulation.  Each test runs the scalar backend and, when the binary was
 // compiled with AVX2 (AVX-512) support, the AVX2 (and AVX-512) backend
 // through identical sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <type_traits>
@@ -16,8 +17,9 @@
 #include "fft/plan.hpp"
 #include "fft/reference.hpp"
 #include "fft/twiddle.hpp"
-#include "fused/fft_variant.hpp"
 #include "gemm/cgemm.hpp"
+#include "gemm/micro_kernel.hpp"
+#include "gemm/pack.hpp"
 #include "gemm/reference.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/simd.hpp"
@@ -371,48 +373,96 @@ TEST(SimdFft, PrunedPlansOddFiltering) {
   }
 }
 
-// ---------------------------------------------------------- fused rank update
+// --------------------------------------------------- fused k-loop accumulate
 
-TEST(SimdFused, RankUpdateSplitMatchesInterleaved) {
-  // Odd m forces lane padding in the split path; both must agree with the
-  // plain interleaved update.
-  for (const std::size_t m : {1u, 5u, 8u, 13u, 33u, 64u}) {
-    const std::size_t out_dim = 6;
-    const std::size_t hidden = 12;
-    const std::size_t kc = 5;
-    const std::size_t k0 = 4;
-    const std::size_t ld = simd::round_up_lanes(m);
-
-    const std::vector<c32> W = random_signal(out_dim * hidden, 600u + static_cast<unsigned>(m));
-    const std::vector<c32> At = random_signal(kc * m, 601u);
-    std::vector<c32> C = random_signal(out_dim * m, 602u);
-
-    // Interleaved oracle.
-    std::vector<c32> want = C;
-    fused::rank_update(want.data(), m, W.data(), hidden, k0, At.data(), m, out_dim, m, kc);
-
-    // Split path with zero-padded planes.
-    AlignedBuffer<float> tsplit(2 * kc * ld);
-    AlignedBuffer<float> acc(2 * out_dim * ld);
-    float* tre = tsplit.data();
-    float* tim = tre + kc * ld;
-    float* are = acc.data();
-    float* aim = are + out_dim * ld;
-    for (std::size_t kk = 0; kk < kc; ++kk) {
-      simd::split_planes(At.data() + kk * m, tre + kk * ld, tim + kk * ld, m);
+// Interleaved oracle of the fused k-loop's multiply-accumulate:
+// C[o, f] += W[o, k0 + kk] * S[k0 + kk, f] for kk < kc, one k-ordered cmadd
+// chain per output.
+void kloop_mac_oracle(std::vector<c32>& C, const std::vector<c32>& W, std::size_t hidden,
+                      const std::vector<c32>& S, std::size_t out_dim, std::size_t m,
+                      std::size_t k0, std::size_t kc) {
+  for (std::size_t o = 0; o < out_dim; ++o) {
+    for (std::size_t f = 0; f < m; ++f) {
+      for (std::size_t kk = 0; kk < kc; ++kk) {
+        cmadd(C[o * m + f], W[o * hidden + k0 + kk], S[(k0 + kk) * m + f]);
+      }
     }
-    for (std::size_t o = 0; o < out_dim; ++o) {
-      simd::split_planes(C.data() + o * m, are + o * ld, aim + o * ld, m);
-    }
-    fused::rank_update_split(are, aim, W.data(), hidden, k0, tre, tim, ld, out_dim, kc);
-
-    std::vector<c32> got(out_dim * m);
-    for (std::size_t o = 0; o < out_dim; ++o) {
-      simd::interleave_planes(are + o * ld, aim + o * ld, got.data() + o * m, m);
-    }
-    EXPECT_LT(max_err(got, want), 1e-5) << "m=" << m;
   }
 }
+
+// gemm::accumulate_tile_split over FusedTiles panels, as the fused k-loop
+// runs it: W packed as A panels, the spectra as B panels, one Mtb x Ntb
+// split accumulator tile per (row tile, f tile).  m and out_dim cross the
+// register block (Mt, JW) and the tile (Mtb, Ntb) edges; hidden = 12 runs a
+// full k-tile, then a short one.
+template <class B>
+void check_accumulate_tile_split() {
+  using Cfg = gemm::FusedTiles;
+  constexpr std::size_t Mtb = Cfg::Mtb;
+  constexpr std::size_t Ntb = Cfg::Ntb;
+  constexpr std::size_t Ktb = Cfg::Ktb;
+  constexpr std::size_t kTile = 2 * Mtb * Ntb;
+  const std::size_t hidden = 12;
+  for (const std::size_t m : {1u, 5u, 13u, 33u, 64u}) {
+    for (const std::size_t out_dim : {6u, 37u, 41u}) {
+      const auto seed = static_cast<unsigned>(600 + m + out_dim);
+      const std::vector<c32> W = random_signal(out_dim * hidden, seed);
+      const std::vector<c32> S = random_signal(hidden * m, seed + 1);
+      std::vector<c32> want = random_signal(out_dim * m, seed + 2);
+      const std::size_t tn = (m + Ntb - 1) / Ntb;
+      AlignedBuffer<float> acc(((out_dim + Mtb - 1) / Mtb) * tn * kTile);
+      const auto at = [&](std::size_t o, std::size_t f) {
+        return acc.data() + (o / Mtb * tn + f / Ntb) * kTile + o % Mtb * Ntb + f % Ntb;
+      };
+      for (std::size_t o = 0; o < out_dim; ++o) {
+        for (std::size_t f = 0; f < m; ++f) {
+          *at(o, f) = want[o * m + f].re;
+          at(o, f)[Mtb * Ntb] = want[o * m + f].im;
+        }
+      }
+
+      AlignedBuffer<float> apanel(2 * Mtb * Ktb);
+      AlignedBuffer<float> bpanels(tn * 2 * Ntb * Ktb);
+      for (std::size_t k0 = 0; k0 < hidden; k0 += Ktb) {
+        const std::size_t kc = std::min(Ktb, hidden - k0);
+        kloop_mac_oracle(want, W, hidden, S, out_dim, m, k0, kc);
+        for (std::size_t j0 = 0; j0 < m; j0 += Ntb) {
+          gemm::pack_b_tile_split<Ntb, Ktb, B>(bpanels.data() + j0 / Ntb * 2 * Ntb * Ktb,
+                                               S.data(), m, k0, j0, kc, std::min(Ntb, m - j0));
+        }
+        for (std::size_t i0 = 0; i0 < out_dim; i0 += Mtb) {
+          const std::size_t mi = std::min(Mtb, out_dim - i0);
+          gemm::pack_a_tile_split<Mtb, Ktb>(apanel.data(), W.data(), hidden, i0, k0, mi, kc);
+          for (std::size_t j0 = 0; j0 < m; j0 += Ntb) {
+            gemm::accumulate_tile_split<Cfg, B>(at(i0, j0), apanel.data(),
+                                                bpanels.data() + j0 / Ntb * 2 * Ntb * Ktb, kc,
+                                                mi, std::min(Ntb, m - j0));
+          }
+        }
+      }
+
+      std::vector<c32> got(out_dim * m);
+      for (std::size_t o = 0; o < out_dim; ++o) {
+        for (std::size_t f = 0; f < m; ++f) got[o * m + f] = {*at(o, f), at(o, f)[Mtb * Ntb]};
+      }
+      EXPECT_LT(max_err(got, want), 1e-5) << "m=" << m << " out_dim=" << out_dim;
+    }
+  }
+}
+
+TEST(SimdFused, ScalarAccumulateTileSplitMatchesInterleaved) {
+  check_accumulate_tile_split<simd::ScalarBackend>();
+}
+#if TURBOFNO_SIMD_HAVE_AVX2
+TEST(SimdFused, Avx2AccumulateTileSplitMatchesInterleaved) {
+  check_accumulate_tile_split<simd::Avx2Backend>();
+}
+#endif
+#if TURBOFNO_SIMD_HAVE_AVX512
+TEST(SimdFused, Avx512AccumulateTileSplitMatchesInterleaved) {
+  check_accumulate_tile_split<simd::Avx512Backend>();
+}
+#endif
 
 }  // namespace
 }  // namespace turbofno
