@@ -6,39 +6,11 @@
 
 namespace turbofno::baseline {
 
-void truncate_copy(std::span<const c32> src, std::span<c32> dst, std::size_t rows, std::size_t n,
-                   std::size_t keep, trace::StageCounters* sc) {
-  runtime::parallel_for(0, rows, 256, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      std::memcpy(dst.data() + r * keep, src.data() + r * n, keep * sizeof(c32));
-    }
-  });
-  if (sc != nullptr) {
-    sc->bytes_read += rows * keep * sizeof(c32);
-    sc->bytes_written += rows * keep * sizeof(c32);
-    sc->kernel_launches += 1;
-  }
-}
-
-void pad_copy(std::span<const c32> src, std::span<c32> dst, std::size_t rows, std::size_t keep,
-              std::size_t n, trace::StageCounters* sc) {
-  runtime::parallel_for(0, rows, 256, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      std::memcpy(dst.data() + r * n, src.data() + r * keep, keep * sizeof(c32));
-      std::memset(dst.data() + r * n + keep, 0, (n - keep) * sizeof(c32));
-    }
-  });
-  if (sc != nullptr) {
-    sc->bytes_read += rows * keep * sizeof(c32);
-    sc->bytes_written += rows * n * sizeof(c32);  // zeros are real traffic
-    sc->kernel_launches += 1;
-  }
-}
-
 void truncate_copy_2d(std::span<const c32> src, std::span<c32> dst, std::size_t rows,
                       std::size_t nx, std::size_t ny, std::size_t kx, std::size_t ky,
                       trace::StageCounters* sc) {
   runtime::parallel_for(0, rows, 16, [&](std::size_t lo, std::size_t hi) {
+    // tfno-hot-begin: per-chunk copy body (heap allocation forbidden)
     for (std::size_t r = lo; r < hi; ++r) {
       const c32* s = src.data() + r * nx * ny;
       c32* d = dst.data() + r * kx * ky;
@@ -46,6 +18,7 @@ void truncate_copy_2d(std::span<const c32> src, std::span<c32> dst, std::size_t 
         std::memcpy(d + x * ky, s + x * ny, ky * sizeof(c32));
       }
     }
+    // tfno-hot-end
   });
   if (sc != nullptr) {
     sc->bytes_read += rows * kx * ky * sizeof(c32);
@@ -57,6 +30,7 @@ void truncate_copy_2d(std::span<const c32> src, std::span<c32> dst, std::size_t 
 void pad_copy_2d(std::span<const c32> src, std::span<c32> dst, std::size_t rows, std::size_t kx,
                  std::size_t ky, std::size_t nx, std::size_t ny, trace::StageCounters* sc) {
   runtime::parallel_for(0, rows, 16, [&](std::size_t lo, std::size_t hi) {
+    // tfno-hot-begin: per-chunk copy body (heap allocation forbidden)
     for (std::size_t r = lo; r < hi; ++r) {
       const c32* s = src.data() + r * kx * ky;
       c32* d = dst.data() + r * nx * ny;
@@ -66,6 +40,7 @@ void pad_copy_2d(std::span<const c32> src, std::span<c32> dst, std::size_t rows,
       }
       std::memset(d + kx * ny, 0, (nx - kx) * ny * sizeof(c32));
     }
+    // tfno-hot-end
   });
   if (sc != nullptr) {
     sc->bytes_read += rows * kx * ky * sizeof(c32);

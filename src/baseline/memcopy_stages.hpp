@@ -4,6 +4,7 @@
 // implementations launch separate copy kernels to extract the retained modes
 // after the forward FFT and to re-insert them (zero-padded) before the
 // inverse FFT.  These are those kernels, with faithful traffic accounting.
+// They act on rows of [nx, ny] spectra; 1D spectra are nx = kx = 1.
 #pragma once
 
 #include <cstddef>
@@ -14,18 +15,7 @@
 
 namespace turbofno::baseline {
 
-/// Extracts the first `keep` of `n` elements of each of `rows` signals:
-/// dst[r, 0..keep) = src[r, 0..keep).  src is rows x n, dst rows x keep.
-void truncate_copy(std::span<const c32> src, std::span<c32> dst, std::size_t rows, std::size_t n,
-                   std::size_t keep, trace::StageCounters* sc = nullptr);
-
-/// Inserts `keep`-element signals into zeroed n-element slots:
-/// dst[r, 0..keep) = src[r, .), dst[r, keep..n) = 0.
-void pad_copy(std::span<const c32> src, std::span<c32> dst, std::size_t rows, std::size_t keep,
-              std::size_t n, trace::StageCounters* sc = nullptr);
-
-/// 2D variants over fields: src rows x [nx, ny] -> dst rows x [kx, ky]
-/// keeping the low corner block.
+/// src rows x [nx, ny] -> dst rows x [kx, ky], keeping the low corner block.
 void truncate_copy_2d(std::span<const c32> src, std::span<c32> dst, std::size_t rows,
                       std::size_t nx, std::size_t ny, std::size_t kx, std::size_t ky,
                       trace::StageCounters* sc = nullptr);

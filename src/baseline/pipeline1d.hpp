@@ -3,6 +3,9 @@
 // Mirrors Figure 1(b): five separate kernels with full-size intermediates —
 // full FFT, truncate copy, batched CGEMM, pad copy, full iFFT.  No pruning,
 // no built-in filtering: exactly what cuFFT + cuBLAS + memory kernels do.
+// Both lanes run the one chain: the complex lane transforms n-point
+// signals and keeps `modes` bins, the real lane stores all n/2+1 RFFT bins
+// and keeps modes/2+1 of them.
 #pragma once
 
 #include <memory>
@@ -11,36 +14,38 @@
 #include "baseline/problem.hpp"
 #include "fft/plan.hpp"
 #include "fft/real.hpp"
+#include "fused/ladder.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
 
 namespace turbofno::baseline {
 
-class BaselinePipeline1d {
+class BaselinePipeline1d final : public fused::SpectralPipeline1d {
  public:
   explicit BaselinePipeline1d(Spectral1dProblem prob);
 
-  /// u [batch, hidden, n] -> v [batch, out_dim, n]; w [out_dim, hidden].
-  /// Refreshes counters() on every call.
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  /// Serving entry point: runs the first `batch` signals; capacities beyond
-  /// problem().batch grow the intermediates in place (see reserve).
+  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  /// Real-spectral lane: the same five unfused kernels on real samples —
-  /// full RFFT (all n/2+1 bins), truncate to modes/2+1, CGEMM, zero-pad
-  /// back to n/2+1, full C2R inverse.  Requires n >= 4.
+                   std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  /// Grows the full-size intermediates so micro-batches up to `batch` run
-  /// without a reallocation; problem().batch becomes the high-water capacity.
-  void reserve(std::size_t batch);
-
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const Spectral1dProblem& problem() const noexcept { return prob_; }
+                        std::size_t batch) override;
+  void reserve(std::size_t batch) override;
+  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
+    return counters_;
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return fused::variant_name(fused::Variant::PyTorch);
+  }
+  [[nodiscard]] const Spectral1dProblem& problem() const noexcept override { return prob_; }
 
  private:
+  // One run on either lane: T is the sample type; each signal's full
+  // spectrum has `full` bins, of which the first `kept` are mixed.
+  template <class T, class FwdPlan, class InvPlan>
+  void run_lane(const FwdPlan& fwd, const InvPlan& inv, std::size_t full, std::size_t kept,
+                std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch);
+
   Spectral1dProblem prob_;
   std::shared_ptr<const fft::FftPlan> fwd_full_;
   std::shared_ptr<const fft::FftPlan> inv_full_;

@@ -1,8 +1,8 @@
 #include "baseline/pipeline2d.hpp"
 
-#include <stdexcept>
-
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 
 #include "baseline/memcopy_stages.hpp"
 #include "fft/plan_cache.hpp"
@@ -12,36 +12,13 @@
 
 namespace turbofno::baseline {
 
-namespace {
-
-fft::Plan2dDesc full2d(std::size_t nx, std::size_t ny, fft::Direction dir) {
-  fft::Plan2dDesc d;
-  d.nx = nx;
-  d.ny = ny;
-  d.dir = dir;
-  return d;
-}
-
-void check_spans(const Spectral2dProblem& prob, std::span<const c32> u, std::span<c32> v,
-                 std::size_t batch) {
-  const std::size_t field = prob.nx * prob.ny;
-  check_batch_spans(u.size(), v.size(), prob.hidden * field, prob.out_dim * field, batch,
-                    "BaselinePipeline2d");
-}
-
-}  // namespace
-
 BaselinePipeline2d::BaselinePipeline2d(Spectral2dProblem prob)
     : prob_(prob),
-      fwd_full_(full2d(prob.nx, prob.ny, fft::Direction::Forward)),
-      inv_full_(full2d(prob.nx, prob.ny, fft::Direction::Inverse)) {
+      fwd_full_(fft::Plan2dDesc{prob.nx, prob.ny, fft::Direction::Forward}),
+      inv_full_(fft::Plan2dDesc{prob.nx, prob.ny, fft::Direction::Inverse}) {
   prob_.validate();
-  const std::size_t field = prob_.nx * prob_.ny;
-  const std::size_t modes = prob_.modes_x * prob_.modes_y;
-  freq_full_.resize(prob_.batch * prob_.hidden * field);
-  freq_trunc_.resize(prob_.batch * prob_.hidden * modes);
-  mixed_.resize(prob_.batch * prob_.out_dim * modes);
-  mixed_full_.resize(prob_.batch * prob_.out_dim * field);
+  prob_.batch = 0;  // the intermediates grow from empty to the capacity hint
+  reserve(prob.batch);
 }
 
 void BaselinePipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
@@ -62,38 +39,95 @@ void BaselinePipeline2d::reserve(std::size_t batch) {
 
 void BaselinePipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                      std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
+  run_lane(u, w, v, batch);
+}
+
+void BaselinePipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                          std::span<float> v, std::size_t batch) {
+  run_lane(u, w, v, batch);
+}
+
+template <class T>
+void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v,
+                                  std::size_t batch) {
+  constexpr bool kReal = std::is_same_v<T, float>;
+  const std::size_t field = prob_.nx * prob_.ny;
+  check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field, batch,
+                    kReal ? "BaselinePipeline2d(real)" : "BaselinePipeline2d");
+  if constexpr (kReal) {
+    if (!fwd_y_full_) {
+      inv_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Inverse});
+      fwd_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Forward});
+    }
+  }
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MX = prob_.modes_x;
-  const std::size_t MY = prob_.modes_y;
-  const std::size_t field = NX * NY;
-  const std::size_t modes = MX * MY;
+  const std::uint64_t B = batch;
+  const std::uint64_t K = prob_.hidden;
+  const std::uint64_t O = prob_.out_dim;
+  const std::uint64_t NX = prob_.nx;
+  const std::uint64_t NY = prob_.ny;
+  const std::uint64_t MY = prob_.modes_y;
+  // X-rows of the full and of the kept spectrum: the real lane's X axis
+  // holds the RFFT half-spectrum.
+  const std::uint64_t FX = kReal ? NX / 2 + 1 : NX;
+  const std::uint64_t MX = kReal ? prob_.modes_x / 2 + 1 : prob_.modes_x;
+  const std::uint64_t full = FX * NY;
+  const std::uint64_t modes = MX * MY;
 
-  // Stage 1: full 2D FFT.  cuFFT's 2D C2C makes two passes over global
-  // memory (one per axis); the byte accounting reflects both.
+  // The forward transform writes the full spectra to `spectra`; the
+  // inverse reads the zero-padded ones from `padded`.  The real lane's two
+  // passes ping-pong between rbufA_ and rbufB_.
+  if constexpr (kReal) {
+    const std::size_t half = std::max(K, O) * full;
+    if (rbufA_.size() < B * half) rbufA_.resize(B * half);
+    if (rbufB_.size() < B * half) rbufB_.resize(B * half);
+  }
+  AlignedBuffer<c32>& spectra = kReal ? rbufB_ : freq_full_;
+  AlignedBuffer<c32>& padded = kReal ? rbufA_ : mixed_full_;
+
+  // FLOPs per field of the full transforms.  The real X stage runs one
+  // full-length packed C2C transform per column pair plus an O(FX)
+  // untangle per column.
+  std::uint64_t fwd_flops = 0;
+  std::uint64_t inv_flops = 0;
+  if constexpr (kReal) {
+    fwd_flops = (NY / 2) * fft::acquire_plan({NX, fft::Direction::Forward})->flops_per_signal() +
+                NY * 8 * FX + FX * fwd_y_full_->flops_per_signal();
+    inv_flops = FX * inv_y_full_->flops_per_signal() +
+                (NY / 2) * fft::acquire_plan({NX, fft::Direction::Inverse})->flops_per_signal() +
+                NY * 8 * FX;
+  } else {
+    fwd_flops = fwd_full_.flops_per_field();
+    inv_flops = inv_full_.flops_per_field();
+  }
+
+  // Stage 1: full 2D forward transform.  cuFFT's 2D transforms make two
+  // passes over global memory (one per axis); the byte accounting reflects
+  // both.
   {
     runtime::Timer t;
-    fwd_full_.execute(u, freq_full_.span(), B * K);
+    if constexpr (kReal) {
+      fft::rfft2d_x_stage(NX, FX, u.data(), rbufA_.data(), B * K, NY);
+      fwd_y_full_->execute(rbufA_.span().first(B * K * full), spectra.span().first(B * K * full),
+                           B * K * FX);
+    } else {
+      fwd_full_.execute(u, spectra.span(), B * K);
+    }
     auto& sc = counters_.stage("fft2d");
     sc.seconds = t.seconds();
-    sc.bytes_read = 2 * B * K * field * sizeof(c32);
-    sc.bytes_written = 2 * B * K * field * sizeof(c32);
-    sc.flops = B * K * fwd_full_.flops_per_field();
-    sc.kernel_launches = 1;
+    sc.bytes_read = B * K * field * sizeof(T) + B * K * full * sizeof(c32);
+    sc.bytes_written = 2 * B * K * full * sizeof(c32);
+    sc.flops = B * K * fwd_flops;
+    sc.kernel_launches = kReal ? 2 : 1;
   }
 
   // Stage 2: truncate memcopy of the low-frequency corner.
   {
     runtime::Timer t;
-    truncate_copy_2d(freq_full_.span(), freq_trunc_.span(), B * K, NX, NY, MX, MY,
-                     &counters_.stage("truncate-copy"));
+    truncate_copy_2d(spectra.span().first(B * K * full), freq_trunc_.span().first(B * K * modes),
+                     B * K, FX, NY, MX, MY, &counters_.stage("truncate-copy"));
     counters_.stage("truncate-copy").seconds = t.seconds();
   }
 
@@ -114,118 +148,30 @@ void BaselinePipeline2d::run_batched(std::span<const c32> u, std::span<const c32
     sc.kernel_launches = 1;
   }
 
-  // Stage 4: zero-pad memcopy back to the full field.
+  // Stage 4: zero-pad memcopy back to the full spectrum.
   {
     runtime::Timer t;
-    pad_copy_2d(mixed_.span(), mixed_full_.span(), B * O, MX, MY, NX, NY,
-                &counters_.stage("pad-copy"));
+    pad_copy_2d(mixed_.span().first(B * O * modes), padded.span().first(B * O * full), B * O, MX,
+                MY, FX, NY, &counters_.stage("pad-copy"));
     counters_.stage("pad-copy").seconds = t.seconds();
   }
 
-  // Stage 5: full 2D inverse FFT (again two global passes).
+  // Stage 5: full 2D inverse transform (again two global passes).
   {
     runtime::Timer t;
-    inv_full_.execute(mixed_full_.span(), v, B * O);
+    if constexpr (kReal) {
+      inv_y_full_->execute(padded.span().first(B * O * full), rbufB_.span().first(B * O * full),
+                           B * O * FX);
+      fft::irfft2d_x_stage(NX, FX, rbufB_.data(), v.data(), B * O, NY);
+    } else {
+      inv_full_.execute(padded.span(), v, B * O);
+    }
     auto& sc = counters_.stage("ifft2d");
     sc.seconds = t.seconds();
-    sc.bytes_read = 2 * B * O * field * sizeof(c32);
-    sc.bytes_written = 2 * B * O * field * sizeof(c32);
-    sc.flops = B * O * inv_full_.flops_per_field();
-    sc.kernel_launches = 1;
-  }
-}
-
-void BaselinePipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                          std::span<float> v, std::size_t batch) {
-  const std::size_t field = prob_.nx * prob_.ny;
-  check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field, batch,
-                    "BaselinePipeline2d(real)");
-  if (!fwd_y_full_) {
-    inv_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Inverse});
-    fwd_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Forward});
-  }
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MY = prob_.modes_y;
-  const std::size_t KEEPX = NX / 2 + 1;       // full X half-spectrum
-  const std::size_t MXR = prob_.modes_x / 2 + 1;  // kept X rows after truncation
-  const std::size_t modes = MXR * MY;
-
-  const std::size_t half = std::max(K, O) * KEEPX * NY;
-  if (rbufA_.size() < B * half) rbufA_.resize(B * half);
-  if (rbufB_.size() < B * half) rbufB_.resize(B * half);
-
-  // Stage 1: full forward transform — R2C along X, then full C2C along Y.
-  // Both passes go through global memory, mirroring cuFFT's 2D R2C.
-  {
-    runtime::Timer t;
-    fft::rfft2d_x_stage(NX, KEEPX, u.data(), rbufA_.data(), B * K, NY);
-    fwd_y_full_->execute(rbufA_.span().first(B * K * KEEPX * NY),
-                         rbufB_.span().first(B * K * KEEPX * NY), B * K * KEEPX);
-    auto& sc = counters_.stage("fft2d");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * field * sizeof(float) + B * K * KEEPX * NY * sizeof(c32);
-    sc.bytes_written = 2 * B * K * KEEPX * NY * sizeof(c32);
-    const auto fx = fft::acquire_plan({NX, fft::Direction::Forward});
-    sc.flops = B * K * (NY / 2) * fx->flops_per_signal() + B * K * NY * 8 * KEEPX +
-               B * K * KEEPX * fwd_y_full_->flops_per_signal();
-    sc.kernel_launches = 2;
-  }
-
-  // Stage 2: truncate memcopy of the low-frequency half-spectrum corner.
-  {
-    runtime::Timer t;
-    truncate_copy_2d(rbufB_.span().first(B * K * KEEPX * NY),
-                     freq_trunc_.span().first(B * K * modes), B * K, KEEPX, NY, MXR, MY,
-                     &counters_.stage("truncate-copy"));
-    counters_.stage("truncate-copy").seconds = t.seconds();
-  }
-
-  // Stage 3: batched CGEMM over the retained half-spectrum.
-  {
-    runtime::Timer t;
-    gemm::BatchedStrides strides;
-    strides.a = 0;
-    strides.b = static_cast<std::ptrdiff_t>(K * modes);
-    strides.c = static_cast<std::ptrdiff_t>(O * modes);
-    gemm::cgemm_batched(O, modes, K, c32{1.0f, 0.0f}, w.data(), K, freq_trunc_.data(), modes,
-                        c32{0.0f, 0.0f}, mixed_.data(), modes, B, strides);
-    auto& sc = counters_.stage("cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * modes + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * modes * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * modes, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  // Stage 4: zero-pad memcopy back to the full half-spectrum.
-  {
-    runtime::Timer t;
-    pad_copy_2d(mixed_.span().first(B * O * modes), rbufA_.span().first(B * O * KEEPX * NY),
-                B * O, MXR, MY, KEEPX, NY, &counters_.stage("pad-copy"));
-    counters_.stage("pad-copy").seconds = t.seconds();
-  }
-
-  // Stage 5: full inverse — C2C along Y, then C2R along X.
-  {
-    runtime::Timer t;
-    inv_y_full_->execute(rbufA_.span().first(B * O * KEEPX * NY),
-                         rbufB_.span().first(B * O * KEEPX * NY), B * O * KEEPX);
-    fft::irfft2d_x_stage(NX, KEEPX, rbufB_.data(), v.data(), B * O, NY);
-    auto& sc = counters_.stage("ifft2d");
-    sc.seconds = t.seconds();
-    sc.bytes_read = 2 * B * O * KEEPX * NY * sizeof(c32);
-    sc.bytes_written = B * O * KEEPX * NY * sizeof(c32) + B * O * field * sizeof(float);
-    const auto ix = fft::acquire_plan({NX, fft::Direction::Inverse});
-    sc.flops = B * O * KEEPX * inv_y_full_->flops_per_signal() +
-               B * O * (NY / 2) * ix->flops_per_signal() + B * O * NY * 8 * KEEPX;
-    sc.kernel_launches = 2;
+    sc.bytes_read = 2 * B * O * full * sizeof(c32);
+    sc.bytes_written = B * O * full * sizeof(c32) + B * O * field * sizeof(T);
+    sc.flops = B * O * inv_flops;
+    sc.kernel_launches = kReal ? 2 : 1;
   }
 }
 

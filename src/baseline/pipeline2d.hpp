@@ -2,6 +2,10 @@
 //
 // Full 2D FFT (both passes over global memory, as cuFFT performs), truncate
 // copy of the low-frequency corner, batched CGEMM, pad copy, full 2D iFFT.
+// Both lanes run the one chain: the complex lane transforms [nx, ny]
+// fields and keeps the [modes_x, modes_y] corner; the real lane runs a
+// full R2C along X (nx/2+1 x-rows stored) and a full C2C along Y, keeps
+// the [modes_x/2+1, modes_y] corner, and inverts with C2C-Y then C2R-X.
 #pragma once
 
 #include <memory>
@@ -10,37 +14,36 @@
 #include "baseline/problem.hpp"
 #include "fft/fft2d.hpp"
 #include "fft/plan.hpp"
+#include "fused/ladder.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
 
 namespace turbofno::baseline {
 
-class BaselinePipeline2d {
+class BaselinePipeline2d final : public fused::SpectralPipeline2d {
  public:
   explicit BaselinePipeline2d(Spectral2dProblem prob);
 
-  /// u [batch, hidden, nx, ny] -> v [batch, out_dim, nx, ny];
-  /// w [out_dim, hidden].  Refreshes counters() per call.
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
-  /// Serving entry point: runs the first `batch` fields; capacities beyond
-  /// problem().batch grow the intermediates in place (see reserve).
+  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch);
-  /// Real-spectral lane: the same five unfused kernels on real samples —
-  /// full R2C along X (nx/2+1 rows kept), full C2C along Y, truncate the
-  /// [modes_x/2+1, modes_y] corner, CGEMM, zero-pad, full C2C-Y + C2R-X
-  /// inverse.  Requires nx >= 4 and ny a power of two.
+                   std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch);
-  /// Grows the full-size intermediates so micro-batches up to `batch` run
-  /// without a reallocation; problem().batch becomes the high-water capacity.
-  void reserve(std::size_t batch);
-
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const Spectral2dProblem& problem() const noexcept { return prob_; }
+                        std::size_t batch) override;
+  void reserve(std::size_t batch) override;
+  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
+    return counters_;
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return fused::variant_name(fused::Variant::PyTorch);
+  }
+  [[nodiscard]] const Spectral2dProblem& problem() const noexcept override { return prob_; }
 
  private:
+  // One run on either lane: T is the sample type (c32 or float).
+  template <class T>
+  void run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch);
+
   Spectral2dProblem prob_;
   fft::FftPlan2d fwd_full_;
   fft::FftPlan2d inv_full_;

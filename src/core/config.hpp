@@ -30,6 +30,8 @@ struct Fno1dConfig {
   Backend backend = Backend::FullyFused;
   WeightScheme scheme = WeightScheme::Shared;
   unsigned seed = 0x7f4a7c15u;    // weight init seed
+
+  bool operator==(const Fno1dConfig&) const = default;
 };
 
 struct Fno2dConfig {
@@ -44,6 +46,8 @@ struct Fno2dConfig {
   Backend backend = Backend::FullyFused;
   WeightScheme scheme = WeightScheme::Shared;
   unsigned seed = 0x2545f491u;
+
+  bool operator==(const Fno2dConfig&) const = default;
 };
 
 }  // namespace turbofno::core

@@ -1,8 +1,5 @@
 #include "fused/ladder.hpp"
 
-#include <type_traits>
-#include <utility>
-
 #include "baseline/pipeline1d.hpp"
 #include "baseline/pipeline2d.hpp"
 #include "fused/pipeline1d.hpp"
@@ -111,47 +108,12 @@ Variant resolve_variant(Variant v, const baseline::Spectral2dProblem& prob,
   return v == Variant::Auto ? auto_variant_2d(prob, real_input) : v;
 }
 
-namespace {
-
-// Gives the PyTorch-style baseline pipeline (Impl) the common virtual
-// interface (Base); the fused rows implement it directly.
-template <class Base, class Impl>
-class BaselineRow final : public Base {
- public:
-  using Problem = std::remove_cvref_t<decltype(std::declval<const Impl&>().problem())>;
-  explicit BaselineRow(const Problem& prob) : impl_(prob) {}
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override {
-    impl_.run(u, w, v);
-  }
-  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                   std::size_t batch) override {
-    impl_.run_batched(u, w, v, batch);
-  }
-  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
-                        std::size_t batch) override {
-    impl_.run_batched_real(u, w, v, batch);
-  }
-  void reserve(std::size_t batch) override { impl_.reserve(batch); }
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
-    return impl_.counters();
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return variant_name(Variant::PyTorch);
-  }
-  [[nodiscard]] const Problem& problem() const noexcept override { return impl_.problem(); }
-
- private:
-  Impl impl_;
-};
-
-}  // namespace
-
 std::unique_ptr<SpectralPipeline1d> make_pipeline1d(Variant v,
                                                     const baseline::Spectral1dProblem& prob,
                                                     bool real_input) {
   v = resolve_variant(v, prob, real_input);
   if (v == Variant::PyTorch) {
-    return std::make_unique<BaselineRow<SpectralPipeline1d, baseline::BaselinePipeline1d>>(prob);
+    return std::make_unique<baseline::BaselinePipeline1d>(prob);
   }
   return std::make_unique<LadderPipeline1d>(v, prob);
 }
@@ -161,7 +123,7 @@ std::unique_ptr<SpectralPipeline2d> make_pipeline2d(Variant v,
                                                     bool real_input) {
   v = resolve_variant(v, prob, real_input);
   if (v == Variant::PyTorch) {
-    return std::make_unique<BaselineRow<SpectralPipeline2d, baseline::BaselinePipeline2d>>(prob);
+    return std::make_unique<baseline::BaselinePipeline2d>(prob);
   }
   return std::make_unique<LadderPipeline2d>(v, prob);
 }

@@ -10,9 +10,10 @@
 // and differ only in which of the two stage boundaries go through memory,
 // so one staged driver per dimensionality serves all four (its fusion
 // boundaries are the row; see fused/pipeline1d.hpp and pipeline2d.hpp).
-// Every row implements the same interface and refreshes its stage
-// counters on each run, so benches compare wall-clock, traffic, and the
-// A100 model on identical terms.
+// The PyTorch row is baseline::BaselinePipeline1d/2d (baseline/).  Every
+// row, the baseline included, implements SpectralPipeline1d/2d directly
+// and refreshes its stage counters on each run, so benches compare
+// wall-clock, traffic, and the A100 model on identical terms.
 #pragma once
 
 #include <memory>

@@ -51,18 +51,6 @@ inline void micro_accumulate(c32 (&acc)[Mt][Nt], const c32* Apack, const c32* Bp
   }
 }
 
-/// Writes the accumulator block into C with alpha/beta, honouring edge
-/// bounds (mi/nj = valid rows/cols of this block).
-template <std::size_t Mt, std::size_t Nt>
-inline void micro_store(const c32 (&acc)[Mt][Nt], c32 alpha, c32 beta, c32* C, std::size_t ldc,
-                        std::size_t mi, std::size_t nj) {
-  for (std::size_t i = 0; i < mi; ++i) {
-    for (std::size_t j = 0; j < nj; ++j) {
-      C[i * ldc + j] = alpha * acc[i][j] + beta * C[i * ldc + j];
-    }
-  }
-}
-
 /// The j-block width of the SIMD register tile for a config whose scalar
 /// register tile is Mt x Nt: at least one full vector, otherwise Nt.
 template <class B, std::size_t Nt>

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/client.hpp"
@@ -47,6 +48,28 @@ bool probe_worker(std::uint16_t port) noexcept {
   }
 }
 
+/// Workers rebuild the topology from its spec string, which carries only
+/// the model shapes (topology.hpp): a backend, weight scheme or seed the
+/// grammar cannot express would make a worker serve a different model than
+/// an in-process Worker given the same Topology.  Throws naming the entry.
+void check_spec_round_trip(const Topology& topo) {
+  const std::string spec = topo.spec();
+  const Topology rebuilt = Topology::parse(spec);
+  std::size_t entry_begin = 0;
+  for (std::size_t i = 0; i < topo.model_count(); ++i) {
+    const std::size_t entry_end = spec.find(';', entry_begin);
+    const ModelEntry& want = topo.models()[i];
+    const ModelEntry& got = rebuilt.models()[i];
+    if (want.is_2d ? want.cfg2 != got.cfg2 : want.cfg1 != got.cfg1) {
+      throw std::invalid_argument(
+          "shard::Supervisor: model " + std::to_string(i) + " (\"" +
+          spec.substr(entry_begin, entry_end - entry_begin) +
+          "\") has a backend, weight scheme or seed the worker spec string cannot carry");
+    }
+    entry_begin = entry_end + 1;
+  }
+}
+
 }  // namespace
 
 Supervisor::Supervisor(Topology topo, Options opts,
@@ -55,6 +78,7 @@ Supervisor::Supervisor(Topology topo, Options opts,
   if (opts_.shardd_path.empty()) {
     throw std::invalid_argument("shard::Supervisor: shardd_path is required");
   }
+  check_spec_round_trip(topo_);
   hb_s_ = opts_.heartbeat_s > 0.0 ? opts_.heartbeat_s : default_heartbeat_s();
   if (opts_.backoff_min_s <= 0.0) opts_.backoff_min_s = default_backoff_s();
   opts_.backoff_max_s = std::max(opts_.backoff_max_s, opts_.backoff_min_s);

@@ -94,9 +94,11 @@ struct ScalarBackend {
   static cvec cmul(cvec a, cvec b) noexcept {
     return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
   }
-  /// acc + a * b (complex FMA).
+  /// acc + a * b (complex FMA).  The product is summed before it meets
+  /// acc, as c32's cmadd does, so the split and interleaved GEMM kernels
+  /// round alike.
   static cvec cmadd(cvec acc, cvec a, cvec b) noexcept {
-    return {acc.re + a.re * b.re - a.im * b.im, acc.im + a.re * b.im + a.im * b.re};
+    return {acc.re + (a.re * b.re - a.im * b.im), acc.im + (a.re * b.im + a.im * b.re)};
   }
   static cvec scale(cvec a, float s) noexcept { return {a.re * s, a.im * s}; }
   static cvec mul_neg_i(cvec a) noexcept { return {a.im, -a.re}; }

@@ -1,4 +1,5 @@
-// Baseline pipeline internals: the memcopy stages and counter accounting.
+// Baseline pipeline internals: the memcopy stages (1D spectra are their
+// nx = kx = 1 case) and counter accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,14 +14,14 @@ namespace {
 using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
 
-TEST(TruncateCopy, KeepsLowPrefixPerRow) {
+TEST(TruncateCopy2d, KeepsLowPrefixPerRowWhenNxIsOne) {
   const std::size_t rows = 3;
   const std::size_t n = 8;
   const std::size_t keep = 3;
   const auto src = random_signal(rows * n, 701u);
   std::vector<c32> dst(rows * keep, c32{});
   trace::StageCounters sc{"t", 0, 0, 0, 0, 0.0};
-  truncate_copy(src, dst, rows, n, keep, &sc);
+  truncate_copy_2d(src, dst, rows, 1, n, 1, keep, &sc);  // 1D: nx = kx = 1
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t j = 0; j < keep; ++j) {
       EXPECT_EQ(dst[r * keep + j].re, src[r * n + j].re);
@@ -31,14 +32,14 @@ TEST(TruncateCopy, KeepsLowPrefixPerRow) {
   EXPECT_EQ(sc.kernel_launches, 1u);
 }
 
-TEST(PadCopy, InsertsAndZeroFills) {
+TEST(PadCopy2d, InsertsAndZeroFillsWhenNxIsOne) {
   const std::size_t rows = 2;
   const std::size_t keep = 3;
   const std::size_t n = 8;
   const auto src = random_signal(rows * keep, 709u);
   std::vector<c32> dst(rows * n, c32{9.0f, 9.0f});
   trace::StageCounters sc{"p", 0, 0, 0, 0, 0.0};
-  pad_copy(src, dst, rows, keep, n, &sc);
+  pad_copy_2d(src, dst, rows, 1, keep, 1, n, &sc);  // 1D: nx = kx = 1
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t j = 0; j < keep; ++j) EXPECT_EQ(dst[r * n + j].re, src[r * keep + j].re);
     for (std::size_t j = keep; j < n; ++j) {
@@ -46,7 +47,9 @@ TEST(PadCopy, InsertsAndZeroFills) {
       EXPECT_EQ(dst[r * n + j].im, 0.0f);
     }
   }
+  EXPECT_EQ(sc.bytes_read, rows * keep * sizeof(c32));
   EXPECT_EQ(sc.bytes_written, rows * n * sizeof(c32));  // zeros count as writes
+  EXPECT_EQ(sc.kernel_launches, 1u);
 }
 
 TEST(TruncateCopy2d, KeepsLowCornerBlock) {
@@ -89,9 +92,9 @@ TEST(TruncPadRoundTrip, IsIdentityOnKeptRegion) {
   const std::size_t keep = 5;
   const auto spec = random_signal(rows * keep, 733u);
   std::vector<c32> padded(rows * n);
-  pad_copy(spec, padded, rows, keep, n, nullptr);
+  pad_copy_2d(spec, padded, rows, 1, keep, 1, n, nullptr);
   std::vector<c32> back(rows * keep);
-  truncate_copy(padded, back, rows, n, keep, nullptr);
+  truncate_copy_2d(padded, back, rows, 1, n, 1, keep, nullptr);
   EXPECT_EQ(max_err(back, spec), 0.0);
 }
 
@@ -102,6 +105,8 @@ TEST(BaselinePipeline, RecordsFiveStagesWithFullTraffic) {
   std::vector<c32> v(prob.output_elems());
   BaselinePipeline1d pipe(prob);
   pipe.run(u, w, v);
+  EXPECT_EQ(pipe.name(), "PyTorch");
+  EXPECT_EQ(pipe.counters().name(), "pytorch-1d");
   const auto& stages = pipe.counters().stages();
   ASSERT_EQ(stages.size(), 5u);
   EXPECT_EQ(stages[0].name, "fft");

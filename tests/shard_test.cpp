@@ -429,6 +429,55 @@ TEST(ShardRouter, StopAnswersParkedRequestsShutDown) {
 
 // --------------------------------------------- supervisor: process fleet
 
+TEST(ShardSupervisor, RejectsConfigsTheWorkerSpecCannotCarry) {
+  // fork/exec'd workers rebuild their models from Topology::spec(), which
+  // carries shapes only; a config it cannot carry must fail at
+  // construction instead of serving a different model.
+  Supervisor::Options so;
+  so.shardd_path = shardd_path();
+  const auto on_endpoint = [](std::size_t, std::uint16_t) {};
+
+  Topology seeded = test_topology();
+  core::Fno1dConfig c1 = small_1d();
+  c1.seed = 12345u;
+  seeded.add(c1, 1);
+  try {
+    Supervisor sup(seeded, so, on_endpoint);
+    ADD_FAILURE() << "a non-default seed was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("model 3 (\"1d:2,8,2,64,16,2@1\")"), std::string::npos)
+        << e.what();
+  }
+
+  Topology backend = test_topology();
+  core::Fno2dConfig c2 = small_2d();
+  c2.backend = core::Backend::FftOpt;
+  backend.add(c2, 0);
+  EXPECT_THROW((Supervisor(backend, so, on_endpoint)), std::invalid_argument);
+
+  // The tfno_shardd demo topology: one small 1D and one small 2D model per
+  // worker, every field but the shape at its default.
+  Topology demo;
+  for (std::size_t w = 0; w < 2; ++w) {
+    core::Fno1dConfig d1;
+    d1.hidden = 16;
+    d1.n = 256;
+    d1.modes = 16;
+    d1.layers = 2;
+    demo.add(d1, w);
+    core::Fno2dConfig d2;
+    d2.hidden = 8;
+    d2.nx = 32;
+    d2.ny = 32;
+    d2.modes_x = 8;
+    d2.modes_y = 8;
+    d2.layers = 2;
+    demo.add(d2, w);
+  }
+  EXPECT_NO_THROW((Supervisor(demo, so, on_endpoint)));
+  EXPECT_NO_THROW((Supervisor(test_topology(), so, on_endpoint)));
+}
+
 TEST(ShardSupervisor, KilledWorkerIsRestartedWithNoSilentDrops) {
   // Two fork/exec'd tfno_shardd workers behind a router.  Worker 0 is
   // SIGKILLed mid-soak; every request must still get SOME response (Ok or

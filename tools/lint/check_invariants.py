@@ -20,9 +20,10 @@ review because each one lives in two places at once:
                    src/ or tools/ (tfno_shardd reads knobs too) is a
                    violation.
   hotpath-alloc    regions bracketed by `// tfno-hot-begin` and
-                   `// tfno-hot-end` in src/core/, src/fused/, src/fft/
-                   and src/gemm/ are arena-scoped kernel worker bodies,
-                   GEMM tile tasks and model layer loops; heap allocation
+                   `// tfno-hot-end` in src/core/, src/fused/, src/fft/,
+                   src/gemm/ and src/baseline/ are arena-scoped kernel
+                   worker bodies, GEMM tile tasks, the baseline's copy
+                   kernels and model layer loops; heap allocation
                    there (new/malloc/resize/push_back/AlignedBuffer<T>
                    construction/...) would serialize the parallel sweep
                    on the allocator lock.
@@ -223,7 +224,7 @@ ALLOC_RES = [
      "AlignedBuffer construction"),
 ]
 
-HOT_SUBDIRS = ("core", "fused", "fft", "gemm")
+HOT_SUBDIRS = ("core", "fused", "fft", "gemm", "baseline")
 
 
 def check_hotpath_allocs(root: Path) -> list[str]:
