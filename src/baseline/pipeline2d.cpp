@@ -1,6 +1,5 @@
 #include "baseline/pipeline2d.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 
@@ -58,6 +57,7 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
     if (!fwd_y_full_) {
       inv_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Inverse});
       fwd_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Forward});
+      real_x_flops_ = fft::rfft2d_x_stage_flops(prob_.nx, prob_.ny, prob_.nx / 2 + 1);
     }
   }
   reserve(batch);
@@ -76,32 +76,11 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
   const std::uint64_t full = FX * NY;
   const std::uint64_t modes = MX * MY;
 
-  // The forward transform writes the full spectra to `spectra`; the
-  // inverse reads the zero-padded ones from `padded`.  The real lane's two
-  // passes ping-pong between rbufA_ and rbufB_.
-  if constexpr (kReal) {
-    const std::size_t half = std::max(K, O) * full;
-    if (rbufA_.size() < B * half) rbufA_.resize(B * half);
-    if (rbufB_.size() < B * half) rbufB_.resize(B * half);
-  }
-  AlignedBuffer<c32>& spectra = kReal ? rbufB_ : freq_full_;
-  AlignedBuffer<c32>& padded = kReal ? rbufA_ : mixed_full_;
-
-  // FLOPs per field of the full transforms.  The real X stage runs one
-  // full-length packed C2C transform per column pair plus an O(FX)
-  // untangle per column.
-  std::uint64_t fwd_flops = 0;
-  std::uint64_t inv_flops = 0;
-  if constexpr (kReal) {
-    fwd_flops = (NY / 2) * fft::acquire_plan({NX, fft::Direction::Forward})->flops_per_signal() +
-                NY * 8 * FX + FX * fwd_y_full_->flops_per_signal();
-    inv_flops = FX * inv_y_full_->flops_per_signal() +
-                (NY / 2) * fft::acquire_plan({NX, fft::Direction::Inverse})->flops_per_signal() +
-                NY * 8 * FX;
-  } else {
-    fwd_flops = fwd_full_.flops_per_field();
-    inv_flops = inv_full_.flops_per_field();
-  }
+  // FLOPs per field of the full transforms.
+  const std::uint64_t fwd_flops =
+      kReal ? real_x_flops_ + FX * fwd_y_full_->flops_per_signal() : fwd_full_.flops_per_field();
+  const std::uint64_t inv_flops =
+      kReal ? FX * inv_y_full_->flops_per_signal() + real_x_flops_ : inv_full_.flops_per_field();
 
   // Stage 1: full 2D forward transform.  cuFFT's 2D transforms make two
   // passes over global memory (one per axis); the byte accounting reflects
@@ -109,11 +88,12 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
   {
     runtime::Timer t;
     if constexpr (kReal) {
-      fft::rfft2d_x_stage(NX, FX, u.data(), rbufA_.data(), B * K, NY);
-      fwd_y_full_->execute(rbufA_.span().first(B * K * full), spectra.span().first(B * K * full),
-                           B * K * FX);
+      // The Y pass runs in place: a full-length plan keeps every bin.
+      const auto spectra = freq_full_.span().first(B * K * full);
+      fft::rfft2d_x_stage(NX, FX, u.data(), spectra.data(), B * K, NY);
+      fwd_y_full_->execute(spectra, spectra, B * K * FX);
     } else {
-      fwd_full_.execute(u, spectra.span(), B * K);
+      fwd_full_.execute(u, freq_full_.span(), B * K);
     }
     auto& sc = counters_.stage("fft2d");
     sc.seconds = t.seconds();
@@ -126,7 +106,7 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
   // Stage 2: truncate memcopy of the low-frequency corner.
   {
     runtime::Timer t;
-    truncate_copy_2d(spectra.span().first(B * K * full), freq_trunc_.span().first(B * K * modes),
+    truncate_copy_2d(freq_full_.span().first(B * K * full), freq_trunc_.span().first(B * K * modes),
                      B * K, FX, NY, MX, MY, &counters_.stage("truncate-copy"));
     counters_.stage("truncate-copy").seconds = t.seconds();
   }
@@ -151,8 +131,8 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
   // Stage 4: zero-pad memcopy back to the full spectrum.
   {
     runtime::Timer t;
-    pad_copy_2d(mixed_.span().first(B * O * modes), padded.span().first(B * O * full), B * O, MX,
-                MY, FX, NY, &counters_.stage("pad-copy"));
+    pad_copy_2d(mixed_.span().first(B * O * modes), mixed_full_.span().first(B * O * full), B * O,
+                MX, MY, FX, NY, &counters_.stage("pad-copy"));
     counters_.stage("pad-copy").seconds = t.seconds();
   }
 
@@ -160,11 +140,11 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
   {
     runtime::Timer t;
     if constexpr (kReal) {
-      inv_y_full_->execute(padded.span().first(B * O * full), rbufB_.span().first(B * O * full),
-                           B * O * FX);
-      fft::irfft2d_x_stage(NX, FX, rbufB_.data(), v.data(), B * O, NY);
+      const auto padded = mixed_full_.span().first(B * O * full);
+      inv_y_full_->execute(padded, padded, B * O * FX);
+      fft::irfft2d_x_stage(NX, FX, padded.data(), v.data(), B * O, NY);
     } else {
-      inv_full_.execute(padded.span(), v, B * O);
+      inv_full_.execute(mixed_full_.span(), v, B * O);
     }
     auto& sc = counters_.stage("ifft2d");
     sc.seconds = t.seconds();

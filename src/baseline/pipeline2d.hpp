@@ -49,9 +49,8 @@ class BaselinePipeline2d final : public fused::SpectralPipeline2d {
   fft::FftPlan2d inv_full_;
   std::shared_ptr<const fft::FftPlan> fwd_y_full_;  // lazy: real lane only
   std::shared_ptr<const fft::FftPlan> inv_y_full_;  // lazy: real lane only
-  // Real-lane half-spectrum ping/pong buffers, [batch, max(K,O), nx/2+1, ny].
-  AlignedBuffer<c32> rbufA_;  // lazy: real lane only
-  AlignedBuffer<c32> rbufB_;  // lazy: real lane only
+  std::uint64_t real_x_flops_ = 0;  // per field, set with the real plans
+  // Both lanes' full spectra; the real lane's [nx/2+1, ny] ones fit too.
   AlignedBuffer<c32> freq_full_;   // [batch, hidden, nx, ny]
   AlignedBuffer<c32> freq_trunc_;  // [batch, hidden, mx, my]
   AlignedBuffer<c32> mixed_;       // [batch, out_dim, mx, my]

@@ -1,4 +1,4 @@
-// TurboFNO public API v4 — curated, versioned facade.
+// TurboFNO public API v5 — curated, versioned facade.
 //
 //   #include "core/api.hpp"
 //
@@ -14,18 +14,25 @@
 // the sharded multi-process layer (turbofno::shard — Topology, Router,
 // Worker, Supervisor), and the tracing vocabulary.  Deeper
 // layers (fft/, gemm/, fused/ pipelines, gpusim/) remain available through
-// their own headers but are not part of the v4 compatibility surface.
+// their own headers but are not part of the v5 compatibility surface.
 //
 // v3 removed the v1 batch-frozen Fno1d(cfg, batch) / Fno2d(cfg, batch)
 // constructors (deprecated since v2): use Fno1d(cfg) + reserve(batch), or
 // an Engine session.  See README "Public API".
 // v4 removed the fft real-spectral setter/getter pair and its environment
 // knob; the RFFT lane is the only real-input route.
+// v5 made Fno1d/Fno2d aliases of one class template Fno<Config> and gave
+// every registration entry point (Engine, InferenceServer, SocketServer,
+// shard::Topology) one ModelConfig overload in place of an
+// Fno1dConfig/Fno2dConfig pair; gather_weights/scatter_weights became
+// templates over Fno<Config>.  Calls passing either config still compile.
+// shard::ModelEntry now holds one `ModelConfig cfg` in place of a 1D/2D
+// tag and two configs.
 #pragma once
 
 // Major version of the public surface below.  Bumped when a deprecated
 // entry point is removed or an exported type changes incompatibly.
-#define TURBOFNO_API_VERSION 4
+#define TURBOFNO_API_VERSION 5
 
 #include "core/config.hpp"            // IWYU pragma: export
 #include "core/engine.hpp"            // IWYU pragma: export
@@ -57,6 +64,7 @@ using core::Fno1d;
 using core::Fno1dConfig;
 using core::Fno2d;
 using core::Fno2dConfig;
+using core::ModelConfig;
 using core::ModelHandle;
 using core::Session;
 using core::WeightBundle;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <variant>
 
 #include "fused/ladder.hpp"
 
@@ -49,5 +50,14 @@ struct Fno2dConfig {
 
   bool operator==(const Fno2dConfig&) const = default;
 };
+
+/// Either model's configuration: what the Engine, the serving layer and the
+/// shard topology register and carry.  An Fno1dConfig or Fno2dConfig
+/// converts implicitly.
+using ModelConfig = std::variant<Fno1dConfig, Fno2dConfig>;
+
+/// Samples per channel of one field: n, or nx * ny.
+constexpr std::size_t spatial_size(const Fno1dConfig& cfg) noexcept { return cfg.n; }
+constexpr std::size_t spatial_size(const Fno2dConfig& cfg) noexcept { return cfg.nx * cfg.ny; }
 
 }  // namespace turbofno::core

@@ -1,6 +1,8 @@
 #include "core/engine.hpp"
 
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "fft/plan_cache.hpp"
 #include "runtime/parallel.hpp"
@@ -23,52 +25,39 @@ std::shared_ptr<const detail::ModelSpec> Engine::spec(ModelHandle m) const {
   return specs_.at(m);
 }
 
-ModelHandle Engine::register_model(const Fno1dConfig& cfg) {
+namespace {
+
+std::shared_ptr<detail::ModelSpec> make_spec(const ModelConfig& cfg) {
   auto s = std::make_shared<detail::ModelSpec>();
-  s->is_2d = false;
-  s->cfg1 = cfg;
-  s->in_elems = cfg.in_channels * cfg.n;
-  s->out_elems = cfg.out_channels * cfg.n;
-  return add_spec(std::move(s));
+  s->cfg = cfg;
+  std::visit(
+      [&](const auto& c) {
+        s->in_elems = c.in_channels * spatial_size(c);
+        s->out_elems = c.out_channels * spatial_size(c);
+      },
+      cfg);
+  return s;
 }
 
-ModelHandle Engine::register_model(const Fno2dConfig& cfg) {
-  auto s = std::make_shared<detail::ModelSpec>();
-  s->is_2d = true;
-  s->cfg2 = cfg;
-  s->in_elems = cfg.in_channels * cfg.nx * cfg.ny;
-  s->out_elems = cfg.out_channels * cfg.nx * cfg.ny;
-  return add_spec(std::move(s));
-}
+}  // namespace
 
-ModelHandle Engine::load_model(const Fno1dConfig& cfg, const WeightBundle& weights) {
+ModelHandle Engine::register_model(const ModelConfig& cfg) { return add_spec(make_spec(cfg)); }
+
+ModelHandle Engine::load_model(const ModelConfig& cfg, const WeightBundle& weights) {
   // Validate up front by scattering into a capacity-1 probe model: a
   // missing tensor or architecture mismatch throws here instead of at
   // first use.  Constructing the probe is not free (it builds the layer
   // pipelines), but registration is a cold path and the probe guarantees
   // validation can never drift from what scatter_weights actually needs.
-  Fno1d probe(cfg);
-  scatter_weights(probe, weights);
-  auto s = std::make_shared<detail::ModelSpec>();
-  s->is_2d = false;
-  s->cfg1 = cfg;
+  std::visit(
+      [&](const auto& c) {
+        Fno probe(c);
+        scatter_weights(probe, weights);
+      },
+      cfg);
+  auto s = make_spec(cfg);
   s->weights = weights;
   s->has_weights = true;
-  s->in_elems = cfg.in_channels * cfg.n;
-  s->out_elems = cfg.out_channels * cfg.n;
-  return add_spec(std::move(s));
-}
-
-ModelHandle Engine::load_model(const Fno2dConfig& cfg, const WeightBundle& weights) {
-  Fno2d probe(cfg);
-  scatter_weights(probe, weights);
-  auto s = std::make_shared<detail::ModelSpec>();
-  s->is_2d = true;
-  s->cfg2 = cfg;
-  s->weights = weights;
-  s->has_weights = true;
-  s->in_elems = cfg.in_channels * cfg.nx * cfg.ny;
-  s->out_elems = cfg.out_channels * cfg.nx * cfg.ny;
   return add_spec(std::move(s));
 }
 
@@ -81,57 +70,56 @@ std::size_t Engine::model_count() const {
   return specs_.size();
 }
 
-bool Engine::model_is_2d(ModelHandle m) const { return spec(m)->is_2d; }
+bool Engine::model_is_2d(ModelHandle m) const {
+  return std::holds_alternative<Fno2dConfig>(spec(m)->cfg);
+}
 std::size_t Engine::input_elems(ModelHandle m) const { return spec(m)->in_elems; }
 std::size_t Engine::output_elems(ModelHandle m) const { return spec(m)->out_elems; }
 
 // ---------------------------------------------------------------- Session
 
+namespace {
+
+std::variant<Fno1d, Fno2d> make_model(const ModelConfig& cfg) {
+  return std::visit(
+      [](const auto& c) {
+        return std::variant<Fno1d, Fno2d>(std::in_place_type<Fno<std::decay_t<decltype(c)>>>, c);
+      },
+      cfg);
+}
+
+}  // namespace
+
 Session::Session(std::shared_ptr<const detail::ModelSpec> spec, std::size_t capacity_hint)
-    : spec_(std::move(spec)) {
-  if (spec_->is_2d) {
-    m2_ = std::make_unique<Fno2d>(spec_->cfg2);
-    if (spec_->has_weights) scatter_weights(*m2_, spec_->weights);
-    m2_->reserve(capacity_hint);
-  } else {
-    m1_ = std::make_unique<Fno1d>(spec_->cfg1);
-    if (spec_->has_weights) scatter_weights(*m1_, spec_->weights);
-    m1_->reserve(capacity_hint);
-  }
+    : spec_(std::move(spec)), model_(make_model(spec_->cfg)) {
+  std::visit(
+      [&](auto& m) {
+        if (spec_->has_weights) scatter_weights(m, spec_->weights);
+        m.reserve(capacity_hint);
+      },
+      model_);
 }
 
 void Session::run(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
   // Buffer-vs-batch validation happens in the model's forward (one frame
   // below) — one guard, one message, no drift.
-  if (m1_) {
-    m1_->forward(u, v, batch);
-  } else {
-    m2_->forward(u, v, batch);
-  }
+  std::visit([&](auto& m) { m.forward(u, v, batch); }, model_);
 }
 
 void Session::run_real(std::span<const float> u, std::span<float> v, std::size_t batch) {
-  if (m1_) {
-    m1_->forward_real(u, v, batch);
-  } else {
-    m2_->forward_real(u, v, batch);
-  }
+  std::visit([&](auto& m) { m.forward_real(u, v, batch); }, model_);
 }
 
 void Session::reserve(std::size_t batch) {
-  if (m1_) {
-    m1_->reserve(batch);
-  } else {
-    m2_->reserve(batch);
-  }
+  std::visit([&](auto& m) { m.reserve(batch); }, model_);
 }
 
 std::size_t Session::capacity() const noexcept {
-  return m1_ ? m1_->capacity() : m2_->capacity();
+  return std::visit([](const auto& m) { return m.capacity(); }, model_);
 }
 
 WeightBundle Session::gather() const {
-  return m1_ ? gather_weights(*m1_) : gather_weights(*m2_);
+  return std::visit([](const auto& m) { return gather_weights(m); }, model_);
 }
 
 }  // namespace turbofno::core

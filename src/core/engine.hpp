@@ -20,14 +20,15 @@
 //   auto session = engine.create_session(m, /*capacity_hint=*/8);
 //   session.run(input, output, /*batch=*/3);              // any batch size
 //
-// Results are bitwise-identical to a direct core::Fno1d/Fno2d forward with
-// the same config — for every backend, including Backend::Auto (resolved
+// Results are bitwise-identical to a direct core::Fno forward with the
+// same config — for every backend, including Backend::Auto (resolved
 // deterministically from the problem shape; see fused::auto_variant_1d/2d).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "runtime/thread_annotations.hpp"
@@ -61,9 +62,7 @@ namespace detail {
 
 /// Immutable model specification shared by the engine and its sessions.
 struct ModelSpec {
-  bool is_2d = false;
-  Fno1dConfig cfg1;
-  Fno2dConfig cfg2;
+  ModelConfig cfg;
   WeightBundle weights;      // empty entries => seeded from the config
   bool has_weights = false;
   std::size_t in_elems = 0;   // per batch item
@@ -83,15 +82,13 @@ class Engine {
 
   /// Registers a model whose weights are seeded from the config.  Cheap;
   /// thread-safe; handles stay valid for the engine's lifetime.
-  ModelHandle register_model(const Fno1dConfig& cfg);
-  ModelHandle register_model(const Fno2dConfig& cfg);
+  ModelHandle register_model(const ModelConfig& cfg);
 
   /// Registers a model with weights from a serialized checkpoint (see
   /// core/serialize.hpp).  The bundle is validated against the
   /// architecture up front: a missing tensor or size mismatch throws here,
   /// not at first session creation.
-  ModelHandle load_model(const Fno1dConfig& cfg, const WeightBundle& weights);
-  ModelHandle load_model(const Fno2dConfig& cfg, const WeightBundle& weights);
+  ModelHandle load_model(const ModelConfig& cfg, const WeightBundle& weights);
 
   /// Creates an executable session.  `capacity_hint` pre-sizes the
   /// workspaces (elastic thereafter).  Thread-safe; the session may
@@ -150,7 +147,7 @@ class Session {
   /// Current capacity high-water mark.
   [[nodiscard]] std::size_t capacity() const noexcept;
 
-  [[nodiscard]] bool is_2d() const noexcept { return spec_->is_2d; }
+  [[nodiscard]] bool is_2d() const noexcept { return std::holds_alternative<Fno2d>(model_); }
   [[nodiscard]] std::size_t input_elems() const noexcept { return spec_->in_elems; }
   [[nodiscard]] std::size_t output_elems() const noexcept { return spec_->out_elems; }
 
@@ -159,16 +156,15 @@ class Session {
 
   /// The underlying model, for advanced callers (weight editing, layer
   /// introspection).  Exactly one of these is non-null.
-  [[nodiscard]] Fno1d* model1d() noexcept { return m1_.get(); }
-  [[nodiscard]] Fno2d* model2d() noexcept { return m2_.get(); }
+  [[nodiscard]] Fno1d* model1d() noexcept { return std::get_if<Fno1d>(&model_); }
+  [[nodiscard]] Fno2d* model2d() noexcept { return std::get_if<Fno2d>(&model_); }
 
  private:
   friend class Engine;
   Session(std::shared_ptr<const detail::ModelSpec> spec, std::size_t capacity_hint);
 
   std::shared_ptr<const detail::ModelSpec> spec_;
-  std::unique_ptr<Fno1d> m1_;
-  std::unique_ptr<Fno2d> m2_;
+  std::variant<Fno1d, Fno2d> model_;
 };
 
 }  // namespace turbofno::core

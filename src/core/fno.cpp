@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -132,111 +133,62 @@ void relu_inplace(std::span<float> x) {
   });
 }
 
-// ----------------------------------------------------------------- Fno1d
+// ------------------------------------------------------------------- Fno
 
-Fno1d::Fno1d(const Fno1dConfig& cfg)
+SpectralConv1d make_spectral_layer(const Fno1dConfig& cfg, unsigned seed) {
+  return {1, cfg.hidden, cfg.hidden, cfg.n, cfg.modes, cfg.backend, cfg.scheme, seed};
+}
+
+SpectralConv2d make_spectral_layer(const Fno2dConfig& cfg, unsigned seed) {
+  return {1, cfg.hidden, cfg.hidden, cfg.nx, cfg.ny, cfg.modes_x, cfg.modes_y, cfg.backend,
+          cfg.scheme, seed};
+}
+
+template <class Config>
+Fno<Config>::Fno(const Config& cfg)
     : cfg_(cfg),
       batch_(1),
       lift_(cfg.in_channels, cfg.hidden, cfg.seed),
       project_(cfg.hidden, cfg.out_channels, cfg.seed + 1000003u) {
-  // hidden/n/modes are validated by the spectral layers' problem; the
-  // physical channel counts are only consumed here, so guard them here
-  // (the per-item element counts divide the buffer checks).
+  // hidden and the spatial shape are validated by the spectral layers'
+  // problem; the physical channel counts are only consumed here, so guard
+  // them here (the per-item element counts divide the buffer checks).
   if (cfg_.in_channels == 0 || cfg_.out_channels == 0) {
-    throw std::invalid_argument("Fno1d: in_channels/out_channels must be non-zero");
+    throw std::invalid_argument(std::string(model_name(cfg_, false)) +
+                                ": in_channels/out_channels must be non-zero");
   }
   spectral_.reserve(cfg_.layers);
   residual_.reserve(cfg_.layers);
   for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    spectral_.emplace_back(batch_, cfg_.hidden, cfg_.hidden, cfg_.n, cfg_.modes, cfg_.backend,
-                           cfg_.scheme, cfg_.seed + static_cast<unsigned>(l) * 7919u);
+    spectral_.push_back(make_spectral_layer(cfg_, cfg_.seed + static_cast<unsigned>(l) * 7919u));
     residual_.emplace_back(cfg_.hidden, cfg_.hidden, cfg_.seed + 31u + static_cast<unsigned>(l));
   }
-  const std::size_t hid = batch_ * cfg_.hidden * cfg_.n;
+  const std::size_t hid = batch_ * cfg_.hidden * spatial_size(cfg_);
   h0_.resize(hid);
   h1_.resize(hid);
 }
 
-void Fno1d::reserve(std::size_t batch) {
+template <class Config>
+void Fno<Config>::reserve(std::size_t batch) {
   if (batch <= batch_) return;
   // Grow everything before bumping the capacity mark (exception safety).
   for (auto& layer : spectral_) layer.reserve(batch);
-  const std::size_t hid = batch * cfg_.hidden * cfg_.n;
+  const std::size_t hid = batch * cfg_.hidden * spatial_size(cfg_);
   h0_.resize(hid);
   h1_.resize(hid);
   batch_ = batch;
 }
 
-void Fno1d::forward(std::span<const c32> u, std::span<c32> v) {
+template <class Config>
+void Fno<Config>::forward(std::span<const c32> u, std::span<c32> v) {
   forward(u, v, batch_);
 }
 
-void Fno1d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), cfg_.in_channels * cfg_.n,
-                              cfg_.out_channels * cfg_.n, batch, "Fno1d");
-  reserve(batch);
-  if (batch == 0) return;
-  const std::size_t spatial = cfg_.n;
-  const std::size_t hid = batch * cfg_.hidden * spatial;
-  const auto h0 = h0_.span().first(hid);
-  lift_.forward(u, h0, batch, spatial);
-  const auto h = run_layers(spectral_, residual_, h0, h1_.span().first(hid), batch, spatial);
-  project_.forward(h, v, batch, spatial);
-}
-
-void Fno1d::forward_real(std::span<const float> u, std::span<float> v, std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), cfg_.in_channels * cfg_.n,
-                              cfg_.out_channels * cfg_.n, batch, "Fno1d(real)");
-  reserve(batch);
-  if (batch == 0) return;
-  const std::size_t spatial = cfg_.n;
-  const std::size_t hid = batch * cfg_.hidden * spatial;
-  const auto h0 = as_floats(h0_, hid);
-  lift_.forward_real(u, h0, batch, spatial);
-  const auto h = run_layers(spectral_, residual_, h0, as_floats(h1_, hid), batch, spatial);
-  project_.forward_real(h, v, batch, spatial);
-}
-
-// ----------------------------------------------------------------- Fno2d
-
-Fno2d::Fno2d(const Fno2dConfig& cfg)
-    : cfg_(cfg),
-      batch_(1),
-      lift_(cfg.in_channels, cfg.hidden, cfg.seed),
-      project_(cfg.hidden, cfg.out_channels, cfg.seed + 1000003u) {
-  if (cfg_.in_channels == 0 || cfg_.out_channels == 0) {
-    throw std::invalid_argument("Fno2d: in_channels/out_channels must be non-zero");
-  }
-  spectral_.reserve(cfg_.layers);
-  residual_.reserve(cfg_.layers);
-  for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    spectral_.emplace_back(batch_, cfg_.hidden, cfg_.hidden, cfg_.nx, cfg_.ny, cfg_.modes_x,
-                           cfg_.modes_y, cfg_.backend, cfg_.scheme,
-                           cfg_.seed + static_cast<unsigned>(l) * 7919u);
-    residual_.emplace_back(cfg_.hidden, cfg_.hidden, cfg_.seed + 31u + static_cast<unsigned>(l));
-  }
-  const std::size_t hid = batch_ * cfg_.hidden * cfg_.nx * cfg_.ny;
-  h0_.resize(hid);
-  h1_.resize(hid);
-}
-
-void Fno2d::reserve(std::size_t batch) {
-  if (batch <= batch_) return;
-  for (auto& layer : spectral_) layer.reserve(batch);
-  const std::size_t hid = batch * cfg_.hidden * cfg_.nx * cfg_.ny;
-  h0_.resize(hid);
-  h1_.resize(hid);
-  batch_ = batch;
-}
-
-void Fno2d::forward(std::span<const c32> u, std::span<c32> v) {
-  forward(u, v, batch_);
-}
-
-void Fno2d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
-  const std::size_t spatial = cfg_.nx * cfg_.ny;
+template <class Config>
+void Fno<Config>::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
+  const std::size_t spatial = spatial_size(cfg_);
   baseline::check_batch_spans(u.size(), v.size(), cfg_.in_channels * spatial,
-                              cfg_.out_channels * spatial, batch, "Fno2d");
+                              cfg_.out_channels * spatial, batch, model_name(cfg_, false));
   reserve(batch);
   if (batch == 0) return;
   const std::size_t hid = batch * cfg_.hidden * spatial;
@@ -246,10 +198,11 @@ void Fno2d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch)
   project_.forward(h, v, batch, spatial);
 }
 
-void Fno2d::forward_real(std::span<const float> u, std::span<float> v, std::size_t batch) {
-  const std::size_t spatial = cfg_.nx * cfg_.ny;
+template <class Config>
+void Fno<Config>::forward_real(std::span<const float> u, std::span<float> v, std::size_t batch) {
+  const std::size_t spatial = spatial_size(cfg_);
   baseline::check_batch_spans(u.size(), v.size(), cfg_.in_channels * spatial,
-                              cfg_.out_channels * spatial, batch, "Fno2d(real)");
+                              cfg_.out_channels * spatial, batch, model_name(cfg_, true));
   reserve(batch);
   if (batch == 0) return;
   const std::size_t hid = batch * cfg_.hidden * spatial;
@@ -258,5 +211,8 @@ void Fno2d::forward_real(std::span<const float> u, std::span<float> v, std::size
   const auto h = run_layers(spectral_, residual_, h0, as_floats(h1_, hid), batch, spatial);
   project_.forward_real(h, v, batch, spatial);
 }
+
+template class Fno<Fno1dConfig>;
+template class Fno<Fno2dConfig>;
 
 }  // namespace turbofno::core

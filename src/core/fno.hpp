@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -75,23 +76,40 @@ void relu_inplace(std::span<c32> x);
 /// ReLU on a real field.
 void relu_inplace(std::span<float> x);
 
-class Fno1d {
- public:
-  /// Capacity is elastic: the model starts sized for one signal and grows
-  /// its workspaces on demand (reserve / a larger forward micro-batch).
-  explicit Fno1d(const Fno1dConfig& cfg);
+/// The per-dimension parts of a model: its spectral layer (capacity one
+/// field, seeded with `seed`) and the name its error messages carry.
+SpectralConv1d make_spectral_layer(const Fno1dConfig& cfg, unsigned seed);
+SpectralConv2d make_spectral_layer(const Fno2dConfig& cfg, unsigned seed);
+constexpr const char* model_name(const Fno1dConfig&, bool real) noexcept {
+  return real ? "Fno1d(real)" : "Fno1d";
+}
+constexpr const char* model_name(const Fno2dConfig&, bool real) noexcept {
+  return real ? "Fno2d(real)" : "Fno2d";
+}
 
-  /// u [batch, in_channels, n] -> v [batch, out_channels, n] over the
-  /// current capacity (see capacity()).
+/// One FNO over either config: Fno1d runs 1D Fourier layers on [n] fields,
+/// Fno2d runs 2D ones on [nx, ny] fields; everything else is shared.
+template <class Config>
+class Fno {
+ public:
+  using SpectralLayer = decltype(make_spectral_layer(std::declval<const Config&>(), 0u));
+
+  /// Capacity is elastic: the model starts sized for one field and grows
+  /// its workspaces on demand (reserve / a larger forward micro-batch).
+  explicit Fno(const Config& cfg);
+
+  /// u [batch, in_channels, spatial] -> v [batch, out_channels, spatial]
+  /// over the current capacity (see capacity()); spatial is n or nx * ny.
   void forward(std::span<const c32> u, std::span<c32> v);
-  /// Micro-batch variant for the serving layer: first `batch` signals; a
+  /// Micro-batch variant for the serving layer: first `batch` fields; a
   /// batch beyond the current capacity grows the workspaces in place.
-  /// Per-signal results are bitwise-identical to a batch-1 forward.
+  /// Per-field results are bitwise-identical to a batch-1 forward.
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  /// Real-input forward: u [batch, in_channels, n] and v [batch,
-  /// out_channels, n] hold real samples; every hidden field stays in floats
-  /// (views of the complex workspaces) and each spectral layer runs its RFFT
-  /// half-spectrum lane (SpectralConv1d::forward_real).  Requires n >= 4.
+  /// Real-input forward: u [batch, in_channels, spatial] and v [batch,
+  /// out_channels, spatial] hold real samples; every hidden field stays in
+  /// floats (views of the complex workspaces) and each spectral layer runs
+  /// its RFFT half-spectrum lane (SpectralConv1d/2d::forward_real).
+  /// Requires the leading spatial axis (n / nx) >= 4.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   /// Grows the hidden-state workspaces (and every layer's) so forwards up
@@ -99,15 +117,15 @@ class Fno1d {
   /// perturb results or weights.
   void reserve(std::size_t batch);
 
-  [[nodiscard]] const Fno1dConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   /// Current capacity high-water mark (grows, never shrinks).
   [[nodiscard]] std::size_t capacity() const noexcept { return batch_; }
   [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
 
   /// Mutable layer access.  Weight-invalidating (see PointwiseLinear::
   /// weights): use the const overloads when only reading.
-  [[nodiscard]] std::vector<SpectralConv1d>& spectral_layers() noexcept { return spectral_; }
-  [[nodiscard]] const std::vector<SpectralConv1d>& spectral_layers() const noexcept {
+  [[nodiscard]] std::vector<SpectralLayer>& spectral_layers() noexcept { return spectral_; }
+  [[nodiscard]] const std::vector<SpectralLayer>& spectral_layers() const noexcept {
     return spectral_;
   }
   [[nodiscard]] PointwiseLinear& lift() noexcept { return lift_; }
@@ -120,10 +138,10 @@ class Fno1d {
   [[nodiscard]] const PointwiseLinear& projection() const noexcept { return project_; }
 
  private:
-  Fno1dConfig cfg_;
+  Config cfg_;
   std::size_t batch_;
   PointwiseLinear lift_;
-  std::vector<SpectralConv1d> spectral_;
+  std::vector<SpectralLayer> spectral_;
   std::vector<PointwiseLinear> residual_;
   PointwiseLinear project_;
   // Hidden-field ping-pong; the real lane runs on float views of the same
@@ -132,50 +150,9 @@ class Fno1d {
   AlignedBuffer<c32> h1_;
 };
 
-class Fno2d {
- public:
-  /// Elastic capacity; see Fno1d.
-  explicit Fno2d(const Fno2dConfig& cfg);
-
-  /// u [batch, in_channels, nx, ny] -> v [batch, out_channels, nx, ny].
-  void forward(std::span<const c32> u, std::span<c32> v);
-  /// Micro-batch variant; see Fno1d::forward (elastic growth included).
-  void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  /// Real-input forward; see Fno1d::forward_real.  Requires nx >= 4.
-  void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
-
-  /// Elastic capacity growth; see Fno1d::reserve.
-  void reserve(std::size_t batch);
-
-  [[nodiscard]] const Fno2dConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return batch_; }
-  [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
-
-  /// Mutable layer access is weight-invalidating; see Fno1d.
-  [[nodiscard]] std::vector<SpectralConv2d>& spectral_layers() noexcept { return spectral_; }
-  [[nodiscard]] const std::vector<SpectralConv2d>& spectral_layers() const noexcept {
-    return spectral_;
-  }
-  [[nodiscard]] PointwiseLinear& lift() noexcept { return lift_; }
-  [[nodiscard]] const PointwiseLinear& lift() const noexcept { return lift_; }
-  [[nodiscard]] std::vector<PointwiseLinear>& residual_layers() noexcept { return residual_; }
-  [[nodiscard]] const std::vector<PointwiseLinear>& residual_layers() const noexcept {
-    return residual_;
-  }
-  [[nodiscard]] PointwiseLinear& projection() noexcept { return project_; }
-  [[nodiscard]] const PointwiseLinear& projection() const noexcept { return project_; }
-
- private:
-  Fno2dConfig cfg_;
-  std::size_t batch_;
-  PointwiseLinear lift_;
-  std::vector<SpectralConv2d> spectral_;
-  std::vector<PointwiseLinear> residual_;
-  PointwiseLinear project_;
-  // Hidden-field ping-pong; the real lane runs on float views of the same
-  // storage (a c32 buffer holds twice the floats it needs).
-  AlignedBuffer<c32> h0_;
-  AlignedBuffer<c32> h1_;
-};
+extern template class Fno<Fno1dConfig>;
+extern template class Fno<Fno2dConfig>;
+using Fno1d = Fno<Fno1dConfig>;
+using Fno2d = Fno<Fno2dConfig>;
 
 }  // namespace turbofno::core

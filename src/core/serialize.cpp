@@ -122,12 +122,8 @@ void restore(std::span<c32> dst, const WeightBundle& bundle, const std::string& 
 
 }  // namespace
 
-namespace {
-
-// Shared across Fno1d/Fno2d: both expose the same learnable surface
-// (lift / spectral.<l> / residual.<l> / project).
-template <class Model>
-WeightBundle gather_impl(const Model& model) {
+template <class Config>
+WeightBundle gather_weights(const Fno<Config>& model) {
   WeightBundle b;
   b.entries.push_back(snapshot("lift", model.lift().weights()));
   const auto& layers = model.spectral_layers();
@@ -142,8 +138,8 @@ WeightBundle gather_impl(const Model& model) {
   return b;
 }
 
-template <class Model>
-void scatter_impl(Model& model, const WeightBundle& bundle) {
+template <class Config>
+void scatter_weights(Fno<Config>& model, const WeightBundle& bundle) {
   // Bundles written before checkpoints were complete carried only the
   // spectral tensors; surface that as a migration error, not a generic
   // missing-tensor one.  (The container format itself is unchanged, so
@@ -175,12 +171,9 @@ void scatter_impl(Model& model, const WeightBundle& bundle) {
   }
 }
 
-}  // namespace
-
-WeightBundle gather_weights(const Fno1d& model) { return gather_impl(model); }
-WeightBundle gather_weights(const Fno2d& model) { return gather_impl(model); }
-
-void scatter_weights(Fno1d& model, const WeightBundle& bundle) { scatter_impl(model, bundle); }
-void scatter_weights(Fno2d& model, const WeightBundle& bundle) { scatter_impl(model, bundle); }
+template WeightBundle gather_weights(const Fno1d&);
+template WeightBundle gather_weights(const Fno2d&);
+template void scatter_weights(Fno1d&, const WeightBundle&);
+template void scatter_weights(Fno2d&, const WeightBundle&);
 
 }  // namespace turbofno::core

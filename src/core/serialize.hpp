@@ -15,8 +15,8 @@
 
 namespace turbofno::core {
 
-class Fno1d;
-class Fno2d;
+template <class Config>
+class Fno;
 
 /// Named weight blobs gathered from / scattered into a model.
 struct WeightBundle {
@@ -41,13 +41,14 @@ WeightBundle load_bundle_file(const std::string& path);
 /// Gathers every learnable tensor of a model: "lift", "spectral.<l>",
 /// "residual.<l>", and "project".  A bundle produced here is a complete
 /// checkpoint — scattering it into a fresh model of the same architecture
-/// reproduces the source model's outputs bitwise.
-WeightBundle gather_weights(const Fno1d& model);
-WeightBundle gather_weights(const Fno2d& model);
+/// reproduces the source model's outputs bitwise.  Instantiated for Fno1d
+/// and Fno2d.
+template <class Config>
+WeightBundle gather_weights(const Fno<Config>& model);
 /// Writes a bundle's tensors back into the model; throws on any missing
 /// name or size mismatch (a checkpoint for a different architecture).
-void scatter_weights(Fno1d& model, const WeightBundle& bundle);
-void scatter_weights(Fno2d& model, const WeightBundle& bundle);
+template <class Config>
+void scatter_weights(Fno<Config>& model, const WeightBundle& bundle);
 
 inline constexpr std::uint32_t kBundleVersion = 1;
 

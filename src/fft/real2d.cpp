@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fft/opcount.hpp"
 #include "fft/plan_cache.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/xblock.hpp"
@@ -161,6 +162,10 @@ void pair_tasks(Direction dir, std::size_t nx, std::size_t bins, std::size_t fie
 }
 
 }  // namespace
+
+std::uint64_t rfft2d_x_stage_flops(std::size_t nx, std::size_t ny, std::size_t keep_x) noexcept {
+  return (ny / 2) * count_full_ops(nx).flops() + ny * 8 * keep_x;
+}
 
 void rfft2d_x_stage_to_tiles(std::size_t nx, std::size_t keep_x, const float* in,
                              std::size_t fields, std::size_t ny, const XStageTileDst& dst) {

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "fft/fft2d.hpp"
 #include "tensor/complex.hpp"
@@ -47,6 +48,11 @@ void rfft2d_x_stage(std::size_t nx, std::size_t keep_x, const float* in, c32* ou
 /// `out` receives fields x [nx, ny] real fields.
 void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float* out,
                      std::size_t fields, std::size_t ny);
+
+/// FLOPs per [nx, ny] field of a real X stage keeping (or reading) keep_x
+/// bins, either direction: one full nx-point C2C transform per column pair
+/// plus an 8-flop untangle (retangle) per kept bin and column.
+std::uint64_t rfft2d_x_stage_flops(std::size_t nx, std::size_t ny, std::size_t keep_x) noexcept;
 
 /// Tile-granular forward real X stage: like fft2d_x_stage_to_tiles, but the
 /// input fields are real and the y-major destination blocks hold keep_x-bin

@@ -63,6 +63,7 @@ LadderPipeline2d::LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob)
       ifft_x_pad_(fft::acquire_plan({prob.nx, fft::Direction::Inverse, 0, prob.modes_x})),
       fwd_y_(fft::acquire_plan({prob.ny, fft::Direction::Forward, prob.modes_y})),
       inv_y_(fft::acquire_plan({prob.ny, fft::Direction::Inverse, 0, prob.modes_y})),
+      real_x_flops_(fft::rfft2d_x_stage_flops(prob.nx, prob.ny, real_modes_x())),
       kloop_(prob.out_dim, prob.hidden),
       counters_(counters_name(fusion_, "-2d")) {
   prob_.validate();
@@ -270,22 +271,10 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
   // of the paper's shared-memory residency, so — like the fused kernels'
   // on-chip operands — they count zero global-memory traffic: the X stages
   // touch only the true global tensors u and v, and the Y chain's input
-  // and output bytes are zero.  The real X stages run one full-length
-  // packed C2C transform per column *pair* plus an O(mx) untangle per
-  // column.
-  std::uint64_t x_fwd_flops = 0;  // per (batch, channel) field
-  std::uint64_t x_inv_flops = 0;
-  if constexpr (kReal) {
-    if (real_x_fwd_flops_ == 0) {
-      real_x_fwd_flops_ = fft::acquire_plan({NX, fft::Direction::Forward})->flops_per_signal();
-      real_x_inv_flops_ = fft::acquire_plan({NX, fft::Direction::Inverse})->flops_per_signal();
-    }
-    x_fwd_flops = (NY / 2) * real_x_fwd_flops_ + NY * 8 * mx;
-    x_inv_flops = (NY / 2) * real_x_inv_flops_ + NY * 8 * mx;
-  } else {
-    x_fwd_flops = NY * fft_x_trunc_->flops_per_signal();
-    x_inv_flops = NY * ifft_x_pad_->flops_per_signal();
-  }
+  // and output bytes are zero.  FLOPs are per (batch, channel) field.
+  const std::uint64_t x_fwd_flops =
+      kReal ? real_x_flops_ : NY * fft_x_trunc_->flops_per_signal();
+  const std::uint64_t x_inv_flops = kReal ? real_x_flops_ : NY * ifft_x_pad_->flops_per_signal();
   auto& sx = counters_.stage("fft-x-trunc");
   sx.bytes_read = B * K * NX * NY * sizeof(T);
   sx.bytes_written = 0;

@@ -163,11 +163,9 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   std::shared_ptr<const fft::FftPlan> ifft_x_pad_;
   std::shared_ptr<const fft::FftPlan> fwd_y_;  // truncated FFT along Y feeding the k-loop
   std::shared_ptr<const fft::FftPlan> inv_y_;  // zero-padded iFFT along Y (the k-loop epilogue)
+  // FLOPs per field of either real X stage (fft::rfft2d_x_stage_flops).
+  std::uint64_t real_x_flops_;
   KLoopGemm kloop_;
-  // FLOPs per signal of the real lane's full-length packed X transforms,
-  // looked up on its first run (0 until then).
-  std::uint64_t real_x_fwd_flops_ = 0;
-  std::uint64_t real_x_inv_flops_ = 0;
   // Staging tiles, lazily sized by run_groups: one batch group in y-major
   // order.
   AlignedBuffer<c32> staging_in_;   // [bg, K, ny, mx] after the X stage

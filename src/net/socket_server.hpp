@@ -99,12 +99,8 @@ class SocketServer {
 
   /// Model registration, forwarded to the inference server.  The returned
   /// ids are what request frames carry in their `model` field.
-  serve::ModelId load_model(const core::Fno1dConfig& cfg) { return server_->load_model(cfg); }
-  serve::ModelId load_model(const core::Fno2dConfig& cfg) { return server_->load_model(cfg); }
-  serve::ModelId load_model(const core::Fno1dConfig& cfg, const core::WeightBundle& w) {
-    return server_->load_model(cfg, w);
-  }
-  serve::ModelId load_model(const core::Fno2dConfig& cfg, const core::WeightBundle& w) {
+  serve::ModelId load_model(const core::ModelConfig& cfg) { return server_->load_model(cfg); }
+  serve::ModelId load_model(const core::ModelConfig& cfg, const core::WeightBundle& w) {
     return server_->load_model(cfg, w);
   }
 

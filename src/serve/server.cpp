@@ -73,26 +73,13 @@ ModelId InferenceServer::register_model(std::unique_ptr<Model> m) {
   return models_.size() - 1;
 }
 
-ModelId InferenceServer::load_model(const core::Fno1dConfig& cfg) {
+ModelId InferenceServer::load_model(const core::ModelConfig& cfg) {
   auto m = std::make_unique<Model>();
   m->handle = engine_->register_model(cfg);
   return register_model(std::move(m));
 }
 
-ModelId InferenceServer::load_model(const core::Fno2dConfig& cfg) {
-  auto m = std::make_unique<Model>();
-  m->handle = engine_->register_model(cfg);
-  return register_model(std::move(m));
-}
-
-ModelId InferenceServer::load_model(const core::Fno1dConfig& cfg,
-                                    const core::WeightBundle& weights) {
-  auto m = std::make_unique<Model>();
-  m->handle = engine_->load_model(cfg, weights);
-  return register_model(std::move(m));
-}
-
-ModelId InferenceServer::load_model(const core::Fno2dConfig& cfg,
+ModelId InferenceServer::load_model(const core::ModelConfig& cfg,
                                     const core::WeightBundle& weights) {
   auto m = std::make_unique<Model>();
   m->handle = engine_->load_model(cfg, weights);

@@ -85,12 +85,10 @@ class InferenceServer {
   /// Registers a model; weights are materialized from the config's seed.
   /// Requests reference the returned id.  Registration is cheap to call at
   /// any time but models live for the server's lifetime.
-  ModelId load_model(const core::Fno1dConfig& cfg);
-  ModelId load_model(const core::Fno2dConfig& cfg);
+  ModelId load_model(const core::ModelConfig& cfg);
   /// Registers a model with weights from a serialized checkpoint; the
   /// bundle is validated against the architecture up front (throws).
-  ModelId load_model(const core::Fno1dConfig& cfg, const core::WeightBundle& weights);
-  ModelId load_model(const core::Fno2dConfig& cfg, const core::WeightBundle& weights);
+  ModelId load_model(const core::ModelConfig& cfg, const core::WeightBundle& weights);
   /// Registry partitioning: registers model `h` of another engine by
   /// adopting its immutable spec (Engine::share_spec/adopt_spec) — weights
   /// are shared, not re-seeded, so a shard worker serving a subset of a

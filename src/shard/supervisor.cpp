@@ -58,9 +58,7 @@ void check_spec_round_trip(const Topology& topo) {
   std::size_t entry_begin = 0;
   for (std::size_t i = 0; i < topo.model_count(); ++i) {
     const std::size_t entry_end = spec.find(';', entry_begin);
-    const ModelEntry& want = topo.models()[i];
-    const ModelEntry& got = rebuilt.models()[i];
-    if (want.is_2d ? want.cfg2 != got.cfg2 : want.cfg1 != got.cfg1) {
+    if (topo.models()[i].cfg != rebuilt.models()[i].cfg) {
       throw std::invalid_argument(
           "shard::Supervisor: model " + std::to_string(i) + " (\"" +
           spec.substr(entry_begin, entry_end - entry_begin) +

@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 namespace turbofno::shard {
 
-std::size_t Topology::add(const core::Fno1dConfig& cfg, std::size_t worker) {
-  ModelEntry e;
-  e.is_2d = false;
-  e.cfg1 = cfg;
-  e.worker = worker;
-  models_.push_back(e);
-  return models_.size() - 1;
-}
-
-std::size_t Topology::add(const core::Fno2dConfig& cfg, std::size_t worker) {
-  ModelEntry e;
-  e.is_2d = true;
-  e.cfg2 = cfg;
-  e.worker = worker;
-  models_.push_back(e);
+std::size_t Topology::add(const core::ModelConfig& cfg, std::size_t worker) {
+  models_.push_back({cfg, worker});
   return models_.size() - 1;
 }
 
@@ -62,25 +50,18 @@ Route Topology::route(std::size_t global) const {
   return r;
 }
 
-std::string Topology::spec() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    if (i != 0) out << ';';
-    const ModelEntry& m = models_[i];
-    if (m.is_2d) {
-      out << "2d:" << m.cfg2.in_channels << ',' << m.cfg2.hidden << ',' << m.cfg2.out_channels
-          << ',' << m.cfg2.nx << ',' << m.cfg2.ny << ',' << m.cfg2.modes_x << ','
-          << m.cfg2.modes_y << ',' << m.cfg2.layers;
-    } else {
-      out << "1d:" << m.cfg1.in_channels << ',' << m.cfg1.hidden << ',' << m.cfg1.out_channels
-          << ',' << m.cfg1.n << ',' << m.cfg1.modes << ',' << m.cfg1.layers;
-    }
-    out << '@' << m.worker;
-  }
-  return out.str();
+namespace {
+
+/// The two entry grammars (topology.hpp), less the "@worker" suffix.
+void write_entry(std::ostream& out, const core::Fno1dConfig& c) {
+  out << "1d:" << c.in_channels << ',' << c.hidden << ',' << c.out_channels << ',' << c.n << ','
+      << c.modes << ',' << c.layers;
 }
 
-namespace {
+void write_entry(std::ostream& out, const core::Fno2dConfig& c) {
+  out << "2d:" << c.in_channels << ',' << c.hidden << ',' << c.out_channels << ',' << c.nx << ','
+      << c.ny << ',' << c.modes_x << ',' << c.modes_y << ',' << c.layers;
+}
 
 [[noreturn]] void bad_entry(const std::string& entry, const char* why) {
   throw std::invalid_argument("shard::Topology::parse: " + std::string(why) + " in \"" + entry +
@@ -124,6 +105,16 @@ std::vector<std::size_t> parse_fields(const std::string& entry, const std::strin
 }
 
 }  // namespace
+
+std::string Topology::spec() const {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    if (i != 0) out << ';';
+    std::visit([&](const auto& c) { write_entry(out, c); }, models_[i].cfg);
+    out << '@' << models_[i].worker;
+  }
+  return out.str();
+}
 
 Topology Topology::parse(const std::string& spec) {
   Topology topo;

@@ -27,9 +27,7 @@ namespace turbofno::shard {
 
 /// One globally-addressable model and the worker that serves it.
 struct ModelEntry {
-  bool is_2d = false;
-  core::Fno1dConfig cfg1;  // valid when !is_2d
-  core::Fno2dConfig cfg2;  // valid when is_2d
+  core::ModelConfig cfg;
   std::size_t worker = 0;
 };
 
@@ -42,8 +40,7 @@ struct Route {
 class Topology {
  public:
   /// Appends a model owned by `worker`; returns its global id.
-  std::size_t add(const core::Fno1dConfig& cfg, std::size_t worker);
-  std::size_t add(const core::Fno2dConfig& cfg, std::size_t worker);
+  std::size_t add(const core::ModelConfig& cfg, std::size_t worker);
 
   [[nodiscard]] const std::vector<ModelEntry>& models() const noexcept { return models_; }
   [[nodiscard]] std::size_t model_count() const noexcept { return models_.size(); }

@@ -20,12 +20,7 @@ Worker::Worker(const Topology& topo, std::size_t index, Options opts)
   // Register the owned subset in global order: local id i is the i-th
   // owned model, exactly the mapping Topology::route computes.
   for (const std::size_t g : topo.owned(index)) {
-    const ModelEntry& m = topo.models()[g];
-    if (m.is_2d) {
-      server_->load_model(m.cfg2);
-    } else {
-      server_->load_model(m.cfg1);
-    }
+    server_->load_model(topo.models()[g].cfg);
   }
   front_ = std::make_unique<net::SocketServer>(front_options(opts), server_);
 }

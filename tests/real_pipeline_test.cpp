@@ -244,6 +244,39 @@ TEST_P(RealLadder2d, MatchesDirectReference) {
   EXPECT_LT(rel_err(v, ref), 1e-4) << pipe->name();
 }
 
+// One pipeline reserved up front, then real -> complex -> real: the lanes
+// share the workspaces, so each run must match a fresh single-lane pipeline
+// bit for bit, and the second real run must reserve no scratch.
+TEST_P(RealLadder2d, InterleavedLanesAfterReserveAreBitwise) {
+  const auto& [variant, prob] = GetParam();
+  const std::size_t in = prob.batch * prob.hidden * prob.nx * prob.ny;
+  const std::size_t out = prob.batch * prob.out_dim * prob.nx * prob.ny;
+  const auto ur = random_reals(in, 611u);
+  const auto uc = random_signal(in, 613u);
+  const auto w = random_signal(prob.hidden * prob.out_dim, 617u);
+
+  std::vector<float> ref_r(out, 0.0f);
+  make_pipeline2d(variant, prob)->run_batched_real(ur, w, ref_r, prob.batch);
+  std::vector<c32> ref_c(out);
+  make_pipeline2d(variant, prob)->run_batched(uc, w, ref_c, prob.batch);
+
+  Spectral2dProblem one = prob;
+  one.batch = 1;
+  auto pipe = make_pipeline2d(variant, one);
+  pipe->reserve(prob.batch);
+  std::vector<float> r1(out, 0.0f);
+  pipe->run_batched_real(ur, w, r1, prob.batch);
+  std::vector<c32> c(out);
+  pipe->run_batched(uc, w, c, prob.batch);
+  std::vector<float> r2(out, 0.0f);
+  const std::size_t reserved = runtime::tls_scratch().bytes_reserved();
+  pipe->run_batched_real(ur, w, r2, prob.batch);
+  EXPECT_EQ(reserved, runtime::tls_scratch().bytes_reserved()) << pipe->name();
+  EXPECT_TRUE(turbofno::testing::same_bits(r1, ref_r)) << pipe->name();
+  EXPECT_TRUE(turbofno::testing::same_bits(c, ref_c)) << pipe->name();
+  EXPECT_TRUE(turbofno::testing::same_bits(r2, ref_r)) << pipe->name();
+}
+
 INSTANTIATE_TEST_SUITE_P(Ladder, RealLadder2d, ::testing::ValuesIn(real_cases_2d()));
 
 // ------------------------------------------------ layer + model references

@@ -154,7 +154,8 @@ TEST(ShardTopology, SpecSerializationRoundTrips) {
   for (std::size_t i = 0; i < topo.model_count(); ++i) {
     EXPECT_EQ(parsed.route(i).worker, topo.route(i).worker) << "model " << i;
     EXPECT_EQ(parsed.route(i).local, topo.route(i).local) << "model " << i;
-    EXPECT_EQ(parsed.models()[i].is_2d, topo.models()[i].is_2d) << "model " << i;
+    EXPECT_TRUE(parsed.models()[i].cfg == topo.models()[i].cfg) << "model " << i;
+    EXPECT_EQ(parsed.models()[i].worker, topo.models()[i].worker) << "model " << i;
   }
 }
 
