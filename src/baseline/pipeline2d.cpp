@@ -55,6 +55,8 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
                     kReal ? "BaselinePipeline2d(real)" : "BaselinePipeline2d");
   if constexpr (kReal) {
     if (!fwd_y_full_) {
+      inv_x_full_ = fft::acquire_plan({prob_.nx, fft::Direction::Inverse});
+      fwd_x_full_ = fft::acquire_plan({prob_.nx, fft::Direction::Forward});
       inv_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Inverse});
       fwd_y_full_ = fft::acquire_plan({prob_.ny, fft::Direction::Forward});
       real_x_flops_ = fft::rfft2d_x_stage_flops(prob_.nx, prob_.ny, prob_.nx / 2 + 1);
@@ -90,7 +92,7 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
     if constexpr (kReal) {
       // The Y pass runs in place: a full-length plan keeps every bin.
       const auto spectra = freq_full_.span().first(B * K * full);
-      fft::rfft2d_x_stage(NX, FX, u.data(), spectra.data(), B * K, NY);
+      fft::rfft2d_x_stage(*fwd_x_full_, FX, u.data(), spectra.data(), B * K, NY);
       fwd_y_full_->execute(spectra, spectra, B * K * FX);
     } else {
       fwd_full_.execute(u, freq_full_.span(), B * K);
@@ -142,7 +144,7 @@ void BaselinePipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, 
     if constexpr (kReal) {
       const auto padded = mixed_full_.span().first(B * O * full);
       inv_y_full_->execute(padded, padded, B * O * FX);
-      fft::irfft2d_x_stage(NX, FX, padded.data(), v.data(), B * O, NY);
+      fft::irfft2d_x_stage(*inv_x_full_, FX, padded.data(), v.data(), B * O, NY);
     } else {
       inv_full_.execute(mixed_full_.span(), v, B * O);
     }

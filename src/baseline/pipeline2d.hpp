@@ -47,6 +47,8 @@ class BaselinePipeline2d final : public fused::SpectralPipeline2d {
   Spectral2dProblem prob_;
   fft::FftPlan2d fwd_full_;
   fft::FftPlan2d inv_full_;
+  std::shared_ptr<const fft::FftPlan> fwd_x_full_;  // lazy: real lane only
+  std::shared_ptr<const fft::FftPlan> inv_x_full_;  // lazy: real lane only
   std::shared_ptr<const fft::FftPlan> fwd_y_full_;  // lazy: real lane only
   std::shared_ptr<const fft::FftPlan> inv_y_full_;  // lazy: real lane only
   std::uint64_t real_x_flops_ = 0;  // per field, set with the real plans

@@ -91,7 +91,8 @@ class Engine {
   ModelHandle load_model(const ModelConfig& cfg, const WeightBundle& weights);
 
   /// Creates an executable session.  `capacity_hint` pre-sizes the
-  /// workspaces (elastic thereafter).  Thread-safe; the session may
+  /// workspaces for runs up to that batch (they hold one streamed chunk;
+  /// see Fno::reserve), elastic thereafter.  Thread-safe; the session may
   /// outlive neither the engine's model registry nor — being independent
   /// of other sessions — constrain them.
   [[nodiscard]] Session create_session(ModelHandle model, std::size_t capacity_hint = 1) const;

@@ -104,6 +104,12 @@ class Fno {
   /// Micro-batch variant for the serving layer: first `batch` fields; a
   /// batch beyond the current capacity grows the workspaces in place.
   /// Per-field results are bitwise-identical to a batch-1 forward.
+  ///
+  /// Every forward streams the batch through the whole model in chunks of
+  /// chunk_items() fields: each chunk runs lift -> all layers -> projection
+  /// before the next starts, so the hidden fields live in chunk-sized
+  /// buffers that stay cache-resident instead of making a batch-sized round
+  /// trip to memory between stages.
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
   /// Real-input forward: u [batch, in_channels, spatial] and v [batch,
   /// out_channels, spatial] hold real samples; every hidden field stays in
@@ -113,12 +119,19 @@ class Fno {
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   /// Grows the hidden-state workspaces (and every layer's) so forwards up
-  /// to `batch` run without reallocation.  Never shrinks; growth does not
-  /// perturb results or weights.
+  /// to `batch` run without reallocation at the current thread count.
+  /// They are sized for min(batch, chunk_items()) fields, one chunk.
+  /// Never shrinks; growth does not perturb results or weights.
   void reserve(std::size_t batch);
 
+  /// Fields per streamed chunk: as many as fit their hidden state (the two
+  /// ping-pong fields of each) in a 1 MiB cache budget, at least one, times
+  /// runtime::thread_count().  Depends only on the shape and the threads.
+  [[nodiscard]] std::size_t chunk_items() const noexcept;
+
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-  /// Current capacity high-water mark (grows, never shrinks).
+  /// Current capacity high-water mark (grows, never shrinks): the largest
+  /// batch reserved or run, whatever the chunk the workspaces hold.
   [[nodiscard]] std::size_t capacity() const noexcept { return batch_; }
   [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
 
@@ -138,14 +151,20 @@ class Fno {
   [[nodiscard]] const PointwiseLinear& projection() const noexcept { return project_; }
 
  private:
+  /// Grows the hidden buffers and every layer to hold `items` fields.
+  void reserve_items(std::size_t items);
+  /// One forward on either lane: T is c32 (complex) or float (real).
+  template <class T>
+  void run_lane(std::span<const T> u, std::span<T> v, std::size_t batch);
+
   Config cfg_;
   std::size_t batch_;
   PointwiseLinear lift_;
   std::vector<SpectralLayer> spectral_;
   std::vector<PointwiseLinear> residual_;
   PointwiseLinear project_;
-  // Hidden-field ping-pong; the real lane runs on float views of the same
-  // storage (a c32 buffer holds twice the floats it needs).
+  // Hidden-field ping-pong for one chunk; the real lane runs on float views
+  // of the same storage (a c32 buffer holds twice the floats it needs).
   AlignedBuffer<c32> h0_;
   AlignedBuffer<c32> h1_;
 };

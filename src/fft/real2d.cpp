@@ -131,23 +131,26 @@ void inverse_pairs(const FftPlan& plan, const c32* A, const c32* B, std::size_t 
   xblock::scatter(xblock::transform(plan, gp, buf), nx, gp, rows, xblock::field_layout(ny / 2));
 }
 
-// Every real X stage runs body(plan, f, y0, gp, buf, A, B) once per
-// (field, slab) task, in parallel over the tasks: float columns
-// [y0, y0 + 2 gp) of field f through the full nx-point `dir` plan, with
-// column-block scratch `buf` and `bins`-row A/B buffers.
+// Every real X stage runs body(f, y0, gp, buf, A, B) once per (field,
+// slab) task, in parallel over the tasks: float columns [y0, y0 + 2 gp) of
+// field f, with column-block scratch `buf` for `plan` (the full nx-point
+// transform of direction `dir` the body runs) and `bins`-row A/B buffers.
 template <class Body>
-void pair_tasks(Direction dir, std::size_t nx, std::size_t bins, std::size_t fields,
+void pair_tasks(Direction dir, const FftPlan& plan, std::size_t bins, std::size_t fields,
                 std::size_t ny, const Body& body) {
-  check_real2d(nx, ny, bins);
+  const PlanDesc& d = plan.desc();
+  if (d.dir != dir || d.keep_or_n() != d.n || d.nonzero_or_n() != d.n || !d.scale_inverse) {
+    throw std::invalid_argument("real 2D X stage: needs the full-length plan of its direction");
+  }
+  check_real2d(d.n, ny, bins);
   if (fields == 0 || ny == 0) return;
-  const auto plan = acquire_plan({nx, dir});
   const xblock::SlabGrid grid = xblock::slab_grid(ny);
   runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> buf = arena.alloc<c32>(xblock::scratch_elems(nx));
+    const std::span<c32> buf = arena.alloc<c32>(xblock::scratch_elems(d.n));
     const std::span<c32> ab = arena.alloc<c32>(2 * bins * xblock::kBlockCols);
     c32* A = ab.data();
     c32* B = ab.data() + bins * xblock::kBlockCols;
@@ -155,7 +158,7 @@ void pair_tasks(Direction dir, std::size_t nx, std::size_t bins, std::size_t fie
       const std::size_t f = t / grid.slabs_per_field;
       const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      body(*plan, f, y0, g / 2, buf, A, B);
+      body(f, y0, g / 2, buf, A, B);
     }
     // tfno-hot-end
   });
@@ -167,13 +170,14 @@ std::uint64_t rfft2d_x_stage_flops(std::size_t nx, std::size_t ny, std::size_t k
   return (ny / 2) * count_full_ops(nx).flops() + ny * 8 * keep_x;
 }
 
-void rfft2d_x_stage_to_tiles(std::size_t nx, std::size_t keep_x, const float* in,
+void rfft2d_x_stage_to_tiles(const FftPlan& fwd_x, std::size_t keep_x, const float* in,
                              std::size_t fields, std::size_t ny, const XStageTileDst& dst) {
-  pair_tasks(Direction::Forward, nx, keep_x, fields, ny,
-             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
-                 std::span<c32> buf, c32* A, c32* B) {
+  const std::size_t nx = fwd_x.desc().n;
+  pair_tasks(Direction::Forward, fwd_x, keep_x, fields, ny,
+             [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
+                 c32* B) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
-    forward_pairs(plan, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
+    forward_pairs(fwd_x, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
     // Block row 2p (2p+1) is the even (odd) column of pair p: A's and B's
     // columns land 2 * keep_x apart.
     c32* block = dst(f, y0, 2 * gp);
@@ -183,28 +187,30 @@ void rfft2d_x_stage_to_tiles(std::size_t nx, std::size_t keep_x, const float* in
   });
 }
 
-void irfft2d_x_stage_from_tiles(std::size_t nx, std::size_t nonzero_x,
+void irfft2d_x_stage_from_tiles(const FftPlan& inv_x, std::size_t nonzero_x,
                                 const XStageTileSrc& src, float* out, std::size_t fields,
                                 std::size_t ny) {
-  pair_tasks(Direction::Inverse, nx, nonzero_x, fields, ny,
-             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
-                 std::span<c32> buf, c32* A, c32* B) {
+  const std::size_t nx = inv_x.desc().n;
+  pair_tasks(Direction::Inverse, inv_x, nonzero_x, fields, ny,
+             [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
+                 c32* B) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
     const c32* block = src(f, y0, 2 * gp);
     xblock::gather(block, xblock::tile_layout(2 * nonzero_x), nonzero_x, gp, A);
     xblock::gather(block + nonzero_x, xblock::tile_layout(2 * nonzero_x), nonzero_x, gp, B);
-    inverse_pairs(plan, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
+    inverse_pairs(inv_x, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
     // tfno-hot-end
   });
 }
 
-void rfft2d_x_stage(std::size_t nx, std::size_t keep_x, const float* in, c32* out,
+void rfft2d_x_stage(const FftPlan& fwd_x, std::size_t keep_x, const float* in, c32* out,
                     std::size_t fields, std::size_t ny) {
-  pair_tasks(Direction::Forward, nx, keep_x, fields, ny,
-             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
-                 std::span<c32> buf, c32* A, c32* B) {
+  const std::size_t nx = fwd_x.desc().n;
+  pair_tasks(Direction::Forward, fwd_x, keep_x, fields, ny,
+             [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
+                 c32* B) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
-    forward_pairs(plan, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
+    forward_pairs(fwd_x, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
     // x-major spectrum rows: the two columns of a pair are adjacent c32.
     for (std::size_t k = 0; k < keep_x; ++k) {
       c32* row = out + (f * keep_x + k) * ny + y0;
@@ -217,11 +223,12 @@ void rfft2d_x_stage(std::size_t nx, std::size_t keep_x, const float* in, c32* ou
   });
 }
 
-void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float* out,
+void irfft2d_x_stage(const FftPlan& inv_x, std::size_t nonzero_x, const c32* in, float* out,
                      std::size_t fields, std::size_t ny) {
-  pair_tasks(Direction::Inverse, nx, nonzero_x, fields, ny,
-             [&](const FftPlan& plan, std::size_t f, std::size_t y0, std::size_t gp,
-                 std::span<c32> buf, c32* A, c32* B) {
+  const std::size_t nx = inv_x.desc().n;
+  pair_tasks(Direction::Inverse, inv_x, nonzero_x, fields, ny,
+             [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
+                 c32* B) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
     for (std::size_t k = 0; k < nonzero_x; ++k) {
       const c32* row = in + (f * nonzero_x + k) * ny + y0;
@@ -230,9 +237,19 @@ void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float
         B[k * gp + p] = row[2 * p + 1];
       }
     }
-    inverse_pairs(plan, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
+    inverse_pairs(inv_x, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
     // tfno-hot-end
   });
+}
+
+void rfft2d_x_stage(std::size_t nx, std::size_t keep_x, const float* in, c32* out,
+                    std::size_t fields, std::size_t ny) {
+  rfft2d_x_stage(*acquire_plan({nx, Direction::Forward}), keep_x, in, out, fields, ny);
+}
+
+void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float* out,
+                     std::size_t fields, std::size_t ny) {
+  irfft2d_x_stage(*acquire_plan({nx, Direction::Inverse}), nonzero_x, in, out, fields, ny);
 }
 
 }  // namespace turbofno::fft

@@ -37,15 +37,26 @@
 
 namespace turbofno::fft {
 
+// Every X stage runs full-length nx-point C2C transforms: `fwd_x` is the
+// {nx, Forward} plan and `inv_x` the {nx, Inverse} one (any other plan is
+// rejected), so a pipeline that runs a stage every forward looks its plan
+// up once.  nx and ny must be powers of two >= 4 resp. >= 2, and keep_x /
+// nonzero_x lie in [1, nx/2 + 1].
+
 /// Forward whole-field real X stage: `in` holds `fields` x [nx, ny] real
 /// fields, `out` receives fields x [keep_x, ny] spectra (x-major).
-/// nx, ny must be powers of two >= 4 resp. >= 2; keep_x <= nx/2 + 1.
+void rfft2d_x_stage(const FftPlan& fwd_x, std::size_t keep_x, const float* in, c32* out,
+                    std::size_t fields, std::size_t ny);
+/// The same, looking up the {nx, Forward} plan in the plan cache.
 void rfft2d_x_stage(std::size_t nx, std::size_t keep_x, const float* in, c32* out,
                     std::size_t fields, std::size_t ny);
 
 /// Inverse whole-field real X stage: `in` holds fields x [nonzero_x, ny]
 /// spectra (bins [nonzero_x, nx/2] implicit zeros, upper half Hermitian),
 /// `out` receives fields x [nx, ny] real fields.
+void irfft2d_x_stage(const FftPlan& inv_x, std::size_t nonzero_x, const c32* in, float* out,
+                     std::size_t fields, std::size_t ny);
+/// The same, looking up the {nx, Inverse} plan in the plan cache.
 void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float* out,
                      std::size_t fields, std::size_t ny);
 
@@ -58,13 +69,13 @@ std::uint64_t rfft2d_x_stage_flops(std::size_t nx, std::size_t ny, std::size_t k
 /// input fields are real and the y-major destination blocks hold keep_x-bin
 /// half-spectra per column.  y0 and g delivered to `dst` are always even
 /// (columns pair up), so resolvers may assume whole pairs.
-void rfft2d_x_stage_to_tiles(std::size_t nx, std::size_t keep_x, const float* in,
+void rfft2d_x_stage_to_tiles(const FftPlan& fwd_x, std::size_t keep_x, const float* in,
                              std::size_t fields, std::size_t ny, const XStageTileDst& dst);
 
 /// Tile-granular inverse real X stage: reads y-major blocks of
 /// nonzero_x-bin half-spectra per column and scatters real columns into the
 /// x-major [nx, ny] output fields.
-void irfft2d_x_stage_from_tiles(std::size_t nx, std::size_t nonzero_x,
+void irfft2d_x_stage_from_tiles(const FftPlan& inv_x, std::size_t nonzero_x,
                                 const XStageTileSrc& src, float* out, std::size_t fields,
                                 std::size_t ny);
 

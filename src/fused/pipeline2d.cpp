@@ -63,6 +63,8 @@ LadderPipeline2d::LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob)
       ifft_x_pad_(fft::acquire_plan({prob.nx, fft::Direction::Inverse, 0, prob.modes_x})),
       fwd_y_(fft::acquire_plan({prob.ny, fft::Direction::Forward, prob.modes_y})),
       inv_y_(fft::acquire_plan({prob.ny, fft::Direction::Inverse, 0, prob.modes_y})),
+      real_x_fwd_(fft::acquire_plan({prob.nx, fft::Direction::Forward})),
+      real_x_inv_(fft::acquire_plan({prob.nx, fft::Direction::Inverse})),
       real_x_flops_(fft::rfft2d_x_stage_flops(prob.nx, prob.ny, real_modes_x())),
       kloop_(prob.out_dim, prob.hidden),
       counters_(counters_name(fusion_, "-2d")) {
@@ -244,7 +246,7 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
                                  const fft::XStageTileDst& dst) {
     const T* src = u.data() + b0 * K * NX * NY;
     if constexpr (kReal) {
-      fft::rfft2d_x_stage_to_tiles(NX, mx, src, g * K, NY, dst);
+      fft::rfft2d_x_stage_to_tiles(*real_x_fwd_, mx, src, g * K, NY, dst);
     } else {
       fft::fft2d_x_stage_to_tiles(*fft_x_trunc_, src, g * K, NY, dst);
     }
@@ -253,7 +255,7 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
                                  const fft::XStageTileSrc& src) {
     T* dst = v.data() + b0 * O * NX * NY;
     if constexpr (kReal) {
-      fft::irfft2d_x_stage_from_tiles(NX, mx, src, dst, g * O, NY);
+      fft::irfft2d_x_stage_from_tiles(*real_x_inv_, mx, src, dst, g * O, NY);
     } else {
       fft::fft2d_x_stage_from_tiles(*ifft_x_pad_, src, dst, g * O, NY);
     }

@@ -163,6 +163,9 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   std::shared_ptr<const fft::FftPlan> ifft_x_pad_;
   std::shared_ptr<const fft::FftPlan> fwd_y_;  // truncated FFT along Y feeding the k-loop
   std::shared_ptr<const fft::FftPlan> inv_y_;  // zero-padded iFFT along Y (the k-loop epilogue)
+  // The real lane's X stages run full-length nx-point transforms.
+  std::shared_ptr<const fft::FftPlan> real_x_fwd_;
+  std::shared_ptr<const fft::FftPlan> real_x_inv_;
   // FLOPs per field of either real X stage (fft::rfft2d_x_stage_flops).
   std::uint64_t real_x_flops_;
   KLoopGemm kloop_;

@@ -264,7 +264,7 @@ TEST(Rfft2dXStage, TilesMatchWholeField) {
 
   // y-major tile layout: column y of field f lives at rows [y*keep_x, ...).
   std::vector<c32> tiles(fields * ny * keep_x);
-  rfft2d_x_stage_to_tiles(nx, keep_x, in.data(), fields, ny,
+  rfft2d_x_stage_to_tiles(*acquire_plan({nx, Direction::Forward}), keep_x, in.data(), fields, ny,
                           [&](std::size_t f, std::size_t y0, std::size_t) {
                             return tiles.data() + (f * ny + y0) * keep_x;
                           });
@@ -278,6 +278,24 @@ TEST(Rfft2dXStage, TilesMatchWholeField) {
       }
     }
   }
+}
+
+TEST(Rfft2dXStage, PlanEntryPointsTakeOnlyTheFullLengthPlanOfTheirDirection) {
+  const std::size_t nx = 16;
+  const std::size_t ny = 8;
+  const auto in = random_reals(nx * ny, 1183u);
+  std::vector<c32> spec(5 * ny);
+  std::vector<float> out(nx * ny);
+  const FftPlan inverse({nx, Direction::Inverse});
+  const FftPlan truncated({nx, Direction::Forward, 5});
+  EXPECT_THROW(rfft2d_x_stage(inverse, 5, in.data(), spec.data(), 1, ny), std::invalid_argument);
+  EXPECT_THROW(rfft2d_x_stage(truncated, 5, in.data(), spec.data(), 1, ny),
+               std::invalid_argument);
+  const FftPlan forward({nx, Direction::Forward});
+  const FftPlan padded({nx, Direction::Inverse, 0, 5});
+  EXPECT_THROW(irfft2d_x_stage(forward, 5, spec.data(), out.data(), 1, ny),
+               std::invalid_argument);
+  EXPECT_THROW(irfft2d_x_stage(padded, 5, spec.data(), out.data(), 1, ny), std::invalid_argument);
 }
 
 TEST(Irfft2dXStage, RoundTripRecoversField) {
@@ -317,7 +335,7 @@ TEST(Irfft2dXStage, FromTilesMatchesWholeField) {
     }
   }
   std::vector<float> from_tiles(fields * nx * ny);
-  irfft2d_x_stage_from_tiles(nx, nonzero_x,
+  irfft2d_x_stage_from_tiles(*acquire_plan({nx, Direction::Inverse}), nonzero_x,
                              [&](std::size_t f, std::size_t y0, std::size_t) {
                                return static_cast<const c32*>(tiles.data() +
                                                               (f * ny + y0) * nonzero_x);
@@ -362,7 +380,7 @@ TEST_P(RealOneXKernel, LayoutsAreBitwiseAndMatchReference) {
   const auto in = random_reals(fields * nx * ny, seed);
   std::vector<c32> rows(fields * keep_x * ny), tiles(fields * ny * keep_x);
   rfft2d_x_stage(nx, keep_x, in.data(), rows.data(), fields, ny);
-  rfft2d_x_stage_to_tiles(nx, keep_x, in.data(), fields, ny,
+  rfft2d_x_stage_to_tiles(*acquire_plan({nx, Direction::Forward}), keep_x, in.data(), fields, ny,
                           [&](std::size_t f, std::size_t y0, std::size_t) {
                             return tiles.data() + (f * ny + y0) * keep_x;
                           });
@@ -372,7 +390,7 @@ TEST_P(RealOneXKernel, LayoutsAreBitwiseAndMatchReference) {
   const auto spec_tiles = y_major(spec, fields, keep_x, ny);
   std::vector<float> from_rows(fields * nx * ny), from_tiles(fields * nx * ny);
   irfft2d_x_stage(nx, keep_x, spec.data(), from_rows.data(), fields, ny);
-  irfft2d_x_stage_from_tiles(nx, keep_x,
+  irfft2d_x_stage_from_tiles(*acquire_plan({nx, Direction::Inverse}), keep_x,
                              [&](std::size_t f, std::size_t y0, std::size_t) {
                                return static_cast<const c32*>(spec_tiles.data() +
                                                               (f * ny + y0) * keep_x);

@@ -12,6 +12,7 @@
 #include "core/workload.hpp"
 #include "gemm/batched.hpp"
 #include "runtime/parallel.hpp"
+#include "runtime/scratch.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::core {
@@ -20,6 +21,7 @@ namespace {
 using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
+using turbofno::testing::same_bits;
 
 Fno1dConfig small_1d_cfg(Backend backend) {
   Fno1dConfig cfg;
@@ -145,6 +147,82 @@ TEST(Fno2dModel, BackendsAgreeEndToEnd) {
     outs.push_back(std::move(v));
   }
   EXPECT_LT(rel_err(outs[1], outs[0]), 5e-4);
+}
+
+/// A forward streams its batch through the model chunk_items() fields at a
+/// time.  At 1 and 4 threads, batches of c + 1 and 3c - 1 (a remainder
+/// chunk each) must match batch-1 forwards bit for bit on both lanes; after
+/// reserve(batch) a repeated forward allocates no scratch, and capacity()
+/// reports the batch, not the chunk.
+template <class Config>
+void expect_chunked_forward_bitwise(const Config& cfg, std::size_t spatial) {
+  const std::size_t in = cfg.in_channels * spatial;
+  const std::size_t out = cfg.out_channels * spatial;
+  const int saved = runtime::thread_count();
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    Fno<Config> model(cfg);
+    Fno<Config> single(cfg);
+    const std::size_t c = model.chunk_items();
+    for (const std::size_t batch : {c + 1, 3 * c - 1}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads << ", chunk " << c
+                                        << ", batch " << batch);
+      model.reserve(batch);
+      EXPECT_EQ(model.capacity(), batch);
+
+      const auto u = random_signal(batch * in, 500u + static_cast<unsigned>(batch));
+      std::vector<c32> v(batch * out);
+      std::vector<c32> want(batch * out);
+      model.forward(u, v, batch);
+      const std::size_t arena = runtime::tls_scratch().bytes_reserved();
+      model.forward(u, v, batch);
+      EXPECT_EQ(runtime::tls_scratch().bytes_reserved(), arena);
+      for (std::size_t b = 0; b < batch; ++b) {
+        single.forward(std::span<const c32>(u).subspan(b * in, in),
+                       std::span<c32>(want).subspan(b * out, out), 1);
+      }
+      EXPECT_TRUE(same_bits(v, want)) << "complex lane";
+
+      const auto ur = turbofno::testing::random_reals(batch * in, 600u + static_cast<unsigned>(batch));
+      std::vector<float> vr(batch * out);
+      std::vector<float> want_r(batch * out);
+      model.forward_real(ur, vr, batch);
+      const std::size_t arena_r = runtime::tls_scratch().bytes_reserved();
+      model.forward_real(ur, vr, batch);
+      EXPECT_EQ(runtime::tls_scratch().bytes_reserved(), arena_r);
+      for (std::size_t b = 0; b < batch; ++b) {
+        single.forward_real(std::span<const float>(ur).subspan(b * in, in),
+                            std::span<float>(want_r).subspan(b * out, out), 1);
+      }
+      EXPECT_TRUE(same_bits(vr, want_r)) << "real lane";
+    }
+  }
+  runtime::set_thread_count(saved);
+}
+
+TEST(FnoChunkedForward, Fno1dMatchesBatchOneForwardsBitwise) {
+  // 512 KiB of hidden state per item: two items per thread in a chunk.
+  Fno1dConfig cfg;
+  cfg.in_channels = 2;
+  cfg.hidden = 64;
+  cfg.out_channels = 2;
+  cfg.n = 512;
+  cfg.modes = 32;
+  cfg.layers = 2;
+  expect_chunked_forward_bitwise(cfg, cfg.n);
+}
+
+TEST(FnoChunkedForward, Fno2dMatchesBatchOneForwardsBitwise) {
+  Fno2dConfig cfg;
+  cfg.in_channels = 1;
+  cfg.hidden = 8;
+  cfg.out_channels = 2;
+  cfg.nx = 64;
+  cfg.ny = 64;
+  cfg.modes_x = 8;
+  cfg.modes_y = 8;
+  cfg.layers = 2;
+  expect_chunked_forward_bitwise(cfg, cfg.nx * cfg.ny);
 }
 
 TEST(PointwiseLinearTest, MatchesNaiveMixing) {

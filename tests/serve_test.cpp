@@ -390,6 +390,20 @@ struct CompletionLog {
   }
 };
 
+/// Wraps a blocker's completion callback so it holds the single executor
+/// until the test opens the gate: fulfils its promise, or destroys it when
+/// a failed assertion leaves the test early.  Callbacks run on the executor
+/// thread before the model is marked idle, so whatever the test submits
+/// before opening the gate queues behind the blocker however fast its
+/// forward ran.
+template <class Callback>
+auto gated(std::promise<void>& gate, Callback cb) {
+  return [open = gate.get_future().share(), cb](InferResponse&& r) mutable {
+    open.wait();
+    cb(std::move(r));
+  };
+}
+
 }  // namespace
 
 TEST(ServeQos, HighPriorityOvertakesQueuedNormalWork) {
@@ -402,11 +416,7 @@ TEST(ServeQos, HighPriorityOvertakesQueuedNormalWork) {
 
   // The blocker occupies the only worker while the burst is enqueued, so
   // the pop order of the burst is decided strictly by QoS, not timing.
-  core::Fno1dConfig heavy = wide_1d();
-  heavy.n = 512;
-  heavy.modes = 128;
-  heavy.layers = 3;
-  const ModelId blocker_model = server.load_model(heavy);
+  const ModelId blocker_model = server.load_model(wide_1d());
   const ModelId m = server.load_model(small_1d());
 
   CompletionLog log;
@@ -417,8 +427,9 @@ TEST(ServeQos, HighPriorityOvertakesQueuedNormalWork) {
     };
   };
 
+  std::promise<void> gate;  // after server: destroyed first, so it opens on any exit
   server.submit(blocker_model, random_signal(server.input_elems(blocker_model), 1u),
-                cb("blocker"));
+                gated(gate, cb("blocker")));
   // First burst request launches immediately behind the blocker in the
   // worker queue and pins the model busy; the rest pile up and are popped
   // by QoS class when the chain relaunches.
@@ -429,6 +440,7 @@ TEST(ServeQos, HighPriorityOvertakesQueuedNormalWork) {
     server.submit(m, random_signal(server.input_elems(m), 200u + i), cb("high"),
                   SubmitOptions{Priority::High});
   }
+  gate.set_value();
   server.drain();
 
   ASSERT_EQ(log.order.size(), 9u);
@@ -451,11 +463,7 @@ TEST(ServeQos, StarvationGuardPromotesOverdueNormalWork) {
   so.workers = 1;
   InferenceServer server(so);
 
-  core::Fno1dConfig heavy = wide_1d();
-  heavy.n = 512;
-  heavy.modes = 128;
-  heavy.layers = 3;
-  const ModelId blocker_model = server.load_model(heavy);
+  const ModelId blocker_model = server.load_model(wide_1d());
   const ModelId m = server.load_model(small_1d());
 
   CompletionLog log;
@@ -466,8 +474,9 @@ TEST(ServeQos, StarvationGuardPromotesOverdueNormalWork) {
     };
   };
 
+  std::promise<void> gate;  // after server: destroyed first, so it opens on any exit
   server.submit(blocker_model, random_signal(server.input_elems(blocker_model), 1u),
-                cb("blocker"));
+                gated(gate, cb("blocker")));
   for (int i = 0; i < 2; ++i) {
     server.submit(m, random_signal(server.input_elems(m), 300u + i), cb("normal"));
   }
@@ -475,6 +484,7 @@ TEST(ServeQos, StarvationGuardPromotesOverdueNormalWork) {
     server.submit(m, random_signal(server.input_elems(m), 400u + i), cb("high"),
                   SubmitOptions{Priority::High});
   }
+  gate.set_value();
   server.drain();
 
   std::vector<std::string> burst(log.order.begin(), log.order.end());
@@ -530,15 +540,12 @@ TEST(ServeAdmission, InfeasibleNormalShedsWhileFeasibleHighAdmits) {
 
   // The blocker pins the only worker so the small model's backlog holds
   // still while the probes below are judged.
-  core::Fno1dConfig heavy = wide_1d();
-  heavy.n = 512;
-  heavy.modes = 128;
-  heavy.layers = 3;
-  const ModelId blocker_model = server.load_model(heavy);
+  const ModelId blocker_model = server.load_model(wide_1d());
   const ModelId m = server.load_model(small_1d());
 
+  std::promise<void> gate;  // after server: destroyed first, so it opens on any exit
   server.submit(blocker_model, random_signal(server.input_elems(blocker_model), 1u),
-                [](InferResponse&& r) { ASSERT_EQ(r.status, Status::Ok); });
+                gated(gate, [](InferResponse&& r) { ASSERT_EQ(r.status, Status::Ok); }));
   // Saturate m: the first request launches (model busy, parked behind the
   // blocker in the worker queue); five more queue up.  None carry
   // deadlines, so none of these shed.
@@ -555,8 +562,11 @@ TEST(ServeAdmission, InfeasibleNormalShedsWhileFeasibleHighAdmits) {
   server.set_exec_estimate(m, 1.0);
   EXPECT_DOUBLE_EQ(server.exec_estimate(m), 1.0);
 
+  // A shed is answered at submission; an admitted probe would wait behind
+  // the gate.
   auto shed_normal = server.submit(m, random_signal(server.input_elems(m), 90u),
                                    SubmitOptions{Priority::Normal, 2.0});
+  ASSERT_EQ(shed_normal.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(shed_normal.get().status, Status::Shed);
 
   server.set_exec_estimate(m, 1.0);
@@ -567,6 +577,7 @@ TEST(ServeAdmission, InfeasibleNormalShedsWhileFeasibleHighAdmits) {
   server.set_exec_estimate(m, 1.0);
   auto shed_high = server.submit(m, random_signal(server.input_elems(m), 92u),
                                  SubmitOptions{Priority::High, 0.5});
+  ASSERT_EQ(shed_high.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(shed_high.get().status, Status::Shed);
 
   const auto mid = server.stats();
@@ -575,6 +586,7 @@ TEST(ServeAdmission, InfeasibleNormalShedsWhileFeasibleHighAdmits) {
 
   // Every admitted request — including the deadline-armed High one —
   // completes normally; shedding refused doomed work, nothing else.
+  gate.set_value();
   server.drain();
   EXPECT_EQ(high_ok.get().status, Status::Ok);
   for (auto& f : admitted) EXPECT_EQ(f.get().status, Status::Ok);
