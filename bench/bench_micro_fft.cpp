@@ -99,6 +99,70 @@ void BM_FftStridedAlongHidden(benchmark::State& state) {
 }
 BENCHMARK(BM_FftStridedAlongHidden)->Arg(8)->Arg(64)->Arg(128);
 
+// One batch of FNO-shaped transforms (arg1 = 0: forward keeping n/2 bins,
+// 1: inverse of n/2 stored bins), serial on one thread, run either one
+// signal at a time through execute_one (BM_BatchPerSignal) or column-blocked
+// through execute_blocked (BM_BatchBlocked), whose time includes the
+// transposes into and out of its [n][8] blocks.  Same bits either way; the
+// pair is the engine's A/B below the model level.  256 contiguous signals
+// keep the batch L2-resident at n = 256.
+struct FnoBatch {
+  static constexpr std::size_t kSignals = 256;
+  fft::FftPlan plan;
+  std::size_t in_len;
+  std::size_t out_len;
+  AlignedBuffer<c32> in;
+  AlignedBuffer<c32> out;
+  AlignedBuffer<c32> work;
+
+  static fft::FftPlan fno_plan(std::size_t n, bool inverse) {
+    return inverse ? plan_of(n, fft::Direction::Inverse, 0, n / 2)
+                   : plan_of(n, fft::Direction::Forward, n / 2);
+  }
+
+  explicit FnoBatch(const benchmark::State& state)
+      : plan(fno_plan(static_cast<std::size_t>(state.range(0)), state.range(1) != 0)),
+        in_len(plan.desc().nonzero_or_n()),
+        out_len(plan.desc().keep_or_n()),
+        in(kSignals * in_len),
+        out(kSignals * out_len),
+        work(plan.blocked_scratch_elems()) {
+    core::fill_random(in.span(), 8u);
+  }
+
+  static void finish(benchmark::State& state) {
+    state.counters["s/signal"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * static_cast<double>(kSignals),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  }
+};
+
+void BM_BatchPerSignal(benchmark::State& state) {
+  FnoBatch b(state);
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < FnoBatch::kSignals; ++c) {
+      b.plan.execute_one(b.in.data() + c * b.in_len, 1, b.out.data() + c * b.out_len, 1,
+                         b.work.span());
+    }
+    benchmark::DoNotOptimize(b.out.data());
+    benchmark::ClobberMemory();
+  }
+  FnoBatch::finish(state);
+}
+BENCHMARK(BM_BatchPerSignal)->ArgsProduct({{128, 256}, {0, 1}});
+
+void BM_BatchBlocked(benchmark::State& state) {
+  FnoBatch b(state);
+  for (auto _ : state) {
+    b.plan.execute_blocked(FnoBatch::kSignals, b.in.data(), fft::tile_layout(b.in_len),
+                           b.out.data(), fft::tile_layout(b.out_len), b.work.span());
+    benchmark::DoNotOptimize(b.out.data());
+    benchmark::ClobberMemory();
+  }
+  FnoBatch::finish(state);
+}
+BENCHMARK(BM_BatchBlocked)->ArgsProduct({{128, 256}, {0, 1}});
+
 // The 2D transform at arg0 = nx = ny.  The batch is sized to the thread
 // count so FftPlan2d's per-field fused path passes its batch >=
 // thread_count() gate on multi-core hosts (it parallelizes across fields

@@ -21,8 +21,9 @@ constexpr std::uint32_t kMagic = 0x4f4e4654u;  // "TFNO" little-endian
 
 template <class T>
 void put(std::vector<std::uint8_t>& out, const T& v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
 template <class T>

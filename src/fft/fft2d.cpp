@@ -60,12 +60,12 @@ Plan2dDesc validated_2d(Plan2dDesc d) {
 // FNO-shaped truncated plans (tile = ny * modes_x) are far below this.
 constexpr std::size_t kFusedFieldBudgetBytes = 1u << 20;
 
-// Every X stage below runs one xblock::run per (field, column slab) task,
-// in parallel over the tasks; `in_l` / `out_l` say whether each side is
-// x-major field rows or the caller's y-major tile blocks.
+// Every X stage below runs one execute_blocked per (field, column slab)
+// task, in parallel over the tasks; `in_l` / `out_l` say whether each side
+// is x-major field rows or the caller's y-major tile blocks.
 template <class InAt, class OutAt>
 void x_stage_tasks(const FftPlan& plan, std::size_t fields, std::size_t ny, const InAt& in_at,
-                   xblock::Layout in_l, const OutAt& out_at, xblock::Layout out_l) {
+                   Layout in_l, const OutAt& out_at, Layout out_l) {
   if (fields == 0 || ny == 0) return;
   const xblock::SlabGrid grid = xblock::slab_grid(ny);
   runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
@@ -73,12 +73,12 @@ void x_stage_tasks(const FftPlan& plan, std::size_t fields, std::size_t ny, cons
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> buf = arena.alloc<c32>(xblock::scratch_elems(plan.desc().n));
+    const std::span<c32> buf = arena.alloc<c32>(plan.blocked_scratch_elems());
     for (std::size_t t = lo; t < hi; ++t) {
       const std::size_t f = t / grid.slabs_per_field;
       const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      xblock::run(plan, g, in_at(f, y0, g), in_l, out_at(f, y0, g), out_l, buf);
+      plan.execute_blocked(g, in_at(f, y0, g), in_l, out_at(f, y0, g), out_l, buf);
     }
     // tfno-hot-end
   });
@@ -96,9 +96,9 @@ void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fie
   x_stage_tasks(
       plan, fields, ny,
       [&](std::size_t f, std::size_t y0, std::size_t) { return in + f * rows_in * ny + y0; },
-      xblock::field_layout(ny),
+      field_layout(ny),
       [&](std::size_t f, std::size_t y0, std::size_t) { return out + f * rows_out * ny + y0; },
-      xblock::field_layout(ny));
+      field_layout(ny));
 }
 
 void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fields,
@@ -107,16 +107,16 @@ void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fiel
   x_stage_tasks(
       plan, fields, ny,
       [&](std::size_t f, std::size_t y0, std::size_t) { return in + f * rows_in * ny + y0; },
-      xblock::field_layout(ny), dst, xblock::tile_layout(plan.desc().keep_or_n()));
+      field_layout(ny), dst, tile_layout(plan.desc().keep_or_n()));
 }
 
 void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32* out,
                               std::size_t fields, std::size_t ny) {
   const std::size_t rows_out = plan.desc().keep_or_n();
   x_stage_tasks(
-      plan, fields, ny, src, xblock::tile_layout(plan.desc().nonzero_or_n()),
+      plan, fields, ny, src, tile_layout(plan.desc().nonzero_or_n()),
       [&](std::size_t f, std::size_t y0, std::size_t) { return out + f * rows_out * ny + y0; },
-      xblock::field_layout(ny));
+      field_layout(ny));
 }
 
 FftPlan2d::FftPlan2d(Plan2dDesc desc)
@@ -149,10 +149,10 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
   // y-major arena tile ([ny, kx], row y holds the kx surviving X modes of
   // column y) and runs the Y stage straight out of / into it.  The x-major
   // [kx, ny] intermediate of the two-pass path never exists; the Y stage
-  // pays strided (stride kx) gathers instead, against scratch that stays
-  // cache-resident.  Bitwise-identical to the two-pass path: both run the
-  // same X-stage column blocks, and every Y transform gathers the same
-  // values into the same contiguous work buffer.
+  // reads its blocks of 8 adjacent tile columns instead, against scratch
+  // that stays cache-resident.  Bitwise-identical to the two-pass path:
+  // both run every transform through execute_blocked, whose output per
+  // signal does not depend on the layout or the batch around it.
   const std::size_t ny = desc_.ny;
   const std::size_t kx = desc_.keep_x_or_nx();
   const std::size_t in_f = in_field_elems();
@@ -165,29 +165,25 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
     const std::span<c32> staging = arena.alloc<c32>(ny * kx);
-    const std::span<c32> xbuf = arena.alloc<c32>(xblock::scratch_elems(desc_.nx));
-    const std::span<c32> work = arena.alloc<c32>(along_y_.scratch_elems());
+    const std::span<c32> xbuf = arena.alloc<c32>(along_x_.blocked_scratch_elems());
+    const std::span<c32> ybuf = arena.alloc<c32>(along_y_.blocked_scratch_elems());
 
     for (std::size_t f = lo; f < hi; ++f) {
       if (desc_.dir == Direction::Forward) {
         // X stage into the y-major tile (serial within the task;
-        // parallelism comes from the field loop).
-        xblock::run(along_x_, ny, in.data() + f * in_f, xblock::field_layout(ny),
-                    staging.data(), xblock::tile_layout(kx), xbuf);
-        // Y stage: row x of the output gathers column x of the tile.
-        for (std::size_t x = 0; x < kx; ++x) {
-          along_y_.execute_one(staging.data() + x, static_cast<std::ptrdiff_t>(kx),
-                               out.data() + f * out_f + x * y_out_len, 1, work);
-        }
+        // parallelism comes from the field loop), then the Y stage: row x
+        // of the output is column x of the tile.
+        along_x_.execute_blocked(ny, in.data() + f * in_f, field_layout(ny), staging.data(),
+                                 tile_layout(kx), xbuf);
+        along_y_.execute_blocked(kx, staging.data(), field_layout(kx),
+                                 out.data() + f * out_f, tile_layout(y_out_len), ybuf);
       } else {
         // Inverse: Y stage scatters into the y-major tile, then the X stage
         // consumes it.
-        for (std::size_t x = 0; x < kx; ++x) {
-          along_y_.execute_one(in.data() + f * in_f + x * y_in_len, 1,
-                               staging.data() + x, static_cast<std::ptrdiff_t>(kx), work);
-        }
-        xblock::run(along_x_, ny, staging.data(), xblock::tile_layout(kx),
-                    out.data() + f * out_f, xblock::field_layout(ny), xbuf);
+        along_y_.execute_blocked(kx, in.data() + f * in_f, tile_layout(y_in_len),
+                                 staging.data(), field_layout(kx), ybuf);
+        along_x_.execute_blocked(ny, staging.data(), tile_layout(kx), out.data() + f * out_f,
+                                 field_layout(ny), xbuf);
       }
     }
     // tfno-hot-end
@@ -205,7 +201,7 @@ void FftPlan2d::execute(std::span<const c32> in, std::span<c32> out, std::size_t
   // The per-field fused path keeps its staging tile L2-resident only below
   // kFusedFieldBudgetBytes, and it parallelizes across fields only, so it
   // also needs enough fields to feed the worker pool.  Otherwise take the
-  // two-pass schedule, whose fields*slabs / per-row loops split further
+  // two-pass schedule, whose fields*slabs / row-block loops split further
   // (the two are bitwise-identical, so this is purely a scheduling choice).
   if (ny * kx * sizeof(c32) <= kFusedFieldBudgetBytes &&
       batch >= static_cast<std::size_t>(runtime::thread_count())) {
@@ -221,21 +217,24 @@ void FftPlan2d::execute(std::span<const c32> in, std::span<c32> out, std::size_t
   // per-field path above avoids this block entirely.)
   AlignedBuffer<c32> mid(batch * kx * ny);
 
-  // Y stage: contiguous transforms over the batch * keep_x surviving rows.
-  // Explicit grain of 16 rows per chunk — FftPlan::execute's 64k-element
-  // grain policy would put all rows of a typical (keep_x * batch) count in
-  // one chunk and serialize the stage on many-core hosts.
+  // Y stage: contiguous transforms over the batch * keep_x surviving rows,
+  // one column block of them per task.  Explicit grain of two blocks (16
+  // rows) per chunk: FftPlan::execute's 64k-element grain policy would put
+  // all rows of a typical (keep_x * batch) count in one chunk and serialize
+  // the stage on many-core hosts.
   const auto y_stage = [&](const c32* src, c32* dst) {
-    const std::size_t in_len = along_y_.desc().nonzero_or_n();
-    const std::size_t out_len = along_y_.desc().keep_or_n();
-    runtime::parallel_for(0, batch * kx, 16, [&](std::size_t lo, std::size_t hi) {
+    const Layout in_l = tile_layout(along_y_.desc().nonzero_or_n());
+    const Layout out_l = tile_layout(along_y_.desc().keep_or_n());
+    const std::size_t rows = batch * kx;
+    runtime::parallel_for(0, (rows + kBlockCols - 1) / kBlockCols, 2,
+                          [&](std::size_t lo, std::size_t hi) {
       auto& a = runtime::tls_scratch();
       const auto s = a.scope();
       // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> work = a.alloc<c32>(along_y_.scratch_elems());
-      for (std::size_t r = lo; r < hi; ++r) {
-        along_y_.execute_one(src + r * in_len, 1, dst + r * out_len, 1, work);
-      }
+      const std::span<c32> work = a.alloc<c32>(along_y_.blocked_scratch_elems());
+      const std::size_t r0 = lo * kBlockCols;
+      along_y_.execute_blocked(std::min(hi * kBlockCols, rows) - r0, src + r0 * in_l.col_stride,
+                               in_l, dst + r0 * out_l.col_stride, out_l, work);
       // tfno-hot-end
     });
   };

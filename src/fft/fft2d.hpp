@@ -15,7 +15,8 @@
 // copies blocks of 8 adjacent columns (one cache line per field row) into
 // [nx][8] scratch and runs the Stockham passes across the block, so each
 // SIMD vector carries several columns and every pass runs full-width
-// (fft/xblock.hpp).  Only the kept rows leave the block (forward) and only
+// (FftPlan::execute_blocked; the Y stages run the same engine on blocks of
+// 8 rows).  Only the kept rows leave the block (forward) and only
 // the stored rows enter it (inverse), so no transform reads a column with
 // stride DimY and no padded row is ever read from memory.
 //

@@ -18,13 +18,14 @@
 // Remaining short runs fall through to the scalar tail, which is
 // bit-identical to the seed's scalar code.
 //
-// The 2D X-stage transforms (stockham_columns) start every transform at
-// s = W = 8 interleaved columns, so they never take the sub-lane passes:
-// every pass is the full-width q-loop.  Per element the sub-lane and the
-// q-loop forms do the same arithmetic with the same twiddles, which is
-// why the column transforms are bitwise equal to one-column transforms
-// (the sub-lane forms also multiply their p == 0 legs by the exact twiddle
-// 1, which can only flip the sign of an exact zero).
+// The column-blocked transforms (stockham_columns, run by
+// FftPlan::execute_blocked) start every transform at s = W = 8 interleaved
+// signals, so they never take the sub-lane passes: every pass is the
+// full-width q-loop.  Per element the sub-lane and the q-loop forms do the
+// same arithmetic with the same twiddles, which is why the blocked
+// transforms are bitwise equal to one-signal transforms once n >= 16 (the
+// sub-lane forms also multiply their p == 0 legs by the exact twiddle 1,
+// which can only flip the sign of an exact zero).
 #pragma once
 
 #include <cstddef>
@@ -45,6 +46,11 @@ template <class B, bool Inverse>
 void pass_radix2(const c32* src, c32* dst, std::size_t l, std::size_t s,
                  std::span<const c32> w) {
   using P = typename B::pvec;
+  // The q-loops' whole-vector part.  Bounding it up front lets GCC see
+  // that the scalar tails run fewer than `planes` times; without that,
+  // GCC 12 warns of an out-of-range tail iteration wherever s is
+  // constant-propagated (-Waggressive-loop-optimizations).
+  const std::size_t sv = s - s % B::planes;
   if constexpr (B::planes == 4) {
     // Sub-lane strides (s < planes): the q-loop is shorter than a vector, so
     // run lane-major over p instead — each packed vector holds butterflies
@@ -103,7 +109,7 @@ void pass_radix2(const c32* src, c32* dst, std::size_t l, std::size_t s,
     c32* d0 = dst;
     c32* d1 = dst + s;
     std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
+    for (; q < sv; q += B::planes) {
       const P a = B::pload(sa + q);
       const P b = B::pload(sb + q);
       B::pstore(d0 + q, B::padd(a, b));
@@ -124,7 +130,7 @@ void pass_radix2(const c32* src, c32* dst, std::size_t l, std::size_t s,
     c32* d0 = dst + s * 2 * p;
     c32* d1 = d0 + s;
     std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
+    for (; q < sv; q += B::planes) {
       const P a = B::pload(sa + q);
       const P b = B::pload(sb + q);
       B::pstore(d0 + q, B::padd(a, b));
@@ -152,6 +158,7 @@ template <class B, bool Inverse>
 void pass_radix4(const c32* src, c32* dst, std::size_t l, std::size_t s,
                  std::span<const c32> w) {
   using P = typename B::pvec;
+  const std::size_t sv = s - s % B::planes;  // as in pass_radix2
   const std::size_t half = 2 * l;  // = L / 2
 
   auto tw_at = [&](std::size_t j) -> c32 { return j < half ? w[j] : -w[j - half]; };
@@ -219,7 +226,7 @@ void pass_radix4(const c32* src, c32* dst, std::size_t l, std::size_t s,
     c32* d2 = d1 + s;
     c32* d3 = d2 + s;
     std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
+    for (; q < sv; q += B::planes) {
       const P t0 = B::padd(B::pload(s0 + q), B::pload(s2 + q));
       const P t1 = B::psub(B::pload(s0 + q), B::pload(s2 + q));
       const P t2 = B::padd(B::pload(s1 + q), B::pload(s3 + q));
@@ -261,7 +268,7 @@ void pass_radix4(const c32* src, c32* dst, std::size_t l, std::size_t s,
     c32* d2 = d1 + s;
     c32* d3 = d2 + s;
     std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
+    for (; q < sv; q += B::planes) {
       const P t0 = B::padd(B::pload(s0 + q), B::pload(s2 + q));
       const P t1 = B::psub(B::pload(s0 + q), B::pload(s2 + q));
       const P t2 = B::padd(B::pload(s1 + q), B::pload(s3 + q));

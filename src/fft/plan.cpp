@@ -7,6 +7,7 @@
 #include "fft/opcount.hpp"
 #include "fft/stockham.hpp"
 #include "fft/twiddle.hpp"
+#include "fft/xblock.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 
@@ -82,6 +83,30 @@ void FftPlan::execute(std::span<const c32> in, std::span<c32> out, std::size_t b
   execute_strided(in.data(), out.data(), batch, layout);
 }
 
+void FftPlan::execute_blocked(std::size_t g, const c32* in, Layout in_l, c32* out,
+                              Layout out_l, std::span<c32> work) const {
+  assert(work.size() >= blocked_scratch_elems());
+  const std::size_t rows_in = desc_.nonzero_or_n();
+  const std::size_t rows_out = desc_.keep_or_n();
+  std::size_t c = 0;
+  if (desc_.n >= kMinBlockedN) {
+    for (; c + kBlockCols <= g; c += kBlockCols) {
+      const c32* src = in + c * in_l.col_stride;
+      c32* dst = out + c * out_l.col_stride;
+      xblock::gather(src, in_l, rows_in, kBlockCols, work.data());
+      xblock::prefetch_next(src, in_l, rows_in);
+      xblock::prefetch_next(dst, out_l, rows_out);
+      xblock::scatter(xblock::transform(*this, kBlockCols, work), rows_out, kBlockCols, dst,
+                      out_l);
+    }
+  }
+  for (; c < g; ++c) {
+    execute_one(in + c * in_l.col_stride, static_cast<std::ptrdiff_t>(in_l.row_stride),
+                out + c * out_l.col_stride, static_cast<std::ptrdiff_t>(out_l.row_stride),
+                work);
+  }
+}
+
 void FftPlan::execute_strided(const c32* in, c32* out, std::size_t batch,
                               const ExecLayout& layout) const {
   const std::ptrdiff_t ibs = layout.in_batch_stride != 0
@@ -90,21 +115,24 @@ void FftPlan::execute_strided(const c32* in, c32* out, std::size_t batch,
   const std::ptrdiff_t obs = layout.out_batch_stride != 0
                                  ? layout.out_batch_stride
                                  : static_cast<std::ptrdiff_t>(desc_.keep_or_n());
-  const std::size_t n = desc_.n;
+  assert(layout.in_elem_stride >= 0 && layout.out_elem_stride >= 0 && ibs >= 0 && obs >= 0);
+  const Layout in_l{static_cast<std::size_t>(layout.in_elem_stride),
+                    static_cast<std::size_t>(ibs)};
+  const Layout out_l{static_cast<std::size_t>(layout.out_elem_stride),
+                     static_cast<std::size_t>(obs)};
 
-  // Grain: keep each task >= ~64k elements of butterfly work to amortize the
-  // fork; a signal is n log n work so a handful of signals per chunk is fine.
-  const std::size_t grain = std::max<std::size_t>(1, 65536 / (n == 0 ? 1 : n));
-  runtime::parallel_for(0, batch, grain, [&](std::size_t lo, std::size_t hi) {
+  // Tasks own whole blocks of kBlockCols signals.  Grain: keep each task
+  // >= ~64k elements of butterfly work to amortize the fork.
+  const std::size_t blocks = (batch + kBlockCols - 1) / kBlockCols;
+  const std::size_t grain = std::max<std::size_t>(1, 65536 / (desc_.n * kBlockCols));
+  runtime::parallel_for(0, blocks, grain, [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> work = arena.alloc<c32>(scratch_elems());
-    for (std::size_t b = lo; b < hi; ++b) {
-      execute_one(in + static_cast<std::ptrdiff_t>(b) * ibs, layout.in_elem_stride,
-                  out + static_cast<std::ptrdiff_t>(b) * obs, layout.out_elem_stride,
-                  work);
-    }
+    const std::span<c32> work = arena.alloc<c32>(blocked_scratch_elems());
+    const std::size_t b0 = lo * kBlockCols;
+    execute_blocked(std::min(hi * kBlockCols, batch) - b0, in + b0 * in_l.col_stride, in_l,
+                    out + b0 * out_l.col_stride, out_l, work);
     // tfno-hot-end
   });
 }

@@ -104,7 +104,7 @@ void retangle_rows(const c32* A, const c32* B, std::size_t nx, std::size_t gp,
 // A float field [nx][ny] read as c32 is [nx][ny/2]: element p of a row is
 // the column pair (2p, 2p+1).  One X-stage task covers one slab of g float
 // columns, i.e. g/2 <= kBlockCols pairs: a single column block.
-static_assert(xblock::kSlabCols / 2 <= xblock::kBlockCols);
+static_assert(xblock::kSlabCols / 2 <= kBlockCols);
 
 // Forward X transform of the gp column pairs starting at float column y0:
 // one packed C2C column-block transform, then the vertical untangle into
@@ -113,8 +113,8 @@ void forward_pairs(const FftPlan& plan, const float* field, std::size_t ny, std:
                    std::size_t gp, std::size_t keep, std::span<c32> buf, c32* A, c32* B) {
   const std::size_t nx = plan.desc().n;
   const c32* rows = reinterpret_cast<const c32*>(field + y0);
-  xblock::gather(rows, xblock::field_layout(ny / 2), nx, gp, buf.data());
-  xblock::prefetch_next(rows, xblock::field_layout(ny / 2), nx);
+  xblock::gather(rows, field_layout(ny / 2), nx, gp, buf.data());
+  xblock::prefetch_next(rows, field_layout(ny / 2), nx);
   untangle_rows(xblock::transform(plan, gp, buf), nx, gp, keep, A, B);
 }
 
@@ -126,9 +126,9 @@ void inverse_pairs(const FftPlan& plan, const c32* A, const c32* B, std::size_t 
                    std::size_t y0) {
   const std::size_t nx = plan.desc().n;
   c32* rows = reinterpret_cast<c32*>(field + y0);
-  xblock::prefetch_next(rows, xblock::field_layout(ny / 2), nx);
+  xblock::prefetch_next(rows, field_layout(ny / 2), nx);
   retangle_rows(A, B, nx, gp, stored, buf.data());
-  xblock::scatter(xblock::transform(plan, gp, buf), nx, gp, rows, xblock::field_layout(ny / 2));
+  xblock::scatter(xblock::transform(plan, gp, buf), nx, gp, rows, field_layout(ny / 2));
 }
 
 // Every real X stage runs body(f, y0, gp, buf, A, B) once per (field,
@@ -150,10 +150,10 @@ void pair_tasks(Direction dir, const FftPlan& plan, std::size_t bins, std::size_
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> buf = arena.alloc<c32>(xblock::scratch_elems(d.n));
-    const std::span<c32> ab = arena.alloc<c32>(2 * bins * xblock::kBlockCols);
+    const std::span<c32> buf = arena.alloc<c32>(plan.blocked_scratch_elems());
+    const std::span<c32> ab = arena.alloc<c32>(2 * bins * kBlockCols);
     c32* A = ab.data();
-    c32* B = ab.data() + bins * xblock::kBlockCols;
+    c32* B = ab.data() + bins * kBlockCols;
     for (std::size_t t = lo; t < hi; ++t) {
       const std::size_t f = t / grid.slabs_per_field;
       const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
@@ -181,8 +181,8 @@ void rfft2d_x_stage_to_tiles(const FftPlan& fwd_x, std::size_t keep_x, const flo
     // Block row 2p (2p+1) is the even (odd) column of pair p: A's and B's
     // columns land 2 * keep_x apart.
     c32* block = dst(f, y0, 2 * gp);
-    xblock::scatter(A, keep_x, gp, block, xblock::tile_layout(2 * keep_x));
-    xblock::scatter(B, keep_x, gp, block + keep_x, xblock::tile_layout(2 * keep_x));
+    xblock::scatter(A, keep_x, gp, block, tile_layout(2 * keep_x));
+    xblock::scatter(B, keep_x, gp, block + keep_x, tile_layout(2 * keep_x));
     // tfno-hot-end
   });
 }
@@ -196,8 +196,8 @@ void irfft2d_x_stage_from_tiles(const FftPlan& inv_x, std::size_t nonzero_x,
                  c32* B) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
     const c32* block = src(f, y0, 2 * gp);
-    xblock::gather(block, xblock::tile_layout(2 * nonzero_x), nonzero_x, gp, A);
-    xblock::gather(block + nonzero_x, xblock::tile_layout(2 * nonzero_x), nonzero_x, gp, B);
+    xblock::gather(block, tile_layout(2 * nonzero_x), nonzero_x, gp, A);
+    xblock::gather(block + nonzero_x, tile_layout(2 * nonzero_x), nonzero_x, gp, B);
     inverse_pairs(inv_x, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
     // tfno-hot-end
   });

@@ -28,9 +28,13 @@ void stockham_inverse(std::span<c32> io, std::span<c32> work, std::size_t n, boo
 /// layout of `cols` adjacent columns of a row-major 2D field.  Every pass
 /// runs across the columns, so with cols >= the SIMD width no pass takes a
 /// sub-lane path.  `work` (n * cols elements) is the ping-pong buffer; the
-/// result lands in io or work, and the returned pointer says which.  Each
-/// signal gets exactly the arithmetic of stockham_forward/_inverse (cols
-/// multiple of the SIMD width; narrower blocks agree to rounding).
+/// result lands in io or work, and the returned pointer says which.  For
+/// n >= 16 and cols a multiple of the SIMD width each signal gets exactly
+/// the arithmetic of stockham_forward/_inverse; otherwise the first passes
+/// of the one-signal transform run on the scalar tail, with an unfused
+/// complex multiply, and the two agree only to rounding.  That is why
+/// FftPlan::execute_blocked runs only full 8-column blocks here and sends
+/// every other signal through execute_one.
 c32* stockham_columns(c32* io, c32* work, std::size_t n, std::size_t cols, bool inverse,
                       bool scale);
 

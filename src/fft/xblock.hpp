@@ -1,15 +1,14 @@
-// Column-block geometry and kernel shared by the 2D X-axis stages
-// (fft2d.cpp for the complex lane, real2d.cpp for the real lane).
-// Internal to src/fft.
+// Column-block geometry and kernel shared by FftPlan::execute_blocked
+// (plan.cpp) and the real lane's 2D X stages (real2d.cpp).  Internal to
+// src/fft.
 //
 // A 2D field is [DimX, DimY] row-major, so W adjacent columns are W
-// contiguous elements of every field row.  The X stages copy such a block
-// into [n][W] rows and run the Stockham passes across it
-// (stockham_columns): one SIMD vector holds element x of several columns,
-// so every pass runs at full width and no column is ever transposed into a
-// contiguous signal first (FFTW's "vector loop over howmany").  The only
-// transposes left move the kept rows into, or the stored rows out of, the
-// y-major tiles of the fused pipelines.
+// contiguous elements of every field row.  A block copies such columns
+// (or W contiguous signals of a y-major tile) into [n][W] rows and runs
+// the Stockham passes across them (stockham_columns): one SIMD vector
+// holds element x of several signals, so every pass runs at full width and
+// no column is ever transposed into a contiguous signal first (FFTW's
+// "vector loop over howmany").
 #pragma once
 
 #include <algorithm>
@@ -30,11 +29,6 @@ namespace turbofno::fft::xblock {
 /// real lane, 16 float columns = 8 column pairs.
 inline constexpr std::size_t kSlabCols = 16;
 
-/// W: columns per vectorized block, 8 c32 = one 64-byte line per field
-/// row.  Fixed: 16 measured 2x slower (its 2 x n x W ping-pong spills the
-/// L1 at n = 256) and 4 gained nothing.
-inline constexpr std::size_t kBlockCols = 8;
-
 /// Task geometry: tasks enumerate (field, slab) pairs.
 struct SlabGrid {
   std::size_t cols = 0;             // columns per slab (<= kSlabCols)
@@ -49,18 +43,6 @@ inline SlabGrid slab_grid(std::size_t ny) noexcept {
   g.grain = std::max<std::size_t>(1, 64 / g.cols);
   return g;
 }
-
-/// Where a block's rows live in a caller buffer: element (row x, column c)
-/// is at ptr[x * row_stride + c * col_stride].  Field rows are x-major
-/// (row_stride ny, col_stride 1); y-major tile blocks hold each column as a
-/// contiguous row (row_stride 1, col_stride = the row length).
-struct Layout {
-  std::size_t row_stride = 0;
-  std::size_t col_stride = 0;
-};
-
-inline constexpr Layout field_layout(std::size_t ny) noexcept { return {ny, 1}; }
-inline constexpr Layout tile_layout(std::size_t len) noexcept { return {1, len}; }
 
 /// One row of a block.  A full block's row has a fixed size, so it compiles
 /// to two vector moves instead of a memmove call per row.
@@ -107,11 +89,8 @@ inline void prefetch_next(const c32* blk, Layout l, std::size_t rows) noexcept {
   }
 }
 
-/// Scratch one block needs: the [n][W] signal rows and their ping-pong.
-inline std::size_t scratch_elems(std::size_t n) noexcept { return 2 * n * kBlockCols; }
-
 /// Runs an n-point `plan` down `g` <= kBlockCols columns held as [n][g]
-/// rows at the start of `buf` (scratch_elems(n) elements), whose first
+/// rows at the start of `buf` (plan.blocked_scratch_elems()), whose first
 /// nonzero_or_n() rows the caller has loaded; the padded rows are zeroed
 /// here.  Returns the [n][g] result rows (scaled when the plan scales its
 /// inverse), of which the first keep_or_n() are the plan's output.
@@ -121,24 +100,6 @@ inline const c32* transform(const FftPlan& plan, std::size_t g, std::span<c32> b
   std::fill(a + d.nonzero_or_n() * g, a + d.n * g, c32{});
   return stockham_columns(a, a + d.n * g, d.n, g, d.dir == Direction::Inverse,
                           d.scale_inverse);
-}
-
-/// Runs `plan` down the `g` columns starting at `in` / `out`, one W-wide
-/// block at a time: gathers the stored rows, transforms, and scatters the
-/// kept rows.
-inline void run(const FftPlan& plan, std::size_t g, const c32* in, Layout in_l, c32* out,
-                Layout out_l, std::span<c32> buf) {
-  const std::size_t rows_in = plan.desc().nonzero_or_n();
-  const std::size_t rows_out = plan.desc().keep_or_n();
-  for (std::size_t c = 0; c < g; c += kBlockCols) {
-    const std::size_t w = std::min(kBlockCols, g - c);
-    const c32* src = in + c * in_l.col_stride;
-    c32* dst = out + c * out_l.col_stride;
-    gather(src, in_l, rows_in, w, buf.data());
-    prefetch_next(src, in_l, rows_in);
-    prefetch_next(dst, out_l, rows_out);
-    scatter(transform(plan, w, buf), rows_out, w, dst, out_l);
-  }
 }
 
 }  // namespace turbofno::fft::xblock

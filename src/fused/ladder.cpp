@@ -39,7 +39,9 @@ constexpr std::size_t kAutoL2Budget = 1u << 20;
 // panels, and the FFT scratch (2n c32).  The real lane retains modes/2+1 bins, so
 // its accumulator and tile rows are roughly half as wide; the FFT scratch
 // term stays 2n c32 (the C2R inverse needs the full extended spectrum plus
-// the packed half-length transform's workspace).
+// the packed half-length transform's workspace).  The k-tile term charges
+// the paper's k_tb = 8 (gemm::FusedTiles), not KLoopGemm's deeper tile, on
+// purpose: the budget and the picks it makes were set against it.
 std::size_t fused_task_bytes_1d(const baseline::Spectral1dProblem& p,
                                 bool real_input) noexcept {
   const std::size_t m = real_input ? p.modes / 2 + 1 : p.modes;

@@ -17,7 +17,6 @@ namespace turbofno::fused {
 
 namespace {
 
-// Paper Table 1: m_tb = n_tb = 32, k_tb = 8.
 constexpr std::size_t kMtb = KLoopGemm::Tiles::Mtb;
 constexpr std::size_t kNtb = KLoopGemm::Tiles::Ntb;
 constexpr std::size_t kTb = KLoopGemm::Tiles::Ktb;
@@ -26,6 +25,29 @@ constexpr std::size_t kAPanelFloats = 2 * kMtb * kTb;  // split W panel
 constexpr std::size_t kBPanelFloats = 2 * kNtb * kTb;  // split spectra panel
 
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) noexcept { return (a + b - 1) / b; }
+
+// Transforms g signals, signal c at in + c * in_ld and out + c * out_ld:
+// a complex plan runs them column-blocked, the real lane's plans one at a
+// time.  scratch_for sizes `work` for either.
+void transform_rows(const fft::FftPlan& plan, std::size_t g, const c32* in, std::size_t in_ld,
+                    c32* out, std::size_t out_ld, std::span<c32> work) {
+  plan.execute_blocked(g, in, fft::tile_layout(in_ld), out, fft::tile_layout(out_ld), work);
+}
+
+template <class Plan, class In, class Out>
+void transform_rows(const Plan& plan, std::size_t g, const In* in, std::size_t in_ld, Out* out,
+                    std::size_t out_ld, std::span<c32> work) {
+  for (std::size_t c = 0; c < g; ++c) {
+    plan.execute_one(in + c * in_ld, 1, out + c * out_ld, 1, work);
+  }
+}
+
+std::size_t scratch_for(const fft::FftPlan& plan) noexcept { return plan.blocked_scratch_elems(); }
+
+template <class Plan>
+std::size_t scratch_for(const Plan& plan) noexcept {
+  return plan.scratch_elems();
+}
 
 }  // namespace
 
@@ -245,9 +267,8 @@ void LadderPipeline1d::run_chain(const FwdPlan& fwd, const InvPlan& inv, std::si
   } else {
     kloop_.pack_weights(w.data());
     const std::size_t work_elems =
-        FwdFused ? (InvFused ? std::max(fwd.scratch_elems(), inv.scratch_elems())
-                             : fwd.scratch_elems())
-                 : inv.scratch_elems();
+        FwdFused ? (InvFused ? std::max(scratch_for(fwd), scratch_for(inv)) : scratch_for(fwd))
+                 : scratch_for(inv);
     runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
       auto& arena = runtime::tls_scratch();
       const auto scope = arena.scope();
@@ -257,31 +278,34 @@ void LadderPipeline1d::run_chain(const FwdPlan& fwd, const InvPlan& inv, std::si
       const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * m) : std::span<c32>{};
       const std::span<float> panels = arena.alloc<float>(KLoopGemm::panel_floats(m));
       const std::span<float> acc = arena.alloc<float>(kloop_.acc_floats(m));
-      const std::span<c32> row = InvFused ? arena.alloc<c32>(m) : std::span<c32>{};
+      const std::span<c32> rows =
+          InvFused ? arena.alloc<c32>(fft::kBlockCols * m) : std::span<c32>{};
       const std::span<c32> work = arena.alloc<c32>(work_elems);
       for (std::size_t b = lo; b < hi; ++b) {
         kloop_.zero(acc.data(), m);
         for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          // B operand source: transform each channel straight into the
-          // tile, or read the stored spectra (already k-major).
+          // B operand source: transform the k-tile's channels straight into
+          // the tile, or read the stored spectra (already k-major).
           const c32* spectra = tile.data();
           if constexpr (FwdFused) {
-            for (std::size_t kk = 0; kk < std::min(kTb, K - k0); ++kk) {
-              fwd.execute_one(u.data() + (b * K + k0 + kk) * N, 1, tile.data() + kk * m, 1, work);
-            }
+            transform_rows(fwd, std::min(kTb, K - k0), u.data() + (b * K + k0) * N, N,
+                           tile.data(), m, work);
           } else {
             spectra = freq_.data() + (b * K + k0) * m;
           }
           kloop_.accumulate(acc.data(), panels.data(), spectra, m, k0, m);
         }
         // Accumulator sink: the iFFT epilogue straight out of the tile (the
-        // paper's Figure 6(f)), or the stored mixed spectra.
-        for (std::size_t o = 0; o < O; ++o) {
+        // paper's Figure 6(f)), one column block of output rows at a time,
+        // or the stored mixed spectra.
+        for (std::size_t o0 = 0; o0 < O; o0 += fft::kBlockCols) {
+          const std::size_t oc = std::min(fft::kBlockCols, O - o0);
+          for (std::size_t oi = 0; oi < oc; ++oi) {
+            c32* dst = InvFused ? rows.data() + oi * m : mixed_.data() + (b * O + o0 + oi) * m;
+            kloop_.read_row(acc.data(), o0 + oi, m, dst);
+          }
           if constexpr (InvFused) {
-            kloop_.read_row(acc.data(), o, m, row.data());
-            inv.execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
-          } else {
-            kloop_.read_row(acc.data(), o, m, mixed_.data() + (b * O + o) * m);
+            transform_rows(inv, oc, rows.data(), m, v.data() + (b * O + o0) * N, N, work);
           }
         }
       }

@@ -11,15 +11,17 @@
 // neither boundary fused (FftOpt) the k-loop stage is the batched CGEMM.
 // Otherwise one task per batch signal runs the paper's k-loop-aligned FFT
 // variant (Section 2.3, Figure 6): instead of batching FFT pencils along the
-// spatial axis, it iterates the hidden dim in k_tb tiles, exactly like the
-// GEMM k-loop (Figure 6(c)-(e)), transforming k_tb channels at a time and
-// depositing their truncated spectra straight into the operand tile the
-// CGEMM consumes, the CPU analogue of writing the FFT output into the
-// shared-memory tile.  That tile comes from the forward transform itself
-// (fused forward) or from the stored spectra, and is multiplied on the
-// CGEMM's own micro-kernel (KLoopGemm); the accumulator feeds the per-row
-// zero-padded inverse (fused inverse, the CGEMM epilogue of Figure 6(f))
-// or the stored mixed spectra.
+// spatial axis, it iterates the hidden dim in k-tiles, exactly like the
+// GEMM k-loop (Figure 6(c)-(e)), transforming a k-tile's channels at a
+// time (column-blocked, 8 per SIMD pass) and depositing their truncated
+// spectra straight into the operand tile the CGEMM consumes, the CPU
+// analogue of writing the FFT output into the shared-memory tile.  That
+// tile comes from the forward transform itself (fused forward) or from the
+// stored spectra, and is multiplied on the CGEMM's own micro-kernel
+// (KLoopGemm); the accumulator feeds the
+// zero-padded inverse, 8 output rows per column block (fused inverse, the
+// CGEMM epilogue of Figure 6(f)), or the stored mixed spectra.  The real
+// lane's R2C/C2R plans run one signal at a time.
 //
 // Both lanes run the one chain: the complex lane keeps `modes` bins, the
 // real lane keeps the RFFT half-spectrum (modes/2+1 bins) of real samples
@@ -108,14 +110,23 @@ void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r);
 
 /// The k-loop's CGEMM for one signal, C[out_dim x m] += W * S over the
 /// hidden dim, on the GEMM's split-complex micro-kernel
-/// (gemm::accumulate_tile_split) over gemm::FusedTiles panels.  W is packed
-/// once per forward as A panels; each k-tile's spectra (S rows, one per
-/// channel) become Ntb-wide B panels; the accumulator is the GEMM's
-/// Mtb x Ntb split tiles, row tile by f tile.  Each output keeps its
-/// k-ordered cmadd(acc, W, spectrum) chain.
+/// (gemm::accumulate_tile_split) over Tiles panels.  W is packed once per
+/// forward as A panels; each k-tile's spectra (S rows, one per channel)
+/// become Ntb-wide B panels; the accumulator is the GEMM's Mtb x Ntb split
+/// tiles, row tile by f tile.  Each output keeps its k-ordered
+/// cmadd(acc, W, spectrum) chain, so the tile depth moves no bits.
 class KLoopGemm {
  public:
-  using Tiles = gemm::FusedTiles;
+  /// The paper's 32 x 32 thread-block tile with a deep k-tile: Ktb = 32
+  /// channels per k-step instead of Table 1's k_tb = 8, so each register
+  /// block's accumulators stay in registers over 32 channels per load and
+  /// store, and the forward transforms a k-tile's channels as four full
+  /// column blocks.  Measured at fno1d_c2c's shape (one thread, avx512):
+  /// the k-loop stage of every fused row 10-15% below Ktb = 8; Ktb = 64
+  /// read the same as 32 within this host's noise.  gemm::FusedTiles keeps
+  /// the paper's k_tb = 8 for the cost model, the Table 1 bench and
+  /// cgemm_batched.
+  using Tiles = gemm::Tiles<32, 32, 32>;
 
   /// Sizes the packed panels of an out_dim x hidden W.
   KLoopGemm(std::size_t out_dim, std::size_t hidden);

@@ -11,23 +11,12 @@
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "runtime/timer.hpp"
-#include "tensor/simd.hpp"
-#include "tensor/transpose.hpp"
 
 namespace turbofno::fused {
 
 namespace {
 
 constexpr std::size_t kTb = KLoopGemm::Tiles::Ktb;
-
-// x-rows handled jointly by one fused middle task on the y-major staging
-// layout: 8 c32 x-columns span one 64-byte cache line of a staging row, so
-// the blocked SIMD transpose that feeds (or drains) the k-loop touches
-// every staging line exactly once per block.  Row-by-row strided gathers
-// would instead re-touch each k-tile's 8 channel tiles per x-row — a
-// ~512 KiB working set that measurably thrashes.  Blocking is pure data
-// movement: every transform still sees the same contiguous input.
-constexpr std::size_t kXBlock = 8;
 
 // Grain of the fused (batch x x-block) middle loop: at least two tasks per
 // chunk.  Each chunk sets up private FFT/GEMM workspaces, so on many-core
@@ -122,39 +111,25 @@ std::size_t LadderPipeline2d::mid_group(std::size_t batch) const noexcept {
   return std::min(bg, batch);
 }
 
-void LadderPipeline2d::gather_xblock(const MidView& mv, std::size_t bl, std::size_t k0,
-                                     std::size_t kc, std::size_t x0, std::size_t xc,
-                                     std::size_t xb, std::size_t ny, c32* gbuf) noexcept {
-  // One line-efficient transpose per channel: staging columns [x0, x0+xc)
-  // become contiguous rows of gbuf.
-  for (std::size_t kk = 0; kk < kc; ++kk) {
-    simd::transpose(mv.in_row(bl, k0 + kk, x0), mv.mx, gbuf + kk * xb * ny, ny, ny, xc);
-  }
-}
-
-void LadderPipeline2d::scatter_xblock(const MidView& mv, std::size_t bl, std::size_t o,
-                                      std::size_t x0, std::size_t xc, std::size_t ny,
-                                      const c32* sbuf) noexcept {
-  // Contiguous rows back into staging columns, one transpose per output
-  // channel block.
-  simd::transpose(sbuf, ny, mv.out_row(bl, o, x0), mv.mx, xc, ny);
-}
-
 void LadderPipeline2d::y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
                                       std::size_t channels, std::size_t mx, std::size_t my,
                                       c32* spectra) {
-  runtime::parallel_for(0, mv.count * channels * mx, 16,
-                        [&](std::size_t lo, std::size_t hi) {
+  // One task per (bl, channel, block of 8 x-rows): the rows are 8 adjacent
+  // staging columns, so the block gathers one 64-byte line per y.
+  const std::size_t nblk = (mx + fft::kBlockCols - 1) / fft::kBlockCols;
+  runtime::parallel_for(0, mv.count * channels * nblk, 2, [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
+    const std::span<c32> work = arena.alloc<c32>(plan.blocked_scratch_elems());
     for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t bl = r / (channels * mx);
-      const std::size_t c = (r / mx) % channels;
-      const std::size_t x = r % mx;
-      plan.execute_one(mv.in_row(bl, c, x), static_cast<std::ptrdiff_t>(mv.mx),
-                       spectra + ((bl * channels + c) * mx + x) * my, 1, work);
+      const std::size_t bl = r / (channels * nblk);
+      const std::size_t c = (r / nblk) % channels;
+      const std::size_t x0 = (r % nblk) * fft::kBlockCols;
+      plan.execute_blocked(std::min(fft::kBlockCols, mx - x0), mv.in_row(bl, c, x0),
+                           fft::field_layout(mv.mx),
+                           spectra + ((bl * channels + c) * mx + x0) * my, fft::tile_layout(my),
+                           work);
     }
     // tfno-hot-end
   });
@@ -163,18 +138,19 @@ void LadderPipeline2d::y_forward_rows(const fft::FftPlan& plan, const MidView& m
 void LadderPipeline2d::y_inverse_rows(const fft::FftPlan& plan, const MidView& mv,
                                       std::size_t channels, std::size_t mx, std::size_t my,
                                       const c32* spectra) {
-  runtime::parallel_for(0, mv.count * channels * mx, 16,
-                        [&](std::size_t lo, std::size_t hi) {
+  const std::size_t nblk = (mx + fft::kBlockCols - 1) / fft::kBlockCols;
+  runtime::parallel_for(0, mv.count * channels * nblk, 2, [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
+    const std::span<c32> work = arena.alloc<c32>(plan.blocked_scratch_elems());
     for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t bl = r / (channels * mx);
-      const std::size_t c = (r / mx) % channels;
-      const std::size_t x = r % mx;
-      plan.execute_one(spectra + ((bl * channels + c) * mx + x) * my, 1,
-                       mv.out_row(bl, c, x), static_cast<std::ptrdiff_t>(mv.mx), work);
+      const std::size_t bl = r / (channels * nblk);
+      const std::size_t c = (r / nblk) % channels;
+      const std::size_t x0 = (r % nblk) * fft::kBlockCols;
+      plan.execute_blocked(std::min(fft::kBlockCols, mx - x0),
+                           spectra + ((bl * channels + c) * mx + x0) * my, fft::tile_layout(my),
+                           mv.out_row(bl, c, x0), fft::field_layout(mv.mx), work);
     }
     // tfno-hot-end
   });
@@ -340,30 +316,32 @@ void LadderPipeline2d::kloop_group(const MidView& mv) {
   const std::size_t mx = mv.mx;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MY = prob_.modes_y;
 
   // One task per (batch, x-block), iterating the hidden dim like the GEMM
   // k-loop (Figure 6(c)); with both boundaries fused the middle never
-  // touches global memory (Figure 9's fused kernel).  A fused forward moves
-  // each k-tile channel's x-block through one blocked SIMD transpose, and a
-  // fused inverse moves each output channel's block back the same way (see
-  // kXBlock); the stored spectra are read and written row-contiguously.
-  const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
+  // touches global memory (Figure 9's fused kernel).  An x-block is
+  // kBlockCols adjacent staging columns, one column block of the FFT
+  // engine: a fused forward transforms each k-tile channel's block straight
+  // out of the staging tile into the B operand tile, and a fused inverse
+  // transforms each output channel's accumulator rows straight back into
+  // the staging tile.  The stored spectra are read and written
+  // row-contiguously.
+  const std::size_t xb = std::min(fft::kBlockCols, mx);
   const std::size_t nblk = (mx + xb - 1) / xb;
-  const std::size_t work_elems = FwdFused ? fwd_y_->scratch_elems() : inv_y_->scratch_elems();
+  const std::size_t work_elems =
+      FwdFused ? fwd_y_->blocked_scratch_elems() : inv_y_->blocked_scratch_elems();
   const std::size_t acc_floats = kloop_.acc_floats(MY);
   runtime::parallel_for(0, mv.count * nblk, kFusedGrain,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * MY) : std::span<c32>{};
+    // tile: the k-tile's spectra, channel kk's x-row xi at (kk * xb + xi) * MY.
+    const std::span<c32> tile = FwdFused ? arena.alloc<c32>(kTb * xb * MY) : std::span<c32>{};
     const std::span<float> panels = arena.alloc<float>(KLoopGemm::panel_floats(MY));
     const std::span<float> acc = arena.alloc<float>(xb * acc_floats);
-    const std::span<c32> row = InvFused ? arena.alloc<c32>(MY) : std::span<c32>{};
-    const std::span<c32> gbuf = FwdFused ? arena.alloc<c32>(kTb * xb * NY) : std::span<c32>{};
-    const std::span<c32> sbuf = InvFused ? arena.alloc<c32>(xb * NY) : std::span<c32>{};
+    const std::span<c32> rows = InvFused ? arena.alloc<c32>(xb * MY) : std::span<c32>{};
     const std::span<c32> work = arena.alloc<c32>(work_elems);
     for (std::size_t i = lo; i < hi; ++i) {
       const std::size_t bl = i / nblk;
@@ -372,17 +350,17 @@ void LadderPipeline2d::kloop_group(const MidView& mv) {
       for (std::size_t xi = 0; xi < xc; ++xi) kloop_.zero(acc.data() + xi * acc_floats, MY);
       for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
         const std::size_t kc = std::min(kTb, K - k0);
-        if constexpr (FwdFused) gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
+        if constexpr (FwdFused) {
+          for (std::size_t kk = 0; kk < kc; ++kk) {
+            fwd_y_->execute_blocked(xc, mv.in_row(bl, k0 + kk, x0), fft::field_layout(mx),
+                                    tile.data() + kk * xb * MY, fft::tile_layout(MY), work);
+          }
+        }
         for (std::size_t xi = 0; xi < xc; ++xi) {
           // Stored rows are MY apart within a channel, channels mx*MY apart.
-          const c32* spectra = tile.data();
-          std::size_t ld = MY;
-          if constexpr (FwdFused) {
-            for (std::size_t kk = 0; kk < kc; ++kk) {
-              fwd_y_->execute_one(gbuf.data() + (kk * xb + xi) * NY, 1, tile.data() + kk * MY, 1,
-                                  work);
-            }
-          } else {
+          const c32* spectra = tile.data() + xi * MY;
+          std::size_t ld = xb * MY;
+          if constexpr (!FwdFused) {
             spectra = freq_.data() + ((bl * K + k0) * mx + x0 + xi) * MY;
             ld = mx * MY;
           }
@@ -393,13 +371,15 @@ void LadderPipeline2d::kloop_group(const MidView& mv) {
         for (std::size_t xi = 0; xi < xc; ++xi) {
           const float* xacc = acc.data() + xi * acc_floats;
           if constexpr (InvFused) {
-            kloop_.read_row(xacc, o, MY, row.data());
-            inv_y_->execute_one(row.data(), 1, sbuf.data() + xi * NY, 1, work);
+            kloop_.read_row(xacc, o, MY, rows.data() + xi * MY);
           } else {
             kloop_.read_row(xacc, o, MY, mixed_.data() + ((bl * O + o) * mx + x0 + xi) * MY);
           }
         }
-        if constexpr (InvFused) scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
+        if constexpr (InvFused) {
+          inv_y_->execute_blocked(xc, rows.data(), fft::tile_layout(MY), mv.out_row(bl, o, x0),
+                                  fft::field_layout(mx), work);
+        }
       }
     }
     // tfno-hot-end

@@ -16,9 +16,10 @@
 // cache-sized staging block covering a small group of batch elements; the
 // Y middle consumes the tiles and writes its output tiles back the same
 // way, and the inverse X stage drains them.  The full [B*K*mx*ny]
-// intermediate is never written or re-read.  The fused k-loop tasks own a
-// block of x-rows each and move it through one blocked SIMD transpose per
-// channel, so every transform sees a contiguous signal.
+// intermediate is never written or re-read.  Every Y transform runs
+// column-blocked (fft::FftPlan::execute_blocked): a block is 8 adjacent
+// x-rows of one channel, i.e. 8 adjacent staging columns, which the fused
+// k-loop tasks and the unfused Y passes read and write in place.
 #pragma once
 
 #include <cstddef>
@@ -116,20 +117,8 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   /// budget (always >= 1).
   [[nodiscard]] std::size_t mid_group(std::size_t batch) const noexcept;
 
-  /// Blocked tile I/O of the fused k-loop (single-sourced so the staging
-  /// transposes exist once): gather_xblock moves a k-tile's [ny, xc]
-  /// y-major staging columns into contiguous gbuf rows (channel kk at
-  /// gbuf + kk*xb*ny, row xi at + xi*ny); scatter_xblock moves xc
-  /// contiguous sbuf rows back into output channel o's staging columns.
-  static void gather_xblock(const MidView& mv, std::size_t bl, std::size_t k0,
-                            std::size_t kc, std::size_t x0, std::size_t xc, std::size_t xb,
-                            std::size_t ny, c32* gbuf) noexcept;
-  static void scatter_xblock(const MidView& mv, std::size_t bl, std::size_t o,
-                             std::size_t x0, std::size_t xc, std::size_t ny,
-                             const c32* sbuf) noexcept;
-
-  /// The unfused Y passes over one group: one plan.execute_one per
-  /// (bl, channel, x) row.  y_forward_rows reads view rows into the dense
+  /// The unfused Y passes over one group: one plan.execute_blocked per
+  /// (bl, channel) and block of kBlockCols x-rows.  y_forward_rows reads view rows into the dense
   /// [group, channels, mx, my] spectra block; y_inverse_rows reads that
   /// block's my-element rows back out into view rows.
   static void y_forward_rows(const fft::FftPlan& plan, const MidView& mv,

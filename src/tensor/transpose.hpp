@@ -57,8 +57,11 @@ void transpose(const c32* src, std::size_t src_stride, c32* dst, std::size_t dst
     const std::size_t r_lim = r0 + kBlock < rows ? r0 + kBlock : rows;
     for (std::size_t c0 = 0; c0 < cols; c0 += kBlock) {
       const std::size_t c_lim = c0 + kBlock < cols ? c0 + kBlock : cols;
+      // Whole 4-row strips, bounded up front so GCC can see the row tail
+      // below runs fewer than 4 times (see fft/kernels.hpp's `sv`).
+      const std::size_t i_vec = r_lim - (r_lim - r0) % 4;
       std::size_t i = r0;
-      for (; i + 4 <= r_lim; i += 4) {
+      for (; i < i_vec; i += 4) {
         std::size_t j = c0;
         for (; j + 4 <= c_lim; j += 4) {
           transpose4x4<B>(src + i * src_stride + j, src_stride, dst + j * dst_stride + i,

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "fft/plan.hpp"
@@ -15,6 +16,7 @@ namespace {
 using turbofno::testing::fft_tol;
 using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
+using turbofno::testing::same_bits;
 
 FftPlan make_plan(std::size_t n, Direction dir, std::size_t keep = 0, std::size_t nonzero = 0) {
   PlanDesc d;
@@ -356,6 +358,83 @@ TEST(FftStrided, StridedOutputMatchesContiguous) {
   for (std::size_t k = 0; k < n; ++k) {
     EXPECT_NEAR(out[k * ostride].re, expect[k].re, 1e-6);
     EXPECT_NEAR(out[k * ostride].im, expect[k].im, 1e-6);
+  }
+}
+
+// ------------------------------------------------------------ blocked engine
+
+// Signal c of a batch laid out per `l`, as its own vector.
+std::vector<c32> signal_of(const std::vector<c32>& buf, Layout l, std::size_t c,
+                           std::size_t len) {
+  std::vector<c32> s(len);
+  for (std::size_t x = 0; x < len; ++x) s[x] = buf[x * l.row_stride + c * l.col_stride];
+  return s;
+}
+
+// execute_blocked gives every signal execute_one's bits, whatever the batch
+// around it: full 8-signal blocks, the g % 8 tail, and n < 16 plans (which
+// run every signal alone).  Dense, truncated, padded and both-filtered
+// plans, both directions.
+TEST(FftBlocked, EverySignalMatchesExecuteOneBitwise) {
+  constexpr std::size_t kMaxG = 17;
+  for (const std::size_t n : {8u, 16u, 128u, 256u}) {
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      for (const auto& [keep, nonzero] :
+           {std::pair<std::size_t, std::size_t>{0, 0}, {n / 2, 0}, {0, n / 4}, {n / 4, n / 2}}) {
+        const FftPlan plan = make_plan(n, dir, keep, nonzero);
+        const std::size_t p = plan.desc().nonzero_or_n();
+        const std::size_t m = plan.desc().keep_or_n();
+        const auto in = random_signal(kMaxG * p, 601u + static_cast<unsigned>(n + keep));
+        std::vector<c32> work(plan.blocked_scratch_elems());
+        std::vector<std::vector<c32>> want(kMaxG, std::vector<c32>(m));
+        for (std::size_t c = 0; c < kMaxG; ++c) {
+          plan.execute_one(in.data() + c * p, 1, want[c].data(), 1, work);
+        }
+        for (std::size_t g = 1; g <= kMaxG; ++g) {
+          std::vector<c32> out(g * m);
+          plan.execute_blocked(g, in.data(), tile_layout(p), out.data(), tile_layout(m), work);
+          for (std::size_t c = 0; c < g; ++c) {
+            EXPECT_TRUE(same_bits(signal_of(out, tile_layout(m), c, m), want[c]))
+                << "n=" << n << " inverse=" << (dir == Direction::Inverse) << " keep=" << keep
+                << " nonzero=" << nonzero << " g=" << g << " c=" << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Strided layouts: signals as adjacent columns of a wider field
+// (field_layout) and as rows of a padded tile (tile_layout), each way
+// round, with two full blocks and a three-signal tail.
+TEST(FftBlocked, FieldAndTileLayoutsMatchExecuteOneBitwise) {
+  const std::size_t n = 128;
+  const std::size_t g = 19;
+  const std::size_t field_ld = g + 5;  // field rows wider than the batch
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    const FftPlan plan =
+        dir == Direction::Forward ? make_plan(n, dir, 40) : make_plan(n, dir, 0, 40);
+    const std::size_t p = plan.desc().nonzero_or_n();
+    const std::size_t m = plan.desc().keep_or_n();
+    const Layout tile_in = tile_layout(p + 3);
+    const Layout tile_out = tile_layout(m + 7);
+    const auto field = random_signal(p * field_ld, 613u);
+    const auto tile = random_signal(g * tile_in.col_stride, 617u);
+    std::vector<c32> work(plan.blocked_scratch_elems());
+
+    std::vector<c32> to_tile(g * tile_out.col_stride);
+    plan.execute_blocked(g, field.data(), field_layout(field_ld), to_tile.data(), tile_out, work);
+    std::vector<c32> to_field(m * field_ld);
+    plan.execute_blocked(g, tile.data(), tile_in, to_field.data(), field_layout(field_ld), work);
+    for (std::size_t c = 0; c < g; ++c) {
+      std::vector<c32> want(m);
+      plan.execute_one(field.data() + c, static_cast<std::ptrdiff_t>(field_ld), want.data(), 1,
+                       work);
+      EXPECT_TRUE(same_bits(signal_of(to_tile, tile_out, c, m), want)) << "field->tile c=" << c;
+      plan.execute_one(tile.data() + c * tile_in.col_stride, 1, want.data(), 1, work);
+      EXPECT_TRUE(same_bits(signal_of(to_field, field_layout(field_ld), c, m), want))
+          << "tile->field c=" << c;
+    }
   }
 }
 

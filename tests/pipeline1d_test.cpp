@@ -163,6 +163,27 @@ TEST(Ladder1dEquivalence, RowGroupsAreBitwiseOnBothLanes) {
   }
 }
 
+// KLoopGemm's k-tile is deeper than the paper's k_tb = 8.  Hidden dims
+// below, at and around one and two tiles leave a short last k-tile (or
+// only one), and out_dim = 9 leaves a one-row tail of the column-blocked
+// iFFT epilogue; FullyFused still computes FftOpt's bits on both lanes.
+TEST(Ladder1dEquivalence, DeepKTileEdgesMatchFftOptOnBothLanes) {
+  for (const std::size_t hidden : {1u, 7u, 40u, 63u, 64u, 65u, 130u}) {
+    const Spectral1dProblem prob{2, hidden, 9, 64, 24};
+    const auto w = random_signal(prob.weight_elems(), 487u);
+    const auto u = random_signal(prob.input_elems(), 491u);
+    const auto ur = random_reals(prob.input_elems(), 499u);
+    std::vector<c32> want(prob.output_elems()), got(prob.output_elems());
+    std::vector<float> want_r(prob.output_elems()), got_r(prob.output_elems());
+    make_pipeline1d(Variant::FftOpt, prob)->run(u, w, want);
+    make_pipeline1d(Variant::FullyFused, prob)->run(u, w, got);
+    make_pipeline1d(Variant::FftOpt, prob)->run_batched_real(ur, w, want_r, prob.batch);
+    make_pipeline1d(Variant::FullyFused, prob)->run_batched_real(ur, w, got_r, prob.batch);
+    EXPECT_TRUE(same_bits(got, want)) << "c2c hidden=" << hidden;
+    EXPECT_TRUE(same_bits(got_r, want_r)) << "real hidden=" << hidden;
+  }
+}
+
 // -------------------------------------------------------------- counters
 
 TEST(Ladder1dCounters, TrafficShrinksUpTheLadder) {
