@@ -8,9 +8,9 @@
 # the 2D schedule A/B pairs), the fig15 2D-FFTopt pipeline bench, and the
 # fig14/fig19 TurboFNO benches (their heatmap points, plus trailing figures
 # that record the real-vs-complex RFFT-lane A/B with spectral_path-tagged
-# rows), and merges the results with a host block into BENCH_PR<N>.json at
-# the repo root, so perf regressions show up in review as a diffable
-# artifact.
+# rows), and merges the results with a host block (machine and code
+# version) into BENCH_PR<N>.json at the repo root, so perf regressions show
+# up in review as a diffable artifact.
 #
 # Usage: scripts/record_bench.sh <pr-number> [build-dir] [extra bench args]
 #   scripts/record_bench.sh 2            # writes BENCH_PR2.json from ./build
@@ -39,6 +39,16 @@ fi
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BIN="$ROOT/$BUILD"
+# The code the artifact describes: the checkout's commit at run time, and
+# whether its working tree differs from that commit (uncommitted or
+# untracked files).  Read before this script writes its own temp file into
+# the checkout.  Outside a git checkout: sha "unknown", dirty null.
+GIT_SHA=$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)
+if GIT_PORCELAIN=$(git -C "$ROOT" status --porcelain 2>/dev/null); then
+  if [ -n "$GIT_PORCELAIN" ]; then GIT_DIRTY=true; else GIT_DIRTY=false; fi
+else
+  GIT_DIRTY=null
+fi
 OUT="$ROOT/BENCH_PR$PR.json"
 TMP_SIMD=$(mktemp)
 TMP_SERVE=$(mktemp)
@@ -107,12 +117,13 @@ fi
 
 # The host that produced the numbers: a 1-core box and a 4-core one give
 # different figure-bench ratios, so the artifact carries the core count,
-# the OpenMP thread setting and the CPU model.
+# the OpenMP thread setting and the CPU model, next to the code version.
 CPU=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')
 {
   printf '{\n"pr": %s,\n' "$PR"
-  printf '"host": {"nproc": %s, "omp_num_threads": "%s", "cpu": "%s"},\n' \
-    "$(nproc 2>/dev/null || echo 0)" "${OMP_NUM_THREADS:-}" "${CPU:-unknown}"
+  printf '"host": {"nproc": %s, "omp_num_threads": "%s", "cpu": "%s", "git_sha": "%s", "dirty": %s},\n' \
+    "$(nproc 2>/dev/null || echo 0)" "${OMP_NUM_THREADS:-}" "${CPU:-unknown}" "$GIT_SHA" \
+    "$GIT_DIRTY"
   printf '"bench_micro_simd":\n'
   cat "$TMP_SIMD"
   printf ',\n"bench_serve_throughput":\n'

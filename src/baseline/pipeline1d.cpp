@@ -10,16 +10,11 @@
 namespace turbofno::baseline {
 
 BaselinePipeline1d::BaselinePipeline1d(Spectral1dProblem prob)
-    : prob_(prob),
+    : fused::SpectralPipeline1d(prob, fused::variant_name(fused::Variant::PyTorch), "pytorch-1d"),
       fwd_full_(fft::acquire_plan({prob.n, fft::Direction::Forward})),
       inv_full_(fft::acquire_plan({prob.n, fft::Direction::Inverse})) {
-  prob_.validate();
   prob_.batch = 0;  // the intermediates grow from empty to the capacity hint
   reserve(prob.batch);
-}
-
-void BaselinePipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void BaselinePipeline1d::reserve(std::size_t batch) {

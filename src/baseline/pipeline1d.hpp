@@ -25,19 +25,11 @@ class BaselinePipeline1d final : public fused::SpectralPipeline1d {
  public:
   explicit BaselinePipeline1d(Spectral1dProblem prob);
 
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
                         std::size_t batch) override;
   void reserve(std::size_t batch) override;
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
-    return counters_;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return fused::variant_name(fused::Variant::PyTorch);
-  }
-  [[nodiscard]] const Spectral1dProblem& problem() const noexcept override { return prob_; }
 
  private:
   // One run on either lane: T is the sample type; each signal's full
@@ -46,7 +38,6 @@ class BaselinePipeline1d final : public fused::SpectralPipeline1d {
   void run_lane(const FwdPlan& fwd, const InvPlan& inv, std::size_t full, std::size_t kept,
                 std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch);
 
-  Spectral1dProblem prob_;
   std::shared_ptr<const fft::FftPlan> fwd_full_;
   std::shared_ptr<const fft::FftPlan> inv_full_;
   std::shared_ptr<const fft::RfftPlan> rfwd_full_;   // lazy: real lane only
@@ -56,7 +47,6 @@ class BaselinePipeline1d final : public fused::SpectralPipeline1d {
   AlignedBuffer<c32> freq_trunc_;  // [batch, hidden, modes]
   AlignedBuffer<c32> mixed_;       // [batch, out_dim, modes]
   AlignedBuffer<c32> mixed_full_;  // [batch, out_dim, n]
-  trace::PipelineCounters counters_{"pytorch-1d"};
 };
 
 }  // namespace turbofno::baseline

@@ -12,16 +12,11 @@
 namespace turbofno::baseline {
 
 BaselinePipeline2d::BaselinePipeline2d(Spectral2dProblem prob)
-    : prob_(prob),
+    : fused::SpectralPipeline2d(prob, fused::variant_name(fused::Variant::PyTorch), "pytorch-2d"),
       fwd_full_(fft::Plan2dDesc{prob.nx, prob.ny, fft::Direction::Forward}),
       inv_full_(fft::Plan2dDesc{prob.nx, prob.ny, fft::Direction::Inverse}) {
-  prob_.validate();
   prob_.batch = 0;  // the intermediates grow from empty to the capacity hint
   reserve(prob.batch);
-}
-
-void BaselinePipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void BaselinePipeline2d::reserve(std::size_t batch) {

@@ -25,26 +25,17 @@ class BaselinePipeline2d final : public fused::SpectralPipeline2d {
  public:
   explicit BaselinePipeline2d(Spectral2dProblem prob);
 
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
                         std::size_t batch) override;
   void reserve(std::size_t batch) override;
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
-    return counters_;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return fused::variant_name(fused::Variant::PyTorch);
-  }
-  [[nodiscard]] const Spectral2dProblem& problem() const noexcept override { return prob_; }
 
  private:
   // One run on either lane: T is the sample type (c32 or float).
   template <class T>
   void run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch);
 
-  Spectral2dProblem prob_;
   fft::FftPlan2d fwd_full_;
   fft::FftPlan2d inv_full_;
   std::shared_ptr<const fft::FftPlan> fwd_x_full_;  // lazy: real lane only
@@ -57,7 +48,6 @@ class BaselinePipeline2d final : public fused::SpectralPipeline2d {
   AlignedBuffer<c32> freq_trunc_;  // [batch, hidden, mx, my]
   AlignedBuffer<c32> mixed_;       // [batch, out_dim, mx, my]
   AlignedBuffer<c32> mixed_full_;  // [batch, out_dim, nx, ny]
-  trace::PipelineCounters counters_{"pytorch-2d"};
 };
 
 }  // namespace turbofno::baseline

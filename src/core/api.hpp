@@ -1,4 +1,4 @@
-// TurboFNO public API v5 — curated, versioned facade.
+// TurboFNO public API v6 — curated, versioned facade.
 //
 //   #include "core/api.hpp"
 //
@@ -14,7 +14,7 @@
 // the sharded multi-process layer (turbofno::shard — Topology, Router,
 // Worker, Supervisor), and the tracing vocabulary.  Deeper
 // layers (fft/, gemm/, fused/ pipelines, gpusim/) remain available through
-// their own headers but are not part of the v5 compatibility surface.
+// their own headers but are not part of the v6 compatibility surface.
 //
 // v3 removed the v1 batch-frozen Fno1d(cfg, batch) / Fno2d(cfg, batch)
 // constructors (deprecated since v2): use Fno1d(cfg) + reserve(batch), or
@@ -28,11 +28,17 @@
 // templates over Fno<Config>.  Calls passing either config still compile.
 // shard::ModelEntry now holds one `ModelConfig cfg` in place of a 1D/2D
 // tag and two configs.
+// v6 made SpectralConv1d/2d aliases of one class template
+// SpectralConv<Problem> (positional constructors unchanged, plus one taking
+// the baseline problem) and removed Fno2dConfig::scheme: PerMode is 1D-only
+// and a 2D model could only be Shared.  Fno's spectral_layers() element is
+// SpectralConv<Problem>; the make_spectral_layer overloads gave way to
+// layer_problem(cfg).
 #pragma once
 
 // Major version of the public surface below.  Bumped when a deprecated
 // entry point is removed or an exported type changes incompatibly.
-#define TURBOFNO_API_VERSION 5
+#define TURBOFNO_API_VERSION 6
 
 #include "core/config.hpp"            // IWYU pragma: export
 #include "core/engine.hpp"            // IWYU pragma: export

@@ -17,7 +17,7 @@ enum class WeightScheme {
   /// the paper's formulation (a single tall-and-skinny CGEMM).
   Shared,
   /// Canonical FNO: an independent W_f[out, hidden] per retained mode
-  /// (library extension; runs on the unfused path).
+  /// (library extension, 1D only; runs on the unfused path).
   PerMode,
 };
 
@@ -45,7 +45,6 @@ struct Fno2dConfig {
   std::size_t modes_y = 16;
   std::size_t layers = 4;
   Backend backend = Backend::FullyFused;
-  WeightScheme scheme = WeightScheme::Shared;
   unsigned seed = 0x2545f491u;
 
   bool operator==(const Fno2dConfig&) const = default;

@@ -138,7 +138,7 @@ class Session {
   void run(std::span<const c32> u, std::span<c32> v, std::size_t batch = 1);
 
   /// Real-input run: u/v hold real samples and the spectral layers execute
-  /// their RFFT half-spectrum lane (see SpectralConv1d::forward_real).
+  /// their RFFT half-spectrum lane (see SpectralConv::forward_real).
   /// Requires the spatial leading axis (n / nx) >= 4.  Same elastic-capacity
   /// semantics as run().
   void run_real(std::span<const float> u, std::span<float> v, std::size_t batch = 1);

@@ -149,15 +149,6 @@ void relu_inplace(std::span<float> x) {
 
 // ------------------------------------------------------------------- Fno
 
-SpectralConv1d make_spectral_layer(const Fno1dConfig& cfg, unsigned seed) {
-  return {1, cfg.hidden, cfg.hidden, cfg.n, cfg.modes, cfg.backend, cfg.scheme, seed};
-}
-
-SpectralConv2d make_spectral_layer(const Fno2dConfig& cfg, unsigned seed) {
-  return {1, cfg.hidden, cfg.hidden, cfg.nx, cfg.ny, cfg.modes_x, cfg.modes_y, cfg.backend,
-          cfg.scheme, seed};
-}
-
 template <class Config>
 Fno<Config>::Fno(const Config& cfg)
     : cfg_(cfg),
@@ -171,10 +162,13 @@ Fno<Config>::Fno(const Config& cfg)
     throw std::invalid_argument(std::string(model_name(cfg_, false)) +
                                 ": in_channels/out_channels must be non-zero");
   }
+  WeightScheme scheme = WeightScheme::Shared;
+  if constexpr (requires { cfg.scheme; }) scheme = cfg.scheme;  // a 1D-only option
   spectral_.reserve(cfg_.layers);
   residual_.reserve(cfg_.layers);
   for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    spectral_.push_back(make_spectral_layer(cfg_, cfg_.seed + static_cast<unsigned>(l) * 7919u));
+    spectral_.emplace_back(layer_problem(cfg_), cfg_.backend, scheme,
+                           cfg_.seed + static_cast<unsigned>(l) * 7919u);
     residual_.emplace_back(cfg_.hidden, cfg_.hidden, cfg_.seed + 31u + static_cast<unsigned>(l));
   }
   reserve_items(batch_);

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/problem.hpp"
 #include "core/config.hpp"
 #include "core/spectral_conv.hpp"
 #include "tensor/aligned_buffer.hpp"
@@ -76,10 +77,15 @@ void relu_inplace(std::span<c32> x);
 /// ReLU on a real field.
 void relu_inplace(std::span<float> x);
 
-/// The per-dimension parts of a model: its spectral layer (capacity one
-/// field, seeded with `seed`) and the name its error messages carry.
-SpectralConv1d make_spectral_layer(const Fno1dConfig& cfg, unsigned seed);
-SpectralConv2d make_spectral_layer(const Fno2dConfig& cfg, unsigned seed);
+/// The per-dimension parts of a model: its spectral layers' problem
+/// (hidden -> hidden, capacity one field) and the name its error messages
+/// carry.
+constexpr baseline::Spectral1dProblem layer_problem(const Fno1dConfig& cfg) noexcept {
+  return {1, cfg.hidden, cfg.hidden, cfg.n, cfg.modes};
+}
+constexpr baseline::Spectral2dProblem layer_problem(const Fno2dConfig& cfg) noexcept {
+  return {1, cfg.hidden, cfg.hidden, cfg.nx, cfg.ny, cfg.modes_x, cfg.modes_y};
+}
 constexpr const char* model_name(const Fno1dConfig&, bool real) noexcept {
   return real ? "Fno1d(real)" : "Fno1d";
 }
@@ -92,7 +98,7 @@ constexpr const char* model_name(const Fno2dConfig&, bool real) noexcept {
 template <class Config>
 class Fno {
  public:
-  using SpectralLayer = decltype(make_spectral_layer(std::declval<const Config&>(), 0u));
+  using SpectralLayer = SpectralConv<decltype(layer_problem(std::declval<const Config&>()))>;
 
   /// Capacity is elastic: the model starts sized for one field and grows
   /// its workspaces on demand (reserve / a larger forward micro-batch).
@@ -114,7 +120,7 @@ class Fno {
   /// Real-input forward: u [batch, in_channels, spatial] and v [batch,
   /// out_channels, spatial] hold real samples; every hidden field stays in
   /// floats (views of the complex workspaces) and each spectral layer runs
-  /// its RFFT half-spectrum lane (SpectralConv1d/2d::forward_real).
+  /// its RFFT half-spectrum lane (SpectralConv::forward_real).
   /// Requires the leading spatial axis (n / nx) >= 4.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 

@@ -1,6 +1,8 @@
 #include "core/spectral_conv.hpp"
 
 #include <cmath>
+#include <random>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -18,99 +20,59 @@ void init_weights(std::span<c32> w, std::size_t fan_in, std::size_t fan_out, uns
   for (auto& x : w) x = {dist(rng), dist(rng)};
 }
 
-// ------------------------------------------------------------ SpectralConv1d
+namespace {
 
-SpectralConv1d::SpectralConv1d(std::size_t batch, std::size_t hidden, std::size_t out_dim,
-                               std::size_t n, std::size_t modes, Backend backend,
-                               WeightScheme scheme, unsigned seed)
-    : scheme_(scheme), backend_(backend) {
-  prob_.batch = batch;
-  prob_.hidden = hidden;
-  prob_.out_dim = out_dim;
-  prob_.n = n;
-  prob_.modes = modes;
-  prob_.validate();
+/// Canonical FNO's per-mode weights (WeightScheme::PerMode): an
+/// independent W_f [out, hidden] per kept bin f, so w is [modes, out,
+/// hidden].  The mixing is a per-bin matrix-vector product, not the
+/// ladder's one shared CGEMM, so this row drives the lane's truncated /
+/// zero-padded plans directly around its own loop, unfused: the
+/// reference-grade schedule.
+class PerModePipeline1d final : public fused::SpectralPipeline1d {
+ public:
+  explicit PerModePipeline1d(const baseline::Spectral1dProblem& prob)
+      : fused::SpectralPipeline1d(prob, "PerMode", "per-mode-1d"),
+        freq_(prob.batch * prob.hidden * prob.modes),
+        mixed_(prob.batch * prob.out_dim * prob.modes) {}
 
-  if (scheme_ == WeightScheme::Shared) {
-    weights_.resize(out_dim * hidden);
-    pipeline_ = fused::make_pipeline1d(backend, prob_);
-  } else {
-    weights_.resize(modes * out_dim * hidden);
-    freq_.resize(batch * hidden * modes);
-    mixed_.resize(batch * out_dim * modes);
+  void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
+                   std::size_t batch) override {
+    run_lane(u, w, v, batch);
   }
-  init_weights(weights_.span(), hidden, out_dim, seed);
-}
-
-SpectralConv1d::~SpectralConv1d() = default;
-SpectralConv1d::SpectralConv1d(SpectralConv1d&&) noexcept = default;
-SpectralConv1d& SpectralConv1d::operator=(SpectralConv1d&&) noexcept = default;
-
-void SpectralConv1d::forward(std::span<const c32> u, std::span<c32> v) {
-  forward(u, v, prob_.batch);
-}
-
-void SpectralConv1d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
-  if (scheme_ == WeightScheme::Shared) {
-    // Validate before reserving so a wild batch value throws instead of
-    // attempting a batch-proportional allocation.
-    baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                                prob_.out_dim * prob_.n, batch, "SpectralConv1d");
-    reserve(batch);
-    pipeline_->run_batched(u, weights_.span(), v, batch);
-  } else {
-    forward_per_mode(u, v, batch);
+  void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
+                        std::size_t batch) override {
+    run_lane(u, w, v, batch);
   }
-}
-
-void SpectralConv1d::reserve(std::size_t batch) {
-  if (batch <= prob_.batch) return;
-  if (scheme_ == WeightScheme::Shared) {
-    pipeline_->reserve(batch);
-    if (pipeline_real_) pipeline_real_->reserve(batch);
-  } else {
+  void reserve(std::size_t batch) override {
+    if (batch <= prob_.batch) return;
     // Grow before bumping the capacity mark (exception safety).
     freq_.resize(batch * prob_.hidden * prob_.modes);
     mixed_.resize(batch * prob_.out_dim * prob_.modes);
+    prob_.batch = batch;
   }
-  prob_.batch = batch;
-}
-
-const trace::PipelineCounters& SpectralConv1d::counters() const {
-  return scheme_ == WeightScheme::Shared ? pipeline_->counters() : permode_counters_;
-}
-
-fused::SpectralPipeline1d& SpectralConv1d::real_pipeline() {
-  // The half-spectrum working set can flip the Auto resolution; when both
-  // lanes resolve to the same row, the complex pipeline serves both (every
-  // concrete row implements run_batched_real on shared workspaces).
-  if (fused::resolve_variant(backend_, prob_, true) ==
-      fused::resolve_variant(backend_, prob_, false)) {
-    return *pipeline_;
+  [[nodiscard]] std::size_t weight_elems() const noexcept override {
+    return prob_.modes * prob_.weight_elems();
   }
-  if (!pipeline_real_) pipeline_real_ = fused::make_pipeline1d(backend_, prob_, true);
-  return *pipeline_real_;
-}
 
-void SpectralConv1d::forward_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch) {
-  if (scheme_ != WeightScheme::Shared) {
-    forward_per_mode(u, v, batch);
-    return;
-  }
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                              prob_.out_dim * prob_.n, batch, "SpectralConv1d(real)");
-  reserve(batch);
-  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
-}
+ private:
+  // One run on either lane: T is the sample type (c32 or float).
+  template <class T>
+  void run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v,
+                std::size_t batch);
+
+  AlignedBuffer<c32> freq_;   // [batch, hidden, modes]
+  AlignedBuffer<c32> mixed_;  // [batch, out_dim, modes]
+};
 
 template <class T>
-void SpectralConv1d::forward_per_mode(std::span<const T> u, std::span<T> v, std::size_t batch) {
+void PerModePipeline1d::run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v,
+                                 std::size_t batch) {
   constexpr bool kReal = std::is_same_v<T, float>;
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
                               prob_.out_dim * prob_.n, batch,
                               kReal ? "SpectralConv1d(real)" : "SpectralConv1d");
   reserve(batch);
+  counters_.clear();
   if (batch == 0) return;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
@@ -119,11 +81,6 @@ void SpectralConv1d::forward_per_mode(std::span<const T> u, std::span<T> v, std:
   // Kept bins: the per-mode matrices f < M apply (the RFFT half-spectrum on
   // the real lane).
   const std::size_t M = kReal ? prob_.modes / 2 + 1 : prob_.modes;
-  permode_counters_.clear();
-
-  // The per-mode path is already the reference-grade unfused schedule, so
-  // it drives the lane's truncated / zero-padded plans directly rather than
-  // a ladder pipeline.
   const auto [fwd, inv] = [&] {
     if constexpr (kReal) {
       return std::pair{fft::acquire_rfft_plan(N, M), fft::acquire_irfft_plan(N, M)};
@@ -140,7 +97,7 @@ void SpectralConv1d::forward_per_mode(std::span<const T> u, std::span<T> v, std:
     for (std::size_t i = lo; i < hi; ++i) {
       const std::size_t b = i / M;
       const std::size_t f = i % M;
-      const c32* wf = weights_.data() + f * O * K;
+      const c32* wf = w.data() + f * O * K;
       for (std::size_t o = 0; o < O; ++o) {
         c32 acc{};
         for (std::size_t k = 0; k < K; ++k) {
@@ -152,7 +109,7 @@ void SpectralConv1d::forward_per_mode(std::span<const T> u, std::span<T> v, std:
   });
   inv->execute(mixed_.span().first(B * O * M), v.first(B * O * N), B * O);
 
-  auto& sc = permode_counters_.stage("per-mode-spectral-conv");
+  auto& sc = counters_.stage("per-mode-spectral-conv");
   sc.seconds = t.seconds();
   sc.bytes_read = B * K * N * sizeof(T) + (M * O * K + B * O * M) * sizeof(c32);
   sc.bytes_written = (B * K * M + B * O * M) * sizeof(c32) + B * O * N * sizeof(T);
@@ -161,69 +118,84 @@ void SpectralConv1d::forward_per_mode(std::span<const T> u, std::span<T> v, std:
   sc.kernel_launches = 3;
 }
 
-// ------------------------------------------------------------ SpectralConv2d
-
-SpectralConv2d::SpectralConv2d(std::size_t batch, std::size_t hidden, std::size_t out_dim,
-                               std::size_t nx, std::size_t ny, std::size_t modes_x,
-                               std::size_t modes_y, Backend backend, WeightScheme scheme,
-                               unsigned seed)
-    : scheme_(scheme), backend_(backend) {
-  prob_.batch = batch;
-  prob_.hidden = hidden;
-  prob_.out_dim = out_dim;
-  prob_.nx = nx;
-  prob_.ny = ny;
-  prob_.modes_x = modes_x;
-  prob_.modes_y = modes_y;
-  prob_.validate();
-  if (scheme_ != WeightScheme::Shared) {
-    throw std::invalid_argument("SpectralConv2d: PerMode scheme is 1D-only in this release");
-  }
-  weights_.resize(out_dim * hidden);
-  pipeline_ = fused::make_pipeline2d(backend, prob_);
-  init_weights(weights_.span(), hidden, out_dim, seed);
+/// The layer's pipeline for one lane: the per-mode row for PerMode, else
+/// the backend's ladder row (`real_input` steers only Auto).
+std::unique_ptr<fused::SpectralPipeline1d> layer_pipeline(Backend backend, WeightScheme scheme,
+                                                          const baseline::Spectral1dProblem& p,
+                                                          bool real_input) {
+  if (scheme == WeightScheme::PerMode) return std::make_unique<PerModePipeline1d>(p);
+  return fused::make_pipeline1d(backend, p, real_input);
 }
 
-SpectralConv2d::~SpectralConv2d() = default;
-SpectralConv2d::SpectralConv2d(SpectralConv2d&&) noexcept = default;
-SpectralConv2d& SpectralConv2d::operator=(SpectralConv2d&&) noexcept = default;
+std::unique_ptr<fused::SpectralPipeline2d> layer_pipeline(Backend backend, WeightScheme scheme,
+                                                          const baseline::Spectral2dProblem& p,
+                                                          bool real_input) {
+  if (scheme != WeightScheme::Shared) {
+    throw std::invalid_argument("SpectralConv2d: PerMode scheme is 1D-only in this release");
+  }
+  return fused::make_pipeline2d(backend, p, real_input);
+}
 
-void SpectralConv2d::forward(std::span<const c32> u, std::span<c32> v) {
+/// Whether the real lane needs a pipeline of its own: the half-spectrum
+/// working set can flip the Auto resolution.  The per-mode row serves both
+/// lanes whatever the backend.
+template <class Problem>
+bool real_lane_differs(Backend backend, WeightScheme scheme, const Problem& p) noexcept {
+  return scheme == WeightScheme::Shared &&
+         fused::resolve_variant(backend, p, true) != fused::resolve_variant(backend, p, false);
+}
+
+}  // namespace
+
+template <class Problem>
+SpectralConv<Problem>::SpectralConv(const Problem& prob, Backend backend, WeightScheme scheme,
+                                    unsigned seed)
+    : backend_(backend),
+      scheme_(scheme),
+      pipeline_(layer_pipeline(backend, scheme, prob, false)),
+      weights_(pipeline_->weight_elems()) {
+  init_weights(weights_.span(), prob.hidden, prob.out_dim, seed);
+}
+
+template <class Problem>
+SpectralConv<Problem>::~SpectralConv() = default;
+template <class Problem>
+SpectralConv<Problem>::SpectralConv(SpectralConv&&) noexcept = default;
+template <class Problem>
+SpectralConv<Problem>& SpectralConv<Problem>::operator=(SpectralConv&&) noexcept = default;
+
+template <class Problem>
+void SpectralConv<Problem>::forward(std::span<const c32> u, std::span<c32> v) {
   pipeline_->run(u, weights_.span(), v);
 }
 
-void SpectralConv2d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
-  const std::size_t field = prob_.nx * prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "SpectralConv2d");
-  reserve(batch);
+template <class Problem>
+void SpectralConv<Problem>::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
   pipeline_->run_batched(u, weights_.span(), v, batch);
 }
 
-void SpectralConv2d::reserve(std::size_t batch) {
-  pipeline_->reserve(batch);
-  if (pipeline_real_) pipeline_real_->reserve(batch);
-  if (batch > prob_.batch) prob_.batch = batch;
+template <class Problem>
+void SpectralConv<Problem>::forward_real(std::span<const float> u, std::span<float> v,
+                                         std::size_t batch) {
+  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
 }
 
-const trace::PipelineCounters& SpectralConv2d::counters() const { return pipeline_->counters(); }
+template <class Problem>
+void SpectralConv<Problem>::reserve(std::size_t batch) {
+  pipeline_->reserve(batch);
+  if (pipeline_real_) pipeline_real_->reserve(batch);
+}
 
-fused::SpectralPipeline2d& SpectralConv2d::real_pipeline() {
-  if (fused::resolve_variant(backend_, prob_, true) ==
-      fused::resolve_variant(backend_, prob_, false)) {
-    return *pipeline_;
-  }
-  if (!pipeline_real_) pipeline_real_ = fused::make_pipeline2d(backend_, prob_, true);
+template <class Problem>
+auto SpectralConv<Problem>::real_pipeline() -> Pipeline& {
+  // Every row implements run_batched_real on the complex lane's workspaces,
+  // so one pipeline serves both lanes unless Auto tunes them apart.
+  if (!real_lane_differs(backend_, scheme_, problem())) return *pipeline_;
+  if (!pipeline_real_) pipeline_real_ = layer_pipeline(backend_, scheme_, problem(), true);
   return *pipeline_real_;
 }
 
-void SpectralConv2d::forward_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch) {
-  const std::size_t field = prob_.nx * prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "SpectralConv2d(real)");
-  reserve(batch);
-  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
-}
+template class SpectralConv<baseline::Spectral1dProblem>;
+template class SpectralConv<baseline::Spectral2dProblem>;
 
 }  // namespace turbofno::core

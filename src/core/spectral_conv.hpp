@@ -3,11 +3,13 @@
 //
 // forward(): v = iFFT( pad( W x trunc( FFT(u) ) ) ), with W applied along
 // the hidden dimension.  The backend selects which pipeline executes it;
-// all backends are bit-compatible up to float rounding (tests assert this).
+// the five rows are one bitwise group on every build (tests assert
+// same_bits).  One layer template serves both dimensionalities: it owns the
+// weights and the pipelines, and every forward is one pipeline run.
 #pragma once
 
+#include <concepts>
 #include <memory>
-#include <random>
 #include <span>
 
 #include "baseline/problem.hpp"
@@ -18,99 +20,85 @@
 
 namespace turbofno::core {
 
-class SpectralConv1d {
+/// A spectral layer over a problem shape: baseline::Spectral1dProblem
+/// (signals [n], `modes` kept bins) or Spectral2dProblem (fields [nx, ny],
+/// modes_x x modes_y kept).
+template <class Problem>
+class SpectralConv {
  public:
-  /// hidden -> out_dim mixing over `modes` of `n` frequencies for signals of
-  /// a fixed batch size.  Weights are initialized Glorot-style from `seed`.
-  SpectralConv1d(std::size_t batch, std::size_t hidden, std::size_t out_dim, std::size_t n,
-                 std::size_t modes, Backend backend, WeightScheme scheme = WeightScheme::Shared,
-                 unsigned seed = 1u);
-  ~SpectralConv1d();
-  SpectralConv1d(SpectralConv1d&&) noexcept;
-  SpectralConv1d& operator=(SpectralConv1d&&) noexcept;
+  using Pipeline = fused::SpectralPipeline<Problem>;
 
-  /// u [batch, hidden, n] -> v [batch, out_dim, n].
+  /// hidden -> out_dim mixing over the problem's kept modes, with capacity
+  /// for prob.batch items.  Weights are initialized Glorot-style from
+  /// `seed`.  WeightScheme::PerMode (1D only; the 2D layer throws
+  /// std::invalid_argument) runs canonical FNO's per-mode weights on a
+  /// private unfused row whatever the backend.
+  SpectralConv(const Problem& prob, Backend backend, WeightScheme scheme = WeightScheme::Shared,
+               unsigned seed = 1u);
+  /// 1D: `modes` of `n` frequencies for signals of `batch` capacity.
+  SpectralConv(std::size_t batch, std::size_t hidden, std::size_t out_dim, std::size_t n,
+               std::size_t modes, Backend backend, WeightScheme scheme = WeightScheme::Shared,
+               unsigned seed = 1u)
+    requires std::same_as<Problem, baseline::Spectral1dProblem>
+      : SpectralConv(Problem{batch, hidden, out_dim, n, modes}, backend, scheme, seed) {}
+  /// 2D: modes_x x modes_y of nx x ny frequencies.
+  SpectralConv(std::size_t batch, std::size_t hidden, std::size_t out_dim, std::size_t nx,
+               std::size_t ny, std::size_t modes_x, std::size_t modes_y, Backend backend,
+               WeightScheme scheme = WeightScheme::Shared, unsigned seed = 1u)
+    requires std::same_as<Problem, baseline::Spectral2dProblem>
+      : SpectralConv(Problem{batch, hidden, out_dim, nx, ny, modes_x, modes_y}, backend, scheme,
+                     seed) {}
+  ~SpectralConv();
+  SpectralConv(SpectralConv&&) noexcept;
+  SpectralConv& operator=(SpectralConv&&) noexcept;
+
+  /// u [batch, hidden, spatial] -> v [batch, out_dim, spatial] at the
+  /// current capacity; spatial is n, or nx * ny (DimY contiguous).
   void forward(std::span<const c32> u, std::span<c32> v);
-  /// Micro-batch variant: first `batch` signals; a batch beyond the current
+  /// Micro-batch variant: first `batch` items; a batch beyond the current
   /// capacity grows the workspaces in place (elastic capacity).
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
   /// Real-input forward: u/v hold real samples and the spectral schedule
-  /// runs on the RFFT half-spectrum (modes/2+1 retained bins,
-  /// torch.fft.rfft/irfft semantics).  Requires n >= 4.  This is the only
-  /// real-input route; tests/real_pipeline_test.cpp checks it against a
-  /// direct half-spectrum DFT.
+  /// runs on the RFFT half-spectrum of the leading axis (modes/2+1 retained
+  /// bins in 1D, modes_x/2+1 retained x-rows in 2D; torch.fft.rfft/irfft
+  /// semantics).  Requires n >= 4 / nx >= 4.  This is the only real-input
+  /// route; tests/real_pipeline_test.cpp checks it against a direct
+  /// half-spectrum DFT.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
-  /// Grows the layer (pipeline workspaces / per-mode buffers) to serve
-  /// micro-batches up to `batch` without reallocation.  Never shrinks.
+  /// Grows the layer's pipelines to serve micro-batches up to `batch`
+  /// without reallocation.  Never shrinks.
   void reserve(std::size_t batch);
 
   /// Mutable weight access is weight-invalidating (packed/split planes a
   /// caller derived from the old values must be re-derived); prefer the
-  /// const overload for reads.
+  /// const overload for reads.  Shared: [out, hidden].  PerMode: [modes,
+  /// out, hidden].
   [[nodiscard]] std::span<c32> weights() noexcept { return weights_.span(); }
   [[nodiscard]] std::span<const c32> weights() const noexcept { return weights_.span(); }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept { return prob_; }
-  [[nodiscard]] const trace::PipelineCounters& counters() const;
+  /// The shape, with the complex lane's high-water capacity as batch.
+  [[nodiscard]] const Problem& problem() const noexcept { return pipeline_->problem(); }
+  /// The complex lane's stage counters of the last forward.
+  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept {
+    return pipeline_->counters();
+  }
   [[nodiscard]] WeightScheme scheme() const noexcept { return scheme_; }
 
  private:
-  /// The PerMode scheme on either lane: T is the sample type (c32 or float).
-  template <class T>
-  void forward_per_mode(std::span<const T> u, std::span<T> v, std::size_t batch);
   /// The pipeline serving the real lane: `pipeline_` when Auto resolves to
   /// the same row for both lanes, else a lazily built real-tuned sibling.
-  fused::SpectralPipeline1d& real_pipeline();
+  Pipeline& real_pipeline();
 
-  baseline::Spectral1dProblem prob_;
+  Backend backend_;
   WeightScheme scheme_;
-  Backend backend_ = Backend::FullyFused;
-  // Shared: [out, hidden].  PerMode: [modes, out, hidden].
+  std::unique_ptr<Pipeline> pipeline_;
+  std::unique_ptr<Pipeline> pipeline_real_;  // lazy: real-lane Auto sibling
   AlignedBuffer<c32> weights_;
-  std::unique_ptr<fused::SpectralPipeline1d> pipeline_;
-  std::unique_ptr<fused::SpectralPipeline1d> pipeline_real_;  // lazy: real-lane Auto sibling
-  // PerMode path state.
-  AlignedBuffer<c32> freq_;
-  AlignedBuffer<c32> mixed_;
-  trace::PipelineCounters permode_counters_{"per-mode-1d"};
 };
 
-class SpectralConv2d {
- public:
-  SpectralConv2d(std::size_t batch, std::size_t hidden, std::size_t out_dim, std::size_t nx,
-                 std::size_t ny, std::size_t modes_x, std::size_t modes_y, Backend backend,
-                 WeightScheme scheme = WeightScheme::Shared, unsigned seed = 1u);
-  ~SpectralConv2d();
-  SpectralConv2d(SpectralConv2d&&) noexcept;
-  SpectralConv2d& operator=(SpectralConv2d&&) noexcept;
-
-  /// u [batch, hidden, nx, ny] -> v [batch, out_dim, nx, ny].
-  void forward(std::span<const c32> u, std::span<c32> v);
-  /// Micro-batch variant: first `batch` fields; elastic capacity growth as
-  /// in SpectralConv1d.
-  void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  /// Real-input forward on the RFFT half-spectrum: modes_x/2+1 retained
-  /// x-rows (the X axis carries the real transform), modes_y unchanged.
-  /// Requires nx >= 4.
-  void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
-  /// Elastic capacity growth; see SpectralConv1d::reserve.
-  void reserve(std::size_t batch);
-
-  /// Mutable weight access is weight-invalidating; see SpectralConv1d.
-  [[nodiscard]] std::span<c32> weights() noexcept { return weights_.span(); }
-  [[nodiscard]] std::span<const c32> weights() const noexcept { return weights_.span(); }
-  [[nodiscard]] const baseline::Spectral2dProblem& problem() const noexcept { return prob_; }
-  [[nodiscard]] const trace::PipelineCounters& counters() const;
-
- private:
-  fused::SpectralPipeline2d& real_pipeline();
-
-  baseline::Spectral2dProblem prob_;
-  WeightScheme scheme_;
-  Backend backend_ = Backend::FullyFused;
-  AlignedBuffer<c32> weights_;
-  std::unique_ptr<fused::SpectralPipeline2d> pipeline_;
-  std::unique_ptr<fused::SpectralPipeline2d> pipeline_real_;  // lazy: real-lane Auto sibling
-};
+extern template class SpectralConv<baseline::Spectral1dProblem>;
+extern template class SpectralConv<baseline::Spectral2dProblem>;
+using SpectralConv1d = SpectralConv<baseline::Spectral1dProblem>;
+using SpectralConv2d = SpectralConv<baseline::Spectral2dProblem>;
 
 /// Glorot-uniform complex init used by every layer (deterministic).
 void init_weights(std::span<c32> w, std::size_t fan_in, std::size_t fan_out, unsigned seed);

@@ -11,14 +11,16 @@
 // so one staged driver per dimensionality serves all four (its fusion
 // boundaries are the row; see fused/pipeline1d.hpp and pipeline2d.hpp).
 // The PyTorch row is baseline::BaselinePipeline1d/2d (baseline/).  Every
-// row, the baseline included, implements SpectralPipeline1d/2d directly
-// and refreshes its stage counters on each run, so benches compare
+// row, the baseline included, implements SpectralPipeline<Problem>
+// directly and refreshes its stage counters on each run, so benches compare
 // wall-clock, traffic, and the A100 model on identical terms.
 #pragma once
 
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "baseline/problem.hpp"
 #include "tensor/complex.hpp"
@@ -66,59 +68,71 @@ inline constexpr Variant kAllVariants[] = {Variant::PyTorch, Variant::FftOpt,
 [[nodiscard]] Variant resolve_variant(Variant v, const baseline::Spectral2dProblem& prob,
                                       bool real_input = false) noexcept;
 
-class SpectralPipeline1d {
+/// One spectral-convolution pipeline over a problem shape: a Table 2 row
+/// (Spectral1dProblem or Spectral2dProblem) with its workspaces, plans and
+/// per-run stage counters.  The base holds the problem, the counters and
+/// the row name; a row implements the two lanes and reserve().
+template <class Problem>
+class SpectralPipeline {
  public:
-  virtual ~SpectralPipeline1d() = default;
-  /// u [batch, hidden, n] -> v [batch, out_dim, n]; w [out_dim, hidden].
-  /// Runs at the current capacity (problem().batch).
-  virtual void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) = 0;
+  virtual ~SpectralPipeline() = default;
+  /// u [batch, hidden, spatial] -> v [batch, out_dim, spatial], where
+  /// spatial is n (1D) or nx * ny (2D, DimY contiguous); w [out_dim,
+  /// hidden].  Runs at the current capacity (problem().batch).
+  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
+    run_batched(u, w, v, prob_.batch);
+  }
   /// Batched serving entry point: runs on the first `batch` signals.
   /// problem().batch is a capacity *hint*, not a contract: a larger
   /// micro-batch grows the workspaces in place (see reserve) and runs.
   /// Workspaces, plans, and packed weight planes are reused across calls,
   /// so a server can execute variable-size micro-batches on one pipeline
   /// instance.  Each signal's result is bitwise-identical to a batch-1 run
-  /// (no cross-request coupling); `batch == 0` is a no-op.
+  /// (no cross-request coupling); `batch == 0` is a no-op.  Throws
+  /// std::invalid_argument, before growing anything, when u or v cannot
+  /// hold `batch` items.
   virtual void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                            std::size_t batch) = 0;
-  /// Real-spectral lane: u [batch, hidden, n] and v [batch, out_dim, n] hold
-  /// real samples, and the whole spectral schedule runs on the RFFT
-  /// half-spectrum — modes/2+1 retained bins instead of modes, a half-length
-  /// packed complex transform per signal, and a Hermitian-projecting inverse
-  /// (torch.fft.irfft semantics).  Requires n >= 4.  Shares every workspace
-  /// with the complex lane (the half-spectrum is a capacity subset), so the
-  /// two lanes may be interleaved on one pipeline instance.
+  /// Real-spectral lane: u and v hold real samples, and the whole spectral
+  /// schedule runs on the RFFT half-spectrum of the leading axis: modes/2+1
+  /// retained bins (1D), or modes_x/2+1 retained x-rows via the two-for-one
+  /// column-pair X stage with the Y axis complex as usual (2D); a
+  /// half-length packed complex transform per signal, and a
+  /// Hermitian-projecting inverse (torch.fft.irfft semantics).  Requires
+  /// n >= 4 (1D) / nx >= 4 (2D).  Shares every workspace with the complex
+  /// lane (the half-spectrum is a capacity subset), so the two lanes may
+  /// be interleaved on one pipeline instance.
   virtual void run_batched_real(std::span<const float> u, std::span<const c32> w,
                                 std::span<float> v, std::size_t batch) = 0;
   /// Grows the workspaces to serve micro-batches up to `batch` without a
   /// reallocation on the run path; problem().batch becomes the high-water
   /// capacity.  Never shrinks.  Growth does not perturb results.
   virtual void reserve(std::size_t batch) = 0;
-  [[nodiscard]] virtual const trace::PipelineCounters& counters() const noexcept = 0;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual const baseline::Spectral1dProblem& problem() const noexcept = 0;
+  /// Elements of w a run reads: out_dim * hidden for every ladder row.
+  [[nodiscard]] virtual std::size_t weight_elems() const noexcept {
+    return prob_.weight_elems();
+  }
+  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept { return counters_; }
+  [[nodiscard]] std::string_view name() const noexcept { return name_; }
+  [[nodiscard]] const Problem& problem() const noexcept { return prob_; }
+
+ protected:
+  /// Validates `prob`.  `name` must outlive the pipeline (a literal or a
+  /// variant_name).
+  SpectralPipeline(const Problem& prob, std::string_view name, std::string counters_name)
+      : prob_(prob), counters_(std::move(counters_name)), name_(name) {
+    prob_.validate();
+  }
+
+  Problem prob_;
+  trace::PipelineCounters counters_;
+
+ private:
+  std::string_view name_;
 };
 
-class SpectralPipeline2d {
- public:
-  virtual ~SpectralPipeline2d() = default;
-  /// u [batch, hidden, nx, ny] -> v [batch, out_dim, nx, ny].
-  virtual void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) = 0;
-  /// Batched serving entry point; see SpectralPipeline1d::run_batched.
-  virtual void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
-                           std::size_t batch) = 0;
-  /// Real-spectral lane; see SpectralPipeline1d::run_batched_real.  The
-  /// X axis carries the real transform (modes_x/2+1 retained x-rows via the
-  /// two-for-one column-pair X stage); the Y axis stays complex with the
-  /// usual modes_y truncation.  Requires nx >= 4.
-  virtual void run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                std::span<float> v, std::size_t batch) = 0;
-  /// Elastic capacity growth; see SpectralPipeline1d::reserve.
-  virtual void reserve(std::size_t batch) = 0;
-  [[nodiscard]] virtual const trace::PipelineCounters& counters() const noexcept = 0;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual const baseline::Spectral2dProblem& problem() const noexcept = 0;
-};
+using SpectralPipeline1d = SpectralPipeline<baseline::Spectral1dProblem>;
+using SpectralPipeline2d = SpectralPipeline<baseline::Spectral2dProblem>;
 
 /// Pipeline factories.  Variant::Auto is resolved (resolve_variant) before
 /// construction, so the returned pipeline is always a concrete row and its

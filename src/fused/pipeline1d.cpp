@@ -165,20 +165,13 @@ void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r) {
 }
 
 LadderPipeline1d::LadderPipeline1d(Variant v, baseline::Spectral1dProblem prob)
-    : prob_(prob),
+    : SpectralPipeline1d(prob, variant_name(v), counters_name(fusion_of(v), "-1d")),
       fusion_(fusion_of(v)),
-      name_(variant_name(v)),
       fwd_(fft::acquire_plan({prob.n, fft::Direction::Forward, prob.modes})),
       inv_(fft::acquire_plan({prob.n, fft::Direction::Inverse, 0, prob.modes})),
-      kloop_(prob.out_dim, prob.hidden),
-      counters_(counters_name(fusion_, "-1d")) {
-  prob_.validate();
+      kloop_(prob.out_dim, prob.hidden) {
   if (!fusion_.fwd) freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
   if (!fusion_.inv) mixed_.resize(prob_.batch * prob_.out_dim * prob_.modes);
-}
-
-void LadderPipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void LadderPipeline1d::reserve(std::size_t batch) {

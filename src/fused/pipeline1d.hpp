@@ -163,19 +163,11 @@ class LadderPipeline1d final : public SpectralPipeline1d {
  public:
   LadderPipeline1d(Variant v, baseline::Spectral1dProblem prob);
 
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
                         std::size_t batch) override;
   void reserve(std::size_t batch) override;
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
-    return counters_;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-  [[nodiscard]] const baseline::Spectral1dProblem& problem() const noexcept override {
-    return prob_;
-  }
 
  private:
   // One run on either lane: T is the sample type, m the kept bins.
@@ -187,9 +179,7 @@ class LadderPipeline1d final : public SpectralPipeline1d {
   void run_chain(const FwdPlan& fwd, const InvPlan& inv, std::size_t m, std::span<const T> u,
                  std::span<const c32> w, std::span<T> v, std::size_t batch, ChainRun& run);
 
-  baseline::Spectral1dProblem prob_;
   Fusion fusion_;
-  std::string_view name_;
   std::shared_ptr<const fft::FftPlan> fwd_;  // truncated FFT feeding the k-loop
   std::shared_ptr<const fft::FftPlan> inv_;  // zero-padded iFFT (the k-loop epilogue)
   std::shared_ptr<const fft::RfftPlan> rfwd_;   // lazy: real lane only
@@ -197,7 +187,6 @@ class LadderPipeline1d final : public SpectralPipeline1d {
   AlignedBuffer<c32> freq_;   // [batch, hidden, modes], unfused forward only
   AlignedBuffer<c32> mixed_;  // [batch, out_dim, modes], unfused inverse only
   KLoopGemm kloop_;
-  trace::PipelineCounters counters_;
 };
 
 }  // namespace turbofno::fused

@@ -45,9 +45,8 @@ std::size_t fused_mid_group_override() noexcept {
 }
 
 LadderPipeline2d::LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob)
-    : prob_(prob),
+    : SpectralPipeline2d(prob, variant_name(v), counters_name(fusion_of(v), "-2d")),
       fusion_(fusion_of(v)),
-      name_(variant_name(v)),
       fft_x_trunc_(fft::acquire_plan({prob.nx, fft::Direction::Forward, prob.modes_x})),
       ifft_x_pad_(fft::acquire_plan({prob.nx, fft::Direction::Inverse, 0, prob.modes_x})),
       fwd_y_(fft::acquire_plan({prob.ny, fft::Direction::Forward, prob.modes_y})),
@@ -55,14 +54,8 @@ LadderPipeline2d::LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob)
       real_x_fwd_(fft::acquire_plan({prob.nx, fft::Direction::Forward})),
       real_x_inv_(fft::acquire_plan({prob.nx, fft::Direction::Inverse})),
       real_x_flops_(fft::rfft2d_x_stage_flops(prob.nx, prob.ny, real_modes_x())),
-      kloop_(prob.out_dim, prob.hidden),
-      counters_(counters_name(fusion_, "-2d")) {
-  prob_.validate();
+      kloop_(prob.out_dim, prob.hidden) {
   // The group-scaled buffers are sized lazily by run_groups.
-}
-
-void LadderPipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void LadderPipeline2d::ensure_mid_buffers(std::size_t group) {

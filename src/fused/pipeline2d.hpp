@@ -52,7 +52,6 @@ class LadderPipeline2d final : public SpectralPipeline2d {
  public:
   LadderPipeline2d(Variant v, baseline::Spectral2dProblem prob);
 
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override;
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch) override;
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
@@ -63,13 +62,6 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   /// reallocating; the run itself still lazily grows them, grow-only, if
   /// the group override changes afterwards.
   void reserve(std::size_t batch) override;
-  [[nodiscard]] const trace::PipelineCounters& counters() const noexcept override {
-    return counters_;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-  [[nodiscard]] const baseline::Spectral2dProblem& problem() const noexcept override {
-    return prob_;
-  }
 
  private:
   /// View of one batch group's y-major staging tiles.  Rows are addressed
@@ -143,9 +135,7 @@ class LadderPipeline2d final : public SpectralPipeline2d {
                   const std::function<void(const MidView&)>& middle,
                   const XInverse& x_inverse);
 
-  baseline::Spectral2dProblem prob_;
   Fusion fusion_;
-  std::string_view name_;
   // X-stage plans come from the process-wide cache so concurrent pipelines
   // (one per serving-layer model) share them.
   std::shared_ptr<const fft::FftPlan> fft_x_trunc_;
@@ -164,7 +154,6 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   AlignedBuffer<c32> staging_out_;  // [bg, O, ny, mx] before the X inverse
   AlignedBuffer<c32> freq_;         // [bg, K, mx, my], unfused forward only
   AlignedBuffer<c32> mixed_;        // [bg, O, mx, my], unfused inverse only
-  trace::PipelineCounters counters_;
 };
 
 }  // namespace turbofno::fused

@@ -1,40 +1,93 @@
-// Spectral convolution layers: backend equivalence, per-mode extension,
-// linearity, and weight initialization.
+// Spectral convolution layers: backend equivalence, the real lane's Auto
+// sibling, per-mode extension, linearity, and weight initialization.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/spectral_conv.hpp"
 #include "fft/plan.hpp"
+#include "runtime/scratch.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::core {
 namespace {
 
 using turbofno::testing::max_err;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
+using turbofno::testing::same_bits;
 
-TEST(SpectralConv1dTest, BackendsProduceIdenticalOperators) {
-  const std::size_t B = 2;
-  const std::size_t K = 16;
-  const std::size_t O = 16;
-  const std::size_t N = 64;
-  const std::size_t M = 16;
-  const auto u = random_signal(B * K * N, 801u);
+/// One layer shape per dimension.
+template <class Conv>
+auto test_problem() {
+  if constexpr (std::is_same_v<Conv, SpectralConv1d>) {
+    return baseline::Spectral1dProblem{2, 16, 16, 64, 16};
+  } else {
+    return baseline::Spectral2dProblem{1, 8, 8, 16, 32, 4, 8};
+  }
+}
 
-  std::vector<std::vector<c32>> outs;
-  for (const auto backend :
-       {Backend::PyTorch, Backend::FftOpt, Backend::FusedFftGemm, Backend::FusedGemmIfft,
-        Backend::FullyFused}) {
-    SpectralConv1d conv(B, K, O, N, M, backend, WeightScheme::Shared, /*seed=*/99u);
-    std::vector<c32> v(B * O * N, c32{});
+template <class Conv>
+class SpectralConvTest : public ::testing::Test {};
+using Layers = ::testing::Types<SpectralConv1d, SpectralConv2d>;
+TYPED_TEST_SUITE(SpectralConvTest, Layers);
+
+TYPED_TEST(SpectralConvTest, BackendsProduceIdenticalOperators) {
+  // The five rows are one bitwise group on every build.
+  const auto prob = test_problem<TypeParam>();
+  const auto u = random_signal(prob.input_elems(), 801u);
+  std::vector<c32> want;
+  for (const auto backend : fused::kAllVariants) {
+    TypeParam conv(prob, backend, WeightScheme::Shared, /*seed=*/99u);
+    std::vector<c32> v(prob.output_elems(), c32{});
     conv.forward(u, v);
-    outs.push_back(std::move(v));
+    if (want.empty()) {
+      want = std::move(v);
+    } else {
+      EXPECT_TRUE(same_bits(v, want)) << fused::variant_name(backend);
+    }
   }
-  for (std::size_t i = 1; i < outs.size(); ++i) {
-    EXPECT_LT(rel_err(outs[i], outs[0]), 1e-4) << "backend " << i;
-  }
+}
+
+TEST(SpectralConv1dTest, AutoRealLaneRunsOnItsOwnRow) {
+  // The complex lane's fused accumulator outgrows Auto's cache budget here
+  // and the real lane's half spectrum does not, so Auto tunes the lanes to
+  // different rows: the layer serves the real lane from a sibling pipeline.
+  const baseline::Spectral1dProblem prob{1, 512, 512, 512, 256};
+  ASSERT_EQ(fused::resolve_variant(Backend::Auto, prob, false), Backend::FftOpt);
+  ASSERT_EQ(fused::resolve_variant(Backend::Auto, prob, true), Backend::FullyFused);
+  SpectralConv1d conv(prob, Backend::Auto, WeightScheme::Shared, 21u);
+  SpectralConv1d complex_row(prob, Backend::FftOpt, WeightScheme::Shared, 21u);
+  SpectralConv1d real_row(prob, Backend::FullyFused, WeightScheme::Shared, 21u);
+  const auto u = random_signal(prob.input_elems(), 851u);
+  const auto ur = random_reals(prob.input_elems(), 853u);
+  const auto run = [&](SpectralConv1d& layer) {
+    std::vector<c32> v(prob.output_elems());
+    layer.forward(u, v);
+    return v;
+  };
+  const auto run_real = [&](SpectralConv1d& layer) {
+    std::vector<float> v(prob.output_elems());
+    layer.forward_real(ur, v, prob.batch);
+    return v;
+  };
+  const auto want = run(complex_row);
+  const auto want_real = run_real(real_row);
+
+  EXPECT_TRUE(same_bits(run(conv), want));
+  const auto complex_bytes = conv.counters().total().bytes_total();
+  EXPECT_TRUE(same_bits(run_real(conv), want_real));
+  // The real lane ran elsewhere: the complex pipeline's counters still hold
+  // its own run.
+  EXPECT_EQ(conv.counters().name(), "fftopt-1d");
+  EXPECT_EQ(conv.counters().total().bytes_total(), complex_bytes);
+  EXPECT_TRUE(same_bits(run(conv), want));
+  const std::size_t reserved = runtime::tls_scratch().bytes_reserved();
+  EXPECT_TRUE(same_bits(run_real(conv), want_real));
+  EXPECT_EQ(runtime::tls_scratch().bytes_reserved(), reserved);
 }
 
 TEST(SpectralConv1dTest, SameSeedSameWeights) {
@@ -141,25 +194,6 @@ TEST(SpectralConv1dTest, PerModeUsesDistinctMatricesPerFrequency) {
   for (std::size_t f = 0; f < N; ++f) {
     if (f == 1) continue;
     EXPECT_LT(norm2(freq[f]), 1e-6f) << "frequency " << f << " should be annihilated";
-  }
-}
-
-TEST(SpectralConv2dTest, BackendsProduceIdenticalOperators) {
-  const std::size_t B = 1;
-  const std::size_t K = 8;
-  const std::size_t O = 8;
-  const auto u = random_signal(B * K * 16 * 32, 839u);
-  std::vector<std::vector<c32>> outs;
-  for (const auto backend :
-       {Backend::PyTorch, Backend::FftOpt, Backend::FusedFftGemm, Backend::FusedGemmIfft,
-        Backend::FullyFused}) {
-    SpectralConv2d conv(B, K, O, 16, 32, 4, 8, backend, WeightScheme::Shared, 13u);
-    std::vector<c32> v(B * O * 16 * 32, c32{});
-    conv.forward(u, v);
-    outs.push_back(std::move(v));
-  }
-  for (std::size_t i = 1; i < outs.size(); ++i) {
-    EXPECT_LT(rel_err(outs[i], outs[0]), 1e-4) << "backend " << i;
   }
 }
 
