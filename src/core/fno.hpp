@@ -9,6 +9,13 @@
 // truncated to the first `modes` bins of a C2C transform (no conjugate-
 // symmetric half), so intermediate fields are genuinely complex; the
 // activation acts on real and imaginary parts independently.
+//
+// Each layer is one pipeline call (fused/layer.hpp): the lift rides in the
+// first layer and the projection in the last.  The 2D ladder rows run a
+// whole layer in one pass over the field per lane (the lift in the forward
+// X stage's gather; residual, ReLU and projection in the inverse X stage's
+// epilogue); the 1D rows and the PyTorch rows run its parts as separate
+// passes.  Either way the bits are the same.
 #pragma once
 
 #include <cstddef>
@@ -26,12 +33,14 @@ namespace turbofno::core {
 
 /// Pointwise (1x1) complex channel mixing: v[b,o,s] = sum_k W[o,k] u[b,k,s].
 ///
+/// Owns W [out, in]; the kernels are gemm::Pointwise's (gemm/pointwise.hpp).
 /// One shape rule picks the kernel: when both channel counts are at least
 /// 16 the mix is one strided-batched CGEMM, V[b] = W[out x in] * U[b][in x
 /// spatial], on the packed SIMD kernel.  Narrower shapes (the lift, the
 /// projection, small hidden widths) stream an o,k,s loop instead, because
 /// the GEMM pads the output channels to its row tile.  Both are
-/// deterministic per item: results do not depend on the batch size or the
+/// deterministic per sample: results depend neither on the batch size,
+/// the spatial extent (a model layer runs them on column slabs) nor the
 /// thread count.
 class PointwiseLinear {
  public:
@@ -95,6 +104,17 @@ constexpr const char* model_name(const Fno2dConfig&, bool real) noexcept {
 
 /// One FNO over either config: Fno1d runs 1D Fourier layers on [n] fields,
 /// Fno2d runs 2D ones on [nx, ny] fields; everything else is shared.
+///
+/// A forward is one loop over the layers, and each layer is one call into
+/// its spectral layer's pipeline with the pointwise parts beside it: the
+/// lift rides in the first layer, the residual and (between layers) the
+/// ReLU in every layer, the projection in the last.  On the 2D ladder rows
+/// that call reads the layer's input field and writes its output field
+/// once, doing the pointwise work on cache-resident slabs inside the X
+/// stages; the 1D rows and the PyTorch rows run the parts as separate
+/// whole-field passes.  The only full-field buffers the model holds are
+/// the hidden fields between layers: none for one layer, one for two, two
+/// for more.
 template <class Config>
 class Fno {
  public:
@@ -130,8 +150,8 @@ class Fno {
   /// Never shrinks; growth does not perturb results or weights.
   void reserve(std::size_t batch);
 
-  /// Fields per streamed chunk: as many as fit their hidden state (the two
-  /// ping-pong fields of each) in a 1 MiB cache budget, at least one, times
+  /// Fields per streamed chunk: as many as fit their hidden state (two
+  /// hidden fields each) in a 1 MiB cache budget, at least one, times
   /// runtime::thread_count().  Depends only on the shape and the threads.
   [[nodiscard]] std::size_t chunk_items() const noexcept;
 
@@ -165,14 +185,17 @@ class Fno {
 
   Config cfg_;
   std::size_t batch_;
+  std::size_t items_ = 0;  // chunk items the workspaces hold
   PointwiseLinear lift_;
   std::vector<SpectralLayer> spectral_;
   std::vector<PointwiseLinear> residual_;
   PointwiseLinear project_;
-  // Hidden-field ping-pong for one chunk; the real lane runs on float views
-  // of the same storage (a c32 buffer holds twice the floats it needs).
-  AlignedBuffer<c32> h0_;
-  AlignedBuffer<c32> h1_;
+  // The hidden fields between layers, for one chunk: layer l writes
+  // hidden_[l % 2] and layer l + 1 reads it.  The first layer reads the
+  // input and the last writes the output, so a model holds min(L - 1, 2)
+  // of them.  The real lane runs on float views of the same storage (a c32
+  // buffer holds twice the floats it needs).
+  AlignedBuffer<c32> hidden_[2];
 };
 
 extern template class Fno<Fno1dConfig>;

@@ -155,6 +155,7 @@ SpectralConv<Problem>::SpectralConv(const Problem& prob, Backend backend, Weight
       pipeline_(layer_pipeline(backend, scheme, prob, false)),
       weights_(pipeline_->weight_elems()) {
   init_weights(weights_.span(), prob.hidden, prob.out_dim, seed);
+  ensure_packed();
 }
 
 template <class Problem>
@@ -166,18 +167,22 @@ SpectralConv<Problem>& SpectralConv<Problem>::operator=(SpectralConv&&) noexcept
 
 template <class Problem>
 void SpectralConv<Problem>::forward(std::span<const c32> u, std::span<c32> v) {
+  ensure_packed();
   pipeline_->run(u, weights_.span(), v);
 }
 
 template <class Problem>
 void SpectralConv<Problem>::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
+  ensure_packed();
   pipeline_->run_batched(u, weights_.span(), v, batch);
 }
 
 template <class Problem>
 void SpectralConv<Problem>::forward_real(std::span<const float> u, std::span<float> v,
                                          std::size_t batch) {
-  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
+  Pipeline& p = real_pipeline();
+  ensure_packed();
+  p.run_batched_real(u, weights_.span(), v, batch);
 }
 
 template <class Problem>
@@ -187,11 +192,22 @@ void SpectralConv<Problem>::reserve(std::size_t batch) {
 }
 
 template <class Problem>
+void SpectralConv<Problem>::ensure_packed() {
+  if (packed_) return;
+  pipeline_->pack_weights(weights_.span());
+  if (pipeline_real_) pipeline_real_->pack_weights(weights_.span());
+  packed_ = true;
+}
+
+template <class Problem>
 auto SpectralConv<Problem>::real_pipeline() -> Pipeline& {
   // Every row implements run_batched_real on the complex lane's workspaces,
   // so one pipeline serves both lanes unless Auto tunes them apart.
   if (!real_lane_differs(backend_, scheme_, problem())) return *pipeline_;
-  if (!pipeline_real_) pipeline_real_ = layer_pipeline(backend_, scheme_, problem(), true);
+  if (!pipeline_real_) {
+    pipeline_real_ = layer_pipeline(backend_, scheme_, problem(), true);
+    pipeline_real_->pack_weights(weights_.span());
+  }
   return *pipeline_real_;
 }
 

@@ -11,6 +11,7 @@
 #include <concepts>
 #include <memory>
 #include <span>
+#include <type_traits>
 
 #include "baseline/problem.hpp"
 #include "core/config.hpp"
@@ -19,6 +20,9 @@
 #include "trace/counters.hpp"
 
 namespace turbofno::core {
+
+template <class Config>
+class Fno;
 
 /// A spectral layer over a problem shape: baseline::Spectral1dProblem
 /// (signals [n], `modes` kept bins) or Spectral2dProblem (fields [nx, ny],
@@ -72,8 +76,13 @@ class SpectralConv {
   /// Mutable weight access is weight-invalidating (packed/split planes a
   /// caller derived from the old values must be re-derived); prefer the
   /// const overload for reads.  Shared: [out, hidden].  PerMode: [modes,
-  /// out, hidden].
-  [[nodiscard]] std::span<c32> weights() noexcept { return weights_.span(); }
+  /// out, hidden].  The layer packs its weights for its pipelines once,
+  /// when it is built; this overload marks that pack stale, and the next
+  /// forward repacks.  Write through the span before that forward.
+  [[nodiscard]] std::span<c32> weights() noexcept {
+    packed_ = false;
+    return weights_.span();
+  }
   [[nodiscard]] std::span<const c32> weights() const noexcept { return weights_.span(); }
   /// The shape, with the complex lane's high-water capacity as batch.
   [[nodiscard]] const Problem& problem() const noexcept { return pipeline_->problem(); }
@@ -84,15 +93,35 @@ class SpectralConv {
   [[nodiscard]] WeightScheme scheme() const noexcept { return scheme_; }
 
  private:
+  template <class Config>
+  friend class Fno;
+
   /// The pipeline serving the real lane: `pipeline_` when Auto resolves to
   /// the same row for both lanes, else a lazily built real-tuned sibling.
   Pipeline& real_pipeline();
+  /// Repacks the weights for the pipelines if weights() marked them stale.
+  void ensure_packed();
+  /// Grows what run_layer needs for a layer that lifts or projects `batch`
+  /// items (SpectralPipeline::reserve_layer), for Fno::reserve.
+  void reserve_layer(std::size_t batch, bool lifts, bool projects) {
+    pipeline_->reserve_layer(batch, lifts, projects);
+    if (pipeline_real_) pipeline_real_->reserve_layer(batch, lifts, projects);
+  }
+  /// One whole model layer around this conv (fused/layer.hpp), for Fno:
+  /// T is c32 (complex lane) or float (real lane).
+  template <class T>
+  void run_layer(const fused::LayerStep<T>& step, std::size_t batch) {
+    Pipeline& p = std::is_same_v<T, float> ? real_pipeline() : *pipeline_;
+    ensure_packed();
+    p.run_layer(step, weights_.span(), batch);
+  }
 
   Backend backend_;
   WeightScheme scheme_;
   std::unique_ptr<Pipeline> pipeline_;
   std::unique_ptr<Pipeline> pipeline_real_;  // lazy: real-lane Auto sibling
   AlignedBuffer<c32> weights_;
+  bool packed_ = false;  // the pipelines hold weights_' current pack
 };
 
 extern template class SpectralConv<baseline::Spectral1dProblem>;

@@ -62,23 +62,45 @@ constexpr std::size_t kFusedFieldBudgetBytes = 1u << 20;
 
 // Every X stage below runs one execute_blocked per (field, column slab)
 // task, in parallel over the tasks; `in_l` / `out_l` say whether each side
-// is x-major field rows or the caller's y-major tile blocks.
+// is x-major field rows or the caller's y-major tile blocks.  A hook
+// (XSlabHook) makes a task cover every channel of its item over a slab of
+// one column block instead, and swaps a side for dense slab rows in the
+// task's arena: the gather hook fills them before the transforms, the
+// epilogue hook takes them after.  Without one, a task is one field over
+// two column blocks, so it runs on while the next block's rows are fresh.
 template <class InAt, class OutAt>
-void x_stage_tasks(const FftPlan& plan, std::size_t fields, std::size_t ny, const InAt& in_at,
-                   Layout in_l, const OutAt& out_at, Layout out_l) {
-  if (fields == 0 || ny == 0) return;
-  const xblock::SlabGrid grid = xblock::slab_grid(ny);
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
+void x_stage_tasks(const FftPlan& plan, std::size_t items, std::size_t chans, std::size_t ny,
+                   const InAt& in_at, Layout in_l, const OutAt& out_at, Layout out_l,
+                   const XSlabHook<c32>& gather = {}, const XSlabHook<c32>& epilogue = {}) {
+  if (items == 0 || chans == 0 || ny == 0) return;
+  const bool hooked = gather || epilogue;
+  const std::size_t task_chans = hooked ? chans : 1;
+  const std::size_t rows_in = plan.desc().nonzero_or_n();
+  const std::size_t rows_out = plan.desc().keep_or_n();
+  const std::size_t slab_rows = gather ? rows_in : epilogue ? rows_out : 0;
+  const xblock::SlabGrid grid =
+      xblock::slab_grid(ny, hooked ? kBlockCols : 2 * kBlockCols, task_chans);
+  runtime::parallel_for(0, items * chans / task_chans * grid.slabs_per_unit, grid.grain,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
     const std::span<c32> buf = arena.alloc<c32>(plan.blocked_scratch_elems());
+    const std::span<c32> slab = arena.alloc<c32>(task_chans * slab_rows * grid.cols);
     for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
+      const std::size_t unit = t / grid.slabs_per_unit;  // the item, or the field
+      const std::size_t y0 = (t % grid.slabs_per_unit) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      plan.execute_blocked(g, in_at(f, y0, g), in_l, out_at(f, y0, g), out_l, buf);
+      if (gather) gather(unit, y0, g, slab.data());
+      for (std::size_t c = 0; c < task_chans; ++c) {
+        const std::size_t f = unit * task_chans + c;
+        c32* rows = slab.data() + c * slab_rows * g;
+        const c32* src = gather ? rows : in_at(f, y0, g);
+        c32* dst = epilogue ? rows : out_at(f, y0, g);
+        plan.execute_blocked(g, src, gather ? field_layout(g) : in_l, dst,
+                             epilogue ? field_layout(g) : out_l, buf);
+      }
+      if (epilogue) epilogue(unit, y0, g, slab.data());
     }
     // tfno-hot-end
   });
@@ -94,29 +116,31 @@ void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fie
   const std::size_t rows_in = plan.desc().nonzero_or_n();
   const std::size_t rows_out = plan.desc().keep_or_n();
   x_stage_tasks(
-      plan, fields, ny,
+      plan, fields, 1, ny,
       [&](std::size_t f, std::size_t y0, std::size_t) { return in + f * rows_in * ny + y0; },
       field_layout(ny),
       [&](std::size_t f, std::size_t y0, std::size_t) { return out + f * rows_out * ny + y0; },
       field_layout(ny));
 }
 
-void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fields,
-                            std::size_t ny, const XStageTileDst& dst) {
+void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t items,
+                            std::size_t chans, std::size_t ny, const XStageTileDst& dst,
+                            const XSlabHook<c32>& gather) {
   const std::size_t rows_in = plan.desc().nonzero_or_n();
   x_stage_tasks(
-      plan, fields, ny,
+      plan, items, chans, ny,
       [&](std::size_t f, std::size_t y0, std::size_t) { return in + f * rows_in * ny + y0; },
-      field_layout(ny), dst, tile_layout(plan.desc().keep_or_n()));
+      field_layout(ny), dst, tile_layout(plan.desc().keep_or_n()), gather);
 }
 
 void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32* out,
-                              std::size_t fields, std::size_t ny) {
+                              std::size_t items, std::size_t chans, std::size_t ny,
+                              const XSlabHook<c32>& epilogue) {
   const std::size_t rows_out = plan.desc().keep_or_n();
   x_stage_tasks(
-      plan, fields, ny, src, tile_layout(plan.desc().nonzero_or_n()),
+      plan, items, chans, ny, src, tile_layout(plan.desc().nonzero_or_n()),
       [&](std::size_t f, std::size_t y0, std::size_t) { return out + f * rows_out * ny + y0; },
-      field_layout(ny));
+      field_layout(ny), {}, epilogue);
 }
 
 FftPlan2d::FftPlan2d(Plan2dDesc desc)

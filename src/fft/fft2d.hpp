@@ -65,23 +65,44 @@ using XStageTileDst = std::function<c32*(std::size_t f, std::size_t y0, std::siz
 using XStageTileSrc =
     std::function<const c32*(std::size_t f, std::size_t y0, std::size_t g)>;
 
+/// Per-slab hook of the tile X stages, called once per (item, column slab)
+/// task on the worker running it (a hooked stage's task covers every
+/// channel of one item).  `rows` holds the slab's rows of all the
+/// item's channels, dense [chans][nrows][g]: channel c's row x starts at
+/// rows + (c * nrows + x) * g, where nrows is the plan's nonzero_or_n()
+/// (forward input) or keep_or_n() (inverse output), and g <= kBlockCols
+/// columns start at column y0.  A gather hook fills them and the forward
+/// stage transforms them instead of reading its input fields; an epilogue
+/// hook receives the inverse stage's output instead of its output fields
+/// (it may overwrite the rows).  T is c32, or float on the real lane
+/// (real2d.hpp), whose nrows is nx and whose g counts float columns.
+template <class T>
+using XSlabHook = std::function<void(std::size_t item, std::size_t y0, std::size_t g, T* rows)>;
+
 /// Tile-granular X stage (producer half): transforms every column of the
-/// `fields` x [nonzero_or_n, ny] input, but instead of transposing the
-/// spectra back into an x-major field, writes each column slab's rows
-/// straight into the caller's y-major destination blocks.  When the
-/// destination is cache-resident staging this skips the full intermediate
-/// write that fft2d_x_stage would do.  The spectra are bitwise-identical to
+/// `items` x `chans` fields of [nonzero_or_n, ny] input (field f = item *
+/// chans + channel), but instead of transposing the spectra back into an
+/// x-major field, writes each column slab's rows straight into the
+/// caller's y-major destination blocks.  When the destination is
+/// cache-resident staging this skips the full intermediate write that
+/// fft2d_x_stage would do.  With a `gather` hook a task runs every channel
+/// of one item over one slab, its input rows come from the hook, and `in`
+/// is not read (it may be null).  The spectra are bitwise-identical to
 /// fft2d_x_stage's.
-void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fields,
-                            std::size_t ny, const XStageTileDst& dst);
+void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t items,
+                            std::size_t chans, std::size_t ny, const XStageTileDst& dst,
+                            const XSlabHook<c32>& gather = {});
 
 /// Tile-granular X stage (consumer half): the inverse of _to_tiles.  Reads
 /// each column slab's spectra from the caller's y-major source blocks,
 /// transforms them, and writes the resulting columns into the x-major
-/// `out` fields ([keep_or_n, ny] each), bitwise-identical to
-/// fft2d_x_stage on the same spectra in x-major order.
+/// `out` fields ([keep_or_n, ny] each), bitwise-identical to fft2d_x_stage
+/// on the same spectra in x-major order.  With an `epilogue` hook a task
+/// runs every channel of one item over one slab and hands the output rows
+/// to the hook instead, and `out` is not written (it may be null).
 void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32* out,
-                              std::size_t fields, std::size_t ny);
+                              std::size_t items, std::size_t chans, std::size_t ny,
+                              const XSlabHook<c32>& epilogue = {});
 
 struct Plan2dDesc {
   std::size_t nx = 0;       // DimX

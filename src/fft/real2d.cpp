@@ -102,9 +102,9 @@ void retangle_rows(const c32* A, const c32* B, std::size_t nx, std::size_t gp,
 }
 
 // A float field [nx][ny] read as c32 is [nx][ny/2]: element p of a row is
-// the column pair (2p, 2p+1).  One X-stage task covers one slab of g float
-// columns, i.e. g/2 <= kBlockCols pairs: a single column block.
-static_assert(xblock::kSlabCols / 2 <= kBlockCols);
+// the column pair (2p, 2p+1).  One X-stage task covers one slab of g <=
+// 2 * kBlockCols float columns, i.e. g/2 <= kBlockCols pairs: a single
+// column block.
 
 // Forward X transform of the gp column pairs starting at float column y0:
 // one packed C2C column-block transform, then the vertical untangle into
@@ -131,34 +131,48 @@ void inverse_pairs(const FftPlan& plan, const c32* A, const c32* B, std::size_t 
   xblock::scatter(xblock::transform(plan, gp, buf), nx, gp, rows, field_layout(ny / 2));
 }
 
-// Every real X stage runs body(f, y0, gp, buf, A, B) once per (field,
-// slab) task, in parallel over the tasks: float columns [y0, y0 + 2 gp) of
-// field f, with column-block scratch `buf` for `plan` (the full nx-point
-// transform of direction `dir` the body runs) and `bins`-row A/B buffers.
+// Every real X stage runs body(f, y0, gp, buf, A, B, rows) once per
+// (field, slab) task, in parallel over the tasks: float columns [y0, y0 +
+// 2 gp) of field f, with column-block scratch `buf` for `plan` (the full
+// nx-point transform of direction `dir` the body runs) and `bins`-row A/B
+// buffers.  With a hook (XSlabHook) a task covers every channel of its
+// item, f = item * chans + channel, and `rows` is the channel's dense
+// [nx][2 gp] rows of the task's slab: the forward's gather fills them
+// first, the inverse's epilogue takes them after.  Without one, `rows` is
+// null and the body reads or writes the field itself.
 template <class Body>
-void pair_tasks(Direction dir, const FftPlan& plan, std::size_t bins, std::size_t fields,
-                std::size_t ny, const Body& body) {
+void pair_tasks(Direction dir, const FftPlan& plan, std::size_t bins, std::size_t items,
+                std::size_t chans, std::size_t ny, const XSlabHook<float>& hook,
+                const Body& body) {
   const PlanDesc& d = plan.desc();
   if (d.dir != dir || d.keep_or_n() != d.n || d.nonzero_or_n() != d.n || !d.scale_inverse) {
     throw std::invalid_argument("real 2D X stage: needs the full-length plan of its direction");
   }
   check_real2d(d.n, ny, bins);
-  if (fields == 0 || ny == 0) return;
-  const xblock::SlabGrid grid = xblock::slab_grid(ny);
-  runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
+  if (items == 0 || chans == 0 || ny == 0) return;
+  const std::size_t nx = d.n;
+  const std::size_t task_chans = hook ? chans : 1;
+  const xblock::SlabGrid grid = xblock::slab_grid(ny, 2 * kBlockCols, task_chans);
+  runtime::parallel_for(0, items * chans / task_chans * grid.slabs_per_unit, grid.grain,
                         [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
     const std::span<c32> buf = arena.alloc<c32>(plan.blocked_scratch_elems());
     const std::span<c32> ab = arena.alloc<c32>(2 * bins * kBlockCols);
+    const std::span<float> slab = arena.alloc<float>(hook ? chans * nx * grid.cols : 0);
     c32* A = ab.data();
     c32* B = ab.data() + bins * kBlockCols;
     for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t f = t / grid.slabs_per_field;
-      const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
+      const std::size_t unit = t / grid.slabs_per_unit;  // the item, or the field
+      const std::size_t y0 = (t % grid.slabs_per_unit) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      body(f, y0, g / 2, buf, A, B);
+      if (hook && dir == Direction::Forward) hook(unit, y0, g, slab.data());
+      for (std::size_t c = 0; c < task_chans; ++c) {
+        body(unit * task_chans + c, y0, g / 2, buf, A, B,
+             hook ? slab.data() + c * nx * g : nullptr);
+      }
+      if (hook && dir == Direction::Inverse) hook(unit, y0, g, slab.data());
     }
     // tfno-hot-end
   });
@@ -171,13 +185,18 @@ std::uint64_t rfft2d_x_stage_flops(std::size_t nx, std::size_t ny, std::size_t k
 }
 
 void rfft2d_x_stage_to_tiles(const FftPlan& fwd_x, std::size_t keep_x, const float* in,
-                             std::size_t fields, std::size_t ny, const XStageTileDst& dst) {
+                             std::size_t items, std::size_t chans, std::size_t ny,
+                             const XStageTileDst& dst, const XSlabHook<float>& gather) {
   const std::size_t nx = fwd_x.desc().n;
-  pair_tasks(Direction::Forward, fwd_x, keep_x, fields, ny,
+  pair_tasks(Direction::Forward, fwd_x, keep_x, items, chans, ny, gather,
              [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
-                 c32* B) {
+                 c32* B, const float* rows) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
-    forward_pairs(fwd_x, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
+    if (rows != nullptr) {
+      forward_pairs(fwd_x, rows, 2 * gp, 0, gp, keep_x, buf, A, B);
+    } else {
+      forward_pairs(fwd_x, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
+    }
     // Block row 2p (2p+1) is the even (odd) column of pair p: A's and B's
     // columns land 2 * keep_x apart.
     c32* block = dst(f, y0, 2 * gp);
@@ -188,17 +207,22 @@ void rfft2d_x_stage_to_tiles(const FftPlan& fwd_x, std::size_t keep_x, const flo
 }
 
 void irfft2d_x_stage_from_tiles(const FftPlan& inv_x, std::size_t nonzero_x,
-                                const XStageTileSrc& src, float* out, std::size_t fields,
-                                std::size_t ny) {
+                                const XStageTileSrc& src, float* out, std::size_t items,
+                                std::size_t chans, std::size_t ny,
+                                const XSlabHook<float>& epilogue) {
   const std::size_t nx = inv_x.desc().n;
-  pair_tasks(Direction::Inverse, inv_x, nonzero_x, fields, ny,
+  pair_tasks(Direction::Inverse, inv_x, nonzero_x, items, chans, ny, epilogue,
              [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
-                 c32* B) {
+                 c32* B, float* rows) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
     const c32* block = src(f, y0, 2 * gp);
     xblock::gather(block, tile_layout(2 * nonzero_x), nonzero_x, gp, A);
     xblock::gather(block + nonzero_x, tile_layout(2 * nonzero_x), nonzero_x, gp, B);
-    inverse_pairs(inv_x, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
+    if (rows != nullptr) {
+      inverse_pairs(inv_x, A, B, nonzero_x, gp, buf, rows, 2 * gp, 0);
+    } else {
+      inverse_pairs(inv_x, A, B, nonzero_x, gp, buf, out + f * nx * ny, ny, y0);
+    }
     // tfno-hot-end
   });
 }
@@ -206,9 +230,9 @@ void irfft2d_x_stage_from_tiles(const FftPlan& inv_x, std::size_t nonzero_x,
 void rfft2d_x_stage(const FftPlan& fwd_x, std::size_t keep_x, const float* in, c32* out,
                     std::size_t fields, std::size_t ny) {
   const std::size_t nx = fwd_x.desc().n;
-  pair_tasks(Direction::Forward, fwd_x, keep_x, fields, ny,
+  pair_tasks(Direction::Forward, fwd_x, keep_x, fields, 1, ny, {},
              [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
-                 c32* B) {
+                 c32* B, const float*) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
     forward_pairs(fwd_x, in + f * nx * ny, ny, y0, gp, keep_x, buf, A, B);
     // x-major spectrum rows: the two columns of a pair are adjacent c32.
@@ -226,9 +250,9 @@ void rfft2d_x_stage(const FftPlan& fwd_x, std::size_t keep_x, const float* in, c
 void irfft2d_x_stage(const FftPlan& inv_x, std::size_t nonzero_x, const c32* in, float* out,
                      std::size_t fields, std::size_t ny) {
   const std::size_t nx = inv_x.desc().n;
-  pair_tasks(Direction::Inverse, inv_x, nonzero_x, fields, ny,
+  pair_tasks(Direction::Inverse, inv_x, nonzero_x, fields, 1, ny, {},
              [&](std::size_t f, std::size_t y0, std::size_t gp, std::span<c32> buf, c32* A,
-                 c32* B) {
+                 c32* B, float*) {
     // tfno-hot-begin: runs inside pair_tasks' arena-scoped worker body
     for (std::size_t k = 0; k < nonzero_x; ++k) {
       const c32* row = in + (f * nonzero_x + k) * ny + y0;

@@ -65,18 +65,23 @@ void irfft2d_x_stage(std::size_t nx, std::size_t nonzero_x, const c32* in, float
 /// plus an 8-flop untangle (retangle) per kept bin and column.
 std::uint64_t rfft2d_x_stage_flops(std::size_t nx, std::size_t ny, std::size_t keep_x) noexcept;
 
-/// Tile-granular forward real X stage: like fft2d_x_stage_to_tiles, but the
-/// input fields are real and the y-major destination blocks hold keep_x-bin
-/// half-spectra per column.  y0 and g delivered to `dst` are always even
-/// (columns pair up), so resolvers may assume whole pairs.
+/// Tile-granular forward real X stage: like fft2d_x_stage_to_tiles over
+/// `items` x `chans` fields, but the input fields are real and the y-major
+/// destination blocks hold keep_x-bin half-spectra per column.  y0 and g
+/// delivered to `dst` are always even (columns pair up), so resolvers may
+/// assume whole pairs.  A `gather` hook fills each task's [chans][nx][g]
+/// float rows in place of reading `in` (XSlabHook<float>).
 void rfft2d_x_stage_to_tiles(const FftPlan& fwd_x, std::size_t keep_x, const float* in,
-                             std::size_t fields, std::size_t ny, const XStageTileDst& dst);
+                             std::size_t items, std::size_t chans, std::size_t ny,
+                             const XStageTileDst& dst, const XSlabHook<float>& gather = {});
 
 /// Tile-granular inverse real X stage: reads y-major blocks of
 /// nonzero_x-bin half-spectra per column and scatters real columns into the
-/// x-major [nx, ny] output fields.
+/// x-major [nx, ny] output fields, or, with an `epilogue` hook, into each
+/// task's [chans][nx][g] float rows handed to the hook.
 void irfft2d_x_stage_from_tiles(const FftPlan& inv_x, std::size_t nonzero_x,
-                                const XStageTileSrc& src, float* out, std::size_t fields,
-                                std::size_t ny);
+                                const XStageTileSrc& src, float* out, std::size_t items,
+                                std::size_t chans, std::size_t ny,
+                                const XSlabHook<float>& epilogue = {});
 
 }  // namespace turbofno::fft

@@ -24,23 +24,24 @@
 
 namespace turbofno::fft::xblock {
 
-/// Columns per X-stage task: the granularity tile resolvers see (y0 and g
-/// of XStageTileDst/Src).  16 c32 = two cache lines per field row; on the
-/// real lane, 16 float columns = 8 column pairs.
-inline constexpr std::size_t kSlabCols = 16;
-
-/// Task geometry: tasks enumerate (field, slab) pairs.
+/// X-stage task geometry: tasks enumerate (unit, slab) pairs, where a
+/// unit is one field, or every channel of one item (the hooked stages of
+/// fft2d.hpp).  A field row's slab is 16 c32 columns (two column blocks)
+/// or 16 float columns (8 column pairs); an item's complex slab is one
+/// column block.
 struct SlabGrid {
-  std::size_t cols = 0;             // columns per slab (<= kSlabCols)
-  std::size_t slabs_per_field = 0;  // ceil(ny / cols)
-  std::size_t grain = 0;            // tasks per parallel chunk
+  std::size_t cols = 0;            // columns per slab (<= the slab width)
+  std::size_t slabs_per_unit = 0;  // ceil(ny / cols)
+  std::size_t grain = 0;           // tasks per parallel chunk
 };
 
-inline SlabGrid slab_grid(std::size_t ny) noexcept {
+/// Slabs of `width` columns over ny columns, for tasks of `chans`
+/// channels each.
+inline SlabGrid slab_grid(std::size_t ny, std::size_t width, std::size_t chans) noexcept {
   SlabGrid g;
-  g.cols = std::min(kSlabCols, ny);  // ny is a power of two: even unless 1
-  g.slabs_per_field = (ny + g.cols - 1) / g.cols;
-  g.grain = std::max<std::size_t>(1, 64 / g.cols);
+  g.cols = std::min(width, ny);  // ny is a power of two: even unless 1
+  g.slabs_per_unit = (ny + g.cols - 1) / g.cols;
+  g.grain = std::max<std::size_t>(1, 64 / (g.cols * chans));
   return g;
 }
 

@@ -1,10 +1,14 @@
 #include "fused/ladder.hpp"
 
+#include <type_traits>
+
 #include "baseline/pipeline1d.hpp"
 #include "baseline/pipeline2d.hpp"
+#include "fused/layer.hpp"
 #include "fused/pipeline1d.hpp"
 #include "fused/pipeline2d.hpp"
 #include "gemm/config.hpp"
+#include "gemm/pointwise.hpp"
 #include "tensor/simd.hpp"
 
 namespace turbofno::fused {
@@ -129,5 +133,73 @@ std::unique_ptr<SpectralPipeline2d> make_pipeline2d(Variant v,
   }
   return std::make_unique<LadderPipeline2d>(v, prob);
 }
+
+// ------------------------------------------------- the unfused layer
+
+namespace {
+
+std::size_t spatial_of(const baseline::Spectral1dProblem& p) noexcept { return p.n; }
+std::size_t spatial_of(const baseline::Spectral2dProblem& p) noexcept { return p.nx * p.ny; }
+
+/// The first `n` elements of a workspace as T (the real lane's float view
+/// of c32 storage), grown to hold them.
+template <class T>
+std::span<T> grown_view(AlignedBuffer<c32>& buf, std::size_t n) {
+  const std::size_t elems = (n * sizeof(T) + sizeof(c32) - 1) / sizeof(c32);
+  if (buf.size() < elems) buf.resize(elems);
+  return {reinterpret_cast<T*>(buf.data()), n};
+}
+
+}  // namespace
+
+template <class Problem>
+void SpectralPipeline<Problem>::run_layer(const LayerStep<c32>& step, std::span<const c32> w,
+                                          std::size_t batch) {
+  run_layer_unfused(step, w, batch);
+}
+
+template <class Problem>
+void SpectralPipeline<Problem>::run_layer(const LayerStep<float>& step, std::span<const c32> w,
+                                          std::size_t batch) {
+  run_layer_unfused(step, w, batch);
+}
+
+template <class Problem>
+void SpectralPipeline<Problem>::reserve_layer(std::size_t batch, bool lifts, bool projects) {
+  const std::size_t S = spatial_of(prob_);
+  if (lifts) grown_view<c32>(lifted_, batch * prob_.hidden * S);
+  if (projects) grown_view<c32>(mixed_out_, batch * prob_.out_dim * S);
+}
+
+template <class Problem>
+template <class T>
+void SpectralPipeline<Problem>::run_layer_unfused(const LayerStep<T>& step,
+                                                  std::span<const c32> w, std::size_t batch) {
+  const std::size_t S = spatial_of(prob_);
+  const std::size_t in_ch = step.lift != nullptr ? step.lift->in : prob_.hidden;
+  const std::size_t out_ch = step.project != nullptr ? step.project->out : prob_.out_dim;
+  baseline::check_batch_spans(step.in.size(), step.out.size(), in_ch * S, out_ch * S, batch,
+                              "run_layer");
+  std::span<const T> h = step.in;
+  if (step.lift != nullptr) {
+    const std::span<T> lifted = grown_view<T>(lifted_, batch * prob_.hidden * S);
+    step.lift->forward(step.in.data(), lifted.data(), batch, S);
+    h = lifted;
+  }
+  const std::span<T> o = step.project != nullptr
+                             ? grown_view<T>(mixed_out_, batch * prob_.out_dim * S)
+                             : step.out.first(batch * prob_.out_dim * S);
+  if constexpr (std::is_same_v<T, float>) {
+    run_batched_real(h, w, o, batch);
+  } else {
+    run_batched(h, w, o, batch);
+  }
+  step.residual.forward(h.data(), o.data(), batch, S, /*accumulate=*/true);
+  if (step.relu) gemm::relu(o);
+  if (step.project != nullptr) step.project->forward(o.data(), step.out.data(), batch, S);
+}
+
+template class SpectralPipeline<baseline::Spectral1dProblem>;
+template class SpectralPipeline<baseline::Spectral2dProblem>;
 
 }  // namespace turbofno::fused

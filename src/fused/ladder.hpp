@@ -23,10 +23,15 @@
 #include <utility>
 
 #include "baseline/problem.hpp"
+#include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
 
 namespace turbofno::fused {
+
+/// One FNO layer around a spectral conv (fused/layer.hpp; internal).
+template <class T>
+struct LayerStep;
 
 /// The five concrete ladder rows, plus Auto: a deterministic heuristic that
 /// resolves to one of the concrete rows from the problem shape alone (see
@@ -108,6 +113,26 @@ class SpectralPipeline {
   /// reallocation on the run path; problem().batch becomes the high-water
   /// capacity.  Never shrinks.  Growth does not perturb results.
   virtual void reserve(std::size_t batch) = 0;
+  /// Packs w into the row's private operand layout (the fused k-loop's A
+  /// panels) now, so the runs after it that pass this same w skip the
+  /// per-run packing.  The caller must call it again after writing new
+  /// values into w.  A run with any other w packs that one for itself (and
+  /// the next run with this w packs again).  No-op for rows that pack
+  /// nothing.
+  virtual void pack_weights(std::span<const c32> /*w*/) {}
+  /// One whole FNO layer on the first `batch` items (see LayerStep, in the
+  /// internal fused/layer.hpp): the optional lift, this spectral conv plus
+  /// the residual, the ReLU, the optional projection.  The default runs
+  /// them as separate passes over whole fields, through two hidden fields
+  /// (see reserve_layer); a row that fuses them overrides it.
+  virtual void run_layer(const LayerStep<c32>& step, std::span<const c32> w, std::size_t batch);
+  virtual void run_layer(const LayerStep<float>& step, std::span<const c32> w,
+                         std::size_t batch);
+  /// Grows what run_layer needs beyond reserve() so a layer that lifts
+  /// (`lifts`) or projects (`projects`) runs `batch` items without
+  /// reallocation: the default run_layer's lifted-input and pre-projection
+  /// fields.  Never shrinks.
+  virtual void reserve_layer(std::size_t batch, bool lifts, bool projects);
   /// Elements of w a run reads: out_dim * hidden for every ladder row.
   [[nodiscard]] virtual std::size_t weight_elems() const noexcept {
     return prob_.weight_elems();
@@ -128,9 +153,20 @@ class SpectralPipeline {
   trace::PipelineCounters counters_;
 
  private:
+  // The default run_layer on either lane.
+  template <class T>
+  void run_layer_unfused(const LayerStep<T>& step, std::span<const c32> w, std::size_t batch);
+
   std::string_view name_;
+  // The default run_layer's lifted input and pre-projection output fields
+  // (the real lane uses float views), grown by reserve_layer or on first
+  // use.
+  AlignedBuffer<c32> lifted_;
+  AlignedBuffer<c32> mixed_out_;
 };
 
+extern template class SpectralPipeline<baseline::Spectral1dProblem>;
+extern template class SpectralPipeline<baseline::Spectral2dProblem>;
 using SpectralPipeline1d = SpectralPipeline<baseline::Spectral1dProblem>;
 using SpectralPipeline2d = SpectralPipeline<baseline::Spectral2dProblem>;
 

@@ -57,7 +57,12 @@ KLoopGemm::KLoopGemm(std::size_t out_dim, std::size_t hidden)
       k_tiles_(ceil_div(hidden, kTb)),
       w_panels_(ceil_div(out_dim, kMtb) * k_tiles_ * kAPanelFloats) {}
 
-void KLoopGemm::pack_weights(const c32* w) {
+void KLoopGemm::pin(const c32* w) {
+  pack(w);
+  pinned_ = w;
+}
+
+void KLoopGemm::pack(const c32* w) {
   float* dst = w_panels_.data();
   for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb) {
     for (std::size_t k0 = 0; k0 < hidden_; k0 += kTb, dst += kAPanelFloats) {
@@ -184,6 +189,10 @@ void LadderPipeline1d::reserve(std::size_t batch) {
   prob_.batch = batch;
 }
 
+void LadderPipeline1d::pack_weights(std::span<const c32> w) {
+  if (fusion_.fwd || fusion_.inv) kloop_.pin(w.data());
+}
+
 void LadderPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                    std::span<c32> v, std::size_t batch) {
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
@@ -258,7 +267,7 @@ void LadderPipeline1d::run_chain(const FwdPlan& fwd, const InvPlan& inv, std::si
     gemm::cgemm_batched(O, m, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), m,
                         c32{0.0f, 0.0f}, mixed_.data(), m, B, strides);
   } else {
-    kloop_.pack_weights(w.data());
+    kloop_.use(w.data());
     const std::size_t work_elems =
         FwdFused ? (InvFused ? std::max(scratch_for(fwd), scratch_for(inv)) : scratch_for(fwd))
                  : scratch_for(inv);

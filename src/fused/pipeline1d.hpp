@@ -110,8 +110,8 @@ void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r);
 
 /// The k-loop's CGEMM for one signal, C[out_dim x m] += W * S over the
 /// hidden dim, on the GEMM's split-complex micro-kernel
-/// (gemm::accumulate_tile_split) over Tiles panels.  W is packed once per
-/// forward as A panels; each k-tile's spectra (S rows, one per channel)
+/// (gemm::accumulate_tile_split) over Tiles panels.  W is packed as A
+/// panels once per weight set (pin / use); each k-tile's spectra (S rows, one per channel)
 /// become Ntb-wide B panels; the accumulator is the GEMM's Mtb x Ntb split
 /// tiles, row tile by f tile.  Each output keeps its k-ordered
 /// cmadd(acc, W, spectrum) chain, so the tile depth moves no bits.
@@ -131,9 +131,17 @@ class KLoopGemm {
   /// Sizes the packed panels of an out_dim x hidden W.
   KLoopGemm(std::size_t out_dim, std::size_t hidden);
 
-  /// Packs W [out_dim, hidden] as A panels.  Once per forward, before the
-  /// k-loop tasks read them.
-  void pack_weights(const c32* w);
+  /// Packs W [out_dim, hidden] as A panels and pins them to w: use(w)
+  /// reads them until another W is used or w is pinned again.
+  void pin(const c32* w);
+  /// Makes the panels hold W = w before the k-loop tasks read them: a no-op
+  /// for the pinned w, otherwise a pack (which drops the pin).
+  void use(const c32* w) {
+    if (w != pinned_) {
+      pack(w);
+      pinned_ = nullptr;
+    }
+  }
 
   /// Floats of one signal's accumulator tiles, and of one k-tile's B
   /// panels, for m kept bins.
@@ -153,10 +161,13 @@ class KLoopGemm {
   void read_row(const float* acc, std::size_t o, std::size_t m, c32* dst) const noexcept;
 
  private:
+  void pack(const c32* w);
+
   std::size_t out_dim_;
   std::size_t hidden_;
   std::size_t k_tiles_;
   AlignedBuffer<float> w_panels_;  // [row tile][k-tile] A panels
+  const c32* pinned_ = nullptr;    // the W the panels hold between calls
 };
 
 class LadderPipeline1d final : public SpectralPipeline1d {
@@ -168,6 +179,7 @@ class LadderPipeline1d final : public SpectralPipeline1d {
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
                         std::size_t batch) override;
   void reserve(std::size_t batch) override;
+  void pack_weights(std::span<const c32> w) override;
 
  private:
   // One run on either lane: T is the sample type, m the kept bins.

@@ -7,7 +7,9 @@
 #include "fft/fft2d.hpp"
 #include "fft/plan_cache.hpp"
 #include "fft/real2d.hpp"
+#include "fused/layer.hpp"
 #include "gemm/batched.hpp"
+#include "gemm/pointwise.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "runtime/timer.hpp"
@@ -33,6 +35,21 @@ constexpr std::size_t kFusedGrain = 2;
 constexpr std::size_t kMidStagingBudgetBytes = 8u << 20;
 
 std::atomic<std::size_t> g_mid_group_override{0};
+
+/// Copies columns [y0, y0 + g) of `chans` [nx][ny] fields into dense
+/// [chans][nx][g] slab rows.
+template <class T>
+void get_slab(const T* fields, std::size_t chans, std::size_t nx, std::size_t ny, std::size_t y0,
+              std::size_t g, T* rows) {
+  for (std::size_t r = 0; r < chans * nx; ++r) std::copy_n(fields + r * ny + y0, g, rows + r * g);
+}
+
+/// The inverse of get_slab: slab rows back into the fields' columns.
+template <class T>
+void put_slab(const T* rows, std::size_t chans, std::size_t nx, std::size_t ny, std::size_t y0,
+              std::size_t g, T* fields) {
+  for (std::size_t r = 0; r < chans * nx; ++r) std::copy_n(rows + r * g, g, fields + r * ny + y0);
+}
 
 }  // namespace
 
@@ -86,12 +103,26 @@ void LadderPipeline2d::reserve(std::size_t batch) {
 
 void LadderPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                    std::span<c32> v, std::size_t batch) {
-  run_lane(u, w, v, batch);
+  run_lane<c32>(u, w, v, batch, nullptr);
 }
 
 void LadderPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
                                         std::span<float> v, std::size_t batch) {
-  run_lane(u, w, v, batch);
+  run_lane<float>(u, w, v, batch, nullptr);
+}
+
+void LadderPipeline2d::run_layer(const LayerStep<c32>& step, std::span<const c32> w,
+                                 std::size_t batch) {
+  run_lane(step.in, w, step.out, batch, &step);
+}
+
+void LadderPipeline2d::run_layer(const LayerStep<float>& step, std::span<const c32> w,
+                                 std::size_t batch) {
+  run_lane(step.in, w, step.out, batch, &step);
+}
+
+void LadderPipeline2d::pack_weights(std::span<const c32> w) {
+  if (fusion_.fwd || fusion_.inv) kloop_.pin(w.data());
 }
 
 std::size_t LadderPipeline2d::mid_group(std::size_t batch) const noexcept {
@@ -194,42 +225,103 @@ void LadderPipeline2d::run_groups(std::size_t batch, std::size_t mx, std::size_t
 
 template <class T>
 void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v,
-                                std::size_t batch) {
+                                std::size_t batch, const LayerStep<T>* layer) {
   constexpr bool kReal = std::is_same_v<T, float>;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t NX = prob_.nx;
   const std::size_t NY = prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), K * NX * NY, O * NX * NY, B,
+  const std::size_t S = NX * NY;
+  const gemm::Pointwise* lift = layer != nullptr ? layer->lift : nullptr;
+  const gemm::Pointwise* project = layer != nullptr ? layer->project : nullptr;
+  const std::size_t C = lift != nullptr ? lift->in : K;       // channels of u
+  const std::size_t P = project != nullptr ? project->out : O;  // channels of v
+  baseline::check_batch_spans(u.size(), v.size(), C * S, P * S, B,
                               kReal ? "pipeline2d(real)" : "pipeline2d");
   reserve(B);
   counters_.clear();
   if (B == 0) return;
   const std::size_t mx = kReal ? real_modes_x() : prob_.modes_x;
 
+  // The layer's pointwise parts run on the X stages' slabs (fused/layer.hpp):
+  // a slab is columns [y0, y0 + g) of one item, dense [channels][NX][g]
+  // rows in the task's arena, i.e. NX * g samples per channel.  Hooks see
+  // items local to the group that run_groups is on, which starts at b0.
+  std::size_t b0 = 0;
+  // The first layer's input slab, h = lift(u), computed from u's slab.
+  const auto lift_slab = [&](std::size_t b, std::size_t y0, std::size_t g, T* h) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    // tfno-hot-begin: runs inside an X-stage worker body
+    const std::span<T> us = arena.alloc<T>(C * NX * g);
+    get_slab(u.data() + b * C * S, C, NX, NY, y0, g, us.data());
+    lift->forward(us.data(), h, 1, NX * g);
+    // tfno-hot-end
+  };
+  fft::XSlabHook<T> gather;
+  if (lift != nullptr) {
+    gather = [&](std::size_t i, std::size_t y0, std::size_t g, T* rows) {
+      lift_slab(b0 + i, y0, g, rows);
+    };
+  }
+  // The epilogue: residual, ReLU and projection on the inverse X stage's
+  // output slab, then the slab's rows out to v.  Its thread-seconds are
+  // summed here and reported as the layer-epilogue stage.
+  std::atomic<double> epilogue_s{0.0};
+  fft::XSlabHook<T> epilogue;
+  if (layer != nullptr) {
+    epilogue = [&](std::size_t i, std::size_t y0, std::size_t g, T* rows) {
+      const runtime::Timer t;
+      auto& arena = runtime::tls_scratch();
+      const auto scope = arena.scope();
+      // tfno-hot-begin: runs inside the inverse X stage's worker body
+      const std::size_t b = b0 + i;
+      const std::size_t n = NX * g;
+      const std::span<T> h = arena.alloc<T>(K * n);
+      if (lift != nullptr) {
+        lift_slab(b, y0, g, h.data());
+      } else {
+        get_slab(u.data() + b * K * S, K, NX, NY, y0, g, h.data());
+      }
+      layer->residual.forward(h.data(), rows, 1, n, /*accumulate=*/true);
+      if (layer->relu) gemm::relu(std::span<T>(rows, O * n));
+      const T* out = rows;
+      if (project != nullptr) {
+        const std::span<T> p = arena.alloc<T>(P * n);
+        project->forward(rows, p.data(), 1, n);
+        out = p.data();
+      }
+      put_slab(out, P, NX, NY, y0, g, v.data() + b * P * S);
+      // tfno-hot-end
+      epilogue_s += t.seconds();
+    };
+  }
+
   // The real lane's tiles hold its column spectra packed mx = modes_x/2+1
   // apart; its X stages are the two-for-one R2C / C2R column-pair stages
   // (fft/real2d.hpp).
-  const XForward x_forward = [&](std::size_t b0, std::size_t g,
+  const XForward x_forward = [&](std::size_t g0, std::size_t g,
                                  const fft::XStageTileDst& dst) {
-    const T* src = u.data() + b0 * K * NX * NY;
+    b0 = g0;
+    const T* src = lift != nullptr ? nullptr : u.data() + g0 * K * S;
     if constexpr (kReal) {
-      fft::rfft2d_x_stage_to_tiles(*real_x_fwd_, mx, src, g * K, NY, dst);
+      fft::rfft2d_x_stage_to_tiles(*real_x_fwd_, mx, src, g, K, NY, dst, gather);
     } else {
-      fft::fft2d_x_stage_to_tiles(*fft_x_trunc_, src, g * K, NY, dst);
+      fft::fft2d_x_stage_to_tiles(*fft_x_trunc_, src, g, K, NY, dst, gather);
     }
   };
-  const XInverse x_inverse = [&](std::size_t b0, std::size_t g,
+  const XInverse x_inverse = [&](std::size_t g0, std::size_t g,
                                  const fft::XStageTileSrc& src) {
-    T* dst = v.data() + b0 * O * NX * NY;
+    b0 = g0;
+    T* dst = layer != nullptr ? nullptr : v.data() + g0 * O * S;
     if constexpr (kReal) {
-      fft::irfft2d_x_stage_from_tiles(*real_x_inv_, mx, src, dst, g * O, NY);
+      fft::irfft2d_x_stage_from_tiles(*real_x_inv_, mx, src, dst, g, O, NY, epilogue);
     } else {
-      fft::fft2d_x_stage_from_tiles(*ifft_x_pad_, src, dst, g * O, NY);
+      fft::fft2d_x_stage_from_tiles(*ifft_x_pad_, src, dst, g, O, NY, epilogue);
     }
   };
-  if (fusion_.fwd || fusion_.inv) kloop_.pack_weights(w.data());
+  if (fusion_.fwd || fusion_.inv) kloop_.use(w.data());
   with_fusion(fusion_, [&](auto fwd_fused, auto inv_fused) {
     run_groups(B, mx, mid_group(B), x_forward,
                [&](const MidView& mv) {
@@ -246,10 +338,16 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
   const std::uint64_t x_fwd_flops =
       kReal ? real_x_flops_ : NY * fft_x_trunc_->flops_per_signal();
   const std::uint64_t x_inv_flops = kReal ? real_x_flops_ : NY * ifft_x_pad_->flops_per_signal();
+  const auto mix_flops = [&](const gemm::Pointwise* p) -> std::uint64_t {
+    if (p == nullptr) return 0;
+    // A real mix is one real multiply-add per weight and sample.
+    const std::uint64_t f = B * trace::cgemm_flops(S, p->out, p->in);
+    return kReal ? f / 4 : f;
+  };
   auto& sx = counters_.stage("fft-x-trunc");
-  sx.bytes_read = B * K * NX * NY * sizeof(T);
+  sx.bytes_read = B * C * S * sizeof(T);
   sx.bytes_written = 0;
-  sx.flops = B * K * x_fwd_flops;
+  sx.flops = B * K * x_fwd_flops + mix_flops(lift);
   sx.kernel_launches = 1;
   const std::uint64_t modes = mx * prob_.modes_y;
   account_chain(counters_, fusion_,
@@ -263,9 +361,24 @@ void LadderPipeline2d::run_lane(std::span<const T> u, std::span<const c32> w, st
                  .fwd_flops = B * K * mx * fwd_y_->flops_per_signal(),
                  .gemm_flops = trace::cgemm_flops(B * modes, O, K),
                  .inv_flops = B * O * mx * inv_y_->flops_per_signal()});
+  // The epilogue runs inside the inverse X stage's tasks: its share of
+  // that stage's wall-clock is its thread-seconds over the thread count.
+  // It reads the layer input again (u when the lift is recomputed) and
+  // writes through the stage's output.  (Added before `si` is taken: a new
+  // stage may move the others.)
+  const double epilogue_seconds = epilogue_s.load() / std::max(runtime::thread_count(), 1);
+  if (layer != nullptr) {
+    auto& se = counters_.stage("layer-epilogue");
+    se.seconds = epilogue_seconds;
+    se.bytes_read = B * C * S * sizeof(T);
+    se.bytes_written = 0;
+    se.flops = mix_flops(lift) + mix_flops(&layer->residual) + mix_flops(project);
+    se.kernel_launches = 0;
+  }
   auto& si = counters_.stage("ifft-x-pad");
+  si.seconds -= epilogue_seconds;
   si.bytes_read = 0;
-  si.bytes_written = B * O * NX * NY * sizeof(T);
+  si.bytes_written = B * P * S * sizeof(T);
   si.flops = B * O * x_inv_flops;
   si.kernel_launches = 1;
 }

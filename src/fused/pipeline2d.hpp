@@ -20,6 +20,18 @@
 // column-blocked (fft::FftPlan::execute_blocked): a block is 8 adjacent
 // x-rows of one channel, i.e. 8 adjacent staging columns, which the fused
 // k-loop tasks and the unfused Y passes read and write in place.
+//
+// run_layer runs a whole FNO layer (fused/layer.hpp) in the same schedule,
+// so the field is read once and written once per layer.  The X stages are
+// the layer's only full-resolution stages, and there its pointwise parts
+// ride on hooks of the X-stage tasks (fft::XSlabHook): a task covers one
+// item's channels over one column slab (64 bytes of each field row).  The
+// forward stage's gather computes the first layer's input slab from the
+// model input through the lift; the inverse stage leaves each [O][nx][W]
+// output slab in the task's arena, where the epilogue adds the residual of
+// the layer input's slab (recomputed through the lift on the first
+// layer), applies the ReLU (all but the last layer) and writes the slab,
+// or its projection on the last layer, to the output.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +74,18 @@ class LadderPipeline2d final : public SpectralPipeline2d {
   /// reallocating; the run itself still lazily grows them, grow-only, if
   /// the group override changes afterwards.
   void reserve(std::size_t batch) override;
+  void pack_weights(std::span<const c32> w) override;
+  /// The whole layer in one pass over the field per lane: the forward X
+  /// stage gathers the lifted input slab by slab (first layer), and the
+  /// inverse X stage's epilogue adds the residual, applies the ReLU and
+  /// projects (last layer) each output slab in its task's arena, then
+  /// writes it out.  No hidden field but the layer's output is written.
+  void run_layer(const LayerStep<c32>& step, std::span<const c32> w,
+                 std::size_t batch) override;
+  void run_layer(const LayerStep<float>& step, std::span<const c32> w,
+                 std::size_t batch) override;
+  /// The fused layer keeps its slabs in the tasks' arenas: nothing to grow.
+  void reserve_layer(std::size_t, bool, bool) override {}
 
  private:
   /// View of one batch group's y-major staging tiles.  Rows are addressed
@@ -85,9 +109,12 @@ class LadderPipeline2d final : public SpectralPipeline2d {
     }
   };
 
-  // One run on either lane: T is the sample type (c32 or float).
+  // One run on either lane: T is the sample type (c32 or float).  With a
+  // `layer`, u and v are its in and out and the X stages run its pointwise
+  // parts; without one, the run is the spectral conv alone.
   template <class T>
-  void run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch);
+  void run_lane(std::span<const T> u, std::span<const c32> w, std::span<T> v, std::size_t batch,
+                const LayerStep<T>* layer);
 
   /// One group's Y chain: the unfused boundaries as separate passes around
   /// the k-loop stage.  Accumulates stage timings only; bytes and FLOPs are

@@ -61,6 +61,13 @@ void parallel_for_impl(std::size_t begin, std::size_t end, std::size_t grain,
   }
 
 #if TURBOFNO_HAVE_OPENMP
+  // Nested regions are inactive (one active level): a parallel_for inside
+  // a worker's body would run its parts one after another anyway, so it
+  // runs as one inline chunk instead, without forking a team of one.
+  if (omp_in_parallel()) {
+    body(begin, end);
+    return;
+  }
 #pragma omp parallel for schedule(static) num_threads(static_cast<int>(parts))
   for (std::size_t p = 0; p < parts; ++p) {
     const Range r = partition(n, parts, p);

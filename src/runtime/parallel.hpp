@@ -29,7 +29,9 @@ void parallel_for_impl(std::size_t begin, std::size_t end, std::size_t grain,
 
 /// Runs body(lo, hi) over a partition of [begin, end).  Chunks are at least
 /// `grain` iterations; a range smaller than `grain` runs inline on the
-/// calling thread (no fork overhead for tiny problems).  The call is
+/// calling thread (no fork overhead for tiny problems), and so does a call
+/// from inside another parallel_for's body (a kernel run on one worker's
+/// slab).  The call is
 /// synchronous, so the body travels by reference: std::function keeps the
 /// reference inline and no call heap-allocates a copy of the closure.
 template <class Body>

@@ -24,9 +24,12 @@
 // (2 * Ntb * Ktb floats per worker) and its A panels (per worker, at most
 // the padded M x K operand when a shared A serves several batch items:
 // 128 KiB at hidden 128, half that for a real A; otherwise one row tile's
-// panels, Mtb x padded K), and the per-field y-major staging tile of
-// FftPlan2d's fused middle (ny * keep_x, the largest steady resident at
-// ~512 KiB for a 512^2 quarter-truncated field).  Whole-batch
+// panels, Mtb x padded K), the per-field y-major staging tile of
+// FftPlan2d's fused middle (ny * keep_x, ~512 KiB for a 512^2
+// quarter-truncated field), and the fused 2D layer's slab rows: one cache
+// line of every field row of an item's channels per X-stage task, for the
+// stage's output, the layer input and the projection (about 1.3 MiB at
+// the fig19 shape, 256 rows x 40 channels, the largest steady resident).  Whole-batch
 // intermediates must NOT be arena-held: they would be retained per calling
 // thread forever (see fft2d.cpp's unfused mid buffer and the pipelines'
 // lazily sized member buffers).

@@ -264,7 +264,8 @@ TEST(Rfft2dXStage, TilesMatchWholeField) {
 
   // y-major tile layout: column y of field f lives at rows [y*keep_x, ...).
   std::vector<c32> tiles(fields * ny * keep_x);
-  rfft2d_x_stage_to_tiles(*acquire_plan({nx, Direction::Forward}), keep_x, in.data(), fields, ny,
+  rfft2d_x_stage_to_tiles(*acquire_plan({nx, Direction::Forward}), keep_x, in.data(), fields, 1,
+                          ny,
                           [&](std::size_t f, std::size_t y0, std::size_t) {
                             return tiles.data() + (f * ny + y0) * keep_x;
                           });
@@ -340,7 +341,7 @@ TEST(Irfft2dXStage, FromTilesMatchesWholeField) {
                                return static_cast<const c32*>(tiles.data() +
                                                               (f * ny + y0) * nonzero_x);
                              },
-                             from_tiles.data(), fields, ny);
+                             from_tiles.data(), fields, 1, ny);
   for (std::size_t i = 0; i < whole.size(); ++i) {
     EXPECT_NEAR(from_tiles[i], whole[i], 1e-5) << "i=" << i;
   }
@@ -380,7 +381,8 @@ TEST_P(RealOneXKernel, LayoutsAreBitwiseAndMatchReference) {
   const auto in = random_reals(fields * nx * ny, seed);
   std::vector<c32> rows(fields * keep_x * ny), tiles(fields * ny * keep_x);
   rfft2d_x_stage(nx, keep_x, in.data(), rows.data(), fields, ny);
-  rfft2d_x_stage_to_tiles(*acquire_plan({nx, Direction::Forward}), keep_x, in.data(), fields, ny,
+  rfft2d_x_stage_to_tiles(*acquire_plan({nx, Direction::Forward}), keep_x, in.data(), fields, 1,
+                          ny,
                           [&](std::size_t f, std::size_t y0, std::size_t) {
                             return tiles.data() + (f * ny + y0) * keep_x;
                           });
@@ -395,7 +397,7 @@ TEST_P(RealOneXKernel, LayoutsAreBitwiseAndMatchReference) {
                                return static_cast<const c32*>(spec_tiles.data() +
                                                               (f * ny + y0) * keep_x);
                              },
-                             from_tiles.data(), fields, ny);
+                             from_tiles.data(), fields, 1, ny);
   EXPECT_TRUE(same_bits(from_rows, from_tiles));
 
   double fwd_err = 0.0;

@@ -278,7 +278,7 @@ TEST_P(OneXKernel, XStagesAreBitwiseAcrossLayoutsAndMatchReference) {
   const auto in = random_signal(fields * nx * ny, 741u + static_cast<unsigned>(nx + ny));
   std::vector<c32> rows(fields * kx * ny), tiles(fields * ny * kx);
   fft::fft2d_x_stage(fwd, in.data(), rows.data(), fields, ny);
-  fft::fft2d_x_stage_to_tiles(fwd, in.data(), fields, ny,
+  fft::fft2d_x_stage_to_tiles(fwd, in.data(), fields, 1, ny,
                               [&](std::size_t f, std::size_t y0, std::size_t) {
                                 return tiles.data() + (f * ny + y0) * kx;
                               });
@@ -297,7 +297,7 @@ TEST_P(OneXKernel, XStagesAreBitwiseAcrossLayoutsAndMatchReference) {
                                   return static_cast<const c32*>(spec_tiles.data() +
                                                                  (f * ny + y0) * kx);
                                 },
-                                from_tiles.data(), fields, ny);
+                                from_tiles.data(), fields, 1, ny);
   EXPECT_TRUE(same_bits(from_rows, from_tiles));
   EXPECT_LT(max_err(from_rows, reference_x_stage(spec, fields, nx, ny, kx,
                                                  fft::Direction::Inverse, scale)),

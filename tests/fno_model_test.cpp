@@ -225,6 +225,49 @@ TEST(FnoChunkedForward, Fno2dMatchesBatchOneForwardsBitwise) {
   expect_chunked_forward_bitwise(cfg, cfg.nx * cfg.ny);
 }
 
+TEST(FnoChunkedForward, Fno2dLayerForwardsStopGrowingTheArena) {
+  // A 2D ladder layer runs its lift, residual and projection on slabs in
+  // the X-stage tasks' scratch arenas: after one forward, a repeated
+  // forward grows no arena, with or without a hidden field between layers.
+  const int saved = runtime::thread_count();
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    for (const std::size_t layers : {std::size_t{1}, std::size_t{3}}) {
+      for (const Backend row : {Backend::PyTorch, Backend::FftOpt, Backend::FullyFused}) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads << ", layers " << layers
+                                          << ", row " << static_cast<int>(row));
+        Fno2dConfig cfg;
+        cfg.in_channels = 1;
+        cfg.hidden = 24;
+        cfg.out_channels = 2;
+        cfg.nx = 32;
+        cfg.ny = 32;
+        cfg.modes_x = 8;
+        cfg.modes_y = 8;
+        cfg.layers = layers;
+        cfg.backend = row;
+        Fno2d model(cfg);
+        const std::size_t batch = 3;
+        const std::size_t spatial = cfg.nx * cfg.ny;
+        const auto u = random_signal(batch * spatial, 610u);
+        std::vector<c32> v(batch * cfg.out_channels * spatial);
+        model.forward(u, v, batch);
+        const std::size_t arena = runtime::tls_scratch().bytes_reserved();
+        model.forward(u, v, batch);
+        EXPECT_EQ(runtime::tls_scratch().bytes_reserved(), arena) << "complex lane";
+
+        const auto ur = turbofno::testing::random_reals(batch * spatial, 611u);
+        std::vector<float> vr(batch * cfg.out_channels * spatial);
+        model.forward_real(ur, vr, batch);
+        const std::size_t arena_r = runtime::tls_scratch().bytes_reserved();
+        model.forward_real(ur, vr, batch);
+        EXPECT_EQ(runtime::tls_scratch().bytes_reserved(), arena_r) << "real lane";
+      }
+    }
+  }
+  runtime::set_thread_count(saved);
+}
+
 TEST(PointwiseLinearTest, MatchesNaiveMixing) {
   const std::size_t in = 3;
   const std::size_t out = 4;

@@ -52,6 +52,38 @@ TEST(NetProtocol, Crc32KnownVector) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+/// The bytewise table walk crc32 ran before slicing-by-8.
+std::uint32_t crc32_bytewise(std::span<const std::byte> data, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    c = detail::kCrc32Table[(c ^ std::to_integer<std::uint32_t>(b)) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(NetProtocol, Crc32SlicingMatchesBytewise) {
+  // Random lengths 0..1000 at every start offset 0..7, so the 8-byte steps
+  // see every alignment and every tail length.  Each piece is seeded with
+  // the previous piece's CRC, and continuing a CRC must equal one CRC over
+  // the concatenated bytes.
+  std::srand(20261019);
+  std::vector<std::byte> buf(1008);
+  for (auto& b : buf) b = static_cast<std::byte>(std::rand() & 0xff);
+  std::uint32_t seed = 0;
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const std::size_t len = static_cast<std::size_t>(std::rand()) % 1001;
+      const std::span<const std::byte> piece(buf.data() + off, len);
+      const std::uint32_t got = crc32(piece, seed);
+      ASSERT_EQ(got, crc32_bytewise(piece, seed))
+          << "offset " << off << ", length " << len << ", seed " << seed;
+      seed = got;
+      EXPECT_EQ(crc32(piece, crc32(std::span<const std::byte>(buf.data(), off))),
+                crc32(std::span<const std::byte>(buf.data(), off + len)));
+    }
+  }
+}
+
 // ------------------------------------------------------------ round trips
 
 TEST(NetProtocol, RequestRoundTripAllOptions) {
