@@ -6,15 +6,18 @@
 // shapes, so the explicit-SIMD layer's speedup is a printed,
 // regression-checkable number:
 //
-//   cgemm-micro     the Mtb x Ntb x Ktb register-tile kernel (FusedTiles,
-//                   32x32x8, Mt = Nt = 4): interleaved scalar kernel vs the
-//                   split-complex vector kernel on identical packed panels.
+//   cgemm-micro     one k-tile of the FusedTiles accumulator tile (32x32x8):
+//                   the interleaved scalar 4x4 kernel vs the split-complex
+//                   vector kernel on the backend's register block
+//                   (gemm::accumulate_tile_split, the fused k-loop's step).
 //   cgemm-full      the whole blocked CGEMM at the fused FNO shape.
+//   cgemm-fig19-*,  cgemm_batched at the models' residual GEMM shapes (see
+//   cgemm-fno1d-*   bench_cgemm_batched).
 //   fft-radix4-q    one Stockham radix-4 pass at s = 64 (the batched FFT's
 //                   vector sweep).
 //
 // It also measures the one-core FMA peak of every compiled SIMD backend
-// (12 independent FMA chains on that backend's register width, best of 3)
+// (24 zmm / 12 ymm independent FMA chains, best of 3; see fma_peak)
 // and reports each cgemm arm's SIMD GFLOP/s as a fraction of the active
 // backend's peak: how close the CGEMM kernel runs to what the core can do.
 //
@@ -35,6 +38,7 @@
 #include "core/workload.hpp"
 #include "fft/kernels.hpp"
 #include "fft/twiddle.hpp"
+#include "gemm/batched.hpp"
 #include "gemm/cgemm.hpp"
 #include "gemm/micro_kernel.hpp"
 #include "gemm/pack.hpp"
@@ -50,7 +54,7 @@ namespace {
 using namespace turbofno;
 namespace scalar_ref = turbofno::bench::scalar_ref;
 
-using Cfg = gemm::FusedTiles;  // paper Table 1: 32x32x8, Mt = Nt = 4
+using Cfg = gemm::FusedTiles;  // paper Table 1: 32x32x8
 
 struct KernelResult {
   std::string name;
@@ -71,13 +75,16 @@ struct PeakResult {
 };
 
 /// One core's single-precision FMA throughput on backend B's register
-/// width: 12 independent accumulator registers (6 split-complex vectors;
-/// more chains than FMA latency x ports on current x86 cores), so the loop
-/// is bound by FMA throughput alone.  Best of 3.
+/// width: independent accumulator registers well past FMA latency x ports
+/// on current x86 cores (24 zmm chains on avx512, 12 ymm on avx2, whose 16
+/// registers must also hold the operands), so the loop is bound by FMA
+/// throughput alone.  Every chain starts from its own value: chains that
+/// start equal and take the same updates are one value to the compiler,
+/// which then runs fewer FMAs than the FLOP count assumes.  Best of 3.
 template <class B>
 PeakResult fma_peak() {
   using V = typename B::cvec;
-  constexpr std::size_t kVecs = 6;
+  constexpr std::size_t kVecs = B::lanes >= 16 ? 12 : 6;  // two chains (re, im) each
   constexpr std::size_t kIters = std::size_t{1} << 22;
   const V b = B::broadcast_split(0.5f, 0.25f);
   std::vector<float> sink_re(B::lanes), sink_im(B::lanes);
@@ -85,7 +92,7 @@ PeakResult fma_peak() {
   const double seconds = runtime::time_best_of(3, [&] {
     V acc[kVecs];
     for (std::size_t v = 0; v < kVecs; ++v) {
-      acc[v] = B::broadcast_split(static_cast<float>(v), 0.0f);
+      acc[v] = B::broadcast_split(1.0f + static_cast<float>(v), -0.5f - static_cast<float>(v));
     }
     // acc += 1e-7 * b: 2 FMAs per vector per step; stays small and finite.
     for (std::size_t it = 0; it < kIters; ++it) {
@@ -122,17 +129,6 @@ double active_peak(const std::vector<PeakResult>& peaks) {
 
 // ------------------------------------------------------- cgemm micro-kernel
 
-template <class B>
-void run_micro_simd(float* acc_split, const float* Apack, const float* Bpack, std::size_t kc) {
-  constexpr std::size_t JW = gemm::kJBlock<B, Cfg::Nt>;
-  for (std::size_t ii = 0; ii < Cfg::Mtb; ii += Cfg::Mt) {
-    for (std::size_t jj = 0; jj < Cfg::Ntb; jj += JW) {
-      gemm::micro_accumulate_split<B, Cfg::Mt, JW, Cfg::Mtb, Cfg::Ntb>(acc_split, Apack, Bpack,
-                                                                       kc, ii, jj);
-    }
-  }
-}
-
 KernelResult bench_cgemm_micro(std::size_t reps) {
   // Packed panels for one K-block, repeated many times so the working set
   // stays L1-resident and the measurement isolates the register kernel.
@@ -150,10 +146,9 @@ KernelResult bench_cgemm_micro(std::size_t reps) {
 
   AlignedBuffer<float> ApackS(2 * Cfg::Mtb * Cfg::Ktb);
   AlignedBuffer<float> BpackS(2 * Cfg::Ntb * Cfg::Ktb);
-  gemm::pack_a_tile_split<Cfg::Mtb, Cfg::Ktb>(ApackS.data(), A.data(), Cfg::Ktb, 0, 0, Cfg::Mtb,
-                                              Cfg::Ktb);
-  gemm::pack_b_tile_split<Cfg::Ntb, Cfg::Ktb>(BpackS.data(), Bm.data(), Cfg::Ntb, 0, 0, Cfg::Ktb,
-                                              Cfg::Ntb);
+  gemm::pack_a_tile_split<gemm::RegBlock<simd::Active, false>::rows>(
+      ApackS.data(), A.data(), Cfg::Ktb, 0, 0, Cfg::Mtb, Cfg::Ktb);
+  gemm::pack_b_tile_split<Cfg::Ntb>(BpackS.data(), Bm.data(), Cfg::Ntb, 0, 0, Cfg::Ktb, Cfg::Ntb);
 
   AlignedBuffer<c32> acc(Cfg::Mtb * Cfg::Ntb);
   AlignedBuffer<float> accS(2 * Cfg::Mtb * Cfg::Ntb);
@@ -171,7 +166,8 @@ KernelResult bench_cgemm_micro(std::size_t reps) {
   });
   r.simd_seconds = runtime::time_best_of(reps, [&] {
     for (std::size_t it = 0; it < kInner; ++it) {
-      run_micro_simd<simd::Active>(accS.data(), ApackS.data(), BpackS.data(), Cfg::Ktb);
+      gemm::accumulate_tile_split<Cfg, simd::Active>(accS.data(), ApackS.data(), BpackS.data(),
+                                                     Cfg::Ktb, Cfg::Mtb, Cfg::Ntb);
     }
   });
   return r;
@@ -202,6 +198,46 @@ KernelResult bench_cgemm_full(std::size_t reps) {
   r.simd_seconds = runtime::time_best_of(reps, [&] {
     gemm::cgemm_tiled_backend<Cfg, simd::Active>(M, N, K, c32{1.0f, 0.0f}, A.data(), K, Bm.data(),
                                                  N, c32{0.0f, 0.0f}, C.data(), N);
+  });
+  return r;
+}
+
+// ------------------------------------------------- cgemm at the FNO shapes
+
+/// cgemm_batched at a pointwise (residual) GEMM shape of the FNO models:
+/// `batch` items of C[M x N] = A * B_i + C_i with one A shared by every
+/// item.  The scalar side runs the seed's scalar GEMM per item (a real A as
+/// its {re, 0} copy, which is what the scalar backend multiplies).  A real
+/// A's FLOPs are counted as run: 4 per multiply-add, not a complex one's 8.
+KernelResult bench_cgemm_batched(const char* name, std::size_t M, std::size_t N, std::size_t K,
+                                 std::size_t batch, gemm::AOperand kind, std::size_t reps) {
+  const bool real = kind == gemm::AOperand::RealPart;
+  AlignedBuffer<c32> A(M * K);
+  AlignedBuffer<c32> Bm(batch * K * N);
+  AlignedBuffer<c32> C(batch * M * N);
+  core::fill_random(A.span(), 31u);
+  core::fill_random(Bm.span(), 32u);
+  core::fill_random(C.span(), 33u);
+  AlignedBuffer<c32> Ascalar(M * K);
+  for (std::size_t i = 0; i < M * K; ++i) Ascalar[i] = real ? c32{A[i].re, 0.0f} : A[i];
+  const c32 one{1.0f, 0.0f};
+  const gemm::BatchedStrides strides{0, static_cast<std::ptrdiff_t>(K * N),
+                                     static_cast<std::ptrdiff_t>(M * N)};
+
+  KernelResult r;
+  r.name = name;
+  r.fma_bound = true;
+  r.flops = static_cast<double>(trace::cgemm_flops(M, N, K)) * static_cast<double>(batch) /
+            (real ? 2.0 : 1.0);
+  r.scalar_seconds = runtime::time_best_of(reps, [&] {
+    for (std::size_t i = 0; i < batch; ++i) {
+      scalar_ref::cgemm_fused_tiles(M, N, K, one, Ascalar.data(), K, Bm.data() + i * K * N, N,
+                                    one, C.data() + i * M * N, N);
+    }
+  });
+  r.simd_seconds = runtime::time_best_of(reps, [&] {
+    gemm::cgemm_batched(M, N, K, one, A.data(), K, Bm.data(), N, one, C.data(), N, batch,
+                        strides, kind);
   });
   return r;
 }
@@ -297,12 +333,22 @@ int main(int argc, char** argv) {
   std::vector<KernelResult> rows;
   rows.push_back(bench_cgemm_micro(reps));
   rows.push_back(bench_cgemm_full(reps));
+  // The residual GEMMs of the Fig 19 model (one 2048-column X-stage slab of
+  // 40 channels, complex and real-lane weights) and of fno1d (four items,
+  // 128 channels x 128 points).  Best of at least 50: one call is 0.1-1 ms.
+  const std::size_t gemm_reps = reps < 50 ? 50 : reps;
+  rows.push_back(bench_cgemm_batched("cgemm-fig19-slab-40x2048x40", 40, 2048, 40, 1,
+                                     gemm::AOperand::Complex, gemm_reps));
+  rows.push_back(bench_cgemm_batched("cgemm-fig19-slab-real-40x2048x40", 40, 2048, 40, 1,
+                                     gemm::AOperand::RealPart, gemm_reps));
+  rows.push_back(bench_cgemm_batched("cgemm-fno1d-resid-128x128x128x4", 128, 128, 128, 4,
+                                     gemm::AOperand::Complex, gemm_reps));
   rows.push_back(bench_fft_radix4_pass(reps));
 
-  std::printf("%-24s %12s %12s %10s %10s %8s %7s\n", "kernel", "scalar(us)", "simd(us)",
+  std::printf("%-34s %12s %12s %10s %10s %8s %7s\n", "kernel", "scalar(us)", "simd(us)",
               "sc GF/s", "simd GF/s", "speedup", "peak");
   for (const auto& r : rows) {
-    std::printf("%-24s %12.2f %12.2f %10.2f %10.2f %7.2fx", r.name.c_str(),
+    std::printf("%-34s %12.2f %12.2f %10.2f %10.2f %7.2fx", r.name.c_str(),
                 r.scalar_seconds * 1e6, r.simd_seconds * 1e6, r.gflops(r.scalar_seconds),
                 r.gflops(r.simd_seconds), r.speedup());
     if (r.fma_bound && peak > 0.0) {

@@ -23,6 +23,7 @@ constexpr std::size_t kTb = KLoopGemm::Tiles::Ktb;
 constexpr std::size_t kTileFloats = 2 * kMtb * kNtb;    // split accumulator tile
 constexpr std::size_t kAPanelFloats = 2 * kMtb * kTb;  // split W panel
 constexpr std::size_t kBPanelFloats = 2 * kNtb * kTb;  // split spectra panel
+constexpr std::size_t kRows = gemm::RegBlock<simd::Active, false>::rows;  // W row blocks
 
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) noexcept { return (a + b - 1) / b; }
 
@@ -66,8 +67,8 @@ void KLoopGemm::pack(const c32* w) {
   float* dst = w_panels_.data();
   for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb) {
     for (std::size_t k0 = 0; k0 < hidden_; k0 += kTb, dst += kAPanelFloats) {
-      gemm::pack_a_tile_split<kMtb, kTb>(dst, w, hidden_, i0, k0, std::min(kMtb, out_dim_ - i0),
-                                        std::min(kTb, hidden_ - k0));
+      gemm::pack_a_tile_split<kRows>(dst, w, hidden_, i0, k0, std::min(kMtb, out_dim_ - i0),
+                                     std::min(kTb, hidden_ - k0));
     }
   }
 }
@@ -82,7 +83,8 @@ std::size_t KLoopGemm::panel_floats(std::size_t m) noexcept {
 
 void KLoopGemm::zero(float* acc, std::size_t m) const noexcept {
   for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb) {
-    const std::size_t rows = ceil_div(std::min(kMtb, out_dim_ - i0), Tiles::Mt) * Tiles::Mt;
+    // The rows the register blocks touch (gemm::for_each_block).
+    const std::size_t rows = ceil_div(std::min(kMtb, out_dim_ - i0), kRows) * kRows;
     for (std::size_t j0 = 0; j0 < m; j0 += kNtb, acc += kTileFloats) {
       std::fill_n(acc, rows * kNtb, 0.0f);
       std::fill_n(acc + kMtb * kNtb, rows * kNtb, 0.0f);
@@ -95,8 +97,8 @@ void KLoopGemm::accumulate(float* acc, float* panels, const c32* spectra, std::s
   using B = simd::Active;
   const std::size_t kc = std::min(kTb, hidden_ - k0);
   for (std::size_t j0 = 0; j0 < m; j0 += kNtb) {
-    gemm::pack_b_tile_split<kNtb, kTb, B>(panels + j0 / kNtb * kBPanelFloats, spectra, ld, 0, j0,
-                                          kc, std::min(kNtb, m - j0));
+    gemm::pack_b_tile_split<kNtb, B>(panels + j0 / kNtb * kBPanelFloats, spectra, ld, 0, j0, kc,
+                                     std::min(kNtb, m - j0));
   }
   const float* a = w_panels_.data() + k0 / kTb * kAPanelFloats;
   for (std::size_t i0 = 0; i0 < out_dim_; i0 += kMtb, a += k_tiles_ * kAPanelFloats) {

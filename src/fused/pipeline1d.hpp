@@ -110,11 +110,13 @@ void account_chain(trace::PipelineCounters& c, Fusion f, const ChainRun& r);
 
 /// The k-loop's CGEMM for one signal, C[out_dim x m] += W * S over the
 /// hidden dim, on the GEMM's split-complex micro-kernel
-/// (gemm::accumulate_tile_split) over Tiles panels.  W is packed as A
-/// panels once per weight set (pin / use); each k-tile's spectra (S rows, one per channel)
-/// become Ntb-wide B panels; the accumulator is the GEMM's Mtb x Ntb split
-/// tiles, row tile by f tile.  Each output keeps its k-ordered
-/// cmadd(acc, W, spectrum) chain, so the tile depth moves no bits.
+/// (gemm::accumulate_tile_split, the backend's register block) over Tiles
+/// panels.  W is packed as A panels once per weight set (pin / use); each
+/// k-tile's spectra (S rows, one per channel) become Ntb-wide B panels.
+/// The k-tiles arrive one forward FFT at a time, so the accumulator stays
+/// in memory between them: the GEMM's Mtb x Ntb split tiles, row tile by f
+/// tile.  Each output keeps its k-ordered cmadd(acc, W, spectrum) chain, so
+/// neither the tile depth nor the register block moves bits.
 class KLoopGemm {
  public:
   /// The paper's 32 x 32 thread-block tile with a deep k-tile: Ktb = 32
@@ -124,8 +126,8 @@ class KLoopGemm {
   /// column blocks.  Measured at fno1d_c2c's shape (one thread, avx512):
   /// the k-loop stage of every fused row 10-15% below Ktb = 8; Ktb = 64
   /// read the same as 32 within this host's noise.  gemm::FusedTiles keeps
-  /// the paper's k_tb = 8 for the cost model, the Table 1 bench and
-  /// cgemm_batched.
+  /// the paper's k_tb = 8 for the cost model, the Table 1 bench and the
+  /// scalar backend's cgemm_batched.
   using Tiles = gemm::Tiles<32, 32, 32>;
 
   /// Sizes the packed panels of an out_dim x hidden W.

@@ -22,38 +22,41 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) noexcept { return (
 template <class B>
 using PackT = std::conditional_t<B::lanes == 1, c32, float>;
 
-/// Elements of one packed (row tile, k-tile) A panel and of one B panel.
+/// Elements of one row tile's packed A panel over the whole K: the split
+/// planes on a SIMD backend; on the scalar one, Ktb-deep interleaved k-tile
+/// panels back to back (the last zero-filled past K).
 template <class Cfg, class B, bool RealA>
-constexpr std::size_t a_panel_elems() noexcept {
-  if constexpr (B::lanes == 1) return Cfg::Mtb * Cfg::Ktb;
-  return kASliceFloats<Cfg::Mtb, RealA> * Cfg::Ktb;
+constexpr std::size_t a_panel_elems(std::size_t K) noexcept {
+  if constexpr (B::lanes == 1) return Cfg::Mtb * ceil_div(K, Cfg::Ktb) * Cfg::Ktb;
+  return kASliceFloats<Cfg::Mtb, RealA> * K;
 }
+/// Elements of one C tile's B panel: one k-tile on the scalar backend, the
+/// whole K on a SIMD one.
 template <class Cfg, class B>
-constexpr std::size_t b_panel_elems() noexcept {
-  return (B::lanes == 1 ? 1 : 2) * Cfg::Ntb * Cfg::Ktb;
+constexpr std::size_t b_panel_elems(std::size_t K) noexcept {
+  if constexpr (B::lanes == 1) return Cfg::Ntb * Cfg::Ktb;
+  return 2 * Cfg::Ntb * K;
 }
 
-/// One parallel chunk's packed A panels.  A C tile asks for its row
-/// tile's panels in k order (`panel`); a panel the chunk has not packed yet
-/// is packed right then, just before its first use.  Row tile ti's panels
-/// live in row slot ti % row_slots, k-tile kt's in k slot kt % k_slots, so
-/// the storage holds exactly what the chunk reads again: every row when A
-/// is shared by several batch items (the chunk comes back to each row),
-/// every k-tile when a row has several C tiles, otherwise one panel reused
-/// in cache.  Private to its chunk, and it lives in the chunk's arena
-/// scope, so nothing is cached across calls.
+/// One parallel chunk's packed A panels, one Mtb x K panel per row tile.
+/// A C tile asks for its row tile's panel (`panel`); a panel the chunk has
+/// not packed yet is packed right then, just before its first use.  Row
+/// tile ti's panel lives in slot ti % slots, so the storage holds exactly
+/// what the chunk reads again: every row tile when A is shared by several
+/// batch items (the chunk comes back to each row), otherwise the one panel
+/// a row's C tiles share.  Private to its chunk, and it lives in the
+/// chunk's arena scope, so nothing is cached across calls.
 template <class Cfg, class B, bool RealA>
 class APanels {
  public:
   APanels(runtime::ScratchArena& arena, std::size_t M, std::size_t K, std::size_t lda,
-          std::size_t row_slots, std::size_t k_slots)
+          std::size_t slots)
       : M_(M),
         K_(K),
         lda_(lda),
-        k_slots_(k_slots),
-        panels_(arena.alloc<PackT<B>>(row_slots * k_slots * a_panel_elems<Cfg, B, RealA>())),
-        row_(arena.alloc<std::size_t>(row_slots)),
-        packed_(arena.alloc<std::size_t>(row_slots)) {
+        elems_(a_panel_elems<Cfg, B, RealA>(K)),
+        panels_(arena.alloc<PackT<B>>(slots * elems_)),
+        row_(arena.alloc<std::size_t>(slots)) {
     std::fill(row_.begin(), row_.end(), kNone);
   }
 
@@ -64,26 +67,22 @@ class APanels {
     std::fill(row_.begin(), row_.end(), kNone);
   }
 
-  /// Row tile ti's panel at k-tile kt.
-  const PackT<B>* panel(std::size_t ti, std::size_t kt) {
+  /// Row tile ti's panel.
+  const PackT<B>* panel(std::size_t ti) {
     const std::size_t s = ti % row_.size();
+    PackT<B>* dst = panels_.data() + s * elems_;
     if (row_[s] != ti) {
       row_[s] = ti;
-      packed_[s] = 0;
-    }
-    PackT<B>* dst =
-        panels_.data() + (s * k_slots_ + kt % k_slots_) * a_panel_elems<Cfg, B, RealA>();
-    if (kt == packed_[s]) {  // k-tiles are asked for in order
       const std::size_t i0 = ti * Cfg::Mtb;
-      const std::size_t k0 = kt * Cfg::Ktb;
       const std::size_t mi = std::min(Cfg::Mtb, M_ - i0);
-      const std::size_t kc = std::min(Cfg::Ktb, K_ - k0);
       if constexpr (B::lanes == 1) {
-        pack_a_tile<Cfg::Mtb, Cfg::Ktb, RealA>(dst, A_, lda_, i0, k0, mi, kc);
+        for (std::size_t k0 = 0; k0 < K_; k0 += Cfg::Ktb) {
+          pack_a_tile<Cfg::Mtb, Cfg::Ktb, RealA>(dst + k0 * Cfg::Mtb, A_, lda_, i0, k0, mi,
+                                                 std::min(Cfg::Ktb, K_ - k0));
+        }
       } else {
-        pack_a_tile_split<Cfg::Mtb, Cfg::Ktb, RealA>(dst, A_, lda_, i0, k0, mi, kc);
+        pack_a_tile_split<RegBlock<B, RealA>::rows, RealA>(dst, A_, lda_, i0, 0, mi, K_);
       }
-      ++packed_[s];
     }
     return dst;
   }
@@ -94,10 +93,9 @@ class APanels {
   std::size_t M_;
   std::size_t K_;
   std::size_t lda_;
-  std::size_t k_slots_;
+  std::size_t elems_;
   std::span<PackT<B>> panels_;
-  std::span<std::size_t> row_;     // row tile held by each row slot
-  std::span<std::size_t> packed_;  // k-tiles packed so far in each row slot
+  std::span<std::size_t> row_;  // row tile held by each slot
   const c32* A_ = nullptr;
 };
 
@@ -121,6 +119,7 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
   const std::size_t j0 = tj * Ntb;
   const std::size_t mi = std::min(Mtb, M - i0);
   const std::size_t nj = std::min(Ntb, N - j0);
+  const c32* Apanel = a.panel(ti);
 
   // Accumulators for the whole C tile, kept in a stack block; the register
   // micro-tiles stream through it.  (Mtb*Ntb c32 = 8 KiB at 32x32.)
@@ -129,7 +128,7 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
 
   for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
     const std::size_t kc = std::min(Ktb, K - k0);
-    const c32* Apack = a.panel(ti, k0 / Ktb);
+    const c32* Apack = Apanel + k0 * Mtb;
     pack_b_tile<Ntb, Ktb>(Bpack, B, ldb, k0, j0, kc, nj);
 
     for (std::size_t ii = 0; ii < Mtb; ii += Mt) {
@@ -157,57 +156,57 @@ void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t
   // tfno-hot-end
 }
 
-// SIMD tile task: split-complex panels and accumulator planes; the register
-// block runs the vector micro-kernel, the epilogue re-interleaves into C
-// with masked tails.
+// SIMD tile task: the row tile's split A panel and this C tile's split B
+// panel over the whole K, then each register block (RegBlock) runs k =
+// 0..K-1 with its accumulators in registers and writes alpha * acc + beta
+// * C straight into C, re-interleaving, with masked tails.
 template <class Cfg, class B, bool RealA>
 void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
                     c32 alpha, APanels<Cfg, B, RealA>& a, const c32* Bm, std::size_t ldb,
                     c32 beta, c32* C, std::size_t ldc, float* Bpack) {
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
-  constexpr std::size_t Ktb = Cfg::Ktb;
+  constexpr std::size_t R = RegBlock<B, RealA>::rows;
   using V = typename B::cvec;
+  static_assert(Mtb % R == 0 && Ntb % B::lanes == 0, "register blocks must tile the C tile");
 
   // tfno-hot-begin: C-tile body (heap allocation forbidden)
   const std::size_t i0 = ti * Mtb;
   const std::size_t j0 = tj * Ntb;
   const std::size_t mi = std::min(Mtb, M - i0);
   const std::size_t nj = std::min(Ntb, N - j0);
+  const float* Apack = a.panel(ti);
+  pack_b_tile_split<Ntb, B>(Bpack, Bm, ldb, 0, j0, K, nj);
 
-  // Split accumulator planes for the whole C tile (re plane then im plane;
-  // same bytes as the interleaved tile).
-  alignas(kBufferAlignment) float acc_tile[2 * Mtb * Ntb];
-  std::fill(acc_tile, acc_tile + 2 * Mtb * Ntb, 0.0f);
-
-  for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
-    const std::size_t kc = std::min(Ktb, K - k0);
-    const float* Apack = a.panel(ti, k0 / Ktb);
-    pack_b_tile_split<Ntb, Ktb, B>(Bpack, Bm, ldb, k0, j0, kc, nj);
-    accumulate_tile_split<Cfg, B, RealA>(acc_tile, Apack, Bpack, kc, mi, nj);
-  }
-
-  // Epilogue: C = alpha * acc + beta * C, re-interleaving the split planes.
   const V alpha_v = B::broadcast(alpha);
   const V beta_v = B::broadcast(beta);
   const bool beta_zero = beta == c32{0.0f, 0.0f};
-  for (std::size_t i = 0; i < mi; ++i) {
-    c32* crow = C + (i0 + i) * ldc + j0;
-    const float* are = acc_tile + i * Ntb;
-    const float* aim = acc_tile + Mtb * Ntb + i * Ntb;
-    std::size_t j = 0;
-    for (; j + B::lanes <= nj; j += B::lanes) {
-      V res = B::cmul(alpha_v, B::load_split(are + j, aim + j));
-      if (!beta_zero) res = B::cmadd(res, beta_v, B::load(crow + j));
-      B::store(crow + j, res);
+  for_each_block<B, RealA>(mi, nj, [&](auto nv, std::size_t ii, std::size_t jj) {
+    constexpr std::size_t NV = decltype(nv)::value;
+    V r[R][NV];
+    for (std::size_t i = 0; i < R; ++i) {
+      for (std::size_t v = 0; v < NV; ++v) r[i][v] = B::zero();
     }
-    if (j < nj) {
-      const std::size_t rem = nj - j;
-      V res = B::cmul(alpha_v, B::load_split(are + j, aim + j));
-      if (!beta_zero) res = B::cmadd(res, beta_v, B::load_partial(crow + j, rem));
-      B::store_partial(crow + j, res, rem);
+    block_steps<B, R, NV, Ntb, RealA>(r, a_block<B, RealA>(Apack, ii, K), Bpack + jj, K);
+
+    // Epilogue: C = alpha * acc + beta * C on the block's valid region.
+    const std::size_t rows = std::min(R, mi - ii);
+    for (std::size_t i = 0; i < rows; ++i) {
+      c32* crow = C + (i0 + ii + i) * ldc + j0 + jj;
+      for (std::size_t v = 0; v < NV && jj + v * B::lanes < nj; ++v) {
+        c32* c = crow + v * B::lanes;
+        const std::size_t count = std::min(B::lanes, nj - jj - v * B::lanes);
+        V res = B::cmul(alpha_v, r[i][v]);
+        if (count == B::lanes) {
+          if (!beta_zero) res = B::cmadd(res, beta_v, B::load(c));
+          B::store(c, res);
+        } else {
+          if (!beta_zero) res = B::cmadd(res, beta_v, B::load_partial(c, count));
+          B::store_partial(c, res, count);
+        }
+      }
     }
-  }
+  });
   // tfno-hot-end
 }
 
@@ -233,17 +232,15 @@ void gemm(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A, 
   const std::size_t tiles_m = ceil_div(M, Cfg::Mtb);
   const std::size_t tiles_n = ceil_div(N, Cfg::Ntb);
   const std::size_t tiles = tiles_m * tiles_n;
-  // A chunk reads a packed panel again only when A is shared by several
-  // items (it comes back to every row) or a row has several C tiles.
-  const bool revisits = strides.a == 0 && batch > 1;
-  const std::size_t row_slots = revisits ? tiles_m : 1;
-  const std::size_t k_slots = revisits || tiles_n > 1 ? ceil_div(K, Cfg::Ktb) : 1;
+  // A chunk comes back to a row tile's panel only when A is shared by
+  // several items; otherwise a row's C tiles run back to back.
+  const std::size_t slots = strides.a == 0 && batch > 1 ? tiles_m : 1;
   runtime::parallel_for(0, batch * tiles, 1, [&](std::size_t lo, std::size_t hi) {
     // tfno-hot-begin: chunk body (heap allocation forbidden)
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
-    APanels<Cfg, B, RealA> a(arena, M, K, lda, row_slots, k_slots);
-    const std::span<PackT<B>> Bpack = arena.alloc<PackT<B>>(b_panel_elems<Cfg, B>());
+    APanels<Cfg, B, RealA> a(arena, M, K, lda, slots);
+    const std::span<PackT<B>> Bpack = arena.alloc<PackT<B>>(b_panel_elems<Cfg, B>(K));
     for (std::size_t t = lo; t < hi; ++t) {
       const auto i = static_cast<std::ptrdiff_t>(t / tiles);
       a.use(A + i * strides.a);

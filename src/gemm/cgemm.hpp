@@ -5,15 +5,24 @@
 // (`cgemm_tiled`) so benches can sweep alternatives (Section 3.1's "fully
 // templated CGEMM kernel").
 //
-// A panels (row tile x k-tile) are packed once and streamed against every
-// C tile that reads them (the GotoBLAS layout; the paper's CGEMM stages A
-// in shared memory the same way), never once per C tile.  The work is
-// split into parallel chunks of consecutive C tiles; each chunk packs a
-// panel in its own thread's scratch arena the first time one of its C
-// tiles needs it, and keeps it while a later C tile of the chunk, or a
-// later item of a cgemm_batched call with a shared A, reads it again.  On
-// one thread that is exactly once per call.  Nothing is cached across
+// A panels (one row tile over the whole K) are packed once and streamed
+// against every C tile that reads them (the GotoBLAS layout; the paper's
+// CGEMM stages A in shared memory the same way), never once per C tile.
+// The work is split into parallel chunks of consecutive C tiles; each
+// chunk packs a panel in its own thread's scratch arena the first time one
+// of its C tiles needs it, and keeps it while a later C tile of the chunk,
+// or a later item of a cgemm_batched call with a shared A, reads it again.
+// On one thread that is exactly once per call.  Nothing is cached across
 // calls, so a caller may rewrite A between calls.  B is packed per C tile.
+//
+// On a SIMD backend a C tile packs its B panel once for the whole K, then
+// runs each register block (gemm::RegBlock: 8 rows x 2 zmm vectors on
+// avx512, 4 x 1 on avx2) over k = 0..K-1 with its accumulators in
+// registers and writes alpha * acc + beta * C straight into C (Goto & van
+// de Geijn, "Anatomy of High-Performance Matrix Multiplication", TOMS
+// 2008).  Every backend sums each output in k order with the same
+// multiply-adds, so avx512 and avx2 agree bit for bit.  The scalar backend
+// runs the seed's Ktb-tiled kernel.
 #pragma once
 
 #include <cstddef>

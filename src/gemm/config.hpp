@@ -3,8 +3,8 @@
 // The kernel is "fully templated" (Section 3.1): thread-block tile shape and
 // register tile factors are compile-time parameters, instantiated for the
 // shapes the pipelines use plus an ablation sweep.  On the CPU substrate the
-// thread-block tile becomes the per-task cache tile and the register tile
-// the innermost accumulator block.
+// thread-block tile becomes the per-task cache tile and, on the scalar
+// backend, the register tile the innermost accumulator block.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +14,11 @@ namespace turbofno::gemm {
 /// Compile-time tile shape.  Names mirror the paper:
 ///   Mtb x Ntb x Ktb — thread-block (cache) tile,
 ///   Mt x Nt         — per-thread register tile.
+/// On the CPU, Mtb x Ntb is the C tile of one parallel task, and Ktb and
+/// Mt x Nt shape only the scalar backend's GEMM (its k-tile and register
+/// tile) and the GPU cost model.  The SIMD backends run every register
+/// block over the whole K with the backend's own block shape
+/// (gemm::RegBlock in micro_kernel.hpp), whatever Ktb, Mt and Nt say.
 template <std::size_t Mtb_, std::size_t Ntb_, std::size_t Ktb_, std::size_t Mt_ = 4,
           std::size_t Nt_ = 4>
 struct Tiles {

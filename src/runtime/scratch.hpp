@@ -20,11 +20,11 @@
 //
 // Sizing guidance: the arena is grow-only per thread, so only bounded,
 // per-task workspaces belong here — FFT ping-pong buffers (2n), transpose
-// slabs (16 columns x n), per-row accumulator planes, the CGEMM's B panels
-// (2 * Ntb * Ktb floats per worker) and its A panels (per worker, at most
-// the padded M x K operand when a shared A serves several batch items:
-// 128 KiB at hidden 128, half that for a real A; otherwise one row tile's
-// panels, Mtb x padded K), the per-field y-major staging tile of
+// slabs (16 columns x n), per-row accumulator planes, the CGEMM's B panel
+// (2 * Ntb * K floats per worker on a SIMD backend: 64 KiB at K = 128) and
+// its A panels (per worker, at most the padded M x K operand when a shared
+// A serves several batch items: 128 KiB at hidden 128, half that for a
+// real A; otherwise one row tile's panel, Mtb x K), the per-field y-major staging tile of
 // FftPlan2d's fused middle (ny * keep_x, ~512 KiB for a 512^2
 // quarter-truncated field), and the fused 2D layer's slab rows: one cache
 // line of every field row of an item's channels per X-stage task, for the

@@ -1,7 +1,8 @@
 // Blocked CGEMM vs the naive reference over a shape grid, alpha/beta cases,
 // and every instantiated tile configuration; the real-A operand and the
 // strided-batched entry (a shared or per-item A) bitwise against the plain
-// complex GEMM; in an AVX-512 build, that backend bitwise against AVX2.
+// complex GEMM and at 1 vs 4 threads; in an AVX-512 build, that backend
+// bitwise against AVX2, across its register block's edges.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -451,7 +452,80 @@ TEST(CgemmAvx512, BatchedSharedAndPerItemAEqualAvx2) {
   }
   runtime::set_thread_count(saved);
 }
+TEST(CgemmAvx512, EdgeShapesBitwiseEqualAvx2) {
+  // The AVX-512 register block is 8 rows x 2 vectors (1 for a real A), with
+  // one-vector blocks over a narrower column tail; AVX2's is 4 x 1.  M, N
+  // and K sit on and off both blocks' edges and both tile configs (N >= 48
+  // runs the 64-wide tiles), with a non-unit alpha, every beta case, both A
+  // kinds and a shared and a per-item A.
+  const std::size_t batch = 2;
+  const c32 alpha{0.75f, -0.5f};
+  unsigned seed = 4201;
+  for (const std::size_t M : {1u, 5u, 7u, 8u, 9u, 13u, 37u, 40u, 41u, 128u}) {
+    for (const std::size_t N : {1u, 15u, 16u, 17u, 33u, 2048u}) {
+      for (const std::size_t K : {1u, 7u, 40u, 128u, 300u}) {
+        const auto A = random_signal(batch * M * K, ++seed);
+        const auto Bm = random_signal(batch * K * N, ++seed);
+        const auto C0 = random_signal(batch * M * N, ++seed);
+        for (const bool shared : {true, false}) {
+          const std::size_t a_stride = shared ? 0 : M * K;
+          const BatchedStrides strides{static_cast<std::ptrdiff_t>(a_stride),
+                                       static_cast<std::ptrdiff_t>(K * N),
+                                       static_cast<std::ptrdiff_t>(M * N)};
+          for (const AOperand a : {AOperand::Complex, AOperand::RealPart}) {
+            for (const c32 beta : {c32{0.0f, 0.0f}, c32{1.0f, 0.0f}, c32{0.5f, -0.25f}}) {
+              std::vector<c32> got(C0);
+              std::vector<c32> want(C0);
+              cgemm_batched(M, N, K, alpha, A.data(), K, Bm.data(), N, beta, got.data(), N,
+                            batch, strides, a);
+              for (std::size_t i = 0; i < batch; ++i) {
+                avx2_cgemm(M, N, K, alpha, A.data() + i * a_stride, Bm.data() + i * K * N, beta,
+                           want.data() + i * M * N, a);
+              }
+              ASSERT_TRUE(same_bits(got, want))
+                  << "M=" << M << " N=" << N << " K=" << K << " shared=" << shared
+                  << " real=" << (a == AOperand::RealPart) << " beta=" << beta.re << ","
+                  << beta.im;
+            }
+          }
+        }
+      }
+    }
+  }
+}
 #endif  // TURBOFNO_SIMD_HAVE_AVX512
+
+TEST(CgemmBatched, OneAndFourThreadsSameBits) {
+  // The parallel split is over (item, C tile) pairs and every C element is
+  // one tile's k-ordered chain, so the thread count moves no bits.  Shapes:
+  // the Fig 19 residual slab, fno1d's four-item residual, and an odd one.
+  const GemmCase cases[] = {{40, 2048, 40}, {128, 128, 128}, {37, 70, 41}};
+  const std::size_t batch = 4;
+  const int saved = runtime::thread_count();
+  unsigned seed = 4301;
+  for (const auto& [M, N, K] : cases) {
+    const auto A = random_signal(batch * M * K, ++seed);
+    const auto Bm = random_signal(batch * K * N, ++seed);
+    const auto C0 = random_signal(batch * M * N, ++seed);
+    for (const bool shared : {true, false}) {
+      const BatchedStrides strides{static_cast<std::ptrdiff_t>(shared ? 0 : M * K),
+                                   static_cast<std::ptrdiff_t>(K * N),
+                                   static_cast<std::ptrdiff_t>(M * N)};
+      for (const AOperand a : {AOperand::Complex, AOperand::RealPart}) {
+        std::vector<c32> out[2] = {C0, C0};
+        for (const int t : {0, 1}) {
+          runtime::set_thread_count(t == 0 ? 1 : 4);
+          cgemm_batched(M, N, K, c32{0.75f, -0.5f}, A.data(), K, Bm.data(), N,
+                        c32{0.5f, -0.25f}, out[t].data(), N, batch, strides, a);
+        }
+        EXPECT_TRUE(same_bits(out[0], out[1]))
+            << "M=" << M << " N=" << N << " K=" << K << " shared=" << shared
+            << " real=" << (a == AOperand::RealPart);
+      }
+    }
+  }
+  runtime::set_thread_count(saved);
+}
 
 TEST(CgemmBytes, TileShapeDrivesTrafficModel) {
   const TileShape small{32, 32, 8, 4, 4};

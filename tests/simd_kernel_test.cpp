@@ -393,8 +393,9 @@ void kloop_mac_oracle(std::vector<c32>& C, const std::vector<c32>& W, std::size_
 // gemm::accumulate_tile_split over FusedTiles panels, as the fused k-loop
 // runs it: W packed as A panels, the spectra as B panels, one Mtb x Ntb
 // split accumulator tile per (row tile, f tile).  m and out_dim cross the
-// register block (Mt, JW) and the tile (Mtb, Ntb) edges; hidden = 12 runs a
-// full k-tile, then a short one.
+// backend's register block (gemm::RegBlock, and its one-vector column
+// tail) and the tile (Mtb, Ntb) edges; hidden = 12 runs a full k-tile,
+// then a short one.
 template <class B>
 void check_accumulate_tile_split() {
   using Cfg = gemm::FusedTiles;
@@ -427,12 +428,13 @@ void check_accumulate_tile_split() {
         const std::size_t kc = std::min(Ktb, hidden - k0);
         kloop_mac_oracle(want, W, hidden, S, out_dim, m, k0, kc);
         for (std::size_t j0 = 0; j0 < m; j0 += Ntb) {
-          gemm::pack_b_tile_split<Ntb, Ktb, B>(bpanels.data() + j0 / Ntb * 2 * Ntb * Ktb,
-                                               S.data(), m, k0, j0, kc, std::min(Ntb, m - j0));
+          gemm::pack_b_tile_split<Ntb, B>(bpanels.data() + j0 / Ntb * 2 * Ntb * Ktb, S.data(), m,
+                                          k0, j0, kc, std::min(Ntb, m - j0));
         }
         for (std::size_t i0 = 0; i0 < out_dim; i0 += Mtb) {
           const std::size_t mi = std::min(Mtb, out_dim - i0);
-          gemm::pack_a_tile_split<Mtb, Ktb>(apanel.data(), W.data(), hidden, i0, k0, mi, kc);
+          gemm::pack_a_tile_split<gemm::RegBlock<B, false>::rows>(apanel.data(), W.data(), hidden,
+                                                                  i0, k0, mi, kc);
           for (std::size_t j0 = 0; j0 < m; j0 += Ntb) {
             gemm::accumulate_tile_split<Cfg, B>(at(i0, j0), apanel.data(),
                                                 bpanels.data() + j0 / Ntb * 2 * Ntb * Ktb, kc,

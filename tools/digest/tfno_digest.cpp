@@ -2,13 +2,19 @@
 //
 //   tfno_digest
 //
-// Runs a two-layer FNO forward for every ladder row (and Auto, with the
-// row it resolved to) on both lanes (complex C2C and real RFFT), at 1 and
-// 4 runtime threads, over four shapes: the paper's Fig 19 2D point, a
+// Runs an FNO forward for every ladder row (and Auto, with the row it
+// resolved to) on both lanes (complex C2C and real RFFT), at 1 and 4
+// runtime threads, over four shapes: the paper's Fig 19 2D point, a
 // Fig 14-class 1D point, and one 2D and one 1D shape whose modes and
-// widths are not multiples of any SIMD lane count.  Each line is
+// widths are not multiples of any SIMD lane count.  Each shape runs with
+// two layers (the activation between them), then with one (the benchmark's
+// models: lift and projection in the one layer call, no hidden field) and
+// three (two hidden fields).  Each line is
 //
-//   <shape> <lane> t<threads> <row> <FNV-1a 64 of the output bytes>
+//   <shape>[/L<layers>] <lane> t<threads> <row> <FNV-1a 64 of the output bytes>
+//
+// with the /L suffix on the one- and three-layer lines only, so the
+// two-layer lines read as they always have.
 //
 // Inputs and weights are seeded, so two builds that compute the same bits
 // print the same lines: `diff` the output of a TURBOFNO_SIMD=avx2 build
@@ -43,13 +49,13 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes) {
 constexpr fused::Variant kRows[] = {fused::Variant::PyTorch,       fused::Variant::FftOpt,
                                     fused::Variant::FusedFftGemm, fused::Variant::FusedGemmIfft,
                                     fused::Variant::FullyFused,   fused::Variant::Auto};
-constexpr std::size_t kLayers = 2;  // two layers also run the activation between them
-
-/// Every row on both lanes for one model shape; `spatial` is n (1D) or
-/// nx * ny (2D).
+/// Every row on both lanes for one model shape of `layers` layers;
+/// `spatial` is n (1D) or nx * ny (2D).
 template <class Model, class Config>
-void digest(const char* shape, Config cfg, std::size_t spatial, std::size_t batch, int threads) {
-  cfg.layers = kLayers;
+void digest(std::string shape, Config cfg, std::size_t layers, std::size_t spatial,
+            std::size_t batch, int threads) {
+  cfg.layers = layers;
+  if (layers != 2) shape += "/L" + std::to_string(layers);
   const std::size_t in = batch * cfg.in_channels * spatial;
   const std::size_t out = batch * cfg.out_channels * spatial;
   AlignedBuffer<c32> u(in);
@@ -74,8 +80,8 @@ void digest(const char* shape, Config cfg, std::size_t spatial, std::size_t batc
         const auto& prob = model.spectral_layers().front().problem();
         name += "->" + std::string(fused::variant_name(fused::resolve_variant(row, prob, real)));
       }
-      std::printf("%s %s t%d %s %016llx\n", shape, real ? "real" : "c2c", threads, name.c_str(),
-                  static_cast<unsigned long long>(digest));
+      std::printf("%s %s t%d %s %016llx\n", shape.c_str(), real ? "real" : "c2c", threads,
+                  name.c_str(), static_cast<unsigned long long>(digest));
     }
   }
 }
@@ -91,12 +97,14 @@ int main() {
   const core::Fno1dConfig odd1d{1, 37, 1, 64, 21};
 
   std::fprintf(stderr, "tfno_digest: simd backend %s\n", simd::active_backend());
-  for (const int threads : {1, 4}) {
-    runtime::set_thread_count(threads);
-    digest<core::Fno2d>("fig19_2d", fig19, fig19.nx * fig19.ny, 2, threads);
-    digest<core::Fno1d>("fig14_1d", fig14, fig14.n, 16, threads);
-    digest<core::Fno2d>("odd_2d", odd2d, odd2d.nx * odd2d.ny, 3, threads);
-    digest<core::Fno1d>("odd_1d", odd1d, odd1d.n, 5, threads);
+  for (const std::size_t layers : {2u, 1u, 3u}) {
+    for (const int threads : {1, 4}) {
+      runtime::set_thread_count(threads);
+      digest<core::Fno2d>("fig19_2d", fig19, layers, fig19.nx * fig19.ny, 2, threads);
+      digest<core::Fno1d>("fig14_1d", fig14, layers, fig14.n, 16, threads);
+      digest<core::Fno2d>("odd_2d", odd2d, layers, odd2d.nx * odd2d.ny, 3, threads);
+      digest<core::Fno1d>("odd_1d", odd1d, layers, odd1d.n, 5, threads);
+    }
   }
   return 0;
 }
